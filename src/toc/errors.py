@@ -24,6 +24,10 @@ class EmptyRationaleError(TocError):
     """A rationale was empty where a non-empty one is required."""
 
 
+class RecordError(TocError):
+    """A record file line is malformed or conflicts with an earlier line."""
+
+
 # --- segmentation ---
 
 
@@ -86,6 +90,10 @@ class ParseError(TocError):
 
 class EmptyCaptionError(TocError):
     """A captioning call returned empty text."""
+
+
+class InsufficientCuesError(TocError):
+    """The final cue was judged insufficient to answer the question."""
 
 
 class StepCountMismatchError(TocError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -19,13 +18,13 @@ from .errors import (
     GapError,
     OverlapError,
     RangeError,
+    RecordError,
 )
+from .templates import step_numbers
 
 QA_TYPES = ("multiple_choice", "open_ended", "numerical")
 
 _OPTION_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-_STEP_MARKER = re.compile(r"Step \d+:")
 
 
 def option_label(position: int) -> str:
@@ -206,7 +205,7 @@ class SftSample:
         return sample
 
     def validate(self) -> None:
-        if _STEP_MARKER.search(self.rationale):
+        if step_numbers(self.rationale):
             raise ValueError("rationale still contains a step marker")
         if self.target.count("<locate>") != 1 or self.target.count("</locate>") != 1:
             raise ValueError("target must contain exactly one locate block")
@@ -340,23 +339,31 @@ class QaTask:
 
 
 def load_qa_tasks(path: str | Path) -> list[QaTask]:
-    """Read a QA record file; qa_index defaults to the per-video position."""
+    """Read a QA record file; qa_index defaults to the per-video position.
+
+    Sample ids must be unique: two samples would share one resume state.
+    """
     tasks: list[QaTask] = []
     counters: dict[str, int] = {}
-    for rec in read_records(path):
+    first_lines: dict[str, int] = {}
+    for line_no, rec in _numbered_records(path):
         video_id = rec["video_id"]
         qa_index = rec.get("qa_index")
         if qa_index is None:
             qa_index = counters.get(video_id, 0)
         counters[video_id] = qa_index + 1
-        tasks.append(
-            QaTask(
-                video_id=video_id,
-                qa_index=qa_index,
-                qa=QaPair.from_record(rec),
-                video_ref=rec.get("video_ref", f"{video_id}/full"),
-            )
+        task = QaTask(
+            video_id=video_id,
+            qa_index=qa_index,
+            qa=QaPair.from_record(rec),
+            video_ref=rec.get("video_ref", f"{video_id}/full"),
         )
+        first = first_lines.setdefault(task.sample_id, line_no)
+        if first != line_no:
+            raise RecordError(
+                f"{path}:{line_no}: sample_id {task.sample_id!r} duplicates line {first}"
+            )
+        tasks.append(task)
     return tasks
 
 
@@ -378,9 +385,19 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
-def read_records(path: str | Path) -> Iterator[dict]:
+def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, record) for every non-blank line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
+            yield line_no, rec
+
+
+def read_records(path: str | Path) -> Iterator[dict]:
+    return (rec for _, rec in _numbered_records(path))

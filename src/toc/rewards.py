@@ -241,11 +241,12 @@ def _kl_estimate(current: Sequence[float], ref: Sequence[float]) -> float:
     """Token-averaged unbiased KL estimator r - log r - 1 with r = ref/current."""
     if not current:
         return 0.0
-    per_token = []
-    for cur_lp, ref_lp in zip(current, ref):
-        log_r = ref_lp - cur_lp
-        per_token.append(math.exp(log_r) - log_r - 1.0)
-    return math.fsum(per_token) / len(per_token)
+    log_ratios = [ref_lp - cur_lp for cur_lp, ref_lp in zip(current, ref)]
+    try:
+        per_token = [math.exp(log_r) - log_r - 1.0 for log_r in log_ratios]
+        return math.fsum(per_token) / len(per_token)
+    except OverflowError:
+        raise NonFiniteError("KL estimate overflowed") from None
 
 
 def grpo_objective(

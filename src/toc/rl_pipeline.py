@@ -18,13 +18,7 @@ from typing import Sequence
 
 from .errors import GatewayError, InvalidBandError, NonMultipleChoiceError
 from .gateway import ChatRequest, Gateway, single_turn
-from .records import (
-    QaPair,
-    QaTask,
-    RlSample,
-    demand_from_alpha,
-    difficulty_from_alpha,
-)
+from .records import QaPair, QaTask, RlSample
 from .rewards import EMPTY_ANSWER, answers_match, extract_answer
 from .templates import render_direct_answer
 
@@ -79,7 +73,6 @@ def run_trials(
     *,
     sample_id: str = "",
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
-    workers: int = 1,
 ) -> list[TrialRecord]:
     """Issue M independent trials; a failed or unparseable trial counts incorrect."""
     if qa.qa_type != "multiple_choice":
@@ -104,34 +97,7 @@ def run_trials(
             correct=correct,
         )
 
-    if workers <= 1 or m_trials == 1:
-        return [one_trial(i) for i in range(m_trials)]
-    with ThreadPoolExecutor(max_workers=min(workers, m_trials)) as pool:
-        return list(pool.map(one_trial, range(m_trials)))
-
-
-def estimate_demand(
-    gateway: Gateway,
-    qa: QaPair,
-    video_ref: str,
-    m_trials: int,
-    *,
-    sample_id: str = "",
-    temperature: float = DEFAULT_TRIAL_TEMPERATURE,
-    workers: int = 1,
-) -> tuple[int, float, float]:
-    """(alpha, reasoning_demand, difficulty) from M direct-answer trials."""
-    trials = run_trials(
-        gateway,
-        qa,
-        video_ref,
-        m_trials,
-        sample_id=sample_id,
-        temperature=temperature,
-        workers=workers,
-    )
-    alpha = sum(1 for t in trials if t.correct)
-    return alpha, demand_from_alpha(alpha, m_trials), difficulty_from_alpha(alpha, m_trials)
+    return [one_trial(i) for i in range(m_trials)]
 
 
 def filter_by_difficulty(
@@ -192,13 +158,14 @@ def run_demand_pipeline(
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
     workers: int = 1,
 ) -> tuple[list[RlSample], Counter]:
-    """Annotate every multiple-choice task with its demand; count skips."""
-    annotated: list[RlSample] = []
-    skipped: Counter = Counter()
-    for task in tasks:
+    """Annotate every multiple-choice task with its demand; count skips.
+
+    Up to `workers` questions are in flight at once; output keeps task order.
+    """
+
+    def annotate(task: QaTask) -> RlSample | None:
         if task.qa.qa_type != "multiple_choice":
-            skipped["non_multiple_choice"] += 1
-            continue
+            return None
         trials = run_trials(
             gateway,
             task.qa,
@@ -206,20 +173,24 @@ def run_demand_pipeline(
             m_trials,
             sample_id=task.sample_id,
             temperature=temperature,
-            workers=workers,
         )
-        alpha = sum(1 for t in trials if t.correct)
-        annotated.append(
-            RlSample.from_trial_count(
-                id=task.sample_id,
-                video_id=task.video_id,
-                question=task.qa.question,
-                options=task.qa.options or (),
-                answer=task.qa.answer,
-                alpha=alpha,
-                m_trials=m_trials,
-            )
+        return RlSample.from_trial_count(
+            id=task.sample_id,
+            video_id=task.video_id,
+            question=task.qa.question,
+            options=task.qa.options or (),
+            answer=task.qa.answer,
+            alpha=sum(1 for t in trials if t.correct),
+            m_trials=m_trials,
         )
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        results = list(pool.map(annotate, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    annotated = [sample for sample in results if sample is not None]
+    skipped = Counter("non_multiple_choice" for sample in results if sample is None)
     return annotated, skipped
 
 

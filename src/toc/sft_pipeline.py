@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
@@ -26,6 +26,7 @@ from .errors import (
     EmptyRationaleError,
     EmptySelectionError,
     GatewayError,
+    InsufficientCuesError,
     OutOfRangeError,
     ParseError,
     StepCountMismatchError,
@@ -59,15 +60,7 @@ RATIONALE_MAX_TOKENS = 512
 # clip identity, so one fixed instruction suffices.
 DESCRIBE_PROMPT = "Describe this video clip in detail."
 
-STAGES = (
-    "captioned",
-    "selected",
-    "compiled",
-    "cue_captioned",
-    "filtered",
-    "summarized",
-    "emitted",
-)
+# STAGES, the checkpoint order, is the key order of STAGE_TABLE below.
 TERMINAL_STAGES = ("emitted", "rejected")
 
 
@@ -219,7 +212,7 @@ class StateStore:
 # --- stage operations ---
 
 
-def caption_clips(gateway: Gateway, clips: Sequence[Clip], *, workers: int = 1) -> list[Clip]:
+def caption_clips(gateway: Gateway, clips: Sequence[Clip]) -> list[Clip]:
     """Fill every clip's caption via the mllm role; order preserved."""
 
     def one(clip: Clip) -> Clip:
@@ -228,10 +221,7 @@ def caption_clips(gateway: Gateway, clips: Sequence[Clip], *, workers: int = 1) 
             raise EmptyCaptionError(f"empty caption for clip {clip.index}")
         return replace(clip, caption=caption)
 
-    if workers <= 1 or len(clips) == 1:
-        return [one(c) for c in clips]
-    with ThreadPoolExecutor(max_workers=min(workers, len(clips))) as pool:
-        return list(pool.map(one, clips))
+    return [one(c) for c in clips]
 
 
 def select_key_clips(
@@ -249,11 +239,7 @@ def select_key_clips(
 
 
 def caption_compilations(
-    gateway: Gateway,
-    compilations: Sequence[Compilation],
-    clips: Sequence[Clip],
-    *,
-    workers: int = 1,
+    gateway: Gateway, compilations: Sequence[Compilation], clips: Sequence[Clip]
 ) -> list[Compilation]:
     """Fill captions for every chain element; these are the ordered visual cues."""
     video_id = clips[0].video_id
@@ -268,10 +254,7 @@ def caption_compilations(
             )
         return replace(compilation, caption=caption)
 
-    if workers <= 1 or len(compilations) == 1:
-        return [one(c) for c in compilations]
-    with ThreadPoolExecutor(max_workers=min(workers, len(compilations))) as pool:
-        return list(pool.map(one, compilations))
+    return [one(c) for c in compilations]
 
 
 def filter_low_quality(gateway: Gateway, final_cue: str, qa: QaPair) -> bool:
@@ -304,6 +287,94 @@ def summarize_rationale(
 # --- orchestration ---
 
 
+class _Sample(NamedTuple):
+    """One sample's inputs; each step maps the payload so far to its additions."""
+
+    gateway: Gateway
+    task: QaTask
+    clips: Sequence[Clip]
+    lenient: bool
+
+    def caption(self, payload: dict) -> dict:
+        return {"captions": [c.caption for c in caption_clips(self.gateway, self.clips)]}
+
+    def select(self, payload: dict) -> dict:
+        clips = [replace(c, caption=cap) for c, cap in zip(self.clips, payload["captions"])]
+        qa = self.task.qa
+        return {"selected": select_key_clips(self.gateway, clips, qa, lenient=self.lenient)}
+
+    def compile(self, payload: dict) -> dict:
+        subtree = backtrack(build_tree(len(self.clips)), payload["selected"])
+        return {"chain": [list(c.clip_indices) for c in layer_compilations(subtree)]}
+
+    def caption_cues(self, payload: dict) -> dict:
+        chain = [Compilation(clip_indices=tuple(ix)) for ix in payload["chain"]]
+        return {"cues": [c.caption for c in caption_compilations(self.gateway, chain, self.clips)]}
+
+    def filter(self, payload: dict) -> dict:
+        if not filter_low_quality(self.gateway, payload["cues"][-1], self.task.qa):
+            raise InsufficientCuesError("final cue judged insufficient")
+        return {"keep": True}
+
+    def summarize(self, payload: dict) -> dict:
+        rationale, raw_reply = summarize_rationale(self.gateway, payload["cues"], self.task.qa)
+        return {"rationale": rationale, "raw_rationale": raw_reply}
+
+    def emit(self, payload: dict) -> dict:
+        task, question = self.task, self.task.qa.formatted_question()
+        sample = SftSample.build(
+            id=task.sample_id,
+            video_id=task.video_id,
+            question=question,
+            answer=task.qa.answer,
+            rationale=payload["rationale"],
+            prompt=render_train_infer(question, task.qa.qa_type),
+        )
+        return {"record": sample.to_record()}
+
+
+# One row per stage, in checkpoint order: the step that reaches the stage, and
+# the rejection reason for each exception type the step may raise.  Any other
+# exception aborts the run with the sample parked at its last checkpoint.
+STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] = {
+    "captioned": (
+        _Sample.caption, {EmptyCaptionError: "empty_caption", GatewayError: "caption_failed"}
+    ),
+    "selected": (
+        _Sample.select,
+        {
+            ParseError: "selection_unparseable",
+            OutOfRangeError: "selection_out_of_range",
+            EmptySelectionError: "selection_empty",
+            GatewayError: "selection_failed",
+        },
+    ),
+    "compiled": (_Sample.compile, {}),
+    "cue_captioned": (
+        _Sample.caption_cues,
+        {EmptyCaptionError: "empty_caption", GatewayError: "cue_caption_failed"},
+    ),
+    "filtered": (
+        _Sample.filter,
+        {
+            ParseError: "filter_unparseable",
+            GatewayError: "filter_failed",
+            InsufficientCuesError: "insufficient_cues",
+        },
+    ),
+    "summarized": (
+        _Sample.summarize,
+        {
+            StepCountMismatchError: "step_count_mismatch",
+            EmptyRationaleError: "empty_rationale",
+            GatewayError: "rationale_failed",
+        },
+    ),
+    "emitted": (_Sample.emit, {}),
+}
+STAGES = tuple(STAGE_TABLE)
+
+
 def process_sample(
     gateway: Gateway,
     task: QaTask,
@@ -311,100 +382,28 @@ def process_sample(
     store: StateStore,
     *,
     lenient: bool = False,
-    workers: int = 1,
 ) -> PipelineState:
     """Advance one sample to a terminal state, resuming any persisted progress."""
     state = store.load(task.sample_id) or PipelineState(task.sample_id, None, {})
     if state.terminal:
         return state
-    payload = dict(state.payload)
-
-    def advance(stage: str, **updates: object) -> None:
-        nonlocal state, payload
-        payload = {**payload, **updates}
-        state = state.advanced(stage, payload)
-        store.save(state)
-
-    def reject(reason: str, detail: str) -> PipelineState:
-        nonlocal state
-        state = state.rejected_with(reason, detail)
+    if not clips:
+        state = state.rejected_with("missing_clips", f"no clips for video {task.video_id}")
         store.save(state)
         return state
-
-    if not clips:
-        return reject("missing_clips", f"no clips for video {task.video_id}")
-
-    if not state.reached("captioned"):
+    sample = _Sample(gateway, task, clips, lenient)
+    for stage, (step, reasons) in STAGE_TABLE.items():
+        if state.reached(stage):
+            continue
         try:
-            captioned = caption_clips(gateway, clips, workers=workers)
-        except EmptyCaptionError as exc:
-            return reject("empty_caption", str(exc))
-        except GatewayError as exc:
-            return reject("caption_failed", str(exc))
-        advance("captioned", captions=[c.caption for c in captioned])
-    clips = [replace(c, caption=cap) for c, cap in zip(clips, payload["captions"])]
-
-    if not state.reached("selected"):
-        try:
-            selected = select_key_clips(gateway, clips, task.qa, lenient=lenient)
-        except ParseError as exc:
-            return reject("selection_unparseable", str(exc))
-        except OutOfRangeError as exc:
-            return reject("selection_out_of_range", str(exc))
-        except EmptySelectionError as exc:
-            return reject("selection_empty", str(exc))
-        except GatewayError as exc:
-            return reject("selection_failed", str(exc))
-        advance("selected", selected=selected)
-
-    if not state.reached("compiled"):
-        subtree = backtrack(build_tree(len(clips)), payload["selected"])
-        chain = layer_compilations(subtree)
-        advance("compiled", chain=[list(c.clip_indices) for c in chain])
-    chain = [Compilation(clip_indices=tuple(ix)) for ix in payload["chain"]]
-
-    if not state.reached("cue_captioned"):
-        try:
-            captioned_chain = caption_compilations(gateway, chain, clips, workers=workers)
-        except EmptyCaptionError as exc:
-            return reject("empty_caption", str(exc))
-        except GatewayError as exc:
-            return reject("cue_caption_failed", str(exc))
-        advance("cue_captioned", cues=[c.caption for c in captioned_chain])
-    cues = payload["cues"]
-
-    if not state.reached("filtered"):
-        try:
-            keep = filter_low_quality(gateway, cues[-1], task.qa)
-        except ParseError as exc:
-            return reject("filter_unparseable", str(exc))
-        except GatewayError as exc:
-            return reject("filter_failed", str(exc))
-        if not keep:
-            return reject("insufficient_cues", "final cue judged insufficient")
-        advance("filtered", keep=True)
-
-    if not state.reached("summarized"):
-        try:
-            rationale, raw_reply = summarize_rationale(gateway, cues, task.qa)
-        except StepCountMismatchError as exc:
-            return reject("step_count_mismatch", str(exc))
-        except EmptyRationaleError as exc:
-            return reject("empty_rationale", str(exc))
-        except GatewayError as exc:
-            return reject("rationale_failed", str(exc))
-        advance("summarized", rationale=rationale, raw_rationale=raw_reply)
-
-    if not state.reached("emitted"):
-        sample = SftSample.build(
-            id=task.sample_id,
-            video_id=task.video_id,
-            question=task.qa.formatted_question(),
-            answer=task.qa.answer,
-            rationale=payload["rationale"],
-            prompt=render_train_infer(task.qa.formatted_question(), task.qa.qa_type),
-        )
-        advance("emitted", record=sample.to_record())
+            updates = step(sample, state.payload)
+        except tuple(reasons) as exc:
+            reason = next(r for kind, r in reasons.items() if isinstance(exc, kind))
+            state = state.rejected_with(reason, str(exc))
+            store.save(state)
+            return state
+        state = state.advanced(stage, {**state.payload, **updates})
+        store.save(state)
     return state
 
 
@@ -428,32 +427,34 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    The dataset and sidecar are rewritten from persisted states on every
-    run, so a resumed run produces the same bytes as a clean one.
+    Up to `workers` samples are in flight at once.  The dataset and sidecar
+    are rewritten from persisted states on every run, so a resumed run
+    produces the same bytes as a clean one.
     """
     out = Path(out_path)
     store = StateStore(Path(str(out) + ".state"))
-    emitted: list[dict] = []
-    rejections: list[dict] = []
-    for task in tasks:
-        state = process_sample(
-            gateway,
-            task,
-            clips_by_video.get(task.video_id),
-            store,
-            lenient=lenient,
-            workers=workers,
-        )
-        if state.stage == "emitted":
-            emitted.append(state.payload["record"])
-        else:
-            rejections.append(
-                {
-                    "id": task.sample_id,
-                    "reason": state.payload.get("reason", "unknown"),
-                    "detail": state.payload.get("detail", ""),
-                }
-            )
+
+    def run_one(task: QaTask) -> PipelineState:
+        clips = clips_by_video.get(task.video_id)
+        return process_sample(gateway, task, clips, store, lenient=lenient)
+
+    # Samples run concurrently, results come back in task order; on an error
+    # the samples still queued are cancelled rather than run first.
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        states = list(pool.map(run_one, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    emitted = [state.payload["record"] for state in states if state.stage == "emitted"]
+    rejections = [
+        {
+            "id": state.sample_id,
+            "reason": state.payload.get("reason", "unknown"),
+            "detail": state.payload.get("detail", ""),
+        }
+        for state in states
+        if state.stage != "emitted"
+    ]
     write_records(out, emitted)
     write_records(Path(str(out) + ".rejected"), rejections)
     reasons = Counter(r["reason"] for r in rejections)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +40,25 @@ class CrashingBackend:
         return self.inner.complete(request)
 
 
+class FailingBackend:
+    """Fails every call with a non-gateway error after a short delay.
+
+    Thread-safe call counting; the delay stands in for backend latency so
+    the failure lands while other work is still queued.
+    """
+
+    def __init__(self, delay_s: float = 0.01) -> None:
+        self.delay_s = delay_s
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> str:
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delay_s)
+        raise RuntimeError("backend crashed")
+
+
 def scripted_gateway(pairs, **overrides) -> Gateway:
     """Gateway whose mock answers exactly the given (request, reply) pairs."""
     table = {request_digest(req): reply for req, reply in pairs}
@@ -56,6 +78,17 @@ def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     manifest = synthesize_corpus(out, num_samples=20, seed=7, m_trials=8)
     return SimpleNamespace(dir=out, manifest=manifest)
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Switch threads every microsecond so racy interleavings actually occur."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # Tests marked @pytest.mark.criterion("...") are the behavior gates; their

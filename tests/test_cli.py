@@ -148,6 +148,26 @@ class TestBuildSft:
         assert code == 1 and "error" in err
 
 
+    def test_duplicate_sample_id_is_run_error(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        qa = tmp_path / "qa.records"
+        rows = list(read_records(paths["qa"]))
+        write_records(qa, rows + rows[:1])
+        out = tmp_path / "sft.records"
+        code, _, err = run_cli(
+            [
+                "build-sft", "--videos", paths["clips"], "--qa", str(qa),
+                "--config", paths["config"], "-o", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert f"qa.records:{len(rows) + 1}: sample_id" in err and "duplicates line 1" in err
+        (entry,) = read_lines(tmp_path / "sft.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
+
 class TestEstimateDemand:
     def test_corpus_run(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
@@ -214,6 +234,18 @@ class TestBuildRl:
         report = read_lines(tmp_path / "rl.records.report")
         warnings = [e["message"] for e in report if e["kind"] == "warning"]
         assert warnings == ["supply below target: emitted 10 of 50 requested"]
+
+    def test_truncated_line_is_run_error(self, demand_file, tmp_path, capsys):
+        lines = demand_file.read_text(encoding="utf-8").splitlines()
+        truncated = tmp_path / "truncated.records"
+        truncated.write_text("\n".join(lines[:2] + [lines[2][:20]]) + "\n", encoding="utf-8")
+        out = tmp_path / "rl.records"
+        code, _, err = run_cli(["build-rl", "--in", str(truncated), "-o", str(out)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "truncated.records:3: malformed JSON" in err
+        (entry,) = read_lines(tmp_path / "rl.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert "truncated.records:3" in entry["message"]
 
     def test_bad_band_is_usage_error(self, demand_file, tmp_path, capsys):
         code, _, err = run_cli(
@@ -299,6 +331,20 @@ class TestGrpoEval:
             capsys,
         )
         assert code == 2 and "usage error" in err
+
+
+    def test_kl_overflow_is_run_error(self, tmp_path, capsys):
+        logprob_file = tmp_path / "lp.records"
+        write_records(
+            logprob_file,
+            [{"current": [[-800.0]], "old": [[-800.0]], "ref": [[0.0]], "scaled_advantages": [1.0]}],
+        )
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.04"],
+            capsys,
+        )
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert "KL estimate overflowed" in err
 
 
 class TestTopLevel:

@@ -14,6 +14,7 @@ from toc.errors import (
     GapError,
     OverlapError,
     RangeError,
+    RecordError,
 )
 from toc.records import (
     Clip,
@@ -223,6 +224,12 @@ class TestRecordIo:
         path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
         assert list(read_records(path)) == [{"a": 1}, {"b": 2}]
 
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "x.records"
+        path.write_text('{"a": 1}\n\n{"b": \n', encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"{path}:3: malformed JSON"):
+            list(read_records(path))
+
 
 class TestQaTasks:
     def test_load_assigns_per_video_indices(self, tmp_path):
@@ -250,3 +257,11 @@ class TestQaTasks:
         task = load_qa_tasks(path)[0]
         assert task.sample_id == "v#5" and task.video_ref == "v/alt"
         assert isinstance(task, QaTask)
+
+    def test_duplicate_sample_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "qa.records"
+        row = {"video_id": "v", "question": "q", "answer": "x", "qa_type": "open_ended"}
+        # the third line's explicit index 0 repeats the first line's default one
+        write_records(path, [row, {**row, "qa_index": 1}, {**row, "qa_index": 0}])
+        with pytest.raises(RecordError, match=r"qa.records:3: sample_id 'v#0' duplicates line 1"):
+            load_qa_tasks(path)

@@ -291,6 +291,11 @@ class TestKlEstimate:
     def test_empty_sequence(self):
         assert _kl_estimate([], []) == 0.0
 
+    def test_overflow_is_non_finite_error(self):
+        # exp(ref - current) overflows a float past about 709
+        with pytest.raises(NonFiniteError):
+            _kl_estimate([-800.0], [0.0])
+
     @given(
         st.lists(st.floats(-5.0, 0.0, allow_nan=False), min_size=1, max_size=8),
         st.lists(st.floats(-5.0, 0.0, allow_nan=False), min_size=1, max_size=8),

@@ -6,15 +6,16 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import scripted_gateway
+from conftest import FailingBackend, scripted_gateway
 
+from toc.config import apply_overrides, build_gateway, load_config
 from toc.errors import InvalidBandError, NonMultipleChoiceError
-from toc.records import QaPair, QaTask, RlSample
+from toc.gateway import Gateway
+from toc.records import QaPair, QaTask, RlSample, dump_record, load_qa_tasks
 from toc.rl_pipeline import (
     DEFAULT_TRIAL_TEMPERATURE,
     TRIAL_MAX_TOKENS,
     balance_tiers,
-    estimate_demand,
     filter_by_difficulty,
     run_build_rl,
     run_demand_pipeline,
@@ -98,13 +99,6 @@ class TestRunTrials:
         assert [t.correct for t in trials] == [True, True, False]
         assert trials[2].raw_reply == "" and trials[2].extracted is None
 
-    def test_workers_do_not_change_results(self):
-        qa = mc_qa("B")
-        replies = [f"<answer>{c}</answer>" for c in "BABB"]
-        serial = run_trials(trial_gateway(qa, "v", replies), qa, "v", 4, workers=1)
-        threaded = run_trials(trial_gateway(qa, "v", replies), qa, "v", 4, workers=4)
-        assert serial == threaded
-
     def test_to_record(self):
         qa = mc_qa("B")
         (trial,) = run_trials(trial_gateway(qa, "v", ["<answer>B</answer>"]), qa, "v", 1)
@@ -115,18 +109,6 @@ class TestRunTrials:
             "extracted": "B",
             "correct": True,
         }
-
-
-class TestEstimateDemand:
-    def test_values(self):
-        qa = mc_qa("B")
-        replies = ["<answer>B</answer>"] * 3 + ["<answer>A</answer>"] * 5
-        alpha, demand, difficulty = estimate_demand(
-            trial_gateway(qa, "v", replies), qa, "v", 8
-        )
-        assert alpha == 3
-        assert demand == pytest.approx(math.exp(-3 / 8), abs=1e-15)
-        assert difficulty == pytest.approx(1 - 3 / 8, abs=1e-15)
 
 
 class TestFilterByDifficulty:
@@ -229,6 +211,38 @@ class TestRunDemandPipeline:
         assert sample.id == "v0#0" and sample.alpha == 2
         assert sample.recompute_consistent()
         assert sample.options == qa.options
+
+    def test_alpha_counts_correct_trials(self):
+        qa = mc_qa("B")
+        task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full")
+        replies = ["<answer>B</answer>"] * 3 + ["<answer>A</answer>"] * 5
+        (sample,), _ = run_demand_pipeline(trial_gateway(qa, "v/full", replies), [task], 8)
+        assert sample.alpha == 3
+        assert sample.reasoning_demand == pytest.approx(math.exp(-3 / 8), abs=1e-15)
+        assert sample.difficulty == pytest.approx(1 - 3 / 8, abs=1e-15)
+
+    def test_workers_give_identical_records(self, corpus, fast_thread_switching):
+        paths = corpus.manifest["paths"]
+        tasks = load_qa_tasks(paths["qa"])
+        outputs = []
+        for workers in (1, 4):
+            config = apply_overrides(load_config(paths["config"]), parallelism=workers)
+            annotated, skipped = run_demand_pipeline(
+                build_gateway(config), tasks, config.m_trials, workers=workers
+            )
+            assert [s.alpha for s in annotated] == corpus.manifest["expected_alphas"]
+            outputs.append(("\n".join(dump_record(s.to_record()) for s in annotated), skipped))
+        assert outputs[0] == outputs[1]
+
+    def test_crash_cancels_queued_questions(self, corpus):
+        tasks = load_qa_tasks(corpus.manifest["paths"]["qa"])
+        assert len(tasks) == 20
+        backend = FailingBackend()
+        gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
+        with pytest.raises(RuntimeError, match="backend crashed"):
+            run_demand_pipeline(gateway, tasks, 8, workers=4)
+        # each question fails on its first trial, so calls count the questions started
+        assert backend.calls < len(tasks)
 
 
 class TestRunBuildRl:
