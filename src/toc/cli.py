@@ -21,10 +21,10 @@ from .records import (
     RlSample,
     dump_record,
     load_qa_tasks,
-    read_records,
+    parse_records,
     write_records,
 )
-from .rewards import PolicyLogProbs, grpo_objective, score_flags
+from .rewards import PolicyLogProbs, RewardGroup, grpo_objective, score_flags
 from .rl_pipeline import run_build_rl, run_demand_pipeline, tier_histogram
 from .segmentation import DEFAULT_TAU, ShotBoundarySet, stitch
 from .sft_pipeline import load_clips, run_sft_pipeline
@@ -67,8 +67,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     entries: list[dict] = []
     clips_out: list[dict] = []
     videos = shots_in = 0
-    for rec in read_records(args.shots):
-        shot_set = ShotBoundarySet.from_record(rec)
+    for _, shot_set in parse_records(args.shots, ShotBoundarySet.from_record):
         videos += 1
         shots_in += shot_set.shot_count
         clips_out.extend(c.to_record() for c in stitch(shot_set, args.tau))
@@ -117,6 +116,7 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
         {"kind": "stage", "stage": "total", "count": report["total"]},
         {"kind": "stage", "stage": "emitted", "count": report["emitted"]},
         {"kind": "stage", "stage": "rejected", "count": report["rejected"]},
+        {"kind": "stage", "stage": "invalidated", "count": report["invalidated"]},
     ]
     entries += [
         {"kind": "rejection", "reason": reason, "count": count}
@@ -159,7 +159,7 @@ def cmd_estimate_demand(args: argparse.Namespace) -> int:
 
 def cmd_build_rl(args: argparse.Namespace) -> int:
     band_lo, band_hi = _parse_band(args.band)
-    samples = [RlSample.from_record(rec) for rec in read_records(args.input)]
+    samples = [sample for _, sample in parse_records(args.input, RlSample.from_record)]
     selected, warnings = run_build_rl(samples, band_lo, band_hi, args.target, args.seed)
     write_records(args.out, (s.to_record() for s in selected))
     entries: list[dict] = [
@@ -178,12 +178,15 @@ def cmd_build_rl(args: argparse.Namespace) -> int:
     return 0
 
 
+def _group(rec: dict) -> RewardGroup:
+    if "gamma" not in rec or "correct" not in rec:
+        raise UsageError("group records need keys 'gamma' and 'correct'")
+    return score_flags(float(rec["gamma"]), [bool(c) for c in rec["correct"]])
+
+
 def cmd_reward(args: argparse.Namespace) -> int:
     count = 0
-    for pos, rec in enumerate(read_records(args.group)):
-        if "gamma" not in rec or "correct" not in rec:
-            raise UsageError(f"group line {pos} needs keys 'gamma' and 'correct'")
-        group = score_flags(float(rec["gamma"]), [bool(c) for c in rec["correct"]])
+    for pos, (_, group) in enumerate(parse_records(args.group, _group)):
         print(
             dump_record(
                 {
@@ -202,14 +205,14 @@ def cmd_reward(args: argparse.Namespace) -> int:
     return 0
 
 
+def _logprob_group(rec: dict) -> tuple[PolicyLogProbs, list[float]]:
+    if "scaled_advantages" not in rec:
+        raise UsageError("logprobs records need key 'scaled_advantages'")
+    return PolicyLogProbs.from_record(rec), [float(a) for a in rec["scaled_advantages"]]
+
+
 def cmd_grpo_eval(args: argparse.Namespace) -> int:
-    groups = []
-    for pos, rec in enumerate(read_records(args.logprobs)):
-        if "scaled_advantages" not in rec:
-            raise UsageError(f"logprobs line {pos} needs key 'scaled_advantages'")
-        groups.append(
-            (PolicyLogProbs.from_record(rec), [float(a) for a in rec["scaled_advantages"]])
-        )
+    groups = [group for _, group in parse_records(args.logprobs, _logprob_group)]
     objective = grpo_objective(groups, args.epsilon, args.beta)
     print(dump_record({"objective": sig12(objective), "groups": len(groups)}))
     _write_report(args, [{"kind": "stage", "stage": "groups", "count": len(groups)}])

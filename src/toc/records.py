@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     EmptyError,
@@ -44,6 +45,8 @@ class Clip:
     caption: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise TypeError(f"video_id must be a string, got {self.video_id!r}")
         if self.index < 0:
             raise ValueError(f"clip index must be >= 0, got {self.index}")
         if self.start_s < 0:
@@ -121,8 +124,12 @@ class QaPair:
     options: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.question, str) or not isinstance(self.answer, str):
+            raise TypeError("question and answer must be strings")
         if self.qa_type not in QA_TYPES:
             raise ValueError(f"unknown qa_type {self.qa_type!r}")
+        if len(self.options or ()) > len(_OPTION_LABELS):
+            raise ValueError(f"at most {len(_OPTION_LABELS)} options have labels")
         if self.qa_type == "multiple_choice":
             if not self.options:
                 raise ValueError("multiple_choice requires a non-empty options list")
@@ -343,21 +350,24 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
 
     Sample ids must be unique: two samples would share one resume state.
     """
-    tasks: list[QaTask] = []
     counters: dict[str, int] = {}
-    first_lines: dict[str, int] = {}
-    for line_no, rec in _numbered_records(path):
+
+    def parse(rec: dict) -> QaTask:
         video_id = rec["video_id"]
         qa_index = rec.get("qa_index")
         if qa_index is None:
             qa_index = counters.get(video_id, 0)
         counters[video_id] = qa_index + 1
-        task = QaTask(
+        return QaTask(
             video_id=video_id,
             qa_index=qa_index,
             qa=QaPair.from_record(rec),
             video_ref=rec.get("video_ref", f"{video_id}/full"),
         )
+
+    tasks: list[QaTask] = []
+    first_lines: dict[str, int] = {}
+    for line_no, task in parse_records(path, parse):
         first = first_lines.setdefault(task.sample_id, line_no)
         if first != line_no:
             raise RecordError(
@@ -375,13 +385,23 @@ def dump_record(rec: dict) -> str:
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
-    """Write one JSON object per line; returns the number of lines written."""
+    """Write one JSON object per line; returns the number of lines written.
+
+    The lines go to `<path>.tmp`, which then replaces `path`, so the file
+    on disk is always either complete or as it was before the call.
+    """
+    tmp = Path(f"{path}.tmp")
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dump_record(rec))
-            fh.write("\n")
-            count += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(dump_record(rec))
+                fh.write("\n")
+                count += 1
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
 
 
@@ -396,8 +416,29 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise RecordError(f"{path}:{line_no}: expected a JSON object")
             yield line_no, rec
 
 
 def read_records(path: str | Path) -> Iterator[dict]:
     return (rec for _, rec in _numbered_records(path))
+
+
+T = TypeVar("T")
+
+
+def parse_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """(line number, parse(record)) for every record.
+
+    A record that `parse` rejects with KeyError, TypeError or ValueError is a
+    RecordError naming path:line.
+    """
+    for line_no, rec in _numbered_records(path):
+        try:
+            parsed = parse(rec)
+        except KeyError as exc:
+            raise RecordError(f"{path}:{line_no}: invalid record: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise RecordError(f"{path}:{line_no}: invalid record: {exc}") from None
+        yield line_no, parsed

@@ -287,6 +287,17 @@ def grpo_objective(
                 raise NonFiniteError("importance ratio overflowed")
             clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
             surrogate = min(ratio * advantage, clipped * advantage)
-            terms.append(surrogate - beta * _kl_estimate(cur, ref))
-        group_values.append(math.fsum(terms) / len(terms))
-    return math.fsum(group_values) / len(group_values)
+            term = surrogate - beta * _kl_estimate(cur, ref)
+            if not math.isfinite(term):
+                raise NonFiniteError("objective term is not finite")
+            terms.append(term)
+        group_values.append(_finite_mean(terms))
+    return _finite_mean(group_values)
+
+
+def _finite_mean(values: Sequence[float]) -> float:
+    """Mean of finite values; a sum beyond the float range is a NonFiniteError."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        raise NonFiniteError("objective overflowed") from None

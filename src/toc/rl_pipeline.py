@@ -74,19 +74,18 @@ def run_trials(
     sample_id: str = "",
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
 ) -> list[TrialRecord]:
-    """Issue M independent trials; a failed or unparseable trial counts incorrect."""
+    """Issue M independent trials; an unparseable reply counts incorrect.
+
+    A failed backend call raises its GatewayError: it says nothing about the
+    model's answer, so it must not count either way.
+    """
     if qa.qa_type != "multiple_choice":
         raise NonMultipleChoiceError(
             f"demand estimation needs multiple_choice, got {qa.qa_type}"
         )
 
     def one_trial(trial_index: int) -> TrialRecord:
-        request = trial_request(qa, video_ref, trial_index, temperature)
-        try:
-            reply = gateway.complete(request)
-        except GatewayError as exc:
-            log.warning("trial %d for %s failed: %s", trial_index, sample_id or "?", exc)
-            return TrialRecord(sample_id, trial_index, "", None, False)
+        reply = gateway.complete(trial_request(qa, video_ref, trial_index, temperature))
         extracted = extract_answer(reply)
         correct = answers_match(extracted, qa.answer, "multiple_choice")
         return TrialRecord(
@@ -158,22 +157,28 @@ def run_demand_pipeline(
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
     workers: int = 1,
 ) -> tuple[list[RlSample], Counter]:
-    """Annotate every multiple-choice task with its demand; count skips.
+    """Annotate every multiple-choice task with its demand; count skips by reason.
 
-    Up to `workers` questions are in flight at once; output keeps task order.
+    A question is skipped as `non_multiple_choice`, or as `trials_failed`
+    when any of its trials fails in the gateway.  Up to `workers` questions
+    are in flight at once; output keeps task order.
     """
 
-    def annotate(task: QaTask) -> RlSample | None:
+    def annotate(task: QaTask) -> RlSample | str:
         if task.qa.qa_type != "multiple_choice":
-            return None
-        trials = run_trials(
-            gateway,
-            task.qa,
-            task.video_ref,
-            m_trials,
-            sample_id=task.sample_id,
-            temperature=temperature,
-        )
+            return "non_multiple_choice"
+        try:
+            trials = run_trials(
+                gateway,
+                task.qa,
+                task.video_ref,
+                m_trials,
+                sample_id=task.sample_id,
+                temperature=temperature,
+            )
+        except GatewayError as exc:
+            log.warning("skipping %s: a trial failed: %s", task.sample_id, exc)
+            return "trials_failed"
         return RlSample.from_trial_count(
             id=task.sample_id,
             video_id=task.video_id,
@@ -189,8 +194,8 @@ def run_demand_pipeline(
         results = list(pool.map(annotate, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
-    annotated = [sample for sample in results if sample is not None]
-    skipped = Counter("non_multiple_choice" for sample in results if sample is None)
+    annotated = [result for result in results if isinstance(result, RlSample)]
+    skipped = Counter(result for result in results if isinstance(result, str))
     return annotated, skipped
 
 

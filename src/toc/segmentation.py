@@ -32,6 +32,8 @@ class ShotBoundarySet:
     embeddings: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise TypeError(f"video_id must be a string, got {self.video_id!r}")
         if len(self.boundaries_s) < 2:
             raise EmptyInputError(
                 f"need at least 2 boundaries for one shot, got {len(self.boundaries_s)}"

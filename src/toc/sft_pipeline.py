@@ -3,22 +3,22 @@
 Per sample: caption every clip, ask the LLM which clips matter, derive the
 coarse-to-fine compilation chain, caption each compilation, screen the final
 cue for answerability, summarize the chain into a step-style rationale, and
-emit the training record.  Every stage checkpoint is persisted per sample,
-so an interrupted run resumes without repeating backend calls, and a sample
-that fails a stage is parked with a rejection reason instead of aborting
-the run.
+emit the training record.  Every stage checkpoint is appended to the run's
+journal, so an interrupted run resumes without repeating backend calls, and
+a sample that fails a stage is parked with a rejection reason instead of
+aborting the run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
-from urllib.parse import quote
 
 from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     InsufficientCuesError,
     OutOfRangeError,
     ParseError,
+    RecordError,
     StepCountMismatchError,
 )
 from .gateway import ChatRequest, Gateway, single_turn
@@ -37,11 +38,12 @@ from .records import (
     QaPair,
     QaTask,
     SftSample,
-    read_records,
+    parse_records,
     validate_clip_sequence,
     write_records,
 )
 from .templates import (
+    TASK_INSTRUCTIONS,
     TEMPLATES,
     parse_index_array,
     parse_yes_no,
@@ -141,16 +143,21 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
     return single_turn("llm", prompt, max_tokens=RATIONALE_MAX_TOKENS)
 
 
-# --- per-sample state ---
+# --- per-sample state and its journal ---
 
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Where one sample stands; payload accumulates stage outputs."""
+    """Where one sample stands; payload accumulates stage outputs.
+
+    digest fingerprints the inputs the state was computed from; a state is
+    only resumed for a sample whose inputs still hash to it.
+    """
 
     sample_id: str
     stage: str | None
     payload: dict
+    digest: str = ""
 
     @property
     def terminal(self) -> bool:
@@ -168,45 +175,116 @@ class PipelineState:
             raise ValueError(f"cannot advance terminal state {self.stage}")
         if self.stage is not None and STAGES.index(stage) <= STAGES.index(self.stage):
             raise ValueError(f"stage {stage} does not advance past {self.stage}")
-        return PipelineState(self.sample_id, stage, payload)
+        return replace(self, stage=stage, payload=payload)
 
     def rejected_with(self, reason: str, detail: str) -> "PipelineState":
         if self.terminal:
             raise ValueError(f"cannot reject terminal state {self.stage}")
         payload = {**self.payload, "reason": reason, "detail": detail}
-        return PipelineState(self.sample_id, "rejected", payload)
-
-    def to_record(self) -> dict:
-        return {"sample_id": self.sample_id, "stage": self.stage, "payload": self.payload}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "PipelineState":
-        return cls(sample_id=rec["sample_id"], stage=rec["stage"], payload=rec["payload"])
+        return replace(self, stage="rejected", payload=payload)
 
 
-class StateStore:
-    """One JSON file per sample; writes are atomic so a crash never corrupts state."""
+# Prompt text and request limits shared by every sample, hashed once;
+# sample_digest extends a copy with one sample's own inputs.
+_PROMPTS_DIGEST = hashlib.sha256(
+    json.dumps(
+        [
+            DESCRIBE_PROMPT,
+            [template.body for template in TEMPLATES.values()],
+            TASK_INSTRUCTIONS,
+            [CAPTION_MAX_TOKENS, SELECTION_MAX_TOKENS, FILTER_MAX_TOKENS, RATIONALE_MAX_TOKENS],
+        ],
+        sort_keys=True,
+    ).encode("ascii")
+)
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
-    def path(self, sample_id: str) -> Path:
-        return self.root / f"{quote(sample_id, safe='#-_.')}.json"
+def sample_digest(task: QaTask, clips: Sequence[Clip] | None, lenient: bool) -> str:
+    """Fingerprint of everything that shapes one sample's requests and parsing."""
+    inputs = {
+        "qa": task.qa.to_record(),
+        "video_ref": task.video_ref,
+        "spans": [[clip.start_s, clip.end_s] for clip in clips or ()],
+        "lenient": lenient,
+    }
+    digest = _PROMPTS_DIGEST.copy()
+    digest.update(json.dumps(inputs, sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
 
-    def load(self, sample_id: str) -> PipelineState | None:
-        path = self.path(sample_id)
-        if not path.exists():
-            return None
-        return PipelineState.from_record(json.loads(path.read_text(encoding="utf-8")))
 
-    def save(self, state: PipelineState) -> None:
-        path = self.path(state.sample_id)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps(state.to_record(), ensure_ascii=False), encoding="utf-8"
+class Journal:
+    """Append-only JSONL log of stage transitions; the resume state of a run.
+
+    Each line holds a sample id, its input digest, the stage reached and
+    that stage's payload additions.  The file is read once, on construction: a
+    torn last line (no trailing newline, left by a crash) is truncated away
+    before anything is appended, and a sample's lines are merged back into
+    its state.  Appends are serialized, and each one is flushed by closing
+    the file, so the file stays usable after a crash at any point.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.invalidated: set[str] = set()
+        self._states: dict[str, PipelineState] = {}
+        self._lock = threading.Lock()
+        self._replay()
+
+    def _replay(self) -> None:
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(end)
+        replayed: dict[str, tuple[str, str, dict]] = {}
+        for line_no, line in enumerate(data[:end].splitlines(), 1):
+            try:
+                entry = json.loads(line)
+                sample_id, digest, stage = entry["sample_id"], entry["digest"], entry["stage"]
+                if stage not in STAGES and stage != "rejected":
+                    raise ValueError(f"unknown stage {stage!r}")
+                known = replayed.get(sample_id)
+                payload = known[2] if known is not None and known[0] == digest else {}
+                payload.update(entry["payload"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RecordError(f"{self.path}:{line_no}: invalid journal line: {exc}") from None
+            replayed[sample_id] = (digest, stage, payload)
+        self._states = {
+            sample_id: PipelineState(sample_id, stage, payload, digest)
+            for sample_id, (digest, stage, payload) in replayed.items()
+        }
+
+    def resume(self, sample_id: str, digest: str) -> PipelineState:
+        """The sample's journalled state; a fresh one if absent or from other inputs."""
+        with self._lock:
+            known = self._states.get(sample_id)
+            if known is not None and known.digest == digest:
+                return known
+            if known is not None:
+                self.invalidated.add(sample_id)
+        return PipelineState(sample_id, None, {}, digest)
+
+    def advance(self, state: PipelineState, stage: str, updates: dict) -> PipelineState:
+        """Move a sample to `stage` with the step's payload additions."""
+        return self._append(state.advanced(stage, {**state.payload, **updates}), updates)
+
+    def reject(self, state: PipelineState, reason: str, detail: str) -> PipelineState:
+        """Park a sample with its rejection reason."""
+        return self._append(
+            state.rejected_with(reason, detail), {"reason": reason, "detail": detail}
         )
-        os.replace(tmp, path)
+
+    def _append(self, state: PipelineState, additions: dict) -> PipelineState:
+        entry = {"sample_id": state.sample_id, "digest": state.digest, "stage": state.stage}
+        line = json.dumps({**entry, "payload": additions})
+        with self._lock:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+            self._states[state.sample_id] = state
+        return state
 
 
 # --- stage operations ---
@@ -379,18 +457,16 @@ def process_sample(
     gateway: Gateway,
     task: QaTask,
     clips: Sequence[Clip] | None,
-    store: StateStore,
+    journal: Journal,
     *,
     lenient: bool = False,
 ) -> PipelineState:
-    """Advance one sample to a terminal state, resuming any persisted progress."""
-    state = store.load(task.sample_id) or PipelineState(task.sample_id, None, {})
+    """Advance one sample to a terminal state, resuming its journalled progress."""
+    state = journal.resume(task.sample_id, sample_digest(task, clips, lenient))
     if state.terminal:
         return state
     if not clips:
-        state = state.rejected_with("missing_clips", f"no clips for video {task.video_id}")
-        store.save(state)
-        return state
+        return journal.reject(state, "missing_clips", f"no clips for video {task.video_id}")
     sample = _Sample(gateway, task, clips, lenient)
     for stage, (step, reasons) in STAGE_TABLE.items():
         if state.reached(stage):
@@ -399,19 +475,15 @@ def process_sample(
             updates = step(sample, state.payload)
         except tuple(reasons) as exc:
             reason = next(r for kind, r in reasons.items() if isinstance(exc, kind))
-            state = state.rejected_with(reason, str(exc))
-            store.save(state)
-            return state
-        state = state.advanced(stage, {**state.payload, **updates})
-        store.save(state)
+            return journal.reject(state, reason, str(exc))
+        state = journal.advance(state, stage, updates)
     return state
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
     """Group a clip record file by video and validate each sequence."""
     by_video: dict[str, list[Clip]] = {}
-    for rec in read_records(path):
-        clip = Clip.from_record(rec)
+    for _, clip in parse_records(path, Clip.from_record):
         by_video.setdefault(clip.video_id, []).append(clip)
     return {vid: validate_clip_sequence(clips) for vid, clips in by_video.items()}
 
@@ -427,16 +499,18 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    Up to `workers` samples are in flight at once.  The dataset and sidecar
-    are rewritten from persisted states on every run, so a resumed run
-    produces the same bytes as a clean one.
+    Up to `workers` samples are in flight at once.  Progress goes to
+    `<out>.journal`; the dataset and sidecar are rewritten from the
+    journalled states on every run, so a resumed run produces the same bytes
+    as a clean one.  A sample whose inputs changed since it was journalled
+    restarts and is counted as invalidated.
     """
     out = Path(out_path)
-    store = StateStore(Path(str(out) + ".state"))
+    journal = Journal(f"{out}.journal")
 
     def run_one(task: QaTask) -> PipelineState:
         clips = clips_by_video.get(task.video_id)
-        return process_sample(gateway, task, clips, store, lenient=lenient)
+        return process_sample(gateway, task, clips, journal, lenient=lenient)
 
     # Samples run concurrently, results come back in task order; on an error
     # the samples still queued are cancelled rather than run first.
@@ -462,5 +536,6 @@ def run_sft_pipeline(
         "total": len(tasks),
         "emitted": len(emitted),
         "rejected": len(rejections),
+        "invalidated": len(journal.invalidated),
         "rejection_reasons": dict(sorted(reasons.items())),
     }

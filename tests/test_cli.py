@@ -70,6 +70,17 @@ class TestSegment:
         )
         assert code == 1 and "missing file" in err
 
+    def test_shot_without_embeddings_is_run_error(self, tmp_path, capsys):
+        shots = tmp_path / "shots.records"
+        write_records(shots, [{"video_id": "s", "boundaries_s": [0.0, 1.0]}])
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "shots.records:1: invalid record: missing key 'embeddings'" in err
+        (entry,) = read_lines(tmp_path / "clips.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
 
 class TestTree:
     def test_prints_layers_then_compilations(self, capsys):
@@ -167,6 +178,59 @@ class TestBuildSft:
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "which,edit,message",
+        [
+            ("clips", lambda rec: {**rec, "end_s": rec["start_s"] - 1.0},
+             "clips.records:1: invalid record: clip span must be non-empty"),
+            ("qa", lambda rec: {k: v for k, v in rec.items() if k != "video_id"},
+             "qa.records:1: invalid record: missing key 'video_id'"),
+        ],
+        ids=["clip_ends_before_start", "qa_without_video_id"],
+    )
+    def test_invalid_record_is_run_error(self, corpus, tmp_path, capsys, which, edit, message):
+        paths = dict(corpus.manifest["paths"])
+        rows = list(read_records(paths[which]))
+        paths[which] = str(tmp_path / f"{which}.records")
+        write_records(paths[which], [edit(rows[0])] + rows[1:])
+        out = tmp_path / "sft.records"
+        code, _, err = run_cli(
+            [
+                "build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+                "--config", paths["config"], "-o", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert message in err
+        (entry,) = read_lines(tmp_path / "sft.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+
+    def test_edited_sample_is_invalidated(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        qa = tmp_path / "qa.records"
+        rows = list(read_records(paths["qa"]))
+        write_records(qa, rows)
+        out = tmp_path / "sft.records"
+        args = [
+            "build-sft", "--videos", paths["clips"], "--qa", str(qa),
+            "--config", paths["config"], "-o", str(out),
+        ]
+        assert run_cli(args, capsys)[0] == 0
+        first = rows[0]
+        assert first["qa_type"] == "multiple_choice"
+        new_answer = next(label for label in "ABCD" if label != first["answer"])
+        write_records(qa, [{**first, "answer": new_answer}] + rows[1:])
+        assert run_cli(args, capsys)[0] == 0
+        report = read_lines(tmp_path / "sft.records.report")
+        stage = {e["stage"]: e["count"] for e in report if e["kind"] == "stage"}
+        assert stage["invalidated"] == 1
+        sample_id = f"{first['video_id']}#{first.get('qa_index', 0)}"
+        # the mock table has no replies for the edited prompts, so the sample
+        # is rejected; what matters is that the stale answer is gone
+        assert sample_id not in [rec["id"] for rec in read_lines(out)]
+        assert sample_id in [rec["id"] for rec in read_lines(tmp_path / "sft.records.rejected")]
+
 
 class TestEstimateDemand:
     def test_corpus_run(self, corpus, tmp_path, capsys):
@@ -187,6 +251,21 @@ class TestEstimateDemand:
             assert row["reasoning_demand"] == pytest.approx(math.exp(-row["alpha"] / 8))
             assert row["difficulty"] == pytest.approx(1 - row["alpha"] / 8)
         assert "annotated 20/20" in stdout
+
+    def test_multiple_choice_without_options_is_run_error(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        qa = tmp_path / "qa.records"
+        rows = list(read_records(paths["qa"]))
+        write_records(qa, rows[:1] + [{**rows[1], "options": []}] + rows[2:])
+        out = tmp_path / "demand.records"
+        code, _, err = run_cli(
+            ["estimate-demand", "--qa", str(qa), "--config", paths["config"], "-o", str(out)],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert "qa.records:2: invalid record: multiple_choice requires" in err
+        (entry,) = read_lines(tmp_path / "demand.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
 
 
 @pytest.fixture
@@ -247,6 +326,13 @@ class TestBuildRl:
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert "truncated.records:3" in entry["message"]
 
+    def test_record_with_only_id_is_run_error(self, tmp_path, capsys):
+        rl_in = tmp_path / "demand.records"
+        write_records(rl_in, [{"id": "v#0"}])
+        code, _, err = run_cli(["build-rl", "--in", str(rl_in), "-o", str(tmp_path / "o")], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "demand.records:1: invalid record: missing key 'video_id'" in err
+
     def test_bad_band_is_usage_error(self, demand_file, tmp_path, capsys):
         code, _, err = run_cli(
             ["build-rl", "--in", str(demand_file), "--band", "wide", "-o", str(tmp_path / "o")],
@@ -302,6 +388,13 @@ class TestReward:
         (entry,) = read_lines(report)
         assert entry["kind"] == "error" and entry["error"] == "RangeError"
 
+    def test_invalid_gamma_is_run_error(self, tmp_path, capsys):
+        group_file = tmp_path / "groups.records"
+        write_records(group_file, [{"gamma": "half", "correct": [True, False]}])
+        code, _, err = run_cli(["reward", "--group", str(group_file)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "groups.records:1: invalid record: could not convert" in err
+
 
 class TestGrpoEval:
     def test_identity_objective(self, tmp_path, capsys):
@@ -345,6 +438,33 @@ class TestGrpoEval:
         )
         assert code == 1 and stdout == "" and "Traceback" not in err
         assert "KL estimate overflowed" in err
+
+    def test_objective_overflow_is_run_error(self, tmp_path, capsys):
+        logprob_file = tmp_path / "lp.records"
+        write_records(
+            logprob_file,
+            [{"current": [[-1.0, -1.0]], "old": [[-1.0, -1.0]], "ref": [[600.0, 600.0]],
+              "scaled_advantages": [1.0]}],
+        )
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "1e300"],
+            capsys,
+        )
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert "not finite" in err
+
+    def test_non_numeric_advantage_is_run_error(self, tmp_path, capsys):
+        logprob_file = tmp_path / "lp.records"
+        write_records(
+            logprob_file,
+            [{"current": [[0.0]], "old": [[0.0]], "ref": [[0.0]], "scaled_advantages": [[1.0]]}],
+        )
+        code, _, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0"],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert "lp.records:1: invalid record" in err
 
 
 class TestTopLevel:

@@ -27,6 +27,7 @@ from toc.records import (
     dump_record,
     load_qa_tasks,
     option_label,
+    parse_records,
     read_records,
     render_target,
     validate_clip_sequence,
@@ -119,6 +120,16 @@ class TestQaPair:
     def test_record_round_trip(self):
         qa = QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x", "y"))
         assert QaPair.from_record(qa.to_record()) == qa
+
+    def test_question_and_answer_must_be_strings(self):
+        with pytest.raises(TypeError):
+            QaPair(question=["q"], answer="x", qa_type="open_ended")
+        with pytest.raises(TypeError):
+            QaPair(question="q", answer=7, qa_type="numerical")
+
+    def test_options_need_labels(self):
+        with pytest.raises(ValueError, match="at most 26 options"):
+            QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x",) * 27)
 
 
 class TestRenderTarget:
@@ -230,6 +241,41 @@ class TestRecordIo:
         with pytest.raises(RecordError, match=rf"{path}:3: malformed JSON"):
             list(read_records(path))
 
+    def test_non_object_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "x.records"
+        path.write_text('{"a": 1}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"{path}:2: expected a JSON object"):
+            list(read_records(path))
+
+    def test_write_is_atomic(self, tmp_path):
+        path = tmp_path / "x.records"
+        write_records(path, [{"a": 1}, {"a": 2}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"a": 3}
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_records(path, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.records"]
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ('{"index": 0, "start_s": 0, "end_s": 1}', "missing key 'video_id'"),
+            ('{"video_id": "v", "index": 0, "start_s": 2, "end_s": 1}', "clip span"),
+            ('{"video_id": "v", "index": 0, "start_s": "x", "end_s": 1}', "could not"),
+            ('{"video_id": "v", "index": "0", "start_s": 0, "end_s": 1}', "'<'"),
+        ],
+    )
+    def test_parse_records_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "clips.records"
+        path.write_text('{"video_id": "v", "index": 0, "start_s": 0, "end_s": 1}\n\n' + line + "\n")
+        with pytest.raises(RecordError, match=rf"clips.records:3: invalid record: {message}"):
+            list(parse_records(path, Clip.from_record))
+
 
 class TestQaTasks:
     def test_load_assigns_per_video_indices(self, tmp_path):
@@ -264,4 +310,21 @@ class TestQaTasks:
         # the third line's explicit index 0 repeats the first line's default one
         write_records(path, [row, {**row, "qa_index": 1}, {**row, "qa_index": 0}])
         with pytest.raises(RecordError, match=r"qa.records:3: sample_id 'v#0' duplicates line 1"):
+            load_qa_tasks(path)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ({"question": "q", "answer": "A", "qa_type": "open_ended"}, "missing key 'video_id'"),
+            ({"video_id": "v", "question": "q", "answer": "A", "qa_type": "multiple_choice"},
+             "multiple_choice requires"),
+            ({"video_id": ["v"], "question": "q", "answer": "A", "qa_type": "open_ended"},
+             "unhashable"),
+        ],
+    )
+    def test_invalid_record_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "qa.records"
+        ok = {"video_id": "w", "question": "q", "answer": "x", "qa_type": "open_ended"}
+        write_records(path, [ok, row])
+        with pytest.raises(RecordError, match=rf"qa.records:2: invalid record: .*{message}"):
             load_qa_tasks(path)

@@ -91,14 +91,6 @@ class TestRunTrials:
         assert [t.trial_index for t in trials] == [0, 1, 2, 3]
         assert all(t.sample_id == "v#0" for t in trials)
 
-    def test_gateway_failure_counts_incorrect(self):
-        qa = mc_qa("B")
-        # only 2 of 3 trials scripted; the third raises inside the gateway
-        gateway = trial_gateway(qa, "v", ["<answer>B</answer>", "<answer>B</answer>"])
-        trials = run_trials(gateway, qa, "v", 3)
-        assert [t.correct for t in trials] == [True, True, False]
-        assert trials[2].raw_reply == "" and trials[2].extracted is None
-
     def test_to_record(self):
         qa = mc_qa("B")
         (trial,) = run_trials(trial_gateway(qa, "v", ["<answer>B</answer>"]), qa, "v", 1)
@@ -211,6 +203,22 @@ class TestRunDemandPipeline:
         assert sample.id == "v0#0" and sample.alpha == 2
         assert sample.recompute_consistent()
         assert sample.options == qa.options
+
+    def test_failed_trial_skips_question(self):
+        qa = mc_qa("B")
+        tasks = [
+            QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full"),
+            QaTask(video_id="w", qa_index=0, qa=qa, video_ref="w/full"),
+        ]
+        # v's 3 trials are scripted; w's fail inside the gateway
+        gateway = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 3)
+        annotated, skipped = run_demand_pipeline(gateway, tasks, 3)
+        assert [s.id for s in annotated] == ["v#0"] and annotated[0].alpha == 3
+        assert skipped == Counter({"trials_failed": 1})
+        # only 2 of 3 trials scripted: one failure skips the question outright
+        partial = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 2)
+        annotated, skipped = run_demand_pipeline(partial, tasks[:1], 3)
+        assert annotated == [] and skipped == Counter({"trials_failed": 1})
 
     def test_alpha_counts_correct_trials(self):
         qa = mc_qa("B")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,13 +18,15 @@ from toc.errors import (
     EmptySelectionError,
     OutOfRangeError,
     ParseError,
+    RecordError,
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, MockBackend, RetryPolicy, request_digest
 from toc.records import Clip, QaPair, QaTask, load_qa_tasks
 from toc.sft_pipeline import (
+    STAGES,
+    Journal,
     PipelineState,
-    StateStore,
     caption_clips,
     caption_compilations,
     clip_caption_request,
@@ -180,31 +183,110 @@ class TestPipelineState:
         assert rejected.stage == "rejected"
         assert rejected.payload == {"captions": ["x"], "reason": "selection_empty", "detail": "why"}
 
-    def test_record_round_trip(self):
-        state = PipelineState("s", "selected", {"selected": [0, 2]})
-        assert PipelineState.from_record(state.to_record()) == state
 
+class TestJournal:
+    def test_advance_resume_round_trip(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["café"]})
+        assert Journal(path).resume("v#0", "d1") == state
 
-class TestStateStore:
-    def test_save_load_round_trip(self, tmp_path):
-        store = StateStore(tmp_path / "state")
-        state = PipelineState("v#0", "captioned", {"captions": ["café"]})
-        store.save(state)
-        assert store.load("v#0") == state
+    def test_missing_sample_starts_fresh(self, tmp_path):
+        journal = Journal(tmp_path / "run.journal")
+        assert journal.resume("nope", "d1") == PipelineState("nope", None, {}, "d1")
+        assert not journal.invalidated
 
-    def test_load_missing_is_none(self, tmp_path):
-        assert StateStore(tmp_path / "state").load("nope") is None
+    def test_one_line_per_transition_in_one_file(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        journal.reject(state, "selection_empty", "why")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.journal"]
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert lines == [
+            {"sample_id": "v#0", "digest": "d1", "stage": "captioned",
+             "payload": {"captions": ["x"]}},
+            {"sample_id": "v#0", "digest": "d1", "stage": "rejected",
+             "payload": {"reason": "selection_empty", "detail": "why"}},
+        ]
+        assert Journal(path).resume("v#0", "d1").payload == {
+            "captions": ["x"], "reason": "selection_empty", "detail": "why",
+        }
 
-    def test_no_temp_files_left_behind(self, tmp_path):
-        store = StateStore(tmp_path / "state")
-        store.save(PipelineState("v#0", "captioned", {}))
-        assert [p.name for p in store.root.iterdir()] == ["v#0.json"]
+    def test_ids_with_path_separators_round_trip(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.advance(journal.resume("a/b#0", "d1"), "captioned", {})
+        assert Journal(path).resume("a/b#0", "d1").stage == "captioned"
 
-    def test_ids_with_path_separators_stay_inside_root(self, tmp_path):
-        store = StateStore(tmp_path / "state")
-        store.save(PipelineState("a/b#0", "captioned", {}))
-        assert store.load("a/b#0") is not None
-        assert all(p.parent == store.root for p in store.root.iterdir())
+    def test_changed_digest_restarts_and_counts_invalidated(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        state = journal.advance(journal.resume("v#0", "old"), "captioned", {"captions": ["x"]})
+        journal.advance(state, "selected", {"selected": [0]})
+        journal = Journal(path)
+        fresh = journal.resume("v#0", "new")
+        assert fresh == PipelineState("v#0", None, {}, "new")
+        assert journal.invalidated == {"v#0"}
+        journal.advance(fresh, "captioned", {"captions": ["y"]})
+        # the new digest's lines replace, not extend, the old run's payload
+        replayed = Journal(path)
+        assert replayed.resume("v#0", "new") == PipelineState(
+            "v#0", "captioned", {"captions": ["y"]}, "new"
+        )
+        assert not replayed.invalidated
+
+    def test_torn_last_line_is_truncated_before_appending(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        whole = path.read_bytes()
+        path.write_bytes(whole + b'{"sample_id": "v#0", "digest": "d1", "sta')
+        journal = Journal(path)
+        assert path.read_bytes() == whole
+        state = journal.resume("v#0", "d1")
+        assert state.stage == "captioned"
+        journal.advance(state, "selected", {"selected": [0]})
+        assert Journal(path).resume("v#0", "d1").stage == "selected"
+
+    def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
+        path = tmp_path / "run.journal"
+
+        def walk(journal, worker):
+            for n in range(40):
+                state = journal.resume(f"w{worker}#{n}", "d1")
+                for stage in STAGES:
+                    state = journal.advance(state, stage, {stage: [worker, n] * 8})
+
+        journal = Journal(path)
+        threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        replayed = Journal(path)
+        for worker in range(8):
+            for n in range(40):
+                state = replayed.resume(f"w{worker}#{n}", "d1")
+                assert state.stage == "emitted"
+                assert state.payload == {stage: [worker, n] * 8 for stage in STAGES}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            '{"sample_id": "v#0", "digest": "d1", "stage": "captioned"}',
+            '{"sample_id": "v#0", "digest": "d1", "stage": "bogus", "payload": {}}',
+            '{"sample_id": "v#0", "digest": "d1", "stage": "captioned", "payload": 3}',
+        ],
+        ids=["not_json", "no_payload", "unknown_stage", "payload_not_object"],
+    )
+    def test_invalid_complete_line_is_record_error(self, tmp_path, line):
+        path = tmp_path / "run.journal"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(RecordError, match="run.journal:1: invalid journal line"):
+            Journal(path)
 
 
 class TestStageOps:
@@ -313,7 +395,7 @@ def make_task(video_id: str = "v", qa: QaPair | None = None) -> QaTask:
 
 class TestProcessSample:
     def run_one(self, pairs, clips, task=None, tmp_path=None, **kwargs):
-        store = StateStore(tmp_path / "state")
+        store = Journal(tmp_path / "state.journal")
         gateway, backend = counting_gateway(pairs)
         state = process_sample(gateway, task or make_task(), clips, store, **kwargs)
         return state, backend, store
@@ -396,11 +478,11 @@ class TestProcessSample:
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
 
-        clean_store = StateStore(tmp_path / "clean")
+        clean_store = Journal(tmp_path / "clean.journal")
         clean_gateway, _ = counting_gateway(pairs)
         clean = process_sample(clean_gateway, task, clips, clean_store)
 
-        resumed_store = StateStore(tmp_path / "resumed")
+        resumed_store = Journal(tmp_path / "resumed.journal")
         crash_gw, _ = crashing_gateway(pairs, crash_after)
         with pytest.raises(RuntimeError, match="simulated crash"):
             process_sample(crash_gw, task, clips, resumed_store)
@@ -433,6 +515,7 @@ class TestRunSftPipeline:
             "total": 2,
             "emitted": 1,
             "rejected": 1,
+            "invalidated": 0,
             "rejection_reasons": {"insufficient_cues": 1},
         }
         emitted = [json.loads(line) for line in out.read_text().splitlines()]
@@ -463,6 +546,52 @@ class TestRunSftPipeline:
         assert summary["emitted"] == 1
         assert out.read_bytes() == first
         assert (tmp_path / "sft.records.rejected").read_bytes() == first_sidecar
+
+    def test_edited_answer_restarts_only_that_sample(self, tmp_path):
+        pairs, tasks, clips_by_video, out = self.two_sample_setup(tmp_path)
+        gateway, _ = counting_gateway(pairs)
+        run_sft_pipeline(gateway, tasks, clips_by_video, out)
+        sidecar = (tmp_path / "sft.records.rejected").read_bytes()
+
+        edited_qa = make_qa("C")
+        edited_tasks = [replace(tasks[0], qa=edited_qa), tasks[1]]
+        # the backend answers only the edited sample's requests
+        gateway2, backend2 = counting_gateway(full_script(clips_by_video["va"], edited_qa))
+        summary = run_sft_pipeline(gateway2, edited_tasks, clips_by_video, out)
+        assert summary["invalidated"] == 1 and summary["emitted"] == 1
+        assert backend2.calls == 9
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert record["answer"] == "C"
+        assert record["target"].endswith("<answer>C</answer>")
+        assert (tmp_path / "sft.records.rejected").read_bytes() == sidecar
+
+    def test_torn_journal_resumes_to_clean_bytes(self, corpus, tmp_path):
+        paths = corpus.manifest["paths"]
+        tasks = load_qa_tasks(paths["qa"])
+        clips_by_video = load_clips(paths["clips"])
+
+        def run(out):
+            backend = CountingBackend(MockBackend.from_file(paths["mock_table"]))
+            gateway = Gateway(backends={"mllm": backend, "llm": backend})
+            run_sft_pipeline(gateway, tasks, clips_by_video, out)
+            return backend.calls
+
+        clean = tmp_path / "clean" / "sft.records"
+        torn = tmp_path / "torn" / "sft.records"
+        for out in (clean, torn):
+            out.parent.mkdir()
+            clean_calls = run(out)
+        journal = Path(f"{torn}.journal")
+        data = journal.read_bytes()
+        cut = data.index(b"\n", len(data) // 2) - 10  # mid-way through a line
+        journal.write_bytes(data[:cut])
+        torn.unlink()
+
+        assert 0 < run(torn) < clean_calls
+        assert torn.read_bytes() == clean.read_bytes()
+        assert Path(f"{torn}.rejected").read_bytes() == Path(f"{clean}.rejected").read_bytes()
+        assert journal.read_bytes().endswith(b"\n")
+        assert not Path(f"{torn}.state").exists()
 
     def test_missing_video_clips_rejected(self, tmp_path):
         task = make_task("ghost")
