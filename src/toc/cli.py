@@ -10,6 +10,7 @@ report only when --report is given.  Exit codes: 0 success, 1 run error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -51,9 +52,12 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
 def _parse_band(text: str) -> tuple[float, float]:
     try:
         lo_text, hi_text = text.split(":")
-        return float(lo_text), float(hi_text)
+        lo, hi = float(lo_text), float(hi_text)
     except ValueError:
         raise UsageError(f"band must look like 0.2:0.8, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"band bounds must be finite, got {text!r}")
+    return lo, hi
 
 
 def _parse_indices(text: str) -> list[int]:
@@ -64,6 +68,8 @@ def _parse_indices(text: str) -> list[int]:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    if not 0.0 < args.tau <= 1.0:
+        raise UsageError(f"--tau must be in (0, 1], got {args.tau}")
     entries: list[dict] = []
     clips_out: list[dict] = []
     videos = shots_in = 0
@@ -159,6 +165,8 @@ def cmd_estimate_demand(args: argparse.Namespace) -> int:
 
 def cmd_build_rl(args: argparse.Namespace) -> int:
     band_lo, band_hi = _parse_band(args.band)
+    if args.target < 1:
+        raise UsageError(f"--target must be >= 1, got {args.target}")
     samples = [sample for _, sample in parse_records(args.input, RlSample.from_record)]
     selected, warnings = run_build_rl(samples, band_lo, band_hi, args.target, args.seed)
     write_records(args.out, (s.to_record() for s in selected))

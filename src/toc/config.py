@@ -8,6 +8,7 @@ directory so a corpus directory stays relocatable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -39,13 +40,10 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class Config:
+    """The keys a command reads from the config file; FIELD_RULES checks them."""
+
     backends: dict[str, BackendConfig] = field(default_factory=dict)
-    tau: float = 0.85
     m_trials: int = 8
-    band_lo: float = 0.2
-    band_hi: float = 0.8
-    target_rl_size: int = 2000
-    seed: int = 0
     parallelism: int = 1
     strict_parsing: bool = True
     mock_table_path: str | None = None
@@ -54,25 +52,11 @@ class Config:
     retry_base_delay_s: float = 0.5
 
     def validate(self) -> "Config":
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
-        if self.m_trials < 1:
-            raise ConfigError(f"m_trials must be >= 1, got {self.m_trials}")
-        if self.band_lo >= self.band_hi:
-            raise ConfigError(
-                f"band must satisfy lo < hi, got [{self.band_lo}, {self.band_hi}]"
-            )
-        if self.target_rl_size < 1:
-            raise ConfigError(f"target_rl_size must be >= 1, got {self.target_rl_size}")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.retry_max_attempts < 1:
-            raise ConfigError(f"retry_max_attempts must be >= 1, got {self.retry_max_attempts}")
-        if self.trial_temperature < 0:
-            raise ConfigError(f"trial_temperature must be >= 0, got {self.trial_temperature}")
+        _check_fields(self, "")
         for role, backend in self.backends.items():
             if role not in MODEL_ROLES:
                 raise ConfigError(f"unknown backend role {role!r}")
+            _check_fields(backend, f"backend {role!r}: ")
             if backend.kind not in BACKEND_KINDS:
                 raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
             if backend.kind == "http":
@@ -83,8 +67,58 @@ class Config:
         return self
 
 
+# Every field of Config and BackendConfig: its JSON type and its lower bound
+# (None for no bound).  A bool is not a number, an int counts as a float, a
+# bounded number must also be finite, and a field whose default is None may
+# also be null.
+FIELD_RULES: dict[str, tuple[type, float | None]] = {
+    "backends": (dict, None),
+    "m_trials": (int, 1),
+    "parallelism": (int, 1),
+    "strict_parsing": (bool, None),
+    "mock_table_path": (str, None),
+    "trial_temperature": (float, 0),
+    "retry_max_attempts": (int, 1),
+    "retry_base_delay_s": (float, 0),
+    "kind": (str, None),
+    "endpoint": (str, None),
+    "model": (str, None),
+    "timeout_s": (float, 0.001),
+}
+
+_TYPE_NAMES = {
+    dict: "an object",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+}
+
+
+def _check_fields(obj: Config | BackendConfig, where: str) -> None:
+    for f in fields(obj):
+        kind, lower = FIELD_RULES[f.name]
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{where}{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if lower is not None and not lower <= value < math.inf:
+            raise ConfigError(f"{where}{f.name} must be finite and >= {lower}, got {value!r}")
+
+
 _CONFIG_KEYS = {f.name for f in fields(Config)}
 _BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
+
+
+def _backend_config(role: str, entry: object) -> BackendConfig:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"backend {role!r} must be a JSON object")
+    for key in entry:
+        if key not in _BACKEND_KEYS:
+            raise ConfigError(f"unknown backend key {key!r} for role {role!r}")
+    return BackendConfig(**entry)
 
 
 def load_config(path: str | Path) -> Config:
@@ -92,28 +126,24 @@ def load_config(path: str | Path) -> Config:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")  # no lone surrogate escape
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON, bytes that are not UTF-8, a lone surrogate
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for key in raw:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    backends = {}
-    for role, entry in raw.get("backends", {}).items():
-        if not isinstance(entry, dict):
-            raise ConfigError(f"backend {role!r} must be a JSON object")
-        for key in entry:
-            if key not in _BACKEND_KEYS:
-                raise ConfigError(f"unknown backend key {key!r} for role {role!r}")
-        backends[role] = BackendConfig(**entry)
-    values = {k: v for k, v in raw.items() if k != "backends"}
-    mock_table = values.get("mock_table_path")
+    backends = raw.get("backends", {})
+    if isinstance(backends, dict):  # anything else fails validate()'s type check
+        backends = {role: _backend_config(role, entry) for role, entry in backends.items()}
+    config = Config(**{**raw, "backends": backends}).validate()
+    mock_table = config.mock_table_path
     if mock_table is not None and not Path(mock_table).is_absolute():
-        values["mock_table_path"] = str(path.parent / mock_table)
-    return Config(backends=backends, **values).validate()
+        return replace(config, mock_table_path=str(path.parent / mock_table))
+    return config
 
 
 def apply_overrides(config: Config, **overrides: object) -> Config:
@@ -134,9 +164,9 @@ def build_gateway(config: Config) -> Gateway:
             if mock is None:
                 try:
                     mock = MockBackend.from_file(config.mock_table_path)
-                except FileNotFoundError:
+                except OSError as exc:
                     raise ConfigError(
-                        f"mock_table_path does not exist: {config.mock_table_path}"
+                        f"cannot read mock_table_path {config.mock_table_path}: {exc.strerror}"
                     ) from None
             backends[role] = mock
         else:

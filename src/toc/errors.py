@@ -100,6 +100,10 @@ class StepCountMismatchError(TocError):
     """Rationale step markers do not match the number of localization steps."""
 
 
+class ReservedTagError(TocError):
+    """A rationale holds a tag that delimits the blocks of the training target."""
+
+
 class NonMultipleChoiceError(TocError):
     """Demand estimation only accepts multiple-choice questions."""
 

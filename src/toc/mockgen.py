@@ -231,7 +231,6 @@ def synthesize_corpus(
         "backends": {"mllm": {"kind": "mock"}, "llm": {"kind": "mock"}},
         "mock_table_path": "mock_table.records",
         "m_trials": m_trials,
-        "seed": seed,
         "parallelism": 1,
         "retry_base_delay_s": 0.0,
         "trial_temperature": 1.0,

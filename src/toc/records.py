@@ -27,6 +27,10 @@ QA_TYPES = ("multiple_choice", "open_ended", "numerical")
 
 _OPTION_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# The tags that delimit the two blocks of a training target; neither block
+# may hold one.
+TARGET_TAGS = ("<locate>", "</locate>", "<answer>", "</answer>")
+
 
 def option_label(position: int) -> str:
     """Label for the option at a 0-based position: 0 -> "A", 1 -> "B", ..."""
@@ -128,6 +132,8 @@ class QaPair:
             raise TypeError("question and answer must be strings")
         if self.qa_type not in QA_TYPES:
             raise ValueError(f"unknown qa_type {self.qa_type!r}")
+        if any(tag in self.answer for tag in TARGET_TAGS):
+            raise ValueError(f"answer must not contain any of {TARGET_TAGS}")
         if len(self.options or ()) > len(_OPTION_LABELS):
             raise ValueError(f"at most {len(_OPTION_LABELS)} options have labels")
         if self.qa_type == "multiple_choice":
@@ -418,6 +424,16 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise RecordError(f"{path}:{line_no}: expected a JSON object")
+            # Only a \uXXXX escape can put a surrogate into a decoded string,
+            # and a paired one decodes to a single character that encodes
+            # fine.  Most lines hold no backslash, which one fast scan finds.
+            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                try:
+                    dump_record(rec).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RecordError(
+                        f"{path}:{line_no}: a string holds a lone surrogate escape"
+                    ) from None
             yield line_no, rec
 
 

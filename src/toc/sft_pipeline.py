@@ -30,10 +30,12 @@ from .errors import (
     OutOfRangeError,
     ParseError,
     RecordError,
+    ReservedTagError,
     StepCountMismatchError,
 )
 from .gateway import ChatRequest, Gateway, single_turn
 from .records import (
+    TARGET_TAGS,
     Clip,
     QaPair,
     QaTask,
@@ -346,7 +348,8 @@ def summarize_rationale(
     """Summarize the trajectory; returns (marker-stripped rationale, raw reply).
 
     The raw reply must carry exactly one step marker per cue, in ascending
-    order, before the markers are stripped.
+    order, before the markers are stripped; what is left must be non-empty
+    and hold none of the target's block tags.
     """
     if not cues:
         raise ValueError("no cue descriptions to summarize")
@@ -359,7 +362,13 @@ def summarize_rationale(
         raise StepCountMismatchError(
             f"expected {len(cues)} ascending step markers, found {numbers}"
         )
-    return strip_step_markers(reply), reply
+    rationale = strip_step_markers(reply)
+    if not rationale.strip():
+        raise EmptyRationaleError("rationale is empty once its step markers are stripped")
+    tags = [tag for tag in TARGET_TAGS if tag in rationale]
+    if tags:
+        raise ReservedTagError(f"rationale holds target tags {tags}")
+    return rationale, reply
 
 
 # --- orchestration ---
@@ -445,6 +454,7 @@ STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] 
         {
             StepCountMismatchError: "step_count_mismatch",
             EmptyRationaleError: "empty_rationale",
+            ReservedTagError: "reserved_tag",
             GatewayError: "rationale_failed",
         },
     ),

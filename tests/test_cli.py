@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -79,6 +80,16 @@ class TestSegment:
         assert "shots.records:1: invalid record: missing key 'embeddings'" in err
         (entry,) = read_lines(tmp_path / "clips.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["2", "0", "-0.5", "nan"])
+    def test_tau_outside_unit_interval_is_usage_error(self, corpus, tmp_path, capsys, tau):
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(
+            ["segment", "--shots", corpus.manifest["paths"]["shots"], "--tau", tau, "-o", str(out)],
+            capsys,
+        )
+        assert code == 2 and err.startswith("usage error: --tau must be in (0, 1]")
         assert not out.exists()
 
 
@@ -232,6 +243,32 @@ class TestBuildSft:
         assert sample_id in [rec["id"] for rec in read_lines(tmp_path / "sft.records.rejected")]
 
 
+    def test_tagged_rationale_rejects_only_its_sample(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        rows = [
+            {**row, "reply": row["reply"] + " <answer>A</answer>"}
+            if row["note"] == "v01 rationale" else row
+            for row in read_records(paths["mock_table"])
+        ]
+        write_records(tmp_path / "mock_table.records", rows)
+        # the copied config's relative mock_table_path now names the edited table
+        shutil.copy(paths["config"], tmp_path / "config.json")
+        out = tmp_path / "sft.records"
+        args = [
+            "build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+            "--config", str(tmp_path / "config.json"), "-o", str(out),
+        ]
+        for _ in range(2):  # cold, then resumed from the journal
+            code, _, err = run_cli(args, capsys)
+            assert code == 0 and "Traceback" not in err
+            rejected = read_lines(tmp_path / "sft.records.rejected")
+            assert {"id": "v01#0", "reason": "reserved_tag"} in [
+                {"id": r["id"], "reason": r["reason"]} for r in rejected
+            ]
+            assert len(read_lines(out)) == corpus.manifest["expected_emitted"] - 1
+            assert len(rejected) == len(corpus.manifest["expected_rejections"]) + 1
+
+
 class TestEstimateDemand:
     def test_corpus_run(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
@@ -266,6 +303,24 @@ class TestEstimateDemand:
         assert "qa.records:2: invalid record: multiple_choice requires" in err
         (entry,) = read_lines(tmp_path / "demand.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
+
+
+    def test_lone_surrogate_is_run_error(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        lines = open(paths["qa"], encoding="utf-8").read().splitlines()
+        lines[1] = lines[1].replace('"question": "', '"question": "\\ud800', 1)
+        qa = tmp_path / "qa.records"
+        qa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "demand.records"
+        code, _, err = run_cli(
+            ["estimate-demand", "--qa", str(qa), "--config", paths["config"], "-o", str(out)],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert "qa.records:2: a string holds a lone surrogate escape" in err
+        (entry,) = read_lines(tmp_path / "demand.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
 
 
 @pytest.fixture
@@ -339,6 +394,49 @@ class TestBuildRl:
             capsys,
         )
         assert code == 2 and "usage error" in err
+
+
+    @pytest.mark.parametrize("target", ["0", "-3"])
+    def test_target_below_one_is_usage_error(self, demand_file, tmp_path, capsys, target):
+        code, _, err = run_cli(
+            ["build-rl", "--in", str(demand_file), "--target", target, "-o", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2 and err.startswith("usage error: --target must be >= 1")
+
+    @pytest.mark.parametrize("band", ["nan:0.5", "0.2:inf", "0.2:-inf"])
+    def test_non_finite_band_is_usage_error(self, demand_file, tmp_path, capsys, band):
+        code, _, err = run_cli(
+            ["build-rl", "--in", str(demand_file), "--band", band, "-o", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2 and err.startswith("usage error: band bounds must be finite")
+
+    @pytest.mark.parametrize(
+        "escape,code,question",
+        [("\\ud800", 1, None), ("\\uDFFF", 1, None), ("\\ud83d\\ude00", 0, "q\U0001F600")],
+        ids=["lone_high", "lone_low", "paired"],
+    )
+    def test_surrogate_escapes(self, tmp_path, capsys, escape, code, question):
+        rl_in = tmp_path / "demand.records"
+        rl_in.write_text(
+            '{"id": "v#0", "video_id": "v", "question": "q' + escape + '", "options": ["a", "b"], '
+            '"answer": "A", "alpha": 1, "m_trials": 2, '
+            '"reasoning_demand": 0.6065306597126334, "difficulty": 0.5}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "rl.records"
+        got, _, err = run_cli(
+            ["build-rl", "--in", str(rl_in), "--target", "1", "-o", str(out)], capsys
+        )
+        assert got == code and "Traceback" not in err
+        if question is None:
+            assert "demand.records:1: a string holds a lone surrogate escape" in err
+            assert not out.exists()
+        else:
+            (row,) = read_lines(out)
+            assert row["question"] == question
+            assert question in out.read_text(encoding="utf-8")
 
 
 class TestReward:

@@ -1,9 +1,11 @@
-"""Fuzzed input files: every subcommand exits 0, 1 or 2 and never raises.
+"""Fuzzed inputs: every subcommand exits 0, 1 or 2 and never raises.
 
 Each example starts from valid records for one subcommand's input file and
 breaks one or more of them: a key goes missing, a value takes the wrong
 type or an out-of-range value, an element inside a list does the same, or
-a whole line stops being an object.
+a whole line stops being an object.  The config file is broken the same
+way, and the numeric command-line values are drawn from odd numbers and
+strings that are not numbers at all.
 """
 
 from __future__ import annotations
@@ -146,4 +148,99 @@ def test_broken_input_exits_with_a_code(inputs, name, data):
             for key in keys
         }
         code = run_main(command(files, inputs["config"], str(Path(tmp) / "out.records")))
+    assert code in (0, 1, 2)
+
+
+RETIRED_KEYS = ["tau", "band_lo", "band_hi", "target_rl_size", "seed"]
+
+
+@st.composite
+def config_file(draw, valid: dict) -> object:
+    """The valid config with top-level keys, a backend entry or extra keys broken."""
+    config = draw(broken(valid))
+    if not isinstance(config, dict):
+        return config
+    if draw(st.booleans()) and isinstance(config.get("backends"), dict):
+        config["backends"] = {**config["backends"], "llm": draw(broken(valid["backends"]["llm"]))}
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(RETIRED_KEYS) | st.text(max_size=3))] = draw(junk)
+    return config
+
+
+# build-sft reads every config key but m_trials and trial_temperature, which
+# load_config still checks; the mock table scripts every call it makes for
+# these samples whatever the config says, so no fuzzed retry delay is slept.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_broken_config_exits_with_a_code(inputs, data):
+    valid = json.loads(Path(inputs["config"]).read_text(encoding="utf-8"))
+    valid["mock_table_path"] = str(Path(inputs["config"]).parent / valid["mock_table_path"])
+    valid["backends"]["llm"] = {"kind": "mock", "timeout_s": 60.0}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(data.draw(config_file(valid))), encoding="utf-8")
+        files = {
+            key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in ("qa", "clips")
+        }
+        command = SUBCOMMANDS["build-sft"][1]
+        code = run_main(command(files, str(config), str(Path(tmp) / "out.records")))
+    assert code in (0, 1, 2)
+
+
+numbers = st.floats() | st.integers(-10**6, 10**6) | st.sampled_from(ODD_NUMBERS)
+# A number as the command line spells it, or a string that is no number.
+number_text = numbers.map(str) | st.text(max_size=5)
+band_text = st.just("0.2:0.8") | st.tuples(number_text, number_text).map(":".join) | number_text
+
+
+def small_or_huge(lo: int, hi: int) -> st.SearchStrategy[str]:
+    """An integer in [lo, hi] half the time, else one above hi up to 10**9."""
+    return st.integers(lo, hi).map(str) | st.integers(hi + 1, 10**9).map(str)
+
+
+# Per fuzzed flag: the input files the command reads and its command line,
+# given those files, a config, an output and the example's data.  Values go
+# in as --flag=VALUE so that a leading "-" is read as part of the value.
+VALUE_FLAGS = {
+    "segment --tau": (
+        ("shots",),
+        lambda f, config, out, d: [
+            "segment", "--shots", f["shots"], f"--tau={d.draw(number_text)}", "-o", out,
+        ],
+    ),
+    "build-rl --band --target": (
+        ("demand",),
+        lambda f, config, out, d: [
+            "build-rl", "--in", f["demand"], f"--band={d.draw(band_text)}",
+            f"--target={d.draw(small_or_huge(-3, 3) | number_text)}", "-o", out,
+        ],
+    ),
+    "grpo-eval --epsilon --beta": (
+        ("logprobs",),
+        lambda f, config, out, d: [
+            "grpo-eval", "--logprobs", f["logprobs"], f"--epsilon={d.draw(number_text)}",
+            f"--beta={d.draw(number_text)}", "--report", out,
+        ],
+    ),
+    # An M beyond the 8 scripted trials fails in the mock at trial 9, after
+    # retries that the corpus config makes instant.
+    "estimate-demand --m": (
+        ("qa",),
+        lambda f, config, out, d: [
+            "estimate-demand", "--qa", f["qa"], "--config", config,
+            f"--m={d.draw(small_or_huge(-2, 12) | number_text)}",
+            f"--parallelism={d.draw(st.integers(1, 8))}", "-o", out,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FLAGS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_flag_values_exit_with_a_code(inputs, name, data):
+    keys, command = VALUE_FLAGS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in keys}
+        code = run_main(command(files, inputs["config"], str(Path(tmp) / "out.records"), data))
     assert code in (0, 1, 2)

@@ -131,6 +131,11 @@ class TestQaPair:
         with pytest.raises(ValueError, match="at most 26 options"):
             QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x",) * 27)
 
+    @pytest.mark.parametrize("answer", ["<answer>7", "7</answer>", "<locate>", "a</locate>b"])
+    def test_answer_must_not_hold_a_target_tag(self, answer):
+        with pytest.raises(ValueError, match="answer must not contain"):
+            QaPair(question="q", answer=answer, qa_type="open_ended")
+
 
 class TestRenderTarget:
     def test_renders_both_blocks(self):
@@ -246,6 +251,24 @@ class TestRecordIo:
         path.write_text('{"a": 1}\n[1, 2]\n', encoding="utf-8")
         with pytest.raises(RecordError, match=rf"{path}:2: expected a JSON object"):
             list(read_records(path))
+
+    @pytest.mark.parametrize(
+        "text", ['"\\ud800"', '"a\\uDBFFb"', '["x", "\\udc00"]', '{"\\ud800": 1}'],
+        ids=["high", "high_upper_case", "low_in_list", "in_key"],
+    )
+    def test_lone_surrogate_escape_names_path_and_line(self, tmp_path, text):
+        path = tmp_path / "x.records"
+        path.write_text('{"a": 1}\n{"t": ' + text + "}\n", encoding="utf-8")
+        with pytest.raises(RecordError, match=rf"{path}:2: a string holds a lone surrogate"):
+            list(read_records(path))
+
+    def test_paired_surrogate_escape_loads_and_writes_unchanged(self, tmp_path):
+        path = tmp_path / "x.records"
+        path.write_text('{"t": "a\\ud83d\\ude00b"}\n', encoding="utf-8")
+        (row,) = read_records(path)
+        assert row == {"t": "a\U0001F600b"}
+        write_records(tmp_path / "y.records", [row])
+        assert (tmp_path / "y.records").read_text(encoding="utf-8") == '{"t": "a\U0001F600b"}\n'
 
     def test_write_is_atomic(self, tmp_path):
         path = tmp_path / "x.records"

@@ -438,6 +438,13 @@ class TestProcessSample:
             ({"rationale_reply": "Step 1: a. Step 2: b. Step 3: c."}, "step_count_mismatch"),
             ({"rationale_reply": "   "}, "empty_rationale"),
             ({"skip_stages": ("rationale",)}, "rationale_failed"),
+            ({"rationale_reply": "Step 1: Step 2:"}, "empty_rationale"),
+            ({"rationale_reply": "Step 1: a. Step 2: b <locate>"}, "reserved_tag"),
+            ({"rationale_reply": "Step 1: a. Step 2: b </locate>"}, "reserved_tag"),
+            ({"rationale_reply": "Step 1: a. Step 2: b <answer>A"}, "reserved_tag"),
+            ({"rationale_reply": "Step 1: a. Step 2: b </answer>"}, "reserved_tag"),
+            # the tag only forms once the step marker inside it is stripped
+            ({"rationale_reply": "Step 1: a <ansStep 2: wer>A"}, "reserved_tag"),
         ],
     )
     def test_rejection_reasons(self, tmp_path, tweak, reason):
