@@ -22,8 +22,9 @@ from .errors import (
     AuthError,
     BackendUnavailableError,
     GatewayTimeoutError,
+    RecordError,
 )
-from .records import read_records
+from .records import parse_records
 
 MODEL_ROLES = ("mllm", "llm")
 
@@ -102,6 +103,14 @@ class Backend(Protocol):
     def complete(self, request: ChatRequest) -> str: ...
 
 
+def _table_entry(rec: dict) -> tuple[str, str]:
+    digest, reply = rec["digest"], rec["reply"]
+    if not isinstance(digest, str) or not isinstance(reply, str):
+        kinds = f"{type(digest).__name__} and {type(reply).__name__}"
+        raise TypeError(f"digest and reply must be strings, got {kinds}")
+    return digest, reply
+
+
 class MockBackend:
     """Replies scripted per request digest; unknown digests fail loudly."""
 
@@ -110,12 +119,16 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
+        """Read a table of {"digest", "reply"} lines; a digest may repeat only verbatim."""
         table: dict[str, str] = {}
-        for rec in read_records(path):
-            digest, reply = rec["digest"], rec["reply"]
-            if digest in table and table[digest] != reply:
-                raise ValueError(f"conflicting replies for digest {digest}")
-            table[digest] = reply
+        first_lines: dict[str, int] = {}
+        for line_no, (digest, reply) in parse_records(path, _table_entry):
+            first = first_lines.setdefault(digest, line_no)
+            if table.setdefault(digest, reply) != reply:
+                raise RecordError(
+                    f"{path}:{line_no}: conflicting reply for digest {digest!r} "
+                    f"given on line {first}"
+                )
         return cls(table)
 
     def complete(self, request: ChatRequest) -> str:

@@ -60,10 +60,6 @@ class Clip:
                 f"clip span must be non-empty, got [{self.start_s}, {self.end_s})"
             )
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
     def to_record(self) -> dict:
         rec: dict = {
             "video_id": self.video_id,
@@ -324,7 +320,8 @@ class RlSample:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RlSample":
-        return cls(
+        """Read a stored sample; its demand and difficulty must match alpha/m_trials."""
+        sample = cls(
             id=rec["id"],
             video_id=rec["video_id"],
             question=rec["question"],
@@ -335,6 +332,19 @@ class RlSample:
             reasoning_demand=float(rec["reasoning_demand"]),
             difficulty=float(rec["difficulty"]),
         )
+        alpha, m_trials = sample.alpha, sample.m_trials
+        if type(alpha) is not int or type(m_trials) is not int:
+            raise TypeError(f"alpha and m_trials must be integers, got {alpha!r} and {m_trials!r}")
+        if m_trials < 1 or not 0 <= alpha <= m_trials:
+            raise ValueError(
+                f"need 0 <= alpha <= m_trials and m_trials >= 1, got {alpha} and {m_trials}"
+            )
+        if not sample.recompute_consistent():
+            raise ValueError(
+                f"reasoning_demand {sample.reasoning_demand} and difficulty {sample.difficulty} "
+                f"disagree with alpha {alpha} of m_trials {m_trials}"
+            )
+        return sample
 
 
 @dataclass(frozen=True)
@@ -413,28 +423,47 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
 
 def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(1-based line number, record) for every non-blank line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise RecordError(f"{path}:{line_no}: expected a JSON object")
-            # Only a \uXXXX escape can put a surrogate into a decoded string,
-            # and a paired one decodes to a single character that encodes
-            # fine.  Most lines hold no backslash, which one fast scan finds.
-            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    dump_record(rec).encode("utf-8")
-                except UnicodeEncodeError:
-                    raise RecordError(
-                        f"{path}:{line_no}: a string holds a lone surrogate escape"
-                    ) from None
-            yield line_no, rec
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
+                if not isinstance(rec, dict):
+                    raise RecordError(f"{path}:{line_no}: expected a JSON object")
+                # Only a \uXXXX escape can put a surrogate into a decoded string,
+                # and a paired one decodes to a single character that encodes
+                # fine.  Most lines hold no backslash, which one fast scan finds.
+                if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                    try:
+                        dump_record(rec).encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise RecordError(
+                            f"{path}:{line_no}: a string holds a lone surrogate escape"
+                        ) from None
+                yield line_no, rec
+    except UnicodeDecodeError:
+        raise RecordError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """Number of the first line of a file that is not valid UTF-8.
+
+    The text reader decodes ahead of the line it yields, so its count cannot
+    say which line failed.  Read again keeping the bad bytes as surrogate
+    escapes, which no valid line holds, with the same line splitting.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    raise AssertionError("unreachable")
 
 
 def read_records(path: str | Path) -> Iterator[dict]:

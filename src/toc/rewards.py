@@ -38,27 +38,16 @@ def extract_answer(response: str) -> str:
     return blocks[-1].strip()
 
 
-def answers_match(
-    extracted: str,
-    gold: str,
-    qa_type: str = "multiple_choice",
-    *,
-    numeric_rel_tol: float | None = None,
-) -> bool:
+def answers_match(extracted: str, gold: str, qa_type: str = "multiple_choice") -> bool:
     """Compare an extracted answer against the gold one.
 
-    Option letters compare case-insensitively; numerical answers compare as
-    trimmed strings unless a relative tolerance is given.
+    Option letters compare case-insensitively; every other answer compares
+    as a trimmed string.
     """
     if extracted == EMPTY_ANSWER:
         return False
     if qa_type == "multiple_choice":
         return extracted.strip().upper() == gold.strip().upper()
-    if qa_type == "numerical" and numeric_rel_tol is not None:
-        try:
-            return math.isclose(float(extracted), float(gold), rel_tol=numeric_rel_tol)
-        except ValueError:
-            return False
     return extracted.strip() == gold.strip()
 
 
@@ -120,85 +109,38 @@ def scale_advantages(advantages: Sequence[float], gamma: float) -> list[float]:
 
 
 @dataclass(frozen=True)
-class ResponseOutcome:
-    """One response's scoring trail, from text to scaled advantage."""
-
-    response_text: str
-    correct: bool
-    reward: float
-    advantage: float
-    scaled_advantage: float
-
-
-@dataclass(frozen=True)
 class RewardGroup:
     """A full response group scored under one question's demand gamma."""
 
     gamma: float
-    size: int
-    outcomes: tuple[ResponseOutcome, ...]
-    x: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise RangeError(f"gamma must be in (0, 1], got {self.gamma}")
-        if len(self.outcomes) != self.size:
-            raise ValueError(f"{len(self.outcomes)} outcomes for declared size {self.size}")
-        correct = sum(1 for o in self.outcomes if o.correct)
-        if correct != self.x:
-            raise ValueError(f"declared x={self.x} but {correct} outcomes are correct")
+    correct: list[bool]
+    rewards: list[float]
+    advantages: list[float]
+    scaled_advantages: list[float]
 
     @property
-    def rewards(self) -> list[float]:
-        return [o.reward for o in self.outcomes]
+    def x(self) -> int:
+        return sum(self.correct)
 
     @property
-    def advantages(self) -> list[float]:
-        return [o.advantage for o in self.outcomes]
-
-    @property
-    def scaled_advantages(self) -> list[float]:
-        return [o.scaled_advantage for o in self.outcomes]
+    def size(self) -> int:
+        return len(self.correct)
 
 
-def score_flags(gamma: float, correct_flags: Sequence[bool], texts: Sequence[str] | None = None) -> RewardGroup:
+def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     """Score a group from correctness flags alone."""
     if not 0.0 < gamma <= 1.0:
         raise RangeError(f"gamma must be in (0, 1], got {gamma}")
-    if texts is None:
-        texts = [""] * len(correct_flags)
-    rewards = [gamma if c else 0.0 for c in correct_flags]
+    correct = [bool(c) for c in correct_flags]
+    rewards = [gamma if c else 0.0 for c in correct]
     advantages = normalize_advantages(rewards)
-    scaled = scale_advantages(advantages, gamma)
-    outcomes = tuple(
-        ResponseOutcome(
-            response_text=text,
-            correct=bool(c),
-            reward=r,
-            advantage=a,
-            scaled_advantage=s,
-        )
-        for text, c, r, a, s in zip(texts, correct_flags, rewards, advantages, scaled)
+    return RewardGroup(
+        gamma=gamma,
+        correct=correct,
+        rewards=rewards,
+        advantages=advantages,
+        scaled_advantages=scale_advantages(advantages, gamma),
     )
-    return RewardGroup(gamma=gamma, size=len(outcomes), outcomes=outcomes, x=sum(map(bool, correct_flags)))
-
-
-def score_group(
-    responses: Sequence[str],
-    gold: str,
-    alpha: int,
-    m: int,
-    qa_type: str = "multiple_choice",
-    *,
-    numeric_rel_tol: float | None = None,
-) -> RewardGroup:
-    """Extract, match, and score a group of raw response texts."""
-    gamma = demand_from_alpha(alpha, m)
-    flags = [
-        answers_match(extract_answer(text), gold, qa_type, numeric_rel_tol=numeric_rel_tol)
-        for text in responses
-    ]
-    return score_flags(gamma, flags, texts=responses)
 
 
 @dataclass(frozen=True)

@@ -13,39 +13,19 @@ import logging
 import random
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import GatewayError, InvalidBandError, NonMultipleChoiceError
 from .gateway import ChatRequest, Gateway, single_turn
 from .records import QaPair, QaTask, RlSample
-from .rewards import EMPTY_ANSWER, answers_match, extract_answer
+from .rewards import answers_match, extract_answer
 from .templates import render_direct_answer
 
 log = logging.getLogger(__name__)
 
 TRIAL_MAX_TOKENS = 32
 DEFAULT_TRIAL_TEMPERATURE = 1.0
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One direct-answer attempt."""
-
-    sample_id: str
-    trial_index: int
-    raw_reply: str
-    extracted: str | None
-    correct: bool
-
-    def to_record(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "trial_index": self.trial_index,
-            "raw_reply": self.raw_reply,
-            "extracted": self.extracted,
-            "correct": self.correct,
-        }
 
 
 def trial_request(
@@ -71,32 +51,26 @@ def run_trials(
     video_ref: str,
     m_trials: int,
     *,
-    sample_id: str = "",
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
-) -> list[TrialRecord]:
-    """Issue M independent trials; an unparseable reply counts incorrect.
+) -> list[bool]:
+    """Issue M independent trials; return whether each answered correctly.
 
-    A failed backend call raises its GatewayError: it says nothing about the
-    model's answer, so it must not count either way.
+    An unparseable reply counts incorrect.  A failed backend call raises its
+    GatewayError: it says nothing about the model's answer, so it must not
+    count either way.
     """
     if qa.qa_type != "multiple_choice":
         raise NonMultipleChoiceError(
             f"demand estimation needs multiple_choice, got {qa.qa_type}"
         )
-
-    def one_trial(trial_index: int) -> TrialRecord:
-        reply = gateway.complete(trial_request(qa, video_ref, trial_index, temperature))
-        extracted = extract_answer(reply)
-        correct = answers_match(extracted, qa.answer, "multiple_choice")
-        return TrialRecord(
-            sample_id=sample_id,
-            trial_index=trial_index,
-            raw_reply=reply,
-            extracted=None if extracted == EMPTY_ANSWER else extracted,
-            correct=correct,
+    return [
+        answers_match(
+            extract_answer(gateway.complete(trial_request(qa, video_ref, i, temperature))),
+            qa.answer,
+            "multiple_choice",
         )
-
-    return [one_trial(i) for i in range(m_trials)]
+        for i in range(m_trials)
+    ]
 
 
 def filter_by_difficulty(
@@ -111,37 +85,26 @@ def filter_by_difficulty(
 def balance_tiers(samples: Sequence[RlSample], target: int, seed: int) -> list[RlSample]:
     """Even out the per-difficulty-tier counts by seeded sampling.
 
-    Each tier (distinct difficulty value) contributes floor(target/tiers)
-    samples drawn without replacement; the remainder is filled one at a time
-    round-robin from tiers that still have surplus.  Output keeps the input
-    order of the chosen samples, so balancing is deterministic given seed.
+    Each tier (distinct difficulty value) is shuffled once; the tiers are
+    then dealt round-robin in ascending difficulty, one member per tier per
+    round, until min(target, len(samples)) are picked.  So every tier gets
+    floor(target/tiers) samples, or all it has if fewer, and the rest goes
+    one per tier per round, lowest difficulty first, to tiers with members
+    left.  The per-tier counts do not depend on the seed; which members a
+    tier contributes does.  Output keeps the input order of the chosen
+    samples.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
-    if not samples:
-        return []
     rng = random.Random(seed)
     by_tier: dict[float, list[int]] = {}
     for pos, sample in enumerate(samples):
         by_tier.setdefault(sample.difficulty, []).append(pos)
-    tiers = sorted(by_tier)
-    base = target // len(tiers)
-    chosen: set[int] = set()
-    for tier in tiers:
-        members = by_tier[tier]
-        chosen.update(rng.sample(members, min(base, len(members))))
-    while len(chosen) < min(target, len(samples)):
-        progressed = False
-        for tier in tiers:
-            if len(chosen) >= target:
-                break
-            surplus = [pos for pos in by_tier[tier] if pos not in chosen]
-            if surplus:
-                chosen.add(rng.choice(surplus))
-                progressed = True
-        if not progressed:
-            break
-    return [samples[pos] for pos in sorted(chosen)]
+    tiers = [by_tier[difficulty] for difficulty in sorted(by_tier)]
+    for members in tiers:
+        rng.shuffle(members)
+    dealt = [pos for row in zip_longest(*tiers) for pos in row if pos is not None]
+    return [samples[pos] for pos in sorted(dealt[:target])]
 
 
 def tier_histogram(samples: Sequence[RlSample]) -> dict[float, int]:
@@ -169,12 +132,7 @@ def run_demand_pipeline(
             return "non_multiple_choice"
         try:
             trials = run_trials(
-                gateway,
-                task.qa,
-                task.video_ref,
-                m_trials,
-                sample_id=task.sample_id,
-                temperature=temperature,
+                gateway, task.qa, task.video_ref, m_trials, temperature=temperature
             )
         except GatewayError as exc:
             log.warning("skipping %s: a trial failed: %s", task.sample_id, exc)
@@ -185,7 +143,7 @@ def run_demand_pipeline(
             question=task.qa.question,
             options=task.qa.options or (),
             answer=task.qa.answer,
-            alpha=sum(1 for t in trials if t.correct),
+            alpha=sum(trials),
             m_trials=m_trials,
         )
 

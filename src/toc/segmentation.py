@@ -81,55 +81,43 @@ class ShotBoundarySet:
         )
 
 
-def _unit(vec: np.ndarray, where: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm) or norm == 0.0:
-        raise ZeroVectorError(f"{where} has no direction (norm {norm})")
-    return vec / norm
-
-
-class _RunningClip:
-    """Shot range merged so far plus its pooled direction."""
-
-    def __init__(self, shots: ShotBoundarySet, first: int, unit_vec: np.ndarray) -> None:
-        self.shots = shots
-        self.first = first
-        self.last = first
-        self.weighted_sum = shots.shot_duration(first) * unit_vec
-
-    def pooled_unit(self) -> np.ndarray:
-        return _unit(self.weighted_sum, "pooled clip embedding")
-
-    def absorb(self, shot_index: int, unit_vec: np.ndarray) -> None:
-        self.last = shot_index
-        self.weighted_sum = self.weighted_sum + self.shots.shot_duration(shot_index) * unit_vec
-
-    def to_clip(self, index: int) -> Clip:
-        return Clip(
-            video_id=self.shots.video_id,
-            index=index,
-            start_s=self.shots.boundaries_s[self.first],
-            end_s=self.shots.boundaries_s[self.last + 1],
-            embedding=tuple(float(v) for v in self.pooled_unit()),
-        )
-
-
 def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
     """Greedily merge the shot sequence into clips indexed 0..N-1."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    units = [
-        _unit(np.asarray(emb, dtype=float), f"shot {pos} embedding")
-        for pos, emb in enumerate(shots.embeddings)
-    ]
-    merged: list[_RunningClip] = []
-    current = _RunningClip(shots, 0, units[0])
-    for pos in range(1, shots.shot_count):
-        similarity = float(np.dot(current.pooled_unit(), units[pos]))
-        if similarity >= tau:
-            current.absorb(pos, units[pos])
+    vectors = np.asarray(shots.embeddings, dtype=float)
+    # One 1-D norm per row: norm(axis=1) can differ in the last bit.
+    norms = np.array([np.linalg.norm(row) for row in vectors])
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    if bad.size:
+        pos = int(bad[0])
+        raise ZeroVectorError(f"shot {pos} embedding has no direction (norm {float(norms[pos])})")
+    units = vectors / norms[:, None]
+    weighted = units * np.diff(shots.boundaries_s)[:, None]
+
+    def direction(total: np.ndarray) -> np.ndarray:
+        norm = float(np.linalg.norm(total))
+        if not np.isfinite(norm) or norm == 0.0:
+            raise ZeroVectorError(f"pooled clip embedding has no direction (norm {norm})")
+        return total / norm
+
+    # Clip k spans shots starts[k] .. starts[k+1]-1; sums[k] is its weighted sum.
+    starts = [0]
+    sums = [weighted[0]]
+    for pos in range(1, len(units)):
+        if float(np.dot(direction(sums[-1]), units[pos])) >= tau:
+            sums[-1] = sums[-1] + weighted[pos]
         else:
-            merged.append(current)
-            current = _RunningClip(shots, pos, units[pos])
-    merged.append(current)
-    return [running.to_clip(index) for index, running in enumerate(merged)]
+            starts.append(pos)
+            sums.append(weighted[pos])
+    ends = starts[1:] + [len(units)]
+    return [
+        Clip(
+            video_id=shots.video_id,
+            index=index,
+            start_s=shots.boundaries_s[first],
+            end_s=shots.boundaries_s[end],
+            embedding=tuple(float(v) for v in direction(total)),
+        )
+        for index, (first, end, total) in enumerate(zip(starts, ends, sums))
+    ]

@@ -323,6 +323,39 @@ class TestEstimateDemand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: [rows[0], {"reply": "x"}] + rows[2:],
+             "mock_table.records:2: invalid record: missing key 'digest'"),
+            (lambda rows: [rows[0], {**rows[1], "reply": ["x"]}] + rows[2:],
+             "mock_table.records:2: invalid record: digest and reply must be strings"),
+            (lambda rows: rows + [{**rows[1], "reply": rows[1]["reply"] + "!"}],
+             "conflicting reply for digest"),
+        ],
+        ids=["missing_digest", "reply_not_a_string", "conflicting_replies"],
+    )
+    def test_malformed_mock_table_is_run_error(self, corpus, tmp_path, capsys, edit, message):
+        paths = corpus.manifest["paths"]
+        config = json.loads(open(paths["config"], encoding="utf-8").read())
+        rows = list(read_records(paths["mock_table"]))
+        write_records(tmp_path / config["mock_table_path"], edit(rows))
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "demand.records"
+        code, _, err = run_cli(
+            ["estimate-demand", "--qa", paths["qa"], "--config", str(tmp_path / "config.json"),
+             "-o", str(out)],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        assert message in err
+        if "conflicting" in message:
+            assert f"mock_table.records:{len(rows) + 1}: " in err and "given on line 2" in err
+        (entry,) = read_lines(tmp_path / "demand.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
+
 @pytest.fixture
 def demand_file(corpus, tmp_path, capsys):
     paths = corpus.manifest["paths"]
@@ -387,6 +420,35 @@ class TestBuildRl:
         code, _, err = run_cli(["build-rl", "--in", str(rl_in), "-o", str(tmp_path / "o")], capsys)
         assert code == 1 and "Traceback" not in err
         assert "demand.records:1: invalid record: missing key 'video_id'" in err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"reasoning_demand": math.nan}, "reasoning_demand nan and difficulty 0.5 disagree"),
+            ({"difficulty": 0.25}, "difficulty 0.25 disagree with alpha 1 of m_trials 2"),
+            ({"alpha": 9, "m_trials": 8}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
+            ({"alpha": 0, "m_trials": 0}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
+            ({"alpha": 1.0}, "alpha and m_trials must be integers, got 1.0 and 2"),
+            ({"m_trials": True}, "alpha and m_trials must be integers, got 1 and True"),
+        ],
+        ids=["nan_demand", "wrong_difficulty", "alpha_above_m", "zero_trials", "float_alpha",
+             "bool_trials"],
+    )
+    def test_inconsistent_demand_is_run_error(self, tmp_path, capsys, edit, message):
+        valid = {"id": "v#0", "video_id": "v", "question": "q", "options": ["a", "b"],
+                 "answer": "A", "alpha": 1, "m_trials": 2,
+                 "reasoning_demand": math.exp(-0.5), "difficulty": 0.5}
+        rl_in = tmp_path / "demand.records"
+        write_records(rl_in, [valid, {**valid, "id": "w#0", **edit}])
+        out = tmp_path / "rl.records"
+        code, _, err = run_cli(
+            ["build-rl", "--in", str(rl_in), "--target", "1", "-o", str(out)], capsys
+        )
+        assert code == 1 and "Traceback" not in err
+        assert "demand.records:2: invalid record: " in err and message in err
+        (entry,) = read_lines(tmp_path / "rl.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
 
     def test_bad_band_is_usage_error(self, demand_file, tmp_path, capsys):
         code, _, err = run_cli(
@@ -492,6 +554,14 @@ class TestReward:
         code, _, err = run_cli(["reward", "--group", str(group_file)], capsys)
         assert code == 1 and "Traceback" not in err
         assert "groups.records:1: invalid record: could not convert" in err
+
+
+    def test_non_utf8_line_is_run_error(self, tmp_path, capsys):
+        group_file = tmp_path / "groups.records"
+        group_file.write_bytes(b'{"gamma": 0.5, "correct": [true, false]}\n\xff\xfe\n')
+        code, _, err = run_cli(["reward", "--group", str(group_file)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "groups.records:2: not valid UTF-8" in err
 
 
 class TestGrpoEval:

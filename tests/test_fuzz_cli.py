@@ -5,7 +5,8 @@ breaks one or more of them: a key goes missing, a value takes the wrong
 type or an out-of-range value, an element inside a list does the same, or
 a whole line stops being an object.  The config file is broken the same
 way, and the numeric command-line values are drawn from odd numbers and
-strings that are not numbers at all.
+strings that are not numbers at all.  Input files also get raw bytes that
+are not UTF-8, and the mock table gets broken lines and conflicting replies.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -83,10 +85,14 @@ def inputs(corpus) -> dict:
         "config": paths["config"],
         "qa": qa,
         "clips": [row for row in read_records(paths["clips"]) if row["video_id"] in videos],
+        # the replies the two samples ask for; each note starts with its video
+        "mock_table": [
+            row for row in read_records(paths["mock_table"]) if row["note"].split()[0] in videos
+        ],
         "shots": list(read_records(paths["shots"])),
         "demand": [
             {"id": f"v{i}#0", "video_id": f"v{i}", "question": "q", "options": ["a", "b"],
-             "answer": "A", "alpha": i, "m_trials": 4, "reasoning_demand": 1.0,
+             "answer": "A", "alpha": i, "m_trials": 4, "reasoning_demand": math.exp(-i / 4),
              "difficulty": 1 - i / 4}
             for i in range(4)
         ],
@@ -109,12 +115,12 @@ SUBCOMMANDS = {
         lambda f, config, out: ["segment", "--shots", f["shots"], "-o", out],
     ),
     "build-sft": (
-        ("qa", "clips"),
+        ("qa", "clips", "mock_table"),
         lambda f, config, out: ["build-sft", "--videos", f["clips"], "--qa", f["qa"],
                                 "--config", config, "-o", out],
     ),
     "estimate-demand": (
-        ("qa",),
+        ("qa", "mock_table"),
         lambda f, config, out: ["estimate-demand", "--qa", f["qa"], "--config", config, "-o", out],
     ),
     "build-rl": (
@@ -133,21 +139,72 @@ SUBCOMMANDS = {
 }
 
 
+def config_for(tmp: str, inputs: dict, files: dict) -> str:
+    """The corpus config, reading the example's mock table when it has one."""
+    if "mock_table" not in files:
+        return inputs["config"]
+    config = json.loads(Path(inputs["config"]).read_text(encoding="utf-8"))
+    config["mock_table_path"] = files["mock_table"]
+    path = Path(tmp) / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def table_file(draw, valid_rows: list[dict]) -> list[object]:
+    """Broken mock-table rows, and maybe a row repeating a digest with another reply."""
+    rows = draw(record_file(valid_rows))
+    if draw(st.booleans()):
+        row = valid_rows[draw(st.integers(0, len(valid_rows) - 1))]
+        rows.append({**row, "reply": draw(st.sampled_from([row["reply"], ""]) | st.text(max_size=4))})
+    return rows
+
+
 @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_broken_input_exits_with_a_code(inputs, name, data):
     keys, command = SUBCOMMANDS[name]
     target = data.draw(st.sampled_from(keys))
+    breaker = table_file if target == "mock_table" else record_file
     with tempfile.TemporaryDirectory() as tmp:
         files = {
             key: write_lines(
                 Path(tmp) / f"{key}.records",
-                data.draw(record_file(inputs[key])) if key == target else inputs[key],
+                data.draw(breaker(inputs[key])) if key == target else inputs[key],
             )
             for key in keys
         }
-        code = run_main(command(files, inputs["config"], str(Path(tmp) / "out.records")))
+        config = config_for(tmp, inputs, files)
+        code = run_main(command(files, config, str(Path(tmp) / "out.records")))
+    assert code in (0, 1, 2)
+
+
+# Truncated sequences, stray continuation bytes, an encoded surrogate and a
+# code point beyond U+10FFFF: none of them decodes as UTF-8.
+NOT_UTF8 = [b"\xff", b"\xfe\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_non_utf8_input_exits_with_a_code(inputs, name, data):
+    keys, command = SUBCOMMANDS[name]
+    target = data.draw(st.sampled_from(keys))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in keys}
+        path = Path(files[target])
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from(NOT_UTF8) | st.binary(min_size=1, max_size=4))
+        raw = raw[:at] + bad + raw[at:]
+        path.write_bytes(raw)
+        config = config_for(tmp, inputs, files)
+        code = run_main(command(files, config, str(Path(tmp) / "out.records")))
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 1
     assert code in (0, 1, 2)
 
 
@@ -242,5 +299,6 @@ def test_fuzzed_flag_values_exit_with_a_code(inputs, name, data):
     keys, command = VALUE_FLAGS[name]
     with tempfile.TemporaryDirectory() as tmp:
         files = {key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in keys}
-        code = run_main(command(files, inputs["config"], str(Path(tmp) / "out.records"), data))
+        config = config_for(tmp, inputs, files)
+        code = run_main(command(files, config, str(Path(tmp) / "out.records"), data))
     assert code in (0, 1, 2)

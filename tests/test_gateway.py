@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 import requests
 
-from toc.errors import AuthError, BackendUnavailableError, GatewayTimeoutError
+from toc.errors import AuthError, BackendUnavailableError, GatewayTimeoutError, RecordError
 from toc.gateway import (
     ChatMessage,
     ChatRequest,
@@ -119,7 +119,7 @@ class TestMockBackend:
     def test_from_file_rejects_conflicts(self, tmp_path):
         path = tmp_path / "table.records"
         write_records(path, [{"digest": "d", "reply": "r1"}, {"digest": "d", "reply": "r2"}])
-        with pytest.raises(ValueError, match="conflicting"):
+        with pytest.raises(RecordError, match="table.records:2: conflicting .* given on line 1"):
             MockBackend.from_file(path)
 
 

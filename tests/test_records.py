@@ -262,6 +262,23 @@ class TestRecordIo:
         with pytest.raises(RecordError, match=rf"{path}:2: a string holds a lone surrogate"):
             list(read_records(path))
 
+    @pytest.mark.parametrize(
+        "lines,bad",
+        [
+            ([b'{"a": 1}', b"\xff\xfe"], 2),
+            ([b'{"a": "caf\xe9"}'], 1),
+            # past the reader's first decoded chunk, with a lone CR that the
+            # text reader also counts as a line break
+            ([b'{"a": 1}\r{"b": 2}'] + [b'{"a": 1}'] * 3000 + [b'{"t": "\xc3"}'], 3003),
+        ],
+        ids=["bom_bytes", "latin1", "far_down"],
+    )
+    def test_non_utf8_line_names_path_and_line(self, tmp_path, lines, bad):
+        path = tmp_path / "x.records"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(RecordError, match=rf"{path}:{bad}: not valid UTF-8"):
+            list(read_records(path))
+
     def test_paired_surrogate_escape_loads_and_writes_unchanged(self, tmp_path):
         path = tmp_path / "x.records"
         path.write_text('{"t": "a\\ud83d\\ude00b"}\n', encoding="utf-8")

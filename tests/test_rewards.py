@@ -18,7 +18,6 @@ from toc.errors import (
 from toc.rewards import (
     EMPTY_ANSWER,
     PolicyLogProbs,
-    RewardGroup,
     _kl_estimate,
     answers_match,
     closed_form_advantages,
@@ -28,7 +27,6 @@ from toc.rewards import (
     rd_reward,
     scale_advantages,
     score_flags,
-    score_group,
     vanilla_reward,
 )
 
@@ -70,14 +68,6 @@ class TestAnswersMatch:
     def test_numerical_string_compare_by_default(self):
         assert answers_match("3.14", "3.14", "numerical")
         assert not answers_match("3.140", "3.14", "numerical")
-
-    def test_numerical_with_tolerance(self):
-        assert answers_match("3.140", "3.14", "numerical", numeric_rel_tol=1e-9)
-        assert answers_match("100.0001", "100.0", "numerical", numeric_rel_tol=1e-4)
-        assert not answers_match("101", "100", "numerical", numeric_rel_tol=1e-4)
-
-    def test_numerical_tolerance_with_unparseable_text(self):
-        assert not answers_match("around 3", "3.0", "numerical", numeric_rel_tol=1e-4)
 
     def test_open_ended_trimmed_compare(self):
         assert answers_match(" a red door ", "a red door", "open_ended")
@@ -224,26 +214,6 @@ class TestScoreGroup:
         assert group.scaled_advantages == pytest.approx(
             [0.5 * expect_a, -0.5 * expect_a, -0.5 * expect_a, 0.5 * expect_a]
         )
-
-    def test_score_group_extracts_and_matches(self):
-        responses = [
-            "I scan the clips. <answer>B</answer>",
-            "<answer>a</answer>",
-            "the answer is B",  # no tag: scores zero regardless of prose
-            "<answer>B</answer>",
-        ]
-        group = score_group(responses, "B", alpha=2, m=8)
-        assert [o.correct for o in group.outcomes] == [True, False, False, True]
-        assert group.gamma == pytest.approx(math.exp(-0.25))
-
-    def test_reward_group_validates_size(self):
-        with pytest.raises(ValueError):
-            RewardGroup(gamma=1.0, size=3, outcomes=(), x=0)
-
-    def test_reward_group_validates_x(self):
-        group = score_flags(1.0, [True, False])
-        with pytest.raises(ValueError):
-            RewardGroup(gamma=1.0, size=2, outcomes=group.outcomes, x=2)
 
     def test_score_flags_rejects_bad_gamma(self):
         with pytest.raises(RangeError):

@@ -6,6 +6,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import FailingBackend, scripted_gateway
 
 from toc.config import apply_overrides, build_gateway, load_config
@@ -85,22 +87,7 @@ class TestRunTrials:
             "I think it is B",  # no tag: incorrect
             "<answer>b</answer>",
         ]
-        trials = run_trials(trial_gateway(qa, "v", replies), qa, "v", 4, sample_id="v#0")
-        assert [t.correct for t in trials] == [True, False, False, True]
-        assert [t.extracted for t in trials] == ["B", "a", None, "b"]
-        assert [t.trial_index for t in trials] == [0, 1, 2, 3]
-        assert all(t.sample_id == "v#0" for t in trials)
-
-    def test_to_record(self):
-        qa = mc_qa("B")
-        (trial,) = run_trials(trial_gateway(qa, "v", ["<answer>B</answer>"]), qa, "v", 1)
-        assert trial.to_record() == {
-            "sample_id": "",
-            "trial_index": 0,
-            "raw_reply": "<answer>B</answer>",
-            "extracted": "B",
-            "correct": True,
-        }
+        assert run_trials(trial_gateway(qa, "v", replies), qa, "v", 4) == [True, False, False, True]
 
 
 class TestFilterByDifficulty:
@@ -124,7 +111,41 @@ class TestFilterByDifficulty:
             filter_by_difficulty([], lo, hi)
 
 
+def water_fill_counts(supply: list[int], target: int) -> list[int]:
+    """Per-tier counts in ascending difficulty: every tier up to the highest
+    common level L the target affords, the rest one each to the lowest tiers
+    that have more than L."""
+    wanted = min(target, sum(supply))
+    level = max(L for L in range(max(supply) + 1) if sum(min(n, L) for n in supply) <= wanted)
+    counts = [min(n, level) for n in supply]
+    rest = wanted - sum(counts)
+    for tier, n in enumerate(supply):
+        if rest and n > level:
+            counts[tier] += 1
+            rest -= 1
+    return counts
+
+
 class TestBalanceTiers:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        supply=st.dictionaries(st.integers(0, 8), st.integers(1, 12), min_size=1),
+        target=st.integers(1, 80),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_tier_counts_match_water_filling(self, supply, target, seed, data):
+        alphas = data.draw(st.permutations([a for a, n in supply.items() for _ in range(n)]))
+        samples = [rl(pos, alpha) for pos, alpha in enumerate(alphas)]
+        out = balance_tiers(samples, target, seed)
+        by_difficulty = sorted(supply, reverse=True)  # difficulty rises as alpha falls
+        counts = Counter(s.alpha for s in out)
+        expected = water_fill_counts([supply[a] for a in by_difficulty], target)
+        assert [counts[a] for a in by_difficulty] == expected
+        positions = [int(s.video_id[1:]) for s in out]
+        assert positions == sorted(set(positions))  # input order, no repeats
+        assert all(samples[pos] == s for pos, s in zip(positions, out))
+
     def test_target_must_be_positive(self):
         with pytest.raises(ValueError):
             balance_tiers([rl(0, 4)], 0, seed=0)
