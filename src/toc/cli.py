@@ -189,7 +189,10 @@ def cmd_build_rl(args: argparse.Namespace) -> int:
 def _group(rec: dict) -> RewardGroup:
     if "gamma" not in rec or "correct" not in rec:
         raise UsageError("group records need keys 'gamma' and 'correct'")
-    return score_flags(float(rec["gamma"]), [bool(c) for c in rec["correct"]])
+    correct = rec["correct"]
+    if not isinstance(correct, list) or not all(type(c) is bool for c in correct):
+        raise TypeError("correct must be a list of JSON booleans")
+    return score_flags(float(rec["gamma"]), correct)
 
 
 def cmd_reward(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ ends at the selected clips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptySelectionError, InvalidSizeError, OutOfRangeError
 
@@ -51,14 +51,6 @@ class CueTree:
     n_leaves: int
     root: TreeNode
 
-    def nodes(self) -> Iterator[TreeNode]:
-        """Preorder walk."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
     def path_to_leaf(self, clip_index: int) -> tuple[TreeNode, ...]:
         """Root-to-leaf path for one clip index."""
         if not 0 <= clip_index < self.n_leaves:
@@ -71,10 +63,6 @@ class CueTree:
             node = next(c for c in node.children if c.lo <= clip_index <= c.hi)
             path.append(node)
         return tuple(path)
-
-    @property
-    def max_depth(self) -> int:
-        return max(n.depth for n in self.nodes() if n.is_leaf)
 
 
 def build_tree(n_leaves: int) -> CueTree:

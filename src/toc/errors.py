@@ -2,7 +2,11 @@
 
 
 class TocError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    The errors that also derive from ValueError reject a malformed input
+    value; raised while a record is read, they name the record's line.
+    """
 
 
 # --- record and clip-sequence validation ---
@@ -31,11 +35,11 @@ class RecordError(TocError):
 # --- segmentation ---
 
 
-class EmptyInputError(TocError):
+class EmptyInputError(TocError, ValueError):
     """Shot input holds no shots."""
 
 
-class DimensionMismatchError(TocError):
+class DimensionMismatchError(TocError, ValueError):
     """Embedding vectors disagree in dimension or count."""
 
 
@@ -123,11 +127,11 @@ class GroupTooSmallError(TocError):
     """Advantage normalization needs at least two responses."""
 
 
-class MisalignedSequencesError(TocError):
+class MisalignedSequencesError(TocError, ValueError):
     """Log-probability sequences do not line up."""
 
 
-class NonFiniteError(TocError):
+class NonFiniteError(TocError, ValueError):
     """A computation produced or received a non-finite value."""
 
 

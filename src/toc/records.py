@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
+
 from .errors import (
     EmptyError,
     EmptyRationaleError,
@@ -30,6 +32,25 @@ _OPTION_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # The tags that delimit the two blocks of a training target; neither block
 # may hold one.
 TARGET_TAGS = ("<locate>", "</locate>", "<answer>", "</answer>")
+
+
+def float_array(values: object, ndim: int, what: str) -> np.ndarray:
+    """values as a read-only float64 array of ndim dimensions, built by one NumPy call.
+
+    Only JSON numbers are accepted.  The call is left to infer the dtype:
+    forcing float would read None as NaN.  None, strings, all-boolean input
+    and integers beyond 64 bits infer a dtype that is not numeric, and nested
+    lists another shape; each is a TypeError.
+    """
+    try:
+        array = np.array(values)
+    except ValueError:  # lists nested to different depths
+        raise TypeError(f"{what} must be JSON numbers in {ndim}-D lists") from None
+    if array.ndim != ndim or array.dtype.kind not in "fiu":
+        raise TypeError(f"{what} must be JSON numbers in {ndim}-D lists")
+    array = array.astype(np.float64, copy=False)
+    array.flags.writeable = False
+    return array
 
 
 def option_label(position: int) -> str:
@@ -321,12 +342,21 @@ class RlSample:
     @classmethod
     def from_record(cls, rec: dict) -> "RlSample":
         """Read a stored sample; its demand and difficulty must match alpha/m_trials."""
+        sample_id, video_id = rec["id"], rec["video_id"]
+        question, options, answer = rec["question"], rec["options"], rec["answer"]
+        if not isinstance(question, str) or not isinstance(answer, str):
+            raise TypeError("question and answer must be strings")
+        if not isinstance(options, list):
+            raise TypeError("options must be a list of strings")
+        for option in options:
+            if not isinstance(option, str):
+                raise TypeError("options must be a list of strings")
         sample = cls(
-            id=rec["id"],
-            video_id=rec["video_id"],
-            question=rec["question"],
-            options=tuple(rec["options"]),
-            answer=rec["answer"],
+            id=sample_id,
+            video_id=video_id,
+            question=question,
+            options=tuple(options),
+            answer=answer,
             alpha=rec["alpha"],
             m_trials=rec["m_trials"],
             reasoning_demand=float(rec["reasoning_demand"]),
@@ -476,7 +506,8 @@ T = TypeVar("T")
 def parse_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """(line number, parse(record)) for every record.
 
-    A record that `parse` rejects with KeyError, TypeError or ValueError is a
+    A record that `parse` rejects with KeyError, TypeError, ValueError or
+    OverflowError (an integer literal too large for a float) is a
     RecordError naming path:line.
     """
     for line_no, rec in _numbered_records(path):
@@ -484,6 +515,6 @@ def parse_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tupl
             parsed = parse(rec)
         except KeyError as exc:
             raise RecordError(f"{path}:{line_no}: invalid record: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RecordError(f"{path}:{line_no}: invalid record: {exc}") from None
         yield line_no, parsed

@@ -2,6 +2,8 @@
 
 Everything here is pure arithmetic on plain floats; math.fsum keeps the
 group statistics exact enough for the tight tolerances the tests demand.
+Token log-probs are held as float64 arrays, and each sum converts its
+array to a list first: fsum over an array iterates far slower.
 """
 
 from __future__ import annotations
@@ -11,13 +13,15 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     GroupTooSmallError,
     MisalignedSequencesError,
     NonFiniteError,
     RangeError,
 )
-from .records import demand_from_alpha
+from .records import demand_from_alpha, float_array
 
 # What extract_answer returns when no answer block exists; never a valid answer.
 EMPTY_ANSWER = ""
@@ -143,19 +147,22 @@ def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyLogProbs:
     """Per-token log-probabilities for one response group under three policies.
 
-    current/old/ref are indexed [response][token]; the three sequences for a
-    response must align token-for-token.
+    current/old/ref hold one read-only float64 array of token log-probs per
+    response; the three arrays for a response must align token-for-token.
     """
 
-    current: tuple[tuple[float, ...], ...]
-    old: tuple[tuple[float, ...], ...]
-    ref: tuple[tuple[float, ...], ...]
+    current: tuple[np.ndarray, ...]
+    old: tuple[np.ndarray, ...]
+    ref: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        for name in ("current", "old", "ref"):
+            rows = tuple(float_array(row, 1, f"{name} log-probs") for row in getattr(self, name))
+            object.__setattr__(self, name, rows)
         if not len(self.current) == len(self.old) == len(self.ref):
             raise MisalignedSequencesError(
                 f"response counts differ: {len(self.current)}/{len(self.old)}/{len(self.ref)}"
@@ -166,7 +173,7 @@ class PolicyLogProbs:
                     f"response {i} token counts differ: {len(cur)}/{len(old)}/{len(ref)}"
                 )
             for seq in (cur, old, ref):
-                if any(not math.isfinite(v) for v in seq):
+                if not np.isfinite(seq).all():
                     raise NonFiniteError(f"non-finite log-probability in response {i}")
 
     @property
@@ -175,16 +182,16 @@ class PolicyLogProbs:
 
     @classmethod
     def from_record(cls, rec: dict) -> "PolicyLogProbs":
-        as_tuples = lambda rows: tuple(tuple(float(v) for v in row) for row in rows)
-        return cls(current=as_tuples(rec["current"]), old=as_tuples(rec["old"]), ref=as_tuples(rec["ref"]))
+        return cls(current=rec["current"], old=rec["old"], ref=rec["ref"])
 
 
 def _kl_estimate(current: Sequence[float], ref: Sequence[float]) -> float:
     """Token-averaged unbiased KL estimator r - log r - 1 with r = ref/current."""
-    if not current:
+    if len(current) == 0:
         return 0.0
-    log_ratios = [ref_lp - cur_lp for cur_lp, ref_lp in zip(current, ref)]
+    log_ratios = np.subtract(ref, current).tolist()
     try:
+        # math.exp, not np.exp: the two can differ in the last bit.
         per_token = [math.exp(log_r) - log_r - 1.0 for log_r in log_ratios]
         return math.fsum(per_token) / len(per_token)
     except OverflowError:
@@ -222,7 +229,7 @@ def grpo_objective(
             log_probs.current, log_probs.old, log_probs.ref, scaled_advantages
         ):
             try:
-                ratio = math.exp(math.fsum(cur) - math.fsum(old))
+                ratio = math.exp(math.fsum(cur.tolist()) - math.fsum(old.tolist()))
             except OverflowError:
                 raise NonFiniteError("importance ratio overflowed") from None
             if not math.isfinite(ratio):

@@ -14,22 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
-from .records import Clip
+from .records import Clip, float_array
 
 DEFAULT_TAU = 0.85
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotBoundarySet:
     """One video's detector output: cut times plus one embedding per shot.
 
     boundaries_s runs from 0 to the video duration; shot i spans
-    [boundaries_s[i], boundaries_s[i+1]).
+    [boundaries_s[i], boundaries_s[i+1]).  The embedding rows given become
+    one read-only float64 (shots, dims) matrix.
     """
 
     video_id: str
     boundaries_s: tuple[float, ...]
-    embeddings: tuple[tuple[float, ...], ...]
+    embeddings: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.video_id, str):
@@ -42,34 +43,37 @@ class ShotBoundarySet:
             raise ValueError(f"boundaries must start at 0, got {self.boundaries_s[0]}")
         if any(b <= a for a, b in zip(self.boundaries_s, self.boundaries_s[1:])):
             raise ValueError(f"boundaries must strictly increase: {self.boundaries_s}")
-        if len(self.embeddings) != len(self.boundaries_s) - 1:
-            raise ValueError(
-                f"{len(self.boundaries_s) - 1} shots but {len(self.embeddings)} embeddings"
-            )
-        dim = len(self.embeddings[0])
+        rows = self.embeddings
+        if len(rows) != len(self.boundaries_s) - 1:
+            raise ValueError(f"{len(self.boundaries_s) - 1} shots but {len(rows)} embeddings")
+        dim = len(rows[0])
         if dim < 1:
             raise DimensionMismatchError("embeddings must have at least 1 dimension")
-        for pos, emb in enumerate(self.embeddings):
+        for pos, emb in enumerate(rows):
             if len(emb) != dim:
                 raise DimensionMismatchError(
                     f"shot {pos} embedding has {len(emb)} dims, expected {dim}"
                 )
+        object.__setattr__(self, "embeddings", float_array(rows, 2, "embeddings"))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShotBoundarySet):
+            return NotImplemented
+        return (
+            self.video_id == other.video_id
+            and self.boundaries_s == other.boundaries_s
+            and np.array_equal(self.embeddings, other.embeddings)
+        )
 
     @property
     def shot_count(self) -> int:
         return len(self.embeddings)
 
-    def shot_span(self, i: int) -> tuple[float, float]:
-        return self.boundaries_s[i], self.boundaries_s[i + 1]
-
-    def shot_duration(self, i: int) -> float:
-        return self.boundaries_s[i + 1] - self.boundaries_s[i]
-
     def to_record(self) -> dict:
         return {
             "video_id": self.video_id,
             "boundaries_s": list(self.boundaries_s),
-            "embeddings": [list(e) for e in self.embeddings],
+            "embeddings": self.embeddings.tolist(),
         }
 
     @classmethod
@@ -77,7 +81,7 @@ class ShotBoundarySet:
         return cls(
             video_id=rec["video_id"],
             boundaries_s=tuple(float(b) for b in rec["boundaries_s"]),
-            embeddings=tuple(tuple(float(v) for v in e) for e in rec["embeddings"]),
+            embeddings=rec["embeddings"],
         )
 
 
@@ -85,14 +89,13 @@ def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
     """Greedily merge the shot sequence into clips indexed 0..N-1."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    vectors = np.asarray(shots.embeddings, dtype=float)
     # One 1-D norm per row: norm(axis=1) can differ in the last bit.
-    norms = np.array([np.linalg.norm(row) for row in vectors])
+    norms = np.array([np.linalg.norm(row) for row in shots.embeddings])
     bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
     if bad.size:
         pos = int(bad[0])
         raise ZeroVectorError(f"shot {pos} embedding has no direction (norm {float(norms[pos])})")
-    units = vectors / norms[:, None]
+    units = shots.embeddings / norms[:, None]
     weighted = units * np.diff(shots.boundaries_s)[:, None]
 
     def direction(total: np.ndarray) -> np.ndarray:
@@ -117,7 +120,7 @@ def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
             index=index,
             start_s=shots.boundaries_s[first],
             end_s=shots.boundaries_s[end],
-            embedding=tuple(float(v) for v in direction(total)),
+            embedding=tuple(direction(total).tolist()),
         )
         for index, (first, end, total) in enumerate(zip(starts, ends, sums))
     ]

@@ -11,6 +11,9 @@ import pytest
 from toc.cli import main, sig12
 from toc.records import read_records, write_records
 
+# An integer literal too large for a float.
+HUGE = 10**400
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -78,6 +81,35 @@ class TestSegment:
         code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
         assert code == 1 and "Traceback" not in err
         assert "shots.records:1: invalid record: missing key 'embeddings'" in err
+        (entry,) = read_lines(tmp_path / "clips.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"embeddings": [[1.0, None], [0.0, 1.0]]},
+            {"embeddings": [[[1.0], [0.0]], [[0.0], [1.0]]]},
+            {"embeddings": [[1.0, [0.0]], [0.0, 1.0]]},
+            {"embeddings": [[1.0, 0.0], [0.0, 1.0, 0.0]]},
+            {"embeddings": [[HUGE, 0.0], [0.0, 1.0]]},
+            {"embeddings": [[2**64, 0.0], [0.0, 1.0]]},
+            {"boundaries_s": [0.0, HUGE, HUGE + 1]},
+            {"boundaries_s": [0.0, 1.0], "embeddings": [[True, False]]},
+            {"embeddings": [["0.5", 0.0], [0.0, 1.0]]},
+        ],
+        ids=["null", "nested", "mixed_depth", "ragged", "huge_embedding", "beyond_64_bits",
+             "huge_boundary", "all_boolean", "string"],
+    )
+    def test_malformed_shot_is_run_error(self, tmp_path, capsys, edit):
+        valid = {"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0],
+                 "embeddings": [[1.0, 0.0], [0.0, 1.0]]}
+        shots = tmp_path / "shots.records"
+        write_records(shots, [valid, {**valid, "video_id": "t", **edit}])
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "shots.records:2: invalid record: " in err
         (entry,) = read_lines(tmp_path / "clips.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert not out.exists()
@@ -430,9 +462,13 @@ class TestBuildRl:
             ({"alpha": 0, "m_trials": 0}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
             ({"alpha": 1.0}, "alpha and m_trials must be integers, got 1.0 and 2"),
             ({"m_trials": True}, "alpha and m_trials must be integers, got 1 and True"),
+            ({"question": 5}, "question and answer must be strings"),
+            ({"answer": ["A"]}, "question and answer must be strings"),
+            ({"options": "abc"}, "options must be a list of strings"),
+            ({"options": ["a", 2]}, "options must be a list of strings"),
         ],
         ids=["nan_demand", "wrong_difficulty", "alpha_above_m", "zero_trials", "float_alpha",
-             "bool_trials"],
+             "bool_trials", "number_question", "list_answer", "string_options", "number_option"],
     )
     def test_inconsistent_demand_is_run_error(self, tmp_path, capsys, edit, message):
         valid = {"id": "v#0", "video_id": "v", "question": "q", "options": ["a", "b"],
@@ -556,6 +592,24 @@ class TestReward:
         assert "groups.records:1: invalid record: could not convert" in err
 
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            ({"correct": "no"}, "correct must be a list of JSON booleans"),
+            ({"correct": [1, "false", 0]}, "correct must be a list of JSON booleans"),
+            ({"gamma": HUGE}, "too large"),
+        ],
+        ids=["string_flags", "non_boolean_flags", "huge_gamma"],
+    )
+    def test_malformed_group_is_run_error(self, tmp_path, capsys, edit, message):
+        group_file = tmp_path / "groups.records"
+        valid = {"gamma": 0.5, "correct": [True, False]}
+        write_records(group_file, [valid, {**valid, **edit}])
+        code, stdout, err = run_cli(["reward", "--group", str(group_file)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "groups.records:2: invalid record: " in err and message in err
+        assert len(stdout.splitlines()) == 1
+
     def test_non_utf8_line_is_run_error(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"
         group_file.write_bytes(b'{"gamma": 0.5, "correct": [true, false]}\n\xff\xfe\n')
@@ -633,6 +687,32 @@ class TestGrpoEval:
         )
         assert code == 1 and "Traceback" not in err
         assert "lp.records:1: invalid record" in err
+
+
+    @pytest.mark.parametrize(
+        "current",
+        [
+            [[-0.5, None]],
+            [[[-0.5], [-1.0]]],
+            [[-0.5, [-1.0]]],
+            [[-0.5]],
+            [[HUGE, -1.0]],
+            [[True, False]],
+            [["-0.5", -1.0]],
+        ],
+        ids=["null", "nested", "mixed_depth", "ragged", "huge", "all_boolean", "string"],
+    )
+    def test_malformed_log_probs_is_run_error(self, tmp_path, capsys, current):
+        logprob_file = tmp_path / "lp.records"
+        valid = {"current": [[-0.5, -1.0]], "old": [[-0.5, -1.0]], "ref": [[-0.4, -0.9]],
+                 "scaled_advantages": [0.5]}
+        write_records(logprob_file, [valid, {**valid, "current": current}])
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0"],
+            capsys,
+        )
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert "lp.records:2: invalid record: " in err
 
 
 class TestTopLevel:

@@ -51,6 +51,18 @@ def oracle_chain(n: int, selected) -> list[list[int]]:
     return out
 
 
+def preorder(tree: CueTree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def max_depth(tree: CueTree) -> int:
+    return max(n.depth for n in preorder(tree) if n.is_leaf)
+
+
 def all_subsets(n: int):
     indices = range(n)
     return chain.from_iterable(combinations(indices, k) for k in range(1, n + 1))
@@ -60,14 +72,14 @@ class TestBuildTree:
     def test_single_leaf(self):
         tree = build_tree(1)
         assert tree.root == TreeNode(0, 0, 0)
-        assert tree.max_depth == 0
+        assert max_depth(tree) == 0
 
     def test_power_of_two_is_perfect(self):
         tree = build_tree(4)
         root = tree.root
         assert (root.lo, root.hi) == (0, 3)
         assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 3)]
-        leaves = [n for n in tree.nodes() if n.is_leaf]
+        leaves = [n for n in preorder(tree) if n.is_leaf]
         assert [(n.lo, n.depth) for n in leaves] == [(0, 2), (1, 2), (2, 2), (3, 2)]
 
     def test_odd_split_puts_extra_clip_left(self):
@@ -75,7 +87,7 @@ class TestBuildTree:
         assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 2)]
 
     def test_preorder_walk(self):
-        got = [(n.lo, n.hi) for n in build_tree(3).nodes()]
+        got = [(n.lo, n.hi) for n in preorder(build_tree(3))]
         assert got == [(0, 2), (0, 1), (0, 0), (1, 1), (2, 2)]
 
     @pytest.mark.parametrize("n", [0, -2])
@@ -87,7 +99,7 @@ class TestBuildTree:
     def test_structure_invariants(self, n):
         tree = build_tree(n)
         seen_leaves = []
-        for node in tree.nodes():
+        for node in preorder(tree):
             assert 0 <= node.lo <= node.hi <= n - 1
             if node.is_leaf:
                 assert node.size == 1
@@ -103,7 +115,7 @@ class TestBuildTree:
 
     @given(st.integers(1, 128))
     def test_depth_is_logarithmic(self, n):
-        assert build_tree(n).max_depth == (n - 1).bit_length()
+        assert max_depth(build_tree(n)) == (n - 1).bit_length()
 
 
 class TestPathToLeaf:

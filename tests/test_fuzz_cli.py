@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from toc.cli import main
 from toc.records import read_records
 
-ODD_NUMBERS = [0, -1, 1, 2, 27, 0.5, -0.0, 1e308, -1e308, float("nan"), float("inf")]
+# 10**400 is an integer literal too large for a float.
+ODD_NUMBERS = [0, -1, 1, 2, 27, 0.5, -0.0, 1e308, -1e308, float("nan"), float("inf"), 10**400]
 
 junk = st.recursive(
     st.none() | st.booleans() | st.sampled_from(ODD_NUMBERS) | st.text(max_size=4),

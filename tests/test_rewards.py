@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import statistics
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -237,7 +239,25 @@ class TestPolicyLogProbs:
         rec = {"current": [[-0.5, -1.0]], "old": [[-0.5, -1.0]], "ref": [[-0.4, -0.9]]}
         lp = PolicyLogProbs.from_record(rec)
         assert lp.num_responses == 1
-        assert lp.current == ((-0.5, -1.0),)
+        assert [row.tolist() for row in lp.current] == [[-0.5, -1.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_arrays_are_bit_equal_to_float(self, data):
+        lengths = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+        number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**63), 2**64 - 1)
+        rec = {
+            name: [data.draw(st.lists(number, min_size=n, max_size=n)) for n in lengths]
+            for name in ("current", "old", "ref")
+        }
+        lp = PolicyLogProbs.from_record(rec)
+        bits = lambda values: [struct.pack("<d", v) for v in values]
+        for name in ("current", "old", "ref"):
+            rows = getattr(lp, name)
+            assert all(row.dtype == np.float64 and row.ndim == 1 for row in rows)
+            assert [bits(row.tolist()) for row in rows] == [
+                bits(float(v) for v in row) for row in rec[name]
+            ]
 
 
 def identity_logprobs(rows):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,15 @@ def shots_from(durations, embeddings, video_id="v") -> ShotBoundarySet:
     )
 
 
+# Numbers as json.loads gives them: any float, and integers in the range
+# NumPy reads as 64-bit (alone or mixed with floats).
+json_numbers = st.floats() | st.integers(-(2**63), 2**64 - 1)
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
 def _punit(vec):
     norm = math.sqrt(sum(x * x for x in vec))
     return tuple(x / norm for x in vec)
@@ -36,9 +47,10 @@ def _punit(vec):
 def oracle_groups(shots: ShotBoundarySet, tau: float):
     """Re-run the greedy pass in plain Python; returns shot-index groups and
     the similarity seen at every merge decision."""
-    units = [_punit(e) for e in shots.embeddings]
+    units = [_punit(e) for e in shots.embeddings.tolist()]
+    durations = np.diff(shots.boundaries_s).tolist()
     groups = [[0]]
-    acc = [shots.shot_duration(0) * c for c in units[0]]
+    acc = [durations[0] * c for c in units[0]]
     sims = []
     for pos in range(1, shots.shot_count):
         pooled = _punit(acc)
@@ -46,10 +58,10 @@ def oracle_groups(shots: ShotBoundarySet, tau: float):
         sims.append(sim)
         if sim >= tau:
             groups[-1].append(pos)
-            acc = [a + shots.shot_duration(pos) * c for a, c in zip(acc, units[pos])]
+            acc = [a + durations[pos] * c for a, c in zip(acc, units[pos])]
         else:
             groups.append([pos])
-            acc = [shots.shot_duration(pos) * c for c in units[pos]]
+            acc = [durations[pos] * c for c in units[pos]]
     return groups, sims
 
 
@@ -84,11 +96,29 @@ class TestShotBoundarySet:
         shots = shots_from([1.0, 2.0], [at_angle(0), at_angle(30)])
         assert ShotBoundarySet.from_record(shots.to_record()) == shots
 
-    def test_span_helpers(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.lists(st.lists(json_numbers, min_size=dim, max_size=dim),
+                                 min_size=1, max_size=4)
+        )
+    )
+    def test_embeddings_are_bit_equal_to_float(self, rows):
+        rec = {"video_id": "v", "boundaries_s": [float(i) for i in range(len(rows) + 1)],
+               "embeddings": rows}
+        shots = ShotBoundarySet.from_record(rec)
+        assert shots.embeddings.dtype == np.float64 and not shots.embeddings.flags.writeable
+        expect = [bits(float(v) for v in row) for row in rows]
+        assert [bits(row) for row in shots.embeddings.tolist()] == expect
+        again = shots.to_record()
+        assert [bits(row) for row in again["embeddings"]] == expect
+        assert again["boundaries_s"] == rec["boundaries_s"]
+        round_trip = ShotBoundarySet.from_record(again).to_record()["embeddings"]
+        assert [bits(row) for row in round_trip] == expect
+
+    def test_shot_count(self):
         shots = shots_from([1.5, 2.5], [at_angle(0), at_angle(0)])
         assert shots.shot_count == 2
-        assert shots.shot_span(1) == (1.5, 4.0)
-        assert shots.shot_duration(1) == 2.5
 
 
 class TestStitch:
