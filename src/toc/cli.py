@@ -20,6 +20,7 @@ from .cue_tree import backtrack, build_tree, layer_compilations
 from .errors import ConfigError, TocError, UsageError
 from .records import (
     RlSample,
+    check_record,
     dump_record,
     load_qa_tasks,
     parse_records,
@@ -187,12 +188,8 @@ def cmd_build_rl(args: argparse.Namespace) -> int:
 
 
 def _group(rec: dict) -> RewardGroup:
-    if "gamma" not in rec or "correct" not in rec:
-        raise UsageError("group records need keys 'gamma' and 'correct'")
-    correct = rec["correct"]
-    if not isinstance(correct, list) or not all(type(c) is bool for c in correct):
-        raise TypeError("correct must be a list of JSON booleans")
-    return score_flags(float(rec["gamma"]), correct)
+    check_record(rec, "reward group")
+    return score_flags(float(rec["gamma"]), rec["correct"])
 
 
 def cmd_reward(args: argparse.Namespace) -> int:
@@ -217,8 +214,6 @@ def cmd_reward(args: argparse.Namespace) -> int:
 
 
 def _logprob_group(rec: dict) -> tuple[PolicyLogProbs, list[float]]:
-    if "scaled_advantages" not in rec:
-        raise UsageError("logprobs records need key 'scaled_advantages'")
     return PolicyLogProbs.from_record(rec), [float(a) for a in rec["scaled_advantages"]]
 
 

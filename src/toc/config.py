@@ -8,9 +8,8 @@ directory so a corpus directory stays relocatable.
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,6 +21,7 @@ from .gateway import (
     MODEL_ROLES,
     RetryPolicy,
 )
+from .records import SHAPES, check_record
 
 API_KEY_ENV = "TOC_API_KEY"
 
@@ -40,7 +40,7 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class Config:
-    """The keys a command reads from the config file; FIELD_RULES checks them."""
+    """The keys a command reads from the config file; records.SHAPES checks them."""
 
     backends: dict[str, BackendConfig] = field(default_factory=dict)
     m_trials: int = 8
@@ -52,11 +52,11 @@ class Config:
     retry_base_delay_s: float = 0.5
 
     def validate(self) -> "Config":
-        _check_fields(self, "")
+        _check_fields(self, "config", "")
         for role, backend in self.backends.items():
             if role not in MODEL_ROLES:
                 raise ConfigError(f"unknown backend role {role!r}")
-            _check_fields(backend, f"backend {role!r}: ")
+            _check_fields(backend, "backend", f"backend {role!r}: ")
             if backend.kind not in BACKEND_KINDS:
                 raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
             if backend.kind == "http":
@@ -67,56 +67,18 @@ class Config:
         return self
 
 
-# Every field of Config and BackendConfig: its JSON type and its lower bound
-# (None for no bound).  A bool is not a number, an int counts as a float, a
-# bounded number must also be finite, and a field whose default is None may
-# also be null.
-FIELD_RULES: dict[str, tuple[type, float | None]] = {
-    "backends": (dict, None),
-    "m_trials": (int, 1),
-    "parallelism": (int, 1),
-    "strict_parsing": (bool, None),
-    "mock_table_path": (str, None),
-    "trial_temperature": (float, 0),
-    "retry_max_attempts": (int, 1),
-    "retry_base_delay_s": (float, 0),
-    "kind": (str, None),
-    "endpoint": (str, None),
-    "model": (str, None),
-    "timeout_s": (float, 0.001),
-}
-
-_TYPE_NAMES = {
-    dict: "an object",
-    int: "an integer",
-    float: "a number",
-    bool: "true or false",
-    str: "a string",
-}
-
-
-def _check_fields(obj: Config | BackendConfig, where: str) -> None:
-    for f in fields(obj):
-        kind, lower = FIELD_RULES[f.name]
-        value = getattr(obj, f.name)
-        if value is None and f.default is None:
-            continue
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{where}{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-        if lower is not None and not lower <= value < math.inf:
-            raise ConfigError(f"{where}{f.name} must be finite and >= {lower}, got {value!r}")
-
-
-_CONFIG_KEYS = {f.name for f in fields(Config)}
-_BACKEND_KEYS = {f.name for f in fields(BackendConfig)}
+def _check_fields(obj: Config | BackendConfig, shape: str, where: str) -> None:
+    try:
+        check_record(vars(obj), shape)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _backend_config(role: str, entry: object) -> BackendConfig:
     if not isinstance(entry, dict):
         raise ConfigError(f"backend {role!r} must be a JSON object")
     for key in entry:
-        if key not in _BACKEND_KEYS:
+        if key not in SHAPES["backend"]:
             raise ConfigError(f"unknown backend key {key!r} for role {role!r}")
     return BackendConfig(**entry)
 
@@ -134,12 +96,12 @@ def load_config(path: str | Path) -> Config:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for key in raw:
-        if key not in _CONFIG_KEYS:
+        if key not in SHAPES["config"]:
             raise ConfigError(f"unknown config key {key!r}")
-    backends = raw.get("backends", {})
-    if isinstance(backends, dict):  # anything else fails validate()'s type check
-        backends = {role: _backend_config(role, entry) for role, entry in backends.items()}
-    config = Config(**{**raw, "backends": backends}).validate()
+    config = Config(**raw)
+    _check_fields(config, "config", "")  # backends is an object before its entries are read
+    backends = {role: _backend_config(role, entry) for role, entry in config.backends.items()}
+    config = replace(config, backends=backends).validate()
     mock_table = config.mock_table_path
     if mock_table is not None and not Path(mock_table).is_absolute():
         return replace(config, mock_table_path=str(path.parent / mock_table))

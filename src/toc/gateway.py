@@ -24,7 +24,7 @@ from .errors import (
     GatewayTimeoutError,
     RecordError,
 )
-from .records import parse_records
+from .records import check_record, parse_records
 
 MODEL_ROLES = ("mllm", "llm")
 
@@ -104,11 +104,8 @@ class Backend(Protocol):
 
 
 def _table_entry(rec: dict) -> tuple[str, str]:
-    digest, reply = rec["digest"], rec["reply"]
-    if not isinstance(digest, str) or not isinstance(reply, str):
-        kinds = f"{type(digest).__name__} and {type(reply).__name__}"
-        raise TypeError(f"digest and reply must be strings, got {kinds}")
-    return digest, reply
+    check_record(rec, "mock table")
+    return rec["digest"], rec["reply"]
 
 
 class MockBackend:

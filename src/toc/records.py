@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -32,6 +33,81 @@ _OPTION_LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # The tags that delimit the two blocks of a training target; neither block
 # may hold one.
 TARGET_TAGS = ("<locate>", "</locate>", "<answer>", "</answer>")
+
+
+# Per record shape read from a file, and for the config: each key's JSON
+# type ([T] is a list of T), its lower bound, and whether it is optional.  A
+# bool is not a number, an int counts as a float, a bounded number must be
+# finite, null means absent, and keys not listed are ignored.  A numeric
+# payload is a list of lists here; float_array checks its values.
+SHAPES: dict[str, dict[str, tuple[type | list[type], float | None, bool]]] = {
+    "qa": {"video_id": (str, None, False), "qa_index": (int, 0, True),
+           "video_ref": (str, None, True), "question": (str, None, False),
+           "options": ([str], None, True), "answer": (str, None, False),
+           "qa_type": (str, None, False)},
+    "clip": {"video_id": (str, None, False), "index": (int, 0, False),
+             "start_s": (float, 0, False), "end_s": (float, None, False),
+             "embedding": ([float], None, True), "caption": (str, None, True)},
+    "shots": {"video_id": (str, None, False), "boundaries_s": ([float], None, False),
+              "embeddings": ([list], None, False)},
+    "rl sample": {"id": (str, None, False), "video_id": (str, None, False),
+                  "question": (str, None, False), "options": ([str], None, False),
+                  "answer": (str, None, False), "alpha": (int, 0, False),
+                  "m_trials": (int, 1, False), "reasoning_demand": (float, None, False),
+                  "difficulty": (float, None, False)},
+    "reward group": {"gamma": (float, None, False), "correct": ([bool], None, False)},
+    "logprobs": {"current": ([list], None, False), "old": ([list], None, False),
+                 "ref": ([list], None, False), "scaled_advantages": ([float], None, False)},
+    "mock table": {"digest": (str, None, False), "reply": (str, None, False)},
+    "journal": {"sample_id": (str, None, False), "digest": (str, None, False),
+                "stage": (str, None, False), "payload": (dict, None, False)},
+    "config": {"backends": (dict, None, False), "m_trials": (int, 1, False),
+               "parallelism": (int, 1, False), "strict_parsing": (bool, None, False),
+               "mock_table_path": (str, None, True), "trial_temperature": (float, 0, False),
+               "retry_max_attempts": (int, 1, False), "retry_base_delay_s": (float, 0, False)},
+    "backend": {"kind": (str, None, False), "endpoint": (str, None, True),
+                "model": (str, None, True), "timeout_s": (float, 0.001, False)},
+}
+
+# Per table type: the types json.loads gives for it, its name, and its plural.
+_JSON_TYPES: dict[type, tuple[tuple[type, ...], str, str]] = {
+    str: ((str,), "a string", "strings"),
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    bool: ((bool,), "true or false", "booleans"),
+    dict: ((dict,), "an object", "objects"),
+    list: ((list,), "a list", "lists"),
+}
+
+
+def _rule(key: str, kind: type | list[type], lower: float | None, optional: bool) -> tuple:
+    """A SHAPES entry as check_record walks it: key, value types, item types, bound, name."""
+    if type(kind) is list:
+        items, _, plural = _JSON_TYPES[kind[0]]
+        return key, (list, type(None)) if optional else (list,), items, lower, f"a list of {plural}"
+    accepted, name, _ = _JSON_TYPES[kind]
+    return key, accepted + (type(None),) * optional, None, lower, name
+
+
+_RULES = {shape: [_rule(key, *rule) for key, rule in keys.items()] for shape, keys in SHAPES.items()}
+
+
+def check_record(rec: object, shape: str) -> None:
+    """KeyError, TypeError or ValueError for the first key breaking SHAPES[shape]."""
+    if type(rec) is not dict:
+        raise TypeError(f"expected a JSON object, got {reprlib.repr(rec)}")
+    for key, accepted, items, lower, name in _RULES[shape]:
+        value = rec.get(key)
+        if type(value) not in accepted:
+            if key not in rec:
+                raise KeyError(key)
+            raise TypeError(f"{key} must be {name}, got {reprlib.repr(value)}")
+        if items and value:
+            for pos, item in enumerate(value):
+                if type(item) not in items:
+                    raise TypeError(f"{key} must be {name}, got {reprlib.repr(item)} at index {pos}")
+        if lower is not None and value is not None and not lower <= value < math.inf:
+            raise ValueError(f"{key} must be finite and >= {lower}, got {reprlib.repr(value)}")
 
 
 def float_array(values: object, ndim: int, what: str) -> np.ndarray:
@@ -70,32 +146,20 @@ class Clip:
     caption: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.video_id, str):
-            raise TypeError(f"video_id must be a string, got {self.video_id!r}")
-        if self.index < 0:
-            raise ValueError(f"clip index must be >= 0, got {self.index}")
-        if self.start_s < 0:
-            raise ValueError(f"clip start must be >= 0, got {self.start_s}")
         if self.end_s <= self.start_s:
             raise ValueError(
                 f"clip span must be non-empty, got [{self.start_s}, {self.end_s})"
             )
 
     def to_record(self) -> dict:
-        rec: dict = {
-            "video_id": self.video_id,
-            "index": self.index,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-        }
+        rec = {key: value for key, value in vars(self).items() if value is not None}
         if self.embedding is not None:
             rec["embedding"] = list(self.embedding)
-        if self.caption is not None:
-            rec["caption"] = self.caption
         return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "Clip":
+        check_record(rec, "clip")
         embedding = rec.get("embedding")
         return cls(
             video_id=rec["video_id"],
@@ -145,8 +209,6 @@ class QaPair:
     options: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.question, str) or not isinstance(self.answer, str):
-            raise TypeError("question and answer must be strings")
         if self.qa_type not in QA_TYPES:
             raise ValueError(f"unknown qa_type {self.qa_type!r}")
         if any(tag in self.answer for tag in TARGET_TAGS):
@@ -173,11 +235,7 @@ class QaPair:
         return "\n".join(lines)
 
     def to_record(self) -> dict:
-        rec: dict = {
-            "question": self.question,
-            "answer": self.answer,
-            "qa_type": self.qa_type,
-        }
+        rec = {key: value for key, value in vars(self).items() if value is not None}
         if self.options is not None:
             rec["options"] = list(self.options)
         return rec
@@ -245,15 +303,7 @@ class SftSample:
             raise ValueError("locate block must precede answer block")
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "video_id": self.video_id,
-            "question": self.question,
-            "answer": self.answer,
-            "rationale": self.rationale,
-            "target": self.target,
-            "prompt": self.prompt,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_record(cls, rec: dict) -> "SftSample":
@@ -327,45 +377,25 @@ class RlSample:
         )
 
     def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "video_id": self.video_id,
-            "question": self.question,
-            "options": list(self.options),
-            "answer": self.answer,
-            "alpha": self.alpha,
-            "m_trials": self.m_trials,
-            "reasoning_demand": self.reasoning_demand,
-            "difficulty": self.difficulty,
-        }
+        return dict(vars(self), options=list(self.options))
 
     @classmethod
     def from_record(cls, rec: dict) -> "RlSample":
         """Read a stored sample; its demand and difficulty must match alpha/m_trials."""
-        sample_id, video_id = rec["id"], rec["video_id"]
-        question, options, answer = rec["question"], rec["options"], rec["answer"]
-        if not isinstance(question, str) or not isinstance(answer, str):
-            raise TypeError("question and answer must be strings")
-        if not isinstance(options, list):
-            raise TypeError("options must be a list of strings")
-        for option in options:
-            if not isinstance(option, str):
-                raise TypeError("options must be a list of strings")
+        check_record(rec, "rl sample")
         sample = cls(
-            id=sample_id,
-            video_id=video_id,
-            question=question,
-            options=tuple(options),
-            answer=answer,
+            id=rec["id"],
+            video_id=rec["video_id"],
+            question=rec["question"],
+            options=tuple(rec["options"]),
+            answer=rec["answer"],
             alpha=rec["alpha"],
             m_trials=rec["m_trials"],
             reasoning_demand=float(rec["reasoning_demand"]),
             difficulty=float(rec["difficulty"]),
         )
         alpha, m_trials = sample.alpha, sample.m_trials
-        if type(alpha) is not int or type(m_trials) is not int:
-            raise TypeError(f"alpha and m_trials must be integers, got {alpha!r} and {m_trials!r}")
-        if m_trials < 1 or not 0 <= alpha <= m_trials:
+        if alpha > m_trials:
             raise ValueError(
                 f"need 0 <= alpha <= m_trials and m_trials >= 1, got {alpha} and {m_trials}"
             )
@@ -399,8 +429,8 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
     counters: dict[str, int] = {}
 
     def parse(rec: dict) -> QaTask:
-        video_id = rec["video_id"]
-        qa_index = rec.get("qa_index")
+        check_record(rec, "qa")
+        video_id, qa_index, video_ref = rec["video_id"], rec.get("qa_index"), rec.get("video_ref")
         if qa_index is None:
             qa_index = counters.get(video_id, 0)
         counters[video_id] = qa_index + 1
@@ -408,7 +438,7 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
             video_id=video_id,
             qa_index=qa_index,
             qa=QaPair.from_record(rec),
-            video_ref=rec.get("video_ref", f"{video_id}/full"),
+            video_ref=f"{video_id}/full" if video_ref is None else video_ref,
         )
 
     tasks: list[QaTask] = []

@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteError,
     RangeError,
 )
-from .records import demand_from_alpha, float_array
+from .records import check_record, demand_from_alpha, float_array
 
 # What extract_answer returns when no answer block exists; never a valid answer.
 EMPTY_ANSWER = ""
@@ -182,6 +182,8 @@ class PolicyLogProbs:
 
     @classmethod
     def from_record(cls, rec: dict) -> "PolicyLogProbs":
+        """The log-probs of a logprobs record, whose scaled_advantages are checked too."""
+        check_record(rec, "logprobs")
         return cls(current=rec["current"], old=rec["old"], ref=rec["ref"])
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
-from .records import Clip, float_array
+from .records import Clip, check_record, float_array
 
 DEFAULT_TAU = 0.85
 
@@ -33,8 +33,6 @@ class ShotBoundarySet:
     embeddings: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.video_id, str):
-            raise TypeError(f"video_id must be a string, got {self.video_id!r}")
         if len(self.boundaries_s) < 2:
             raise EmptyInputError(
                 f"need at least 2 boundaries for one shot, got {len(self.boundaries_s)}"
@@ -78,6 +76,7 @@ class ShotBoundarySet:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ShotBoundarySet":
+        check_record(rec, "shots")
         return cls(
             video_id=rec["video_id"],
             boundaries_s=tuple(float(b) for b in rec["boundaries_s"]),

@@ -40,6 +40,7 @@ from .records import (
     QaPair,
     QaTask,
     SftSample,
+    check_record,
     parse_records,
     validate_clip_sequence,
     write_records,
@@ -245,6 +246,7 @@ class Journal:
         for line_no, line in enumerate(data[:end].splitlines(), 1):
             try:
                 entry = json.loads(line)
+                check_record(entry, "journal")
                 sample_id, digest, stage = entry["sample_id"], entry["digest"], entry["stage"]
                 if stage not in STAGES and stage != "rejected":
                     raise ValueError(f"unknown stage {stage!r}")

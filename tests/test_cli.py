@@ -97,9 +97,11 @@ class TestSegment:
             {"boundaries_s": [0.0, HUGE, HUGE + 1]},
             {"boundaries_s": [0.0, 1.0], "embeddings": [[True, False]]},
             {"embeddings": [["0.5", 0.0], [0.0, 1.0]]},
+            {"boundaries_s": [0.0, "1.5", 2]},
+            {"boundaries_s": [0.0, True, 2]},
         ],
         ids=["null", "nested", "mixed_depth", "ragged", "huge_embedding", "beyond_64_bits",
-             "huge_boundary", "all_boolean", "string"],
+             "huge_boundary", "all_boolean", "string", "string_boundary", "boolean_boundary"],
     )
     def test_malformed_shot_is_run_error(self, tmp_path, capsys, edit):
         valid = {"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0],
@@ -361,7 +363,7 @@ class TestEstimateDemand:
             (lambda rows: [rows[0], {"reply": "x"}] + rows[2:],
              "mock_table.records:2: invalid record: missing key 'digest'"),
             (lambda rows: [rows[0], {**rows[1], "reply": ["x"]}] + rows[2:],
-             "mock_table.records:2: invalid record: digest and reply must be strings"),
+             "mock_table.records:2: invalid record: reply must be a string, got ['x']"),
             (lambda rows: rows + [{**rows[1], "reply": rows[1]["reply"] + "!"}],
              "conflicting reply for digest"),
         ],
@@ -459,16 +461,21 @@ class TestBuildRl:
             ({"reasoning_demand": math.nan}, "reasoning_demand nan and difficulty 0.5 disagree"),
             ({"difficulty": 0.25}, "difficulty 0.25 disagree with alpha 1 of m_trials 2"),
             ({"alpha": 9, "m_trials": 8}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
-            ({"alpha": 0, "m_trials": 0}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
-            ({"alpha": 1.0}, "alpha and m_trials must be integers, got 1.0 and 2"),
-            ({"m_trials": True}, "alpha and m_trials must be integers, got 1 and True"),
-            ({"question": 5}, "question and answer must be strings"),
-            ({"answer": ["A"]}, "question and answer must be strings"),
-            ({"options": "abc"}, "options must be a list of strings"),
-            ({"options": ["a", 2]}, "options must be a list of strings"),
+            ({"alpha": 0, "m_trials": 0}, "m_trials must be finite and >= 1, got 0"),
+            ({"alpha": 1.0}, "alpha must be an integer, got 1.0"),
+            ({"m_trials": True}, "m_trials must be an integer, got True"),
+            ({"question": 5}, "question must be a string, got 5"),
+            ({"answer": ["A"]}, "answer must be a string, got ['A']"),
+            ({"options": "abc"}, "options must be a list of strings, got 'abc'"),
+            ({"options": ["a", 2]}, "options must be a list of strings, got 2 at index 1"),
+            ({"alpha": -1}, "alpha must be finite and >= 0, got -1"),
+            ({"id": 5}, "id must be a string, got 5"),
+            ({"video_id": ["v"]}, "video_id must be a string, got ['v']"),
+            ({"difficulty": "0.5"}, "difficulty must be a number, got '0.5'"),
         ],
         ids=["nan_demand", "wrong_difficulty", "alpha_above_m", "zero_trials", "float_alpha",
-             "bool_trials", "number_question", "list_answer", "string_options", "number_option"],
+             "bool_trials", "number_question", "list_answer", "string_options", "number_option",
+             "negative_alpha", "number_id", "list_video_id", "string_difficulty"],
     )
     def test_inconsistent_demand_is_run_error(self, tmp_path, capsys, edit, message):
         valid = {"id": "v#0", "video_id": "v", "question": "q", "options": ["a", "b"],
@@ -567,11 +574,12 @@ class TestReward:
             "scaled_advantages": [0.0, 0.0],
         }
 
-    def test_missing_keys_is_usage_error(self, tmp_path, capsys):
+    def test_missing_keys_is_run_error(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"
-        write_records(group_file, [{"correct": [True]}])
+        write_records(group_file, [{"gamma": 0.5, "correct": [True, False]}, {"correct": [True]}])
         code, _, err = run_cli(["reward", "--group", str(group_file)], capsys)
-        assert code == 2 and "usage error" in err
+        assert code == 1 and "Traceback" not in err
+        assert "groups.records:2: invalid record: missing key 'gamma'" in err
 
     def test_run_error_lands_in_report(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"
@@ -589,17 +597,19 @@ class TestReward:
         write_records(group_file, [{"gamma": "half", "correct": [True, False]}])
         code, _, err = run_cli(["reward", "--group", str(group_file)], capsys)
         assert code == 1 and "Traceback" not in err
-        assert "groups.records:1: invalid record: could not convert" in err
+        assert "groups.records:1: invalid record: gamma must be a number, got 'half'" in err
 
 
     @pytest.mark.parametrize(
         "edit,message",
         [
-            ({"correct": "no"}, "correct must be a list of JSON booleans"),
-            ({"correct": [1, "false", 0]}, "correct must be a list of JSON booleans"),
+            ({"correct": "no"}, "correct must be a list of booleans, got 'no'"),
+            ({"correct": [1, "false", 0]}, "correct must be a list of booleans, got 1 at index 0"),
             ({"gamma": HUGE}, "too large"),
+            ({"gamma": True}, "gamma must be a number, got True"),
+            ({"gamma": "0.5"}, "gamma must be a number, got '0.5'"),
         ],
-        ids=["string_flags", "non_boolean_flags", "huge_gamma"],
+        ids=["string_flags", "non_boolean_flags", "huge_gamma", "boolean_gamma", "string_gamma"],
     )
     def test_malformed_group_is_run_error(self, tmp_path, capsys, edit, message):
         group_file = tmp_path / "groups.records"
@@ -638,14 +648,36 @@ class TestGrpoEval:
         out = json.loads(stdout)
         assert out == {"objective": sig12((0.9 - 0.3) / 2), "groups": 1}
 
-    def test_missing_advantages_is_usage_error(self, tmp_path, capsys):
+    def test_missing_advantages_is_run_error(self, tmp_path, capsys):
         logprob_file = tmp_path / "lp.records"
         write_records(logprob_file, [{"current": [[0.0]], "old": [[0.0]], "ref": [[0.0]]}])
         code, _, err = run_cli(
             ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0"],
             capsys,
         )
-        assert code == 2 and "usage error" in err
+        assert code == 1 and "Traceback" not in err
+        assert "lp.records:1: invalid record: missing key 'scaled_advantages'" in err
+
+    @pytest.mark.parametrize(
+        "advantages,message",
+        [
+            (["0.5"], "scaled_advantages must be a list of numbers, got '0.5' at index 0"),
+            ([True], "scaled_advantages must be a list of numbers, got True at index 0"),
+        ],
+        ids=["string", "boolean"],
+    )
+    def test_non_number_advantage_is_run_error(self, tmp_path, capsys, advantages, message):
+        logprob_file = tmp_path / "lp.records"
+        write_records(
+            logprob_file,
+            [{"current": [[0.0]], "old": [[0.0]], "ref": [[0.0]], "scaled_advantages": advantages}],
+        )
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0"],
+            capsys,
+        )
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert f"lp.records:1: invalid record: {message}" in err
 
 
     def test_kl_overflow_is_run_error(self, tmp_path, capsys):

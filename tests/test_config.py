@@ -10,7 +10,6 @@ import pytest
 
 from toc.cli import main
 from toc.config import (
-    FIELD_RULES,
     BackendConfig,
     Config,
     apply_overrides,
@@ -18,6 +17,7 @@ from toc.config import (
     load_config,
 )
 from toc.errors import ConfigError
+from toc.records import SHAPES
 
 RETIRED_KEYS = ("tau", "band_lo", "band_hi", "target_rl_size", "seed")
 
@@ -45,8 +45,8 @@ def test_config_has_exactly_the_eight_read_keys():
         "backends", "m_trials", "parallelism", "strict_parsing", "mock_table_path",
         "trial_temperature", "retry_max_attempts", "retry_base_delay_s",
     ]
-    every_field = [f.name for f in fields(Config)] + [f.name for f in fields(BackendConfig)]
-    assert sorted(FIELD_RULES) == sorted(every_field)
+    assert list(SHAPES["config"]) == [f.name for f in fields(Config)]
+    assert list(SHAPES["backend"]) == [f.name for f in fields(BackendConfig)]
 
 
 def test_empty_config_takes_the_defaults(tmp_path):

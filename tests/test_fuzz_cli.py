@@ -7,6 +7,8 @@ a whole line stops being an object.  The config file is broken the same
 way, and the numeric command-line values are drawn from odd numbers and
 strings that are not numbers at all.  Input files also get raw bytes that
 are not UTF-8, and the mock table gets broken lines and conflicting replies.
+Last, each key of each input shape in turn takes a JSON type it does not
+accept, which must be a run error naming the line.
 """
 
 from __future__ import annotations
@@ -70,10 +72,12 @@ def write_lines(path: Path, rows: list[object]) -> str:
     return str(path)
 
 
-def run_main(args: list[str]) -> int:
+def run_main(args: list[str]) -> tuple[int, str]:
+    """The exit code and the standard error of one command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        return main(args)
+        code = main(args)
+    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +181,7 @@ def test_broken_input_exits_with_a_code(inputs, name, data):
             for key in keys
         }
         config = config_for(tmp, inputs, files)
-        code = run_main(command(files, config, str(Path(tmp) / "out.records")))
+        code, _ = run_main(command(files, config, str(Path(tmp) / "out.records")))
     assert code in (0, 1, 2)
 
 
@@ -201,7 +205,7 @@ def test_non_utf8_input_exits_with_a_code(inputs, name, data):
         raw = raw[:at] + bad + raw[at:]
         path.write_bytes(raw)
         config = config_for(tmp, inputs, files)
-        code = run_main(command(files, config, str(Path(tmp) / "out.records")))
+        code, _ = run_main(command(files, config, str(Path(tmp) / "out.records")))
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -241,7 +245,7 @@ def test_broken_config_exits_with_a_code(inputs, data):
             key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in ("qa", "clips")
         }
         command = SUBCOMMANDS["build-sft"][1]
-        code = run_main(command(files, str(config), str(Path(tmp) / "out.records")))
+        code, _ = run_main(command(files, str(config), str(Path(tmp) / "out.records")))
     assert code in (0, 1, 2)
 
 
@@ -301,5 +305,88 @@ def test_fuzzed_flag_values_exit_with_a_code(inputs, name, data):
     with tempfile.TemporaryDirectory() as tmp:
         files = {key: write_lines(Path(tmp) / f"{key}.records", inputs[key]) for key in keys}
         config = config_for(tmp, inputs, files)
-        code = run_main(command(files, config, str(Path(tmp) / "out.records"), data))
+        code, _ = run_main(command(files, config, str(Path(tmp) / "out.records"), data))
     assert code in (0, 1, 2)
+
+
+# The JSON types each key of each input file takes, written out apart from
+# records.SHAPES so that the table itself is under test: a number key takes an
+# integer too, [T] is a list of T, and "?" marks an optional key, for which
+# null means absent.
+KEY_TYPES = {
+    "shots": {"video_id": "string", "boundaries_s": "[number]", "embeddings": "[list]"},
+    "clips": {"video_id": "string", "index": "integer", "start_s": "number", "end_s": "number",
+              "embedding": "[number]?", "caption": "string?"},
+    "qa": {"video_id": "string", "qa_index": "integer?", "video_ref": "string?",
+           "question": "string", "options": "[string]?", "answer": "string", "qa_type": "string"},
+    "mock_table": {"digest": "string", "reply": "string"},
+    "demand": {"id": "string", "video_id": "string", "question": "string",
+               "options": "[string]", "answer": "string", "alpha": "integer",
+               "m_trials": "integer", "reasoning_demand": "number", "difficulty": "number"},
+    "groups": {"gamma": "number", "correct": "[boolean]"},
+    "logprobs": {"current": "[list]", "old": "[list]", "ref": "[list]",
+                 "scaled_advantages": "[number]"},
+}
+
+# A value of each JSON type; the strings include numeric-looking ones.
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-2, 2),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.sampled_from(["0", "1.5", "true"]) | st.text(max_size=3),
+    "list": st.lists(st.integers(0, 1), max_size=2),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+}
+
+
+def refused(accepted: str) -> list[str]:
+    """The JSON types a value of type `accepted` may not have; null is left to the caller."""
+    takes = {"number": {"number", "integer"}}.get(accepted, {accepted})
+    return [name for name in JSON_VALUES if name != "null" and name not in takes]
+
+
+@st.composite
+def wrong_value(draw, kind: str, valid: object) -> object:
+    """A value for a key of type `kind` whose JSON type it does not take."""
+    optional, kind = kind.endswith("?"), kind.rstrip("?")
+    choices = [] if optional else ["null"]
+    if kind.startswith("["):
+        choices += refused("list")
+        choices += [f"item {name}" for name in refused(kind[1:-1]) + ["null"]]
+    else:
+        choices += refused(kind)
+    choice = draw(st.sampled_from(choices))
+    if not choice.startswith("item "):
+        return draw(JSON_VALUES[choice])
+    # One item of the list, or of a one-item list, takes the refused type.
+    items = list(valid) if isinstance(valid, list) and valid else [None]
+    items[draw(st.integers(0, len(items) - 1))] = draw(JSON_VALUES[choice[5:]])
+    return items
+
+
+# Each subcommand's input files, one key of one shape at a time.
+SHAPE_KEYS = [
+    (name, target, key)
+    for name, (keys, _) in sorted(SUBCOMMANDS.items())
+    for target in keys
+    for key in KEY_TYPES[target]
+]
+
+
+@pytest.mark.parametrize("name,target,key", SHAPE_KEYS, ids=lambda part: str(part))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_wrongly_typed_key_is_run_error(inputs, name, target, key, data):
+    keys, command = SUBCOMMANDS[name]
+    rows = [dict(row) for row in inputs[target]]
+    pos = data.draw(st.integers(0, len(rows) - 1))
+    rows[pos][key] = data.draw(wrong_value(KEY_TYPES[target][key], rows[pos].get(key)))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {
+            file: write_lines(Path(tmp) / f"{file}.records", rows if file == target else inputs[file])
+            for file in keys
+        }
+        config = config_for(tmp, inputs, files)
+        code, err = run_main(command(files, config, str(Path(tmp) / "out.records")))
+    assert code == 1 and f"{target}.records:{pos + 1}: " in err, err

@@ -1,8 +1,10 @@
 """The README's examples load: its config through load_config, and each File
-formats example line through the reader of the command that takes it."""
+formats example line through the reader of the command that takes it.  Each
+File formats bullet lists its shape's keys as records.SHAPES has them."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -10,9 +12,18 @@ import pytest
 
 from toc.cli import _group, _logprob_group
 from toc.config import BackendConfig, load_config
-from toc.records import RlSample, SftSample, load_qa_tasks, parse_records, render_target
+from toc.gateway import MockBackend
+from toc.records import (
+    SHAPES,
+    RlSample,
+    SftSample,
+    load_qa_tasks,
+    parse_records,
+    read_records,
+    render_target,
+)
 from toc.segmentation import ShotBoundarySet
-from toc.sft_pipeline import load_clips
+from toc.sft_pipeline import Journal, load_clips
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,11 +35,29 @@ def section(title: str) -> str:
     return text[start:end if end != -1 else None]
 
 
-def format_examples() -> dict[str, str]:
-    """Shape name -> the example lines of its bullet's json block."""
-    found = re.findall(r"^- \*\*(.+?)\*\*.*?```json\n(.*?)\n\s*```", section("File formats"),
+def format_bullets() -> dict[str, tuple[str, str]]:
+    """Shape name -> its bullet's text and the example lines of its json block."""
+    found = re.findall(r"^- \*\*(.+?)\*\*(.*?)```json\n(.*?)\n\s*```", section("File formats"),
                        re.M | re.S)
-    return {name: "\n".join(line.strip() for line in block.splitlines()) for name, block in found}
+    return {
+        name: (" ".join(text.split()), "\n".join(line.strip() for line in block.splitlines()))
+        for name, text, block in found
+    }
+
+
+def format_examples() -> dict[str, str]:
+    return {name: example for name, (_, example) in format_bullets().items()}
+
+
+TYPE_NAMES = {str: "string", int: "integer", float: "number", bool: "boolean", dict: "object",
+              list: "list"}
+
+
+def described(kind, lower, optional) -> str:
+    """A key's rule as the README writes it, such as "integer ≥ 0, optional"."""
+    text = f"list of {TYPE_NAMES[kind[0]]}s" if isinstance(kind, list) else TYPE_NAMES[kind]
+    text += f" ≥ {lower}" if lower is not None else ""
+    return text + (", optional" if optional else "")
 
 
 def parsed(parse):
@@ -41,6 +70,14 @@ def sft_samples(path):
         sample.validate()
         assert sample.target == render_target(sample.rationale, sample.answer)
     return samples
+
+
+def journal_states(path):
+    entries = list(read_records(path))
+    journal = Journal(path)
+    states = [journal.resume(entry["sample_id"], entry["digest"]) for entry in entries]
+    assert [state.stage for state in states] == [entry["stage"] for entry in entries]
+    return states
 
 
 def rl_samples(path):
@@ -57,11 +94,21 @@ READERS = {
     "rl sample": rl_samples,
     "reward group": parsed(_group),
     "logprobs": parsed(_logprob_group),
+    "mock table": lambda path: list(MockBackend.from_file(path).table),
+    "journal": journal_states,
 }
 
 
 def test_every_shape_has_an_example():
     assert sorted(format_examples()) == sorted(READERS)
+
+
+@pytest.mark.parametrize("shape", sorted(set(SHAPES) - {"config", "backend"}))
+def test_bullet_lists_the_table_keys(shape):
+    text, example = format_bullets()[shape]
+    listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)", text))
+    assert listed == {key: described(*rule) for key, rule in SHAPES[shape].items()}
+    assert set(json.loads(example)) <= set(SHAPES[shape])
 
 
 @pytest.mark.parametrize("shape", sorted(READERS))

@@ -236,7 +236,8 @@ class TestPolicyLogProbs:
             PolicyLogProbs(current=((math.nan,),), old=((0.0,),), ref=((0.0,),))
 
     def test_from_record(self):
-        rec = {"current": [[-0.5, -1.0]], "old": [[-0.5, -1.0]], "ref": [[-0.4, -0.9]]}
+        rec = {"current": [[-0.5, -1.0]], "old": [[-0.5, -1.0]], "ref": [[-0.4, -0.9]],
+               "scaled_advantages": [0.5]}
         lp = PolicyLogProbs.from_record(rec)
         assert lp.num_responses == 1
         assert [row.tolist() for row in lp.current] == [[-0.5, -1.0]]
@@ -250,7 +251,7 @@ class TestPolicyLogProbs:
             name: [data.draw(st.lists(number, min_size=n, max_size=n)) for n in lengths]
             for name in ("current", "old", "ref")
         }
-        lp = PolicyLogProbs.from_record(rec)
+        lp = PolicyLogProbs.from_record({**rec, "scaled_advantages": [0.0] * len(lengths)})
         bits = lambda values: [struct.pack("<d", v) for v in values]
         for name in ("current", "old", "ref"):
             rows = getattr(lp, name)

@@ -279,8 +279,11 @@ class TestJournal:
             '{"sample_id": "v#0", "digest": "d1", "stage": "captioned"}',
             '{"sample_id": "v#0", "digest": "d1", "stage": "bogus", "payload": {}}',
             '{"sample_id": "v#0", "digest": "d1", "stage": "captioned", "payload": 3}',
+            '{"sample_id": "v#0", "digest": "d1", "stage": "captioned", "payload": []}',
+            '{"sample_id": 5, "digest": "d1", "stage": "captioned", "payload": {}}',
         ],
-        ids=["not_json", "no_payload", "unknown_stage", "payload_not_object"],
+        ids=["not_json", "no_payload", "unknown_stage", "payload_not_object", "payload_list",
+             "number_sample_id"],
     )
     def test_invalid_complete_line_is_record_error(self, tmp_path, line):
         path = tmp_path / "run.journal"
