@@ -22,6 +22,7 @@ from toc.records import (
     QaTask,
     RlSample,
     SftSample,
+    check_record,
     demand_from_alpha,
     difficulty_from_alpha,
     dump_record,
@@ -120,6 +121,13 @@ class TestQaPair:
     def test_record_round_trip(self):
         qa = QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x", "y"))
         assert QaPair.from_record(qa.to_record()) == qa
+
+    def test_question_and_answer_must_be_strings(self):
+        rec = {"video_id": "v", "question": "q", "answer": "x", "qa_type": "open_ended"}
+        with pytest.raises(TypeError, match=r"question must be a string, got \['q'\]"):
+            check_record({**rec, "question": ["q"]}, "qa")
+        with pytest.raises(TypeError, match="answer must be a string, got 7"):
+            check_record({**rec, "answer": 7, "qa_type": "numerical"}, "qa")
 
     def test_options_need_labels(self):
         with pytest.raises(ValueError, match="at most 26 options"):
@@ -360,8 +368,9 @@ class TestQaTasks:
             ({"question": "q", "answer": "A", "qa_type": "open_ended"}, "missing key 'video_id'"),
             ({"video_id": "v", "question": "q", "answer": "A", "qa_type": "multiple_choice"},
              "multiple_choice requires"),
-            ({"video_id": ["v"], "question": "q", "answer": "A", "qa_type": "open_ended"},
-             r"video_id must be a string, got \['v'\]"),
+            # a list video_id is unhashable, so it could not key a sample
+            pytest.param({"video_id": ["v"], "question": "q", "answer": "A", "qa_type": "open_ended"},
+                         r"video_id must be a string, got \['v'\]", id="row2-unhashable"),
             ({"video_id": "v", "question": ["q"], "answer": "x", "qa_type": "open_ended"},
              r"question must be a string, got \['q'\]"),
             ({"video_id": "v", "question": "q", "answer": 7, "qa_type": "numerical"},
