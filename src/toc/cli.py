@@ -24,6 +24,7 @@ from .records import (
     dump_record,
     load_qa_tasks,
     parse_records,
+    parse_unique,
     write_records,
 )
 from .rewards import PolicyLogProbs, RewardGroup, grpo_objective, score_flags
@@ -74,7 +75,10 @@ def cmd_segment(args: argparse.Namespace) -> int:
     entries: list[dict] = []
     clips_out: list[dict] = []
     videos = shots_in = 0
-    for _, shot_set in parse_records(args.shots, ShotBoundarySet.from_record):
+    # One line per video: stitching two lines of one video would repeat its clip indices.
+    for shot_set in parse_unique(
+        args.shots, ShotBoundarySet.from_record, "video_id", lambda shots: shots.video_id
+    ):
         videos += 1
         shots_in += shot_set.shot_count
         clips_out.extend(c.to_record() for c in stitch(shot_set, args.tau))

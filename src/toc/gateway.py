@@ -138,9 +138,6 @@ class MockBackend:
         return self.table[digest]
 
 
-_RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
-
-
 class HttpBackend:
     """POST to an OpenAI-compatible chat-completions endpoint.
 
@@ -199,8 +196,6 @@ class HttpBackend:
         status = response.status_code
         if status in (401, 403):
             raise AuthError(f"backend rejected credential (status {status})")
-        if status in _RETRYABLE_STATUSES:
-            raise BackendUnavailableError(f"backend transient failure (status {status})")
         if status != 200:
             raise BackendUnavailableError(f"backend error (status {status})")
         try:
@@ -211,23 +206,22 @@ class HttpBackend:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff; delays are nondecreasing and attempts are capped."""
+    """Exponential backoff: each delay doubles the last, and attempts are capped."""
 
     max_attempts: int = 3
     base_delay_s: float = 0.5
-    multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay_s < 0 or self.multiplier < 1:
-            raise ValueError("delays must be nonnegative and nondecreasing")
+        if self.base_delay_s < 0:
+            raise ValueError(f"base_delay_s must be >= 0, got {self.base_delay_s}")
 
     def delay_s(self, attempt: int) -> float:
-        return self.base_delay_s * self.multiplier**attempt
+        return self.base_delay_s * 2**attempt
 
 
-# Timeouts and transient backend failures retry; auth problems never do.
+# Every backend failure retries but a missing or rejected credential.
 _RETRYABLE_ERRORS = (BackendUnavailableError, GatewayTimeoutError)
 
 

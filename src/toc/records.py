@@ -10,6 +10,7 @@ import json
 import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -37,9 +38,10 @@ TARGET_TAGS = ("<locate>", "</locate>", "<answer>", "</answer>")
 
 # Per record shape read from a file, and for the config: each key's JSON
 # type ([T] is a list of T), its lower bound, and whether it is optional.  A
-# bool is not a number, an int counts as a float, a bounded number must be
-# finite, null means absent, and keys not listed are ignored.  A numeric
-# payload is a list of lists here; float_array checks its values.
+# bool is not a number, an int counts as a float, every number and every
+# number in a list must be finite, null means absent, and keys not listed are
+# ignored.  A numeric payload is a list of lists here; float_array checks its
+# values.
 SHAPES: dict[str, dict[str, tuple[type | list[type], float | None, bool]]] = {
     "qa": {"video_id": (str, None, False), "qa_index": (int, 0, True),
            "video_ref": (str, None, True), "question": (str, None, False),
@@ -79,14 +81,29 @@ _JSON_TYPES: dict[type, tuple[tuple[type, ...], str, str]] = {
     list: ((list,), "a list", "lists"),
 }
 
+# The lowest finite float: the bound of a number that has none of its own.
+_LOWEST = -sys.float_info.max
+
 
 def _rule(key: str, kind: type | list[type], lower: float | None, optional: bool) -> tuple:
-    """A SHAPES entry as check_record walks it: key, value types, item types, bound, name."""
+    """A SHAPES entry as check_record walks it: key, value types, item types, bound, name.
+
+    The bound applies to the value, or to each item of a list; a number
+    without a lower bound gets the lowest finite float, so that it too must
+    be finite.
+    """
+    number = kind is float or kind == [float]
+    bound = _LOWEST if number and lower is None else lower
     if type(kind) is list:
         items, _, plural = _JSON_TYPES[kind[0]]
-        return key, (list, type(None)) if optional else (list,), items, lower, f"a list of {plural}"
+        return key, (list, type(None)) if optional else (list,), items, bound, f"a list of {plural}"
     accepted, name, _ = _JSON_TYPES[kind]
-    return key, accepted + (type(None),) * optional, None, lower, name
+    return key, accepted + (type(None),) * optional, None, bound, name
+
+
+def _bound_error(key: str, lower: float, value: object, where: str = "") -> ValueError:
+    bound = "finite" if lower == _LOWEST else f"finite and >= {lower}"
+    return ValueError(f"{key} must be {bound}, got {reprlib.repr(value)}{where}")
 
 
 _RULES = {shape: [_rule(key, *rule) for key, rule in keys.items()] for shape, keys in SHAPES.items()}
@@ -102,12 +119,14 @@ def check_record(rec: object, shape: str) -> None:
             if key not in rec:
                 raise KeyError(key)
             raise TypeError(f"{key} must be {name}, got {reprlib.repr(value)}")
-        if items and value:
-            for pos, item in enumerate(value):
+        if items:
+            for pos, item in enumerate(value or ()):
                 if type(item) not in items:
                     raise TypeError(f"{key} must be {name}, got {reprlib.repr(item)} at index {pos}")
-        if lower is not None and value is not None and not lower <= value < math.inf:
-            raise ValueError(f"{key} must be finite and >= {lower}, got {reprlib.repr(value)}")
+                if lower is not None and not lower <= item < math.inf:
+                    raise _bound_error(key, lower, item, f" at index {pos}")
+        elif lower is not None and value is not None and not lower <= value < math.inf:
+            raise _bound_error(key, lower, value)
 
 
 def float_array(values: object, ndim: int, what: str) -> np.ndarray:
@@ -441,16 +460,7 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
             video_ref=f"{video_id}/full" if video_ref is None else video_ref,
         )
 
-    tasks: list[QaTask] = []
-    first_lines: dict[str, int] = {}
-    for line_no, task in parse_records(path, parse):
-        first = first_lines.setdefault(task.sample_id, line_no)
-        if first != line_no:
-            raise RecordError(
-                f"{path}:{line_no}: sample_id {task.sample_id!r} duplicates line {first}"
-            )
-        tasks.append(task)
-    return tasks
+    return list(parse_unique(path, parse, "sample_id", lambda task: task.sample_id))
 
 
 # --- newline-delimited record IO ---
@@ -548,3 +558,15 @@ def parse_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tupl
         except (TypeError, ValueError, OverflowError) as exc:
             raise RecordError(f"{path}:{line_no}: invalid record: {exc}") from None
         yield line_no, parsed
+
+
+def parse_unique(
+    path: str | Path, parse: Callable[[dict], T], what: str, key: Callable[[T], str]
+) -> Iterator[T]:
+    """parse(record) for every record; a line repeating an earlier line's key is a RecordError."""
+    first_lines: dict[str, int] = {}
+    for line_no, parsed in parse_records(path, parse):
+        first = first_lines.setdefault(key(parsed), line_no)
+        if first != line_no:
+            raise RecordError(f"{path}:{line_no}: {what} {key(parsed)!r} duplicates line {first}")
+        yield parsed

@@ -54,25 +54,9 @@ class ShotBoundarySet:
                 )
         object.__setattr__(self, "embeddings", float_array(rows, 2, "embeddings"))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShotBoundarySet):
-            return NotImplemented
-        return (
-            self.video_id == other.video_id
-            and self.boundaries_s == other.boundaries_s
-            and np.array_equal(self.embeddings, other.embeddings)
-        )
-
     @property
     def shot_count(self) -> int:
         return len(self.embeddings)
-
-    def to_record(self) -> dict:
-        return {
-            "video_id": self.video_id,
-            "boundaries_s": list(self.boundaries_s),
-            "embeddings": self.embeddings.tolist(),
-        }
 
     @classmethod
     def from_record(cls, rec: dict) -> "ShotBoundarySet":

@@ -65,9 +65,6 @@ RATIONALE_MAX_TOKENS = 512
 # clip identity, so one fixed instruction suffices.
 DESCRIBE_PROMPT = "Describe this video clip in detail."
 
-# STAGES, the checkpoint order, is the key order of STAGE_TABLE below.
-TERMINAL_STAGES = ("emitted", "rejected")
-
 
 # --- request builders, shared with the mock-corpus generator ---
 
@@ -153,38 +150,15 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
 class PipelineState:
     """Where one sample stands; payload accumulates stage outputs.
 
-    digest fingerprints the inputs the state was computed from; a state is
-    only resumed for a sample whose inputs still hash to it.
+    stage is None before the first checkpoint, then a STAGES entry or
+    "rejected".  digest fingerprints the inputs the state was computed from;
+    a state is only resumed for a sample whose inputs still hash to it.
     """
 
     sample_id: str
     stage: str | None
     payload: dict
     digest: str = ""
-
-    @property
-    def terminal(self) -> bool:
-        return self.stage in TERMINAL_STAGES
-
-    def reached(self, stage: str) -> bool:
-        if self.stage is None or self.stage == "rejected":
-            return False
-        if self.stage == "emitted":
-            return True
-        return STAGES.index(self.stage) >= STAGES.index(stage)
-
-    def advanced(self, stage: str, payload: dict) -> "PipelineState":
-        if self.terminal:
-            raise ValueError(f"cannot advance terminal state {self.stage}")
-        if self.stage is not None and STAGES.index(stage) <= STAGES.index(self.stage):
-            raise ValueError(f"stage {stage} does not advance past {self.stage}")
-        return replace(self, stage=stage, payload=payload)
-
-    def rejected_with(self, reason: str, detail: str) -> "PipelineState":
-        if self.terminal:
-            raise ValueError(f"cannot reject terminal state {self.stage}")
-        payload = {**self.payload, "reason": reason, "detail": detail}
-        return replace(self, stage="rejected", payload=payload)
 
 
 # Prompt text and request limits shared by every sample, hashed once;
@@ -219,11 +193,13 @@ class Journal:
     """Append-only JSONL log of stage transitions; the resume state of a run.
 
     Each line holds a sample id, its input digest, the stage reached and
-    that stage's payload additions.  The file is read once, on construction: a
-    torn last line (no trailing newline, left by a crash) is truncated away
-    before anything is appended, and a sample's lines are merged back into
-    its state.  Appends are serialized, and each one is flushed by closing
-    the file, so the file stays usable after a crash at any point.
+    that stage's payload additions; a rejection is a "rejected" line whose
+    payload holds the reason and detail.  The file is read once, on
+    construction: a torn last line (no trailing newline, left by a crash) is
+    truncated away before anything is appended, and a sample's lines are
+    merged back into its state.  Appends are serialized, and each one is
+    flushed by closing the file, so the file stays usable after a crash at
+    any point.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -242,7 +218,6 @@ class Journal:
         if end < len(data):
             with open(self.path, "r+b") as fh:
                 fh.truncate(end)
-        replayed: dict[str, tuple[str, str, dict]] = {}
         for line_no, line in enumerate(data[:end].splitlines(), 1):
             try:
                 entry = json.loads(line)
@@ -250,16 +225,12 @@ class Journal:
                 sample_id, digest, stage = entry["sample_id"], entry["digest"], entry["stage"]
                 if stage not in STAGES and stage != "rejected":
                     raise ValueError(f"unknown stage {stage!r}")
-                known = replayed.get(sample_id)
-                payload = known[2] if known is not None and known[0] == digest else {}
-                payload.update(entry["payload"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise RecordError(f"{self.path}:{line_no}: invalid journal line: {exc}") from None
-            replayed[sample_id] = (digest, stage, payload)
-        self._states = {
-            sample_id: PipelineState(sample_id, stage, payload, digest)
-            for sample_id, (digest, stage, payload) in replayed.items()
-        }
+            known = self._states.get(sample_id)
+            payload = known.payload if known is not None and known.digest == digest else {}
+            payload.update(entry["payload"])
+            self._states[sample_id] = PipelineState(sample_id, stage, payload, digest)
 
     def resume(self, sample_id: str, digest: str) -> PipelineState:
         """The sample's journalled state; a fresh one if absent or from other inputs."""
@@ -273,17 +244,9 @@ class Journal:
 
     def advance(self, state: PipelineState, stage: str, updates: dict) -> PipelineState:
         """Move a sample to `stage` with the step's payload additions."""
-        return self._append(state.advanced(stage, {**state.payload, **updates}), updates)
-
-    def reject(self, state: PipelineState, reason: str, detail: str) -> PipelineState:
-        """Park a sample with its rejection reason."""
-        return self._append(
-            state.rejected_with(reason, detail), {"reason": reason, "detail": detail}
-        )
-
-    def _append(self, state: PipelineState, additions: dict) -> PipelineState:
-        entry = {"sample_id": state.sample_id, "digest": state.digest, "stage": state.stage}
-        line = json.dumps({**entry, "payload": additions})
+        entry = {"sample_id": state.sample_id, "digest": state.digest, "stage": stage}
+        line = json.dumps({**entry, "payload": updates})
+        state = replace(state, stage=stage, payload={**state.payload, **updates})
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
@@ -473,21 +436,22 @@ def process_sample(
     *,
     lenient: bool = False,
 ) -> PipelineState:
-    """Advance one sample to a terminal state, resuming its journalled progress."""
+    """Walk one sample from its journalled stage to "emitted" or "rejected"."""
     state = journal.resume(task.sample_id, sample_digest(task, clips, lenient))
-    if state.terminal:
+    if state.stage in ("emitted", "rejected"):
         return state
     if not clips:
-        return journal.reject(state, "missing_clips", f"no clips for video {task.video_id}")
+        detail = f"no clips for video {task.video_id}"
+        return journal.advance(state, "rejected", {"reason": "missing_clips", "detail": detail})
     sample = _Sample(gateway, task, clips, lenient)
-    for stage, (step, reasons) in STAGE_TABLE.items():
-        if state.reached(stage):
-            continue
+    todo = STAGES if state.stage is None else STAGES[STAGES.index(state.stage) + 1:]
+    for stage in todo:
+        step, reasons = STAGE_TABLE[stage]
         try:
             updates = step(sample, state.payload)
         except tuple(reasons) as exc:
             reason = next(r for kind, r in reasons.items() if isinstance(exc, kind))
-            return journal.reject(state, reason, str(exc))
+            return journal.advance(state, "rejected", {"reason": reason, "detail": str(exc)})
         state = journal.advance(state, stage, updates)
     return state
 
@@ -535,8 +499,8 @@ def run_sft_pipeline(
     rejections = [
         {
             "id": state.sample_id,
-            "reason": state.payload.get("reason", "unknown"),
-            "detail": state.payload.get("detail", ""),
+            "reason": state.payload["reason"],
+            "detail": state.payload["detail"],
         }
         for state in states
         if state.stage != "emitted"

@@ -85,6 +85,16 @@ class TestSegment:
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert not out.exists()
 
+    def test_repeated_video_is_run_error(self, tmp_path, capsys):
+        shots = tmp_path / "shots.records"
+        shot = {"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0], "embeddings": [[1.0], [-1.0]]}
+        write_records(shots, [shot, {**shot, "video_id": "t"}, shot])
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
+        assert code == 1 and "Traceback" not in err
+        assert "shots.records:3: video_id 's' duplicates line 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -458,7 +468,7 @@ class TestBuildRl:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            ({"reasoning_demand": math.nan}, "reasoning_demand nan and difficulty 0.5 disagree"),
+            ({"reasoning_demand": math.nan}, "reasoning_demand must be finite, got nan"),
             ({"difficulty": 0.25}, "difficulty 0.25 disagree with alpha 1 of m_trials 2"),
             ({"alpha": 9, "m_trials": 8}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
             ({"alpha": 0, "m_trials": 0}, "m_trials must be finite and >= 1, got 0"),

@@ -8,7 +8,8 @@ way, and the numeric command-line values are drawn from odd numbers and
 strings that are not numbers at all.  Input files also get raw bytes that
 are not UTF-8, and the mock table gets broken lines and conflicting replies.
 Last, each key of each input shape in turn takes a JSON type it does not
-accept, which must be a run error naming the line.
+accept, or a number that is not finite, which must be a run error naming the
+line.
 """
 
 from __future__ import annotations
@@ -337,18 +338,23 @@ JSON_VALUES = {
     "string": st.sampled_from(["0", "1.5", "true"]) | st.text(max_size=3),
     "list": st.lists(st.integers(0, 1), max_size=2),
     "object": st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+    # written as NaN, Infinity and -Infinity
+    "non-finite": st.sampled_from([math.nan, math.inf, -math.inf]),
 }
 
 
 def refused(accepted: str) -> list[str]:
-    """The JSON types a value of type `accepted` may not have; null is left to the caller."""
+    """The JSON_VALUES a key of type `accepted` refuses, non-finite numbers included.
+
+    null is left to the caller.
+    """
     takes = {"number": {"number", "integer"}}.get(accepted, {accepted})
     return [name for name in JSON_VALUES if name != "null" and name not in takes]
 
 
 @st.composite
 def wrong_value(draw, kind: str, valid: object) -> object:
-    """A value for a key of type `kind` whose JSON type it does not take."""
+    """A value for a key of type `kind` of a JSON type it does not take, or not finite."""
     optional, kind = kind.endswith("?"), kind.rstrip("?")
     choices = [] if optional else ["null"]
     if kind.startswith("["):

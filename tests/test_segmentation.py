@@ -92,10 +92,6 @@ class TestShotBoundarySet:
                 embeddings=((1.0, 0.0), (0.0, 1.0, 0.0)),
             )
 
-    def test_record_round_trip(self):
-        shots = shots_from([1.0, 2.0], [at_angle(0), at_angle(30)])
-        assert ShotBoundarySet.from_record(shots.to_record()) == shots
-
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
@@ -110,11 +106,6 @@ class TestShotBoundarySet:
         assert shots.embeddings.dtype == np.float64 and not shots.embeddings.flags.writeable
         expect = [bits(float(v) for v in row) for row in rows]
         assert [bits(row) for row in shots.embeddings.tolist()] == expect
-        again = shots.to_record()
-        assert [bits(row) for row in again["embeddings"]] == expect
-        assert again["boundaries_s"] == rec["boundaries_s"]
-        round_trip = ShotBoundarySet.from_record(again).to_record()["embeddings"]
-        assert [bits(row) for row in round_trip] == expect
 
     def test_shot_count(self):
         shots = shots_from([1.5, 2.5], [at_angle(0), at_angle(0)])

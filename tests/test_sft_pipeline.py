@@ -154,36 +154,6 @@ class TestRequestBuilders:
         assert req.messages[0].media == ("v#comp0-1-2",)
 
 
-class TestPipelineState:
-    def test_fresh_state_reaches_nothing(self):
-        state = PipelineState("s", None, {})
-        assert not state.reached("captioned") and not state.terminal
-
-    def test_reached_is_cumulative(self):
-        state = PipelineState("s", "filtered", {})
-        assert state.reached("captioned") and state.reached("filtered")
-        assert not state.reached("summarized")
-
-    def test_advanced_is_monotonic(self):
-        state = PipelineState("s", "selected", {})
-        with pytest.raises(ValueError):
-            state.advanced("captioned", {})
-
-    def test_terminal_states_freeze(self):
-        done = PipelineState("s", "emitted", {})
-        assert done.terminal and done.reached("summarized")
-        with pytest.raises(ValueError):
-            done.advanced("emitted", {})
-        rejected = PipelineState("s", "rejected", {})
-        assert rejected.terminal and not rejected.reached("captioned")
-
-    def test_rejected_with_merges_payload(self):
-        state = PipelineState("s", "captioned", {"captions": ["x"]})
-        rejected = state.rejected_with("selection_empty", "why")
-        assert rejected.stage == "rejected"
-        assert rejected.payload == {"captions": ["x"], "reason": "selection_empty", "detail": "why"}
-
-
 class TestJournal:
     def test_advance_resume_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -200,7 +170,7 @@ class TestJournal:
         path = tmp_path / "run.journal"
         journal = Journal(path)
         state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
-        journal.reject(state, "selection_empty", "why")
+        journal.advance(state, "rejected", {"reason": "selection_empty", "detail": "why"})
         assert [p.name for p in tmp_path.iterdir()] == ["run.journal"]
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert lines == [
@@ -501,6 +471,26 @@ class TestProcessSample:
 
         assert resumed == clean
         assert retry_backend.calls == resume_calls
+
+    # A clean run journals one line per stage, captioned to emitted; resuming
+    # from its first `kept` lines makes exactly the calls it made after them.
+    # The rejected sample is cut just before its "rejected" line.
+    @pytest.mark.parametrize(
+        "tweak,kept,resume_calls",
+        [({}, kept, calls) for kept, calls in enumerate([9, 5, 4, 4, 2, 1, 0, 0])]
+        + [({"filter_reply": "No"}, 4, 1)],
+    )
+    def test_resume_from_every_checkpoint(self, tmp_path, tweak, kept, resume_calls):
+        clips, task = make_clips(4), make_task()
+        pairs = full_script(clips, task.qa, **tweak)
+        clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
+        lines = clean_store.path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == (5 if tweak else 7)
+        cut = tmp_path / "cut.journal"
+        cut.write_bytes(b"".join(lines[:kept]))
+        gateway, backend = counting_gateway(pairs)
+        assert process_sample(gateway, task, clips, Journal(cut)) == clean
+        assert backend.calls == resume_calls
 
 
 class TestRunSftPipeline:
