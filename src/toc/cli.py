@@ -222,6 +222,10 @@ def _logprob_group(rec: dict) -> tuple[PolicyLogProbs, list[float]]:
 
 
 def cmd_grpo_eval(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise UsageError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    if not (math.isfinite(args.beta) and args.beta >= 0):
+        raise UsageError(f"--beta must be finite and >= 0, got {args.beta}")
     groups = [group for _, group in parse_records(args.logprobs, _logprob_group)]
     objective = grpo_objective(groups, args.epsilon, args.beta)
     print(dump_record({"objective": sig12(objective), "groups": len(groups)}))

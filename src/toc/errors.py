@@ -43,8 +43,8 @@ class DimensionMismatchError(TocError, ValueError):
     """Embedding vectors disagree in dimension or count."""
 
 
-class ZeroVectorError(TocError):
-    """An embedding has zero norm and cannot be normalized."""
+class ZeroVectorError(TocError, ValueError):
+    """An embedding has a zero or overflowing norm, so it has no direction."""
 
 
 # --- cue tree ---
@@ -119,11 +119,11 @@ class InvalidBandError(TocError):
 # --- reward engine ---
 
 
-class RangeError(TocError):
+class RangeError(TocError, ValueError):
     """A numeric argument is outside its allowed range."""
 
 
-class GroupTooSmallError(TocError):
+class GroupTooSmallError(TocError, ValueError):
     """Advantage normalization needs at least two responses."""
 
 

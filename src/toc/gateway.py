@@ -30,18 +30,12 @@ MODEL_ROLES = ("mllm", "llm")
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    text: str
-    media: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ChatRequest:
-    """One chat-completion call, fully determined by its fields."""
+    """One chat-completion call: a single user message, fully determined by its fields."""
 
     model_role: str
-    messages: tuple[ChatMessage, ...]
+    text: str
+    media: tuple[str, ...] = ()
     temperature: float = 0.0
     max_tokens: int = 1024
     seed: int | None = None
@@ -49,42 +43,19 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if self.model_role not in MODEL_ROLES:
             raise ValueError(f"model_role must be one of {MODEL_ROLES}, got {self.model_role!r}")
-        if not self.messages:
-            raise ValueError("messages must be non-empty")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be > 0, got {self.max_tokens}")
-        if self.model_role != "mllm" and any(m.media for m in self.messages):
+        if self.model_role != "mllm" and self.media:
             raise ValueError("media references are only valid for the mllm role")
 
 
-def single_turn(
-    model_role: str,
-    text: str,
-    *,
-    media: tuple[str, ...] = (),
-    temperature: float = 0.0,
-    max_tokens: int = 1024,
-    seed: int | None = None,
-) -> ChatRequest:
-    """The common case: one user message."""
-    return ChatRequest(
-        model_role=model_role,
-        messages=(ChatMessage(role="user", text=text, media=media),),
-        temperature=temperature,
-        max_tokens=max_tokens,
-        seed=seed,
-    )
-
-
 def canonical_request(request: ChatRequest) -> dict:
+    """The digested form; its one-message list keeps digests of stored tables stable."""
     return {
         "model_role": request.model_role,
-        "messages": [
-            {"role": m.role, "text": m.text, "media": list(m.media)}
-            for m in request.messages
-        ],
+        "messages": [{"role": "user", "text": request.text, "media": list(request.media)}],
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
         "seed": request.seed,
@@ -131,7 +102,7 @@ class MockBackend:
     def complete(self, request: ChatRequest) -> str:
         digest = request_digest(request)
         if digest not in self.table:
-            preview = request.messages[0].text[:80].replace("\n", " ")
+            preview = request.text[:80].replace("\n", " ")
             raise BackendUnavailableError(
                 f"mock table has no reply for digest {digest} (prompt starts {preview!r})"
             )
@@ -160,18 +131,14 @@ class HttpBackend:
         self.post = post
 
     def _payload(self, request: ChatRequest) -> dict:
-        messages = []
-        for m in request.messages:
-            if m.media:
-                content: object = [{"type": "text", "text": m.text}] + [
-                    {"type": "video_url", "video_url": {"url": ref}} for ref in m.media
-                ]
-            else:
-                content = m.text
-            messages.append({"role": m.role, "content": content})
+        content: object = request.text
+        if request.media:
+            content = [{"type": "text", "text": request.text}] + [
+                {"type": "video_url", "video_url": {"url": ref}} for ref in request.media
+            ]
         payload: dict = {
             "model": self.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": content}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }

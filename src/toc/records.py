@@ -21,6 +21,7 @@ from .errors import (
     EmptyError,
     EmptyRationaleError,
     GapError,
+    NonFiniteError,
     OverlapError,
     RangeError,
     RecordError,
@@ -135,7 +136,8 @@ def float_array(values: object, ndim: int, what: str) -> np.ndarray:
     Only JSON numbers are accepted.  The call is left to infer the dtype:
     forcing float would read None as NaN.  None, strings, all-boolean input
     and integers beyond 64 bits infer a dtype that is not numeric, and nested
-    lists another shape; each is a TypeError.
+    lists another shape; each is a TypeError.  NaN and ±Infinity are a
+    NonFiniteError.
     """
     try:
         array = np.array(values)
@@ -144,6 +146,8 @@ def float_array(values: object, ndim: int, what: str) -> np.ndarray:
     if array.ndim != ndim or array.dtype.kind not in "fiu":
         raise TypeError(f"{what} must be JSON numbers in {ndim}-D lists")
     array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise NonFiniteError(f"{what} must be finite")
     array.flags.writeable = False
     return array
 
@@ -329,21 +333,22 @@ class SftSample:
         return cls(**{k: rec[k] for k in ("id", "video_id", "question", "answer", "rationale", "target", "prompt")})
 
 
-def demand_from_alpha(alpha: int, m_trials: int) -> float:
-    """Reasoning demand e^(-alpha/M) for alpha correct no-think answers in M trials."""
+def _check_alpha(alpha: int, m_trials: int) -> None:
     if m_trials < 1:
         raise RangeError(f"m_trials must be >= 1, got {m_trials}")
     if not 0 <= alpha <= m_trials:
         raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
+
+
+def demand_from_alpha(alpha: int, m_trials: int) -> float:
+    """Reasoning demand e^(-alpha/M) for alpha correct no-think answers in M trials."""
+    _check_alpha(alpha, m_trials)
     return math.exp(-alpha / m_trials)
 
 
 def difficulty_from_alpha(alpha: int, m_trials: int) -> float:
     """Difficulty score 1 - alpha/M."""
-    if m_trials < 1:
-        raise RangeError(f"m_trials must be >= 1, got {m_trials}")
-    if not 0 <= alpha <= m_trials:
-        raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
+    _check_alpha(alpha, m_trials)
     return 1.0 - alpha / m_trials
 
 
@@ -413,15 +418,10 @@ class RlSample:
             reasoning_demand=float(rec["reasoning_demand"]),
             difficulty=float(rec["difficulty"]),
         )
-        alpha, m_trials = sample.alpha, sample.m_trials
-        if alpha > m_trials:
-            raise ValueError(
-                f"need 0 <= alpha <= m_trials and m_trials >= 1, got {alpha} and {m_trials}"
-            )
         if not sample.recompute_consistent():
             raise ValueError(
                 f"reasoning_demand {sample.reasoning_demand} and difficulty {sample.difficulty} "
-                f"disagree with alpha {alpha} of m_trials {m_trials}"
+                f"disagree with alpha {sample.alpha} of m_trials {sample.m_trials}"
             )
         return sample
 

@@ -172,9 +172,6 @@ class PolicyLogProbs:
                 raise MisalignedSequencesError(
                     f"response {i} token counts differ: {len(cur)}/{len(old)}/{len(ref)}"
                 )
-            for seq in (cur, old, ref):
-                if not np.isfinite(seq).all():
-                    raise NonFiniteError(f"non-finite log-probability in response {i}")
 
     @property
     def num_responses(self) -> int:
@@ -212,9 +209,9 @@ def grpo_objective(
     ratio times the scaled advantage; the KL penalty to the reference policy
     is averaged over tokens and weighted by beta.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise RangeError(f"epsilon must be > 0, got {epsilon}")
-    if beta < 0:
+    if not beta >= 0:
         raise RangeError(f"beta must be >= 0, got {beta}")
     if not groups:
         raise RangeError("need at least one group")

@@ -17,7 +17,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .errors import GatewayError, InvalidBandError, NonMultipleChoiceError
-from .gateway import ChatRequest, Gateway, single_turn
+from .gateway import ChatRequest, Gateway
 from .records import QaPair, QaTask, RlSample
 from .rewards import answers_match, extract_answer
 from .templates import render_direct_answer
@@ -35,7 +35,7 @@ def trial_request(
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
 ) -> ChatRequest:
     """The no-think elicitation; the trial index doubles as the sampling seed."""
-    return single_turn(
+    return ChatRequest(
         "mllm",
         render_direct_answer(qa.formatted_question()),
         media=(video_ref,),

@@ -9,7 +9,7 @@ than a short one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,14 @@ class ShotBoundarySet:
 
     boundaries_s runs from 0 to the video duration; shot i spans
     [boundaries_s[i], boundaries_s[i+1]).  The embedding rows given become
-    one read-only float64 (shots, dims) matrix.
+    one read-only float64 (shots, dims) matrix, and norms holds each row's
+    norm, which must be finite and non-zero: every shot needs a direction.
     """
 
     video_id: str
     boundaries_s: tuple[float, ...]
     embeddings: np.ndarray
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.boundaries_s) < 2:
@@ -52,7 +54,20 @@ class ShotBoundarySet:
                 raise DimensionMismatchError(
                     f"shot {pos} embedding has {len(emb)} dims, expected {dim}"
                 )
-        object.__setattr__(self, "embeddings", float_array(rows, 2, "embeddings"))
+        embeddings = float_array(rows, 2, "embeddings")
+        # One 1-D norm per row: norm(axis=1) can differ in the last bit.  A
+        # sum of squares beyond the float range reads as an infinite norm.
+        with np.errstate(over="ignore"):
+            norms = np.array([np.linalg.norm(row) for row in embeddings])
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if bad.size:
+            pos = int(bad[0])
+            raise ZeroVectorError(
+                f"shot {pos} embedding has no direction (norm {float(norms[pos])})"
+            )
+        norms.flags.writeable = False
+        object.__setattr__(self, "embeddings", embeddings)
+        object.__setattr__(self, "norms", norms)
 
     @property
     def shot_count(self) -> int:
@@ -72,13 +87,7 @@ def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
     """Greedily merge the shot sequence into clips indexed 0..N-1."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    # One 1-D norm per row: norm(axis=1) can differ in the last bit.
-    norms = np.array([np.linalg.norm(row) for row in shots.embeddings])
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    if bad.size:
-        pos = int(bad[0])
-        raise ZeroVectorError(f"shot {pos} embedding has no direction (norm {float(norms[pos])})")
-    units = shots.embeddings / norms[:, None]
+    units = shots.embeddings / shots.norms[:, None]
     weighted = units * np.diff(shots.boundaries_s)[:, None]
 
     def direction(total: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
     ReservedTagError,
     StepCountMismatchError,
 )
-from .gateway import ChatRequest, Gateway, single_turn
+from .gateway import ChatRequest, Gateway
 from .records import (
     TARGET_TAGS,
     Clip,
@@ -50,10 +50,10 @@ from .templates import (
     TEMPLATES,
     parse_index_array,
     parse_yes_no,
-    render_prompt,
     render_train_infer,
     step_numbers,
     strip_step_markers,
+    substitute,
 )
 
 CAPTION_MAX_TOKENS = 512
@@ -79,13 +79,13 @@ def compilation_media_ref(video_id: str, compilation: Compilation) -> str:
 
 
 def clip_caption_request(clip: Clip) -> ChatRequest:
-    return single_turn(
+    return ChatRequest(
         "mllm", DESCRIBE_PROMPT, media=(clip_media_ref(clip),), max_tokens=CAPTION_MAX_TOKENS
     )
 
 
 def compilation_caption_request(video_id: str, compilation: Compilation) -> ChatRequest:
-    return single_turn(
+    return ChatRequest(
         "mllm",
         DESCRIBE_PROMPT,
         media=(compilation_media_ref(video_id, compilation),),
@@ -107,7 +107,7 @@ def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
 
 
 def selection_request(clips: Sequence[Clip], qa: QaPair) -> ChatRequest:
-    prompt = render_prompt(
+    prompt = substitute(
         TEMPLATES["key_clip_selection"],
         {
             "Video Clip Descriptions": clip_descriptions_json(clips, qa),
@@ -115,15 +115,15 @@ def selection_request(clips: Sequence[Clip], qa: QaPair) -> ChatRequest:
             "Answer": qa.answer,
         },
     )
-    return single_turn("llm", prompt, max_tokens=SELECTION_MAX_TOKENS)
+    return ChatRequest("llm", prompt, max_tokens=SELECTION_MAX_TOKENS)
 
 
 def filter_request(final_cue: str, qa: QaPair) -> ChatRequest:
-    prompt = render_prompt(
+    prompt = substitute(
         TEMPLATES["low_quality_filter"],
         {"Question": qa.formatted_question(), "Answer": qa.answer, "Cues": final_cue},
     )
-    return single_turn("llm", prompt, max_tokens=FILTER_MAX_TOKENS)
+    return ChatRequest("llm", prompt, max_tokens=FILTER_MAX_TOKENS)
 
 
 def linearize_trajectory(cues: Sequence[str]) -> str:
@@ -132,7 +132,7 @@ def linearize_trajectory(cues: Sequence[str]) -> str:
 
 
 def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
-    prompt = render_prompt(
+    prompt = substitute(
         TEMPLATES["rationale_generation"],
         {
             "Question": qa.formatted_question(),
@@ -140,7 +140,7 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
             "Reasoning Trajectory": linearize_trajectory(cues),
         },
     )
-    return single_turn("llm", prompt, max_tokens=RATIONALE_MAX_TOKENS)
+    return ChatRequest("llm", prompt, max_tokens=RATIONALE_MAX_TOKENS)
 
 
 # --- per-sample state and its journal ---
@@ -167,7 +167,7 @@ _PROMPTS_DIGEST = hashlib.sha256(
     json.dumps(
         [
             DESCRIBE_PROMPT,
-            [template.body for template in TEMPLATES.values()],
+            list(TEMPLATES.values()),
             TASK_INSTRUCTIONS,
             [CAPTION_MAX_TOKENS, SELECTION_MAX_TOKENS, FILTER_MAX_TOKENS, RATIONALE_MAX_TOKENS],
         ],

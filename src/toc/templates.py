@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass
 
 from .errors import ParseError, UnboundPlaceholderError
 
@@ -53,44 +52,14 @@ TASK_INSTRUCTIONS = {
     "open_ended": "Provide your final answer within the <answer> </answer> tags.",
 }
 
-TEMPLATE_NAMES = (
-    "key_clip_selection",
-    "low_quality_filter",
-    "rationale_generation",
-    "train_infer",
-)
+TEMPLATES = {
+    "key_clip_selection": KEY_CLIP_SELECTION_BODY,
+    "low_quality_filter": LOW_QUALITY_FILTER_BODY,
+    "rationale_generation": RATIONALE_GENERATION_BODY,
+    "train_infer": TRAIN_INFER_BODY,
+}
 
 _PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z ]*)\}")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A named body with brace-wrapped placeholders."""
-
-    name: str
-    body: str
-
-    def __post_init__(self) -> None:
-        if self.name not in TEMPLATE_NAMES:
-            raise ValueError(f"unknown template name {self.name!r}")
-
-    @property
-    def placeholders(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for match in _PLACEHOLDER.finditer(self.body):
-            seen.setdefault(match.group(1))
-        return tuple(seen)
-
-
-TEMPLATES = {
-    name: PromptTemplate(name=name, body=body)
-    for name, body in (
-        ("key_clip_selection", KEY_CLIP_SELECTION_BODY),
-        ("low_quality_filter", LOW_QUALITY_FILTER_BODY),
-        ("rationale_generation", RATIONALE_GENERATION_BODY),
-        ("train_infer", TRAIN_INFER_BODY),
-    )
-}
 
 
 def substitute(body: str, bindings: dict[str, str]) -> str:
@@ -105,21 +74,11 @@ def substitute(body: str, bindings: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(_replace, body)
 
 
-def render_prompt(template: PromptTemplate, bindings: dict[str, str]) -> str:
-    return substitute(template.body, bindings)
-
-
-def task_instruction(qa_type: str) -> str:
-    if qa_type not in TASK_INSTRUCTIONS:
-        raise ValueError(f"no task instruction for qa_type {qa_type!r}")
-    return TASK_INSTRUCTIONS[qa_type]
-
-
 def render_train_infer(question: str, qa_type: str) -> str:
     """Unified training/inference prompt: question plus type-specific instruction."""
-    return render_prompt(
+    return substitute(
         TEMPLATES["train_infer"],
-        {"Question": question, "Task Instruction": task_instruction(qa_type)},
+        {"Question": question, "Task Instruction": TASK_INSTRUCTIONS[qa_type]},
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,26 @@ class TestSegment:
         assert "shots.records:2: invalid record: " in err
         (entry,) = read_lines(tmp_path / "clips.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "embeddings,message",
+        [
+            ([[math.nan, 0.0], [1.0, 0.0]], "embeddings must be finite"),
+            ([[1e308, 1e308], [1.0, 0.0]], "shot 0 embedding has no direction (norm inf)"),
+            ([[1.0, 0.0], [0.0, 0.0]], "shot 1 embedding has no direction (norm 0.0)"),
+        ],
+        ids=["nan", "overflow", "zero"],
+    )
+    def test_shot_without_direction_is_run_error(self, tmp_path, capsys, embeddings, message):
+        shots = tmp_path / "shots.records"
+        write_records(
+            shots, [{"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0], "embeddings": embeddings}]
+        )
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
+        assert code == 1 and "Traceback" not in err and "RuntimeWarning" not in err
+        assert f"shots.records:1: invalid record: {message}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("tau", ["2", "0", "-0.5", "nan"])
@@ -351,7 +372,7 @@ class TestEstimateDemand:
 
     def test_lone_surrogate_is_run_error(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
-        lines = open(paths["qa"], encoding="utf-8").read().splitlines()
+        lines = Path(paths["qa"]).read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].replace('"question": "', '"question": "\\ud800', 1)
         qa = tmp_path / "qa.records"
         qa.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -381,7 +402,7 @@ class TestEstimateDemand:
     )
     def test_malformed_mock_table_is_run_error(self, corpus, tmp_path, capsys, edit, message):
         paths = corpus.manifest["paths"]
-        config = json.loads(open(paths["config"], encoding="utf-8").read())
+        config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
         rows = list(read_records(paths["mock_table"]))
         write_records(tmp_path / config["mock_table_path"], edit(rows))
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
@@ -470,7 +491,7 @@ class TestBuildRl:
         [
             ({"reasoning_demand": math.nan}, "reasoning_demand must be finite, got nan"),
             ({"difficulty": 0.25}, "difficulty 0.25 disagree with alpha 1 of m_trials 2"),
-            ({"alpha": 9, "m_trials": 8}, "need 0 <= alpha <= m_trials and m_trials >= 1"),
+            ({"alpha": 9, "m_trials": 8}, "alpha must be in [0, 8], got 9"),
             ({"alpha": 0, "m_trials": 0}, "m_trials must be finite and >= 1, got 0"),
             ({"alpha": 1.0}, "alpha must be an integer, got 1.0"),
             ({"m_trials": True}, "m_trials must be an integer, got True"),
@@ -600,7 +621,8 @@ class TestReward:
         )
         assert code == 1 and "error" in err
         (entry,) = read_lines(report)
-        assert entry["kind"] == "error" and entry["error"] == "RangeError"
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert "groups.records:1: invalid record: gamma must be" in entry["message"]
 
     def test_invalid_gamma_is_run_error(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"
@@ -618,8 +640,12 @@ class TestReward:
             ({"gamma": HUGE}, "too large"),
             ({"gamma": True}, "gamma must be a number, got True"),
             ({"gamma": "0.5"}, "gamma must be a number, got '0.5'"),
+            ({"gamma": 0}, "gamma must be in (0, 1], got 0.0"),
+            ({"gamma": 2}, "gamma must be in (0, 1], got 2.0"),
+            ({"correct": [True]}, "need at least 2 rewards, got 1"),
         ],
-        ids=["string_flags", "non_boolean_flags", "huge_gamma", "boolean_gamma", "string_gamma"],
+        ids=["string_flags", "non_boolean_flags", "huge_gamma", "boolean_gamma", "string_gamma",
+             "zero_gamma", "gamma_above_one", "one_response"],
     )
     def test_malformed_group_is_run_error(self, tmp_path, capsys, edit, message):
         group_file = tmp_path / "groups.records"
@@ -755,6 +781,30 @@ class TestGrpoEval:
         )
         assert code == 1 and stdout == "" and "Traceback" not in err
         assert "lp.records:2: invalid record: " in err
+
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--epsilon", "nan", "--beta", "0"], "--epsilon must be finite and > 0, got nan"),
+            (["--epsilon", "inf", "--beta", "0"], "--epsilon must be finite and > 0, got inf"),
+            (["--epsilon", "0", "--beta", "0"], "--epsilon must be finite and > 0, got 0.0"),
+            (["--epsilon", "0.2", "--beta", "-1"], "--beta must be finite and >= 0, got -1.0"),
+            (["--epsilon", "0.2", "--beta", "nan"], "--beta must be finite and >= 0, got nan"),
+            (["--epsilon", "0.2", "--beta", "inf"], "--beta must be finite and >= 0, got inf"),
+        ],
+        ids=["nan_epsilon", "infinite_epsilon", "zero_epsilon", "negative_beta", "nan_beta",
+             "infinite_beta"],
+    )
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        logprob_file = tmp_path / "lp.records"
+        write_records(
+            logprob_file,
+            [{"current": [[-0.1]], "old": [[-1.0]], "ref": [[-0.1]], "scaled_advantages": [1.0]}],
+        )
+        code, stdout, err = run_cli(["grpo-eval", "--logprobs", str(logprob_file), *flags], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"usage error: {message}")
 
 
 class TestTopLevel:

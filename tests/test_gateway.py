@@ -11,7 +11,6 @@ import requests
 
 from toc.errors import AuthError, BackendUnavailableError, GatewayTimeoutError, RecordError
 from toc.gateway import (
-    ChatMessage,
     ChatRequest,
     Gateway,
     HttpBackend,
@@ -19,37 +18,32 @@ from toc.gateway import (
     RetryPolicy,
     canonical_request,
     request_digest,
-    single_turn,
 )
 from toc.records import write_records
 
 
 class TestChatRequest:
     def test_single_turn(self):
-        req = single_turn("mllm", "describe", media=("v#clip0",), seed=3)
-        assert req.messages == (ChatMessage(role="user", text="describe", media=("v#clip0",)),)
-        assert req.seed == 3
+        req = ChatRequest("mllm", "describe", media=("v#clip0",), seed=3)
+        assert (req.model_role, req.text, req.media) == ("mllm", "describe", ("v#clip0",))
+        assert (req.temperature, req.max_tokens, req.seed) == (0.0, 1024, 3)
 
     def test_unknown_role(self):
         with pytest.raises(ValueError):
-            single_turn("oracle", "hi")
-
-    def test_empty_messages(self):
-        with pytest.raises(ValueError):
-            ChatRequest(model_role="llm", messages=())
+            ChatRequest("oracle", "hi")
 
     def test_negative_temperature(self):
         with pytest.raises(ValueError):
-            single_turn("llm", "hi", temperature=-0.1)
+            ChatRequest("llm", "hi", temperature=-0.1)
 
     def test_nonpositive_max_tokens(self):
         with pytest.raises(ValueError):
-            single_turn("llm", "hi", max_tokens=0)
+            ChatRequest("llm", "hi", max_tokens=0)
 
     def test_media_only_for_mllm(self):
         with pytest.raises(ValueError):
-            single_turn("llm", "hi", media=("v#clip0",))
-        single_turn("mllm", "hi", media=("v#clip0",))
+            ChatRequest("llm", "hi", media=("v#clip0",))
+        ChatRequest("mllm", "hi", media=("v#clip0",))
 
 
 class TestRequestDigest:
@@ -60,30 +54,30 @@ class TestRequestDigest:
             '"model_role":"llm","seed":null,"temperature":0.0}'
         )
         expect = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-        assert request_digest(single_turn("llm", "hi")) == expect
+        assert request_digest(ChatRequest("llm", "hi")) == expect
 
     def test_digest_is_16_hex(self):
-        digest = request_digest(single_turn("llm", "hi"))
+        digest = request_digest(ChatRequest("llm", "hi"))
         assert len(digest) == 16 and int(digest, 16) >= 0
 
     def test_equal_requests_share_digest(self):
-        assert request_digest(single_turn("llm", "hi")) == request_digest(single_turn("llm", "hi"))
+        assert request_digest(ChatRequest("llm", "hi")) == request_digest(ChatRequest("llm", "hi"))
 
     @pytest.mark.parametrize(
         "variant",
         [
-            single_turn("llm", "hi!"),
-            single_turn("mllm", "hi"),
-            single_turn("llm", "hi", temperature=1.0),
-            single_turn("llm", "hi", max_tokens=8),
-            single_turn("llm", "hi", seed=0),
+            ChatRequest("llm", "hi!"),
+            ChatRequest("mllm", "hi"),
+            ChatRequest("llm", "hi", temperature=1.0),
+            ChatRequest("llm", "hi", max_tokens=8),
+            ChatRequest("llm", "hi", seed=0),
         ],
     )
     def test_any_field_change_moves_digest(self, variant):
-        assert request_digest(variant) != request_digest(single_turn("llm", "hi"))
+        assert request_digest(variant) != request_digest(ChatRequest("llm", "hi"))
 
     def test_canonical_request_lists_every_field(self):
-        assert canonical_request(single_turn("llm", "hi", seed=2)) == {
+        assert canonical_request(ChatRequest("llm", "hi", seed=2)) == {
             "model_role": "llm",
             "messages": [{"role": "user", "text": "hi", "media": []}],
             "temperature": 0.0,
@@ -94,17 +88,17 @@ class TestRequestDigest:
 
 class TestMockBackend:
     def test_scripted_reply(self):
-        req = single_turn("llm", "hi")
+        req = ChatRequest("llm", "hi")
         backend = MockBackend({request_digest(req): "hello"})
         assert backend.complete(req) == "hello"
 
     def test_missing_digest_fails_loudly(self):
         backend = MockBackend({})
         with pytest.raises(BackendUnavailableError, match="mock table has no reply"):
-            backend.complete(single_turn("llm", "hi"))
+            backend.complete(ChatRequest("llm", "hi"))
 
     def test_from_file(self, tmp_path):
-        req = single_turn("llm", "hi")
+        req = ChatRequest("llm", "hi")
         path = tmp_path / "table.records"
         write_records(
             path, [{"digest": request_digest(req), "reply": "hello", "note": "greeting"}]
@@ -165,7 +159,7 @@ def http_backend(post, api_key="k"):
 class TestHttpBackend:
     def test_success_parses_content(self):
         post = FakePost([FakeResponse()])
-        assert http_backend(post).complete(single_turn("llm", "hi")) == "reply text"
+        assert http_backend(post).complete(ChatRequest("llm", "hi")) == "reply text"
         call = post.calls[0]
         assert call["headers"] == {"Authorization": "Bearer k"}
         assert call["timeout"] == 9.0
@@ -174,7 +168,7 @@ class TestHttpBackend:
 
     def test_media_and_seed_in_payload(self):
         post = FakePost([FakeResponse()])
-        http_backend(post).complete(single_turn("mllm", "describe", media=("v#clip1",), seed=4))
+        http_backend(post).complete(ChatRequest("mllm", "describe", media=("v#clip1",), seed=4))
         payload = post.calls[0]["json"]
         assert payload["seed"] == 4
         assert payload["messages"][0]["content"] == [
@@ -185,35 +179,35 @@ class TestHttpBackend:
     def test_missing_key_fails_before_any_network_call(self):
         post = FakePost([])
         with pytest.raises(AuthError, match="TOC_API_KEY"):
-            http_backend(post, api_key=None).complete(single_turn("llm", "hi"))
+            http_backend(post, api_key=None).complete(ChatRequest("llm", "hi"))
         assert post.calls == []
 
     def test_timeout(self):
         post = FakePost([requests.Timeout("slow")])
         with pytest.raises(GatewayTimeoutError):
-            http_backend(post).complete(single_turn("llm", "hi"))
+            http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_connection_refused(self):
         post = FakePost([requests.ConnectionError("refused")])
         with pytest.raises(BackendUnavailableError):
-            http_backend(post).complete(single_turn("llm", "hi"))
+            http_backend(post).complete(ChatRequest("llm", "hi"))
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_credential_rejection(self, status):
         post = FakePost([FakeResponse(status_code=status)])
         with pytest.raises(AuthError):
-            http_backend(post).complete(single_turn("llm", "hi"))
+            http_backend(post).complete(ChatRequest("llm", "hi"))
 
     @pytest.mark.parametrize("status", [408, 429, 500, 502, 503, 504, 418])
     def test_non_auth_failures_are_transient(self, status):
         post = FakePost([FakeResponse(status_code=status)])
         with pytest.raises(BackendUnavailableError):
-            http_backend(post).complete(single_turn("llm", "hi"))
+            http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_malformed_body(self):
         post = FakePost([FakeResponse(bad_json=True)])
         with pytest.raises(BackendUnavailableError):
-            http_backend(post).complete(single_turn("llm", "hi"))
+            http_backend(post).complete(ChatRequest("llm", "hi"))
 
 
 class FlakyBackend:
@@ -258,13 +252,13 @@ class TestGateway:
     def test_success_without_retries(self):
         backend = FlakyBackend(failures=0)
         gw, delays = self.gateway(backend)
-        assert gw.complete(single_turn("llm", "hi")) == "ok"
+        assert gw.complete(ChatRequest("llm", "hi")) == "ok"
         assert (backend.calls, delays) == (1, [])
 
     def test_recovers_after_transient_failures(self):
         backend = FlakyBackend(failures=2)
         gw, delays = self.gateway(backend)
-        assert gw.complete(single_turn("llm", "hi")) == "ok"
+        assert gw.complete(ChatRequest("llm", "hi")) == "ok"
         assert backend.calls == 3
         assert delays == [0.5, 1.0]  # backoff between attempts
 
@@ -272,26 +266,26 @@ class TestGateway:
         backend = FlakyBackend(failures=99)
         gw, delays = self.gateway(backend)
         with pytest.raises(BackendUnavailableError):
-            gw.complete(single_turn("llm", "hi"))
+            gw.complete(ChatRequest("llm", "hi"))
         assert backend.calls == 3 and len(delays) == 2
 
     def test_timeouts_also_retry(self):
         backend = FlakyBackend(failures=1, error=GatewayTimeoutError)
         gw, _ = self.gateway(backend)
-        assert gw.complete(single_turn("llm", "hi")) == "ok"
+        assert gw.complete(ChatRequest("llm", "hi")) == "ok"
         assert backend.calls == 2
 
     def test_auth_errors_never_retry(self):
         backend = FlakyBackend(failures=99, error=AuthError)
         gw, delays = self.gateway(backend)
         with pytest.raises(AuthError):
-            gw.complete(single_turn("llm", "hi"))
+            gw.complete(ChatRequest("llm", "hi"))
         assert backend.calls == 1 and delays == []
 
     def test_unknown_role(self):
         gw, _ = self.gateway(FlakyBackend(failures=0))
         with pytest.raises(BackendUnavailableError, match="no backend"):
-            gw.complete(single_turn("mllm", "hi"))
+            gw.complete(ChatRequest("mllm", "hi"))
 
     def test_http_retry_end_to_end(self):
         # two 429s then a 200: succeeds on the third attempt
@@ -299,7 +293,7 @@ class TestGateway:
             [FakeResponse(status_code=429), FakeResponse(status_code=429), FakeResponse()]
         )
         gw, delays = self.gateway(http_backend(post))
-        assert gw.complete(single_turn("llm", "hi")) == "reply text"
+        assert gw.complete(ChatRequest("llm", "hi")) == "reply text"
         assert len(post.calls) == 3 and len(delays) == 2
 
     def test_concurrency_is_bounded(self):
@@ -324,7 +318,7 @@ class TestGateway:
             sleep=lambda s: None,
         )
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: gw.complete(single_turn("llm", "hi")), range(12)))
+            results = list(pool.map(lambda _: gw.complete(ChatRequest("llm", "hi")), range(12)))
         assert results == ["ok"] * 12
         assert 1 <= state["peak"] <= 2
 

@@ -339,13 +339,15 @@ class TestGrpoObjective:
 
     def test_epsilon_must_be_positive(self):
         lp = identity_logprobs([[0.0]])
-        with pytest.raises(RangeError):
-            grpo_objective([(lp, [1.0])], epsilon=0.0, beta=0.0)
+        for epsilon in (0.0, math.nan):
+            with pytest.raises(RangeError):
+                grpo_objective([(lp, [1.0])], epsilon=epsilon, beta=0.0)
 
     def test_beta_must_be_nonnegative(self):
         lp = identity_logprobs([[0.0]])
-        with pytest.raises(RangeError):
-            grpo_objective([(lp, [1.0])], epsilon=0.2, beta=-0.1)
+        for beta in (-0.1, math.nan):
+            with pytest.raises(RangeError):
+                grpo_objective([(lp, [1.0])], epsilon=0.2, beta=beta)
 
     def test_needs_groups(self):
         with pytest.raises(RangeError):

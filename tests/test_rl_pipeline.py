@@ -62,8 +62,8 @@ class TestTrialRequest:
         qa = mc_qa()
         req = trial_request(qa, "v00/full", 3)
         assert req.model_role == "mllm"
-        assert req.messages[0].media == ("v00/full",)
-        assert req.messages[0].text == render_direct_answer(qa.formatted_question())
+        assert req.media == ("v00/full",)
+        assert req.text == render_direct_answer(qa.formatted_question())
         assert req.seed == 3  # trial index doubles as the sampling seed
         assert req.temperature == DEFAULT_TRIAL_TEMPERATURE == 1.0
         assert req.max_tokens == TRIAL_MAX_TOKENS

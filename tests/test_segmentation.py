@@ -10,7 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toc.errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
+from toc.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    NonFiniteError,
+    ZeroVectorError,
+)
 from toc.segmentation import DEFAULT_TAU, ShotBoundarySet, stitch
 
 
@@ -30,9 +35,10 @@ def shots_from(durations, embeddings, video_id="v") -> ShotBoundarySet:
     )
 
 
-# Numbers as json.loads gives them: any float, and integers in the range
-# NumPy reads as 64-bit (alone or mixed with floats).
-json_numbers = st.floats() | st.integers(-(2**63), 2**64 - 1)
+# Numbers as json.loads gives them: finite floats, and integers in the range
+# NumPy reads as 64-bit (alone or mixed with floats).  The float bound keeps
+# the sum of a row's squares finite.
+json_numbers = st.floats(-1e150, 1e150) | st.integers(-(2**63), 2**64 - 1)
 
 
 def bits(values) -> list[bytes]:
@@ -95,8 +101,11 @@ class TestShotBoundarySet:
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
-            lambda dim: st.lists(st.lists(json_numbers, min_size=dim, max_size=dim),
-                                 min_size=1, max_size=4)
+            # a leading 1 gives every row a direction
+            lambda dim: st.lists(
+                st.lists(json_numbers, min_size=dim, max_size=dim).map(lambda row: [1, *row]),
+                min_size=1, max_size=4,
+            )
         )
     )
     def test_embeddings_are_bit_equal_to_float(self, rows):
@@ -106,6 +115,10 @@ class TestShotBoundarySet:
         assert shots.embeddings.dtype == np.float64 and not shots.embeddings.flags.writeable
         expect = [bits(float(v) for v in row) for row in rows]
         assert [bits(row) for row in shots.embeddings.tolist()] == expect
+
+    def test_non_finite_embedding(self):
+        with pytest.raises(NonFiniteError, match="embeddings must be finite"):
+            shots_from([1.0, 1.0], [at_angle(0), (math.inf, 0.0)])
 
     def test_shot_count(self):
         shots = shots_from([1.5, 2.5], [at_angle(0), at_angle(0)])
@@ -157,9 +170,8 @@ class TestStitch:
         assert math.hypot(*clip.embedding) == pytest.approx(1.0)
 
     def test_zero_vector(self):
-        shots = shots_from([1.0, 1.0], [at_angle(0), (0.0, 0.0)])
-        with pytest.raises(ZeroVectorError):
-            stitch(shots)
+        with pytest.raises(ZeroVectorError, match="shot 1 embedding has no direction"):
+            shots_from([1.0, 1.0], [at_angle(0), (0.0, 0.0)])
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, 1.0001])
     def test_tau_out_of_range(self, tau):

@@ -23,6 +23,7 @@ from toc.errors import (
 )
 from toc.gateway import Gateway, MockBackend, RetryPolicy, request_digest
 from toc.records import Clip, QaPair, QaTask, load_qa_tasks
+from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
     STAGES,
     Journal,
@@ -39,6 +40,7 @@ from toc.sft_pipeline import (
     process_sample,
     rationale_request,
     run_sft_pipeline,
+    sample_digest,
     select_key_clips,
     selection_request,
     summarize_rationale,
@@ -148,10 +150,45 @@ class TestRequestBuilders:
 
     def test_media_refs(self):
         clips = make_clips(3)
-        assert clip_caption_request(clips[2]).messages[0].media == ("v#clip2",)
+        assert clip_caption_request(clips[2]).media == ("v#clip2",)
         chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
         req = compilation_caption_request("v", chain[0])
-        assert req.messages[0].media == ("v#comp0-1-2",)
+        assert req.media == ("v#comp0-1-2",)
+
+
+# Request digests key mock tables and sample digests key journal lines, so
+# a change to either orphans every stored file; these literals pin both.
+PINNED_DIGESTS = {
+    "clip_caption": "ac0d8ffe199b641c",
+    "compilation_caption": "5e287930ed790a3d",
+    "selection": "668da53b3888aa06",
+    "filter": "674b77ced9aeee29",
+    "rationale": "43a063b360b16624",
+    "trial": "655c0be5b9d199d6",
+    "sample": "e4b2fc9afabb41d69db7eae70de720bf245254678ab2681c202cc46fb0903e8d",
+}
+
+
+def stored_digests() -> dict[str, str]:
+    clips = [replace(c, caption=f"cap{c.index}") for c in make_clips(3)]
+    qa = make_qa()
+    chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
+    requests = {
+        "clip_caption": clip_caption_request(clips[2]),
+        "compilation_caption": compilation_caption_request("v", chain[0]),
+        "selection": selection_request(clips, qa),
+        "filter": filter_request("a cue", qa),
+        "rationale": rationale_request(["wide view", "close view"], qa),
+        "trial": trial_request(qa, "v/full", 3),
+    }
+    task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full")
+    digests = {name: request_digest(request) for name, request in requests.items()}
+    return {**digests, "sample": sample_digest(task, clips, False)}
+
+
+@pytest.mark.parametrize("name", PINNED_DIGESTS)
+def test_stored_digests_are_pinned(name):
+    assert stored_digests()[name] == PINNED_DIGESTS[name]
 
 
 class TestJournal:

@@ -11,18 +11,14 @@ from hypothesis import strategies as st
 
 from toc.errors import ParseError, UnboundPlaceholderError
 from toc.templates import (
-    TEMPLATE_NAMES,
     TEMPLATES,
-    PromptTemplate,
     parse_index_array,
     parse_yes_no,
     render_direct_answer,
-    render_prompt,
     render_train_infer,
     step_numbers,
     strip_step_markers,
     substitute,
-    task_instruction,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,16 +28,24 @@ def golden_text(name: str) -> str:
     return (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-def identity_bindings(template: PromptTemplate) -> dict[str, str]:
-    return {name: "{" + name + "}" for name in template.placeholders}
+PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z ]*)\}")
+
+
+def placeholders(body: str) -> tuple[str, ...]:
+    """Placeholder names in order of first appearance."""
+    return tuple(dict.fromkeys(PLACEHOLDER.findall(body)))
+
+
+def identity_bindings(body: str) -> dict[str, str]:
+    return {name: "{" + name + "}" for name in placeholders(body)}
 
 
 class TestTemplateBodies:
-    @pytest.mark.parametrize("name", TEMPLATE_NAMES)
+    @pytest.mark.parametrize("name", TEMPLATES)
     def test_body_matches_golden(self, name):
-        template = TEMPLATES[name]
-        rendered = render_prompt(template, identity_bindings(template))
-        assert rendered == template.body  # identity bindings round-trip
+        body = TEMPLATES[name]
+        rendered = substitute(body, identity_bindings(body))
+        assert rendered == body  # identity bindings round-trip
         assert rendered == golden_text(name)
 
     @pytest.mark.parametrize(
@@ -54,14 +58,7 @@ class TestTemplateBodies:
         ],
     )
     def test_placeholders(self, name, expected):
-        assert TEMPLATES[name].placeholders == expected
-
-    def test_registry_covers_every_name(self):
-        assert tuple(TEMPLATES) == TEMPLATE_NAMES
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            PromptTemplate(name="mystery", body="x")
+        assert placeholders(TEMPLATES[name]) == expected
 
 
 class TestSubstitute:
@@ -98,8 +95,8 @@ class TestTrainInferRendering:
         assert out.endswith("Provide your final answer within the <answer> </answer> tags.")
 
     def test_unknown_qa_type(self):
-        with pytest.raises(ValueError):
-            task_instruction("essay")
+        with pytest.raises(KeyError):
+            render_train_infer("{Question}", "essay")
 
     def test_direct_answer_prompt(self):
         out = render_direct_answer("Which door opens?\nA. left\nB. right")
