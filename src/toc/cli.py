@@ -59,7 +59,14 @@ def _parse_band(text: str) -> tuple[float, float]:
         raise UsageError(f"band must look like 0.2:0.8, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"band bounds must be finite, got {text!r}")
+    if lo >= hi:
+        raise UsageError(f"--band must satisfy lo < hi, got {text!r}")
     return lo, hi
+
+
+def _check_at_least_one(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
 def _parse_indices(text: str) -> list[int]:
@@ -75,13 +82,18 @@ def cmd_segment(args: argparse.Namespace) -> int:
     entries: list[dict] = []
     clips_out: list[dict] = []
     videos = shots_in = 0
-    # One line per video: stitching two lines of one video would repeat its clip indices.
-    for shot_set in parse_unique(
-        args.shots, ShotBoundarySet.from_record, "video_id", lambda shots: shots.video_id
+    # One line per video, stitched as it is read, so that a clip without a pooled
+    # direction names its line; two lines of one video would repeat its clip indices.
+    def stitched(rec: dict) -> tuple[ShotBoundarySet, list]:
+        shots = ShotBoundarySet.from_record(rec)
+        return shots, stitch(shots, args.tau)
+
+    for shot_set, clips in parse_unique(
+        args.shots, stitched, "video_id", lambda pair: pair[0].video_id
     ):
         videos += 1
         shots_in += shot_set.shot_count
-        clips_out.extend(c.to_record() for c in stitch(shot_set, args.tau))
+        clips_out.extend(c.to_record() for c in clips)
     write_records(args.out, clips_out)
     entries.append({"kind": "stage", "stage": "videos", "count": videos})
     entries.append({"kind": "stage", "stage": "shots_in", "count": shots_in})
@@ -92,8 +104,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    tree = build_tree(args.n)
-    subtree = backtrack(tree, _parse_indices(args.select))
+    _check_at_least_one("--n", args.n)
+    selected = _parse_indices(args.select)
+    if any(not 0 <= index < args.n for index in selected):
+        raise UsageError(f"--select indices must be in [0, {args.n - 1}], got {args.select}")
+    subtree = backtrack(build_tree(args.n), selected)
     for depth, nodes in enumerate(subtree.layers):
         intervals = " ".join(f"[{n.lo},{n.hi}]" for n in nodes)
         print(f"layer {depth}: {intervals}")
@@ -111,6 +126,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_build_sft(args: argparse.Namespace) -> int:
+    _check_at_least_one("--parallelism", args.parallelism)
     config = apply_overrides(load_config(args.config), parallelism=args.parallelism)
     gateway = build_gateway(config)
     tasks = load_qa_tasks(args.qa)
@@ -142,6 +158,8 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_demand(args: argparse.Namespace) -> int:
+    _check_at_least_one("--m", args.m)
+    _check_at_least_one("--parallelism", args.parallelism)
     config = apply_overrides(
         load_config(args.config), m_trials=args.m, parallelism=args.parallelism
     )
@@ -170,8 +188,7 @@ def cmd_estimate_demand(args: argparse.Namespace) -> int:
 
 def cmd_build_rl(args: argparse.Namespace) -> int:
     band_lo, band_hi = _parse_band(args.band)
-    if args.target < 1:
-        raise UsageError(f"--target must be >= 1, got {args.target}")
+    _check_at_least_one("--target", args.target)
     samples = [sample for _, sample in parse_records(args.input, RlSample.from_record)]
     selected, warnings = run_build_rl(samples, band_lo, band_hi, args.target, args.seed)
     write_records(args.out, (s.to_record() for s in selected))

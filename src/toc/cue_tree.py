@@ -29,10 +29,6 @@ class TreeNode:
         return not self.children
 
     @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
     def clip_indices(self) -> tuple[int, ...]:
         return tuple(range(self.lo, self.hi + 1))
 
@@ -76,8 +72,6 @@ def build_tree(n_leaves: int) -> CueTree:
 class TrajectorySubtree:
     """Union of root-to-leaf paths for the selected clips."""
 
-    tree: CueTree
-    selected: tuple[int, ...]
     paths: tuple[tuple[TreeNode, ...], ...]
 
     @property
@@ -111,13 +105,7 @@ def backtrack(tree: CueTree, selected: Iterable[int]) -> TrajectorySubtree:
     chosen = sorted(set(selected))
     if not chosen:
         raise EmptySelectionError("no clips selected")
-    for idx in chosen:
-        if not 0 <= idx < tree.n_leaves:
-            raise OutOfRangeError(
-                f"selected clip {idx} outside [0, {tree.n_leaves - 1}]"
-            )
-    paths = tuple(tree.path_to_leaf(idx) for idx in chosen)
-    return TrajectorySubtree(tree=tree, selected=tuple(chosen), paths=paths)
+    return TrajectorySubtree(paths=tuple(tree.path_to_leaf(idx) for idx in chosen))
 
 
 @dataclass(frozen=True)

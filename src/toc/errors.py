@@ -12,15 +12,19 @@ class TocError(Exception):
 # --- record and clip-sequence validation ---
 
 
-class EmptyError(TocError):
-    """An operation received an empty collection it cannot work with."""
+class ClipRunError(TocError, ValueError):
+    """A video's clips break their 0..N-1 run at `position`, counted in index order."""
+
+    def __init__(self, message: str, position: int) -> None:
+        super().__init__(message)
+        self.position = position
 
 
-class OverlapError(TocError):
+class OverlapError(ClipRunError):
     """Clip time spans overlap."""
 
 
-class GapError(TocError):
+class GapError(ClipRunError):
     """Clip indices are not a contiguous 0..N-1 run."""
 
 
@@ -106,10 +110,6 @@ class StepCountMismatchError(TocError):
 
 class ReservedTagError(TocError):
     """A rationale holds a tag that delimits the blocks of the training target."""
-
-
-class NonMultipleChoiceError(TocError):
-    """Demand estimation only accepts multiple-choice questions."""
 
 
 class InvalidBandError(TocError):

@@ -166,9 +166,11 @@ class HttpBackend:
         if status != 200:
             raise BackendUnavailableError(f"backend error (status {status})")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
+            content = response.json()["choices"][0]["message"]["content"]
+            str.encode(content, "utf-8")  # TypeError unless text, ValueError on a lone surrogate
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendUnavailableError(f"malformed backend response: {exc}") from exc
+        return content
 
 
 @dataclass(frozen=True)

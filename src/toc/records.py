@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 from .errors import (
-    EmptyError,
     EmptyRationaleError,
     GapError,
     NonFiniteError,
@@ -200,20 +199,17 @@ def validate_clip_sequence(clips: list[Clip]) -> list[Clip]:
     Indices must be exactly 0..N-1 and time spans must be non-overlapping and
     increasing with index.
     """
-    if not clips:
-        raise EmptyError("clip sequence is empty")
-    video_ids = {c.video_id for c in clips}
-    if len(video_ids) != 1:
-        raise ValueError(f"clips span multiple videos: {sorted(video_ids)}")
     ordered = sorted(clips, key=lambda c: c.index)
     indices = [c.index for c in ordered]
-    if indices != list(range(len(ordered))):
-        raise GapError(f"clip indices are not contiguous 0..{len(ordered) - 1}: {indices}")
-    for prev, nxt in zip(ordered, ordered[1:]):
+    for pos, index in enumerate(indices):
+        if index != pos:
+            raise GapError(f"clip indices are not contiguous 0..{len(ordered) - 1}: {indices}", pos)
+    for pos, (prev, nxt) in enumerate(zip(ordered, ordered[1:]), 1):
         if nxt.start_s < prev.end_s:
             raise OverlapError(
                 f"clip {nxt.index} starts at {nxt.start_s} before clip "
-                f"{prev.index} ends at {prev.end_s}"
+                f"{prev.index} ends at {prev.end_s}",
+                pos,
             )
     return ordered
 
@@ -340,6 +336,9 @@ def _check_alpha(alpha: int, m_trials: int) -> None:
         raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
 
 
+_TOL = 1e-12  # how far a stored demand or difficulty may sit from its recomputed value
+
+
 def demand_from_alpha(alpha: int, m_trials: int) -> float:
     """Reasoning demand e^(-alpha/M) for alpha correct no-think answers in M trials."""
     _check_alpha(alpha, m_trials)
@@ -393,11 +392,11 @@ class RlSample:
             difficulty=difficulty_from_alpha(alpha, m_trials),
         )
 
-    def recompute_consistent(self, tol: float = 1e-12) -> bool:
+    def recompute_consistent(self) -> bool:
         """True when the stored demand and difficulty agree with alpha/m_trials."""
         return (
-            abs(self.reasoning_demand - demand_from_alpha(self.alpha, self.m_trials)) <= tol
-            and abs(self.difficulty - difficulty_from_alpha(self.alpha, self.m_trials)) <= tol
+            abs(self.reasoning_demand - demand_from_alpha(self.alpha, self.m_trials)) <= _TOL
+            and abs(self.difficulty - difficulty_from_alpha(self.alpha, self.m_trials)) <= _TOL
         )
 
     def to_record(self) -> dict:

@@ -42,17 +42,11 @@ def extract_answer(response: str) -> str:
     return blocks[-1].strip()
 
 
-def answers_match(extracted: str, gold: str, qa_type: str = "multiple_choice") -> bool:
-    """Compare an extracted answer against the gold one.
-
-    Option letters compare case-insensitively; every other answer compares
-    as a trimmed string.
-    """
+def answers_match(extracted: str, gold: str) -> bool:
+    """Compare an extracted option letter against the gold one, ignoring case."""
     if extracted == EMPTY_ANSWER:
         return False
-    if qa_type == "multiple_choice":
-        return extracted.strip().upper() == gold.strip().upper()
-    return extracted.strip() == gold.strip()
+    return extracted.strip().upper() == gold.strip().upper()
 
 
 def vanilla_reward(correct: bool) -> float:
@@ -133,7 +127,7 @@ class RewardGroup:
 
 def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     """Score a group from correctness flags alone."""
-    if not 0.0 < gamma <= 1.0:
+    if not 0.0 < gamma <= 1.0:  # first: normalize_advantages overflows on a gamma past ~1e154
         raise RangeError(f"gamma must be in (0, 1], got {gamma}")
     correct = [bool(c) for c in correct_flags]
     rewards = [gamma if c else 0.0 for c in correct]
@@ -179,9 +173,19 @@ class PolicyLogProbs:
 
     @classmethod
     def from_record(cls, rec: dict) -> "PolicyLogProbs":
-        """The log-probs of a logprobs record, whose scaled_advantages are checked too."""
+        """The log-probs of a logprobs record: one or more responses, one scaled advantage each."""
         check_record(rec, "logprobs")
-        return cls(current=rec["current"], old=rec["old"], ref=rec["ref"])
+        log_probs = cls(current=rec["current"], old=rec["old"], ref=rec["ref"])
+        _check_group(log_probs, len(rec["scaled_advantages"]))
+        return log_probs
+
+
+def _check_group(log_probs: PolicyLogProbs, advantages: int) -> None:
+    """A group needs one or more responses and one scaled advantage per response."""
+    if log_probs.num_responses == 0:
+        raise GroupTooSmallError("group has no responses")
+    if advantages != log_probs.num_responses:
+        raise MisalignedSequencesError(f"{advantages} advantages for {log_probs.num_responses} responses")
 
 
 def _kl_estimate(current: Sequence[float], ref: Sequence[float]) -> float:
@@ -217,12 +221,7 @@ def grpo_objective(
         raise RangeError("need at least one group")
     group_values = []
     for log_probs, scaled_advantages in groups:
-        if log_probs.num_responses == 0:
-            raise GroupTooSmallError("group has no responses")
-        if len(scaled_advantages) != log_probs.num_responses:
-            raise MisalignedSequencesError(
-                f"{len(scaled_advantages)} advantages for {log_probs.num_responses} responses"
-            )
+        _check_group(log_probs, len(scaled_advantages))
         terms = []
         for cur, old, ref, advantage in zip(
             log_probs.current, log_probs.old, log_probs.ref, scaled_advantages

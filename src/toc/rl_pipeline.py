@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from typing import Sequence
 
-from .errors import GatewayError, InvalidBandError, NonMultipleChoiceError
+from .errors import GatewayError, InvalidBandError
 from .gateway import ChatRequest, Gateway
 from .records import QaPair, QaTask, RlSample
 from .rewards import answers_match, extract_answer
@@ -53,21 +53,16 @@ def run_trials(
     *,
     temperature: float = DEFAULT_TRIAL_TEMPERATURE,
 ) -> list[bool]:
-    """Issue M independent trials; return whether each answered correctly.
+    """Issue M trials of a multiple-choice question; return whether each answered correctly.
 
     An unparseable reply counts incorrect.  A failed backend call raises its
     GatewayError: it says nothing about the model's answer, so it must not
     count either way.
     """
-    if qa.qa_type != "multiple_choice":
-        raise NonMultipleChoiceError(
-            f"demand estimation needs multiple_choice, got {qa.qa_type}"
-        )
     return [
         answers_match(
             extract_answer(gateway.complete(trial_request(qa, video_ref, i, temperature))),
             qa.answer,
-            "multiple_choice",
         )
         for i in range(m_trials)
     ]

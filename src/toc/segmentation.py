@@ -83,6 +83,7 @@ class ShotBoundarySet:
         )
 
 
+@np.errstate(over="ignore")  # a pooled sum of squares beyond the float range reads as inf
 def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
     """Greedily merge the shot sequence into clips indexed 0..N-1."""
     if not 0.0 < tau <= 1.0:

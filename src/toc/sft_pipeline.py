@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
 from .errors import (
+    ClipRunError,
     EmptyCaptionError,
     EmptyRationaleError,
     EmptySelectionError,
@@ -302,22 +303,13 @@ def caption_compilations(
     return [one(c) for c in compilations]
 
 
-def filter_low_quality(gateway: Gateway, final_cue: str, qa: QaPair) -> bool:
-    """True when the final cue suffices to answer the question."""
-    return parse_yes_no(gateway.complete(filter_request(final_cue, qa)))
+def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> str:
+    """Summarize the trajectory; returns the rationale with its step markers stripped.
 
-
-def summarize_rationale(
-    gateway: Gateway, cues: Sequence[str], qa: QaPair
-) -> tuple[str, str]:
-    """Summarize the trajectory; returns (marker-stripped rationale, raw reply).
-
-    The raw reply must carry exactly one step marker per cue, in ascending
+    The reply must carry exactly one step marker per cue, in ascending
     order, before the markers are stripped; what is left must be non-empty
     and hold none of the target's block tags.
     """
-    if not cues:
-        raise ValueError("no cue descriptions to summarize")
     reply = gateway.complete(rationale_request(cues, qa))
     if not reply.strip():
         raise EmptyRationaleError("rationale reply is empty")
@@ -333,7 +325,7 @@ def summarize_rationale(
     tags = [tag for tag in TARGET_TAGS if tag in rationale]
     if tags:
         raise ReservedTagError(f"rationale holds target tags {tags}")
-    return rationale, reply
+    return rationale
 
 
 # --- orchestration ---
@@ -364,13 +356,12 @@ class _Sample(NamedTuple):
         return {"cues": [c.caption for c in caption_compilations(self.gateway, chain, self.clips)]}
 
     def filter(self, payload: dict) -> dict:
-        if not filter_low_quality(self.gateway, payload["cues"][-1], self.task.qa):
+        if not parse_yes_no(self.gateway.complete(filter_request(payload["cues"][-1], self.task.qa))):
             raise InsufficientCuesError("final cue judged insufficient")
-        return {"keep": True}
+        return {}
 
     def summarize(self, payload: dict) -> dict:
-        rationale, raw_reply = summarize_rationale(self.gateway, payload["cues"], self.task.qa)
-        return {"rationale": rationale, "raw_rationale": raw_reply}
+        return {"rationale": summarize_rationale(self.gateway, payload["cues"], self.task.qa)}
 
     def emit(self, payload: dict) -> dict:
         task, question = self.task, self.task.qa.formatted_question()
@@ -457,11 +448,18 @@ def process_sample(
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
-    """Group a clip record file by video and validate each sequence."""
-    by_video: dict[str, list[Clip]] = {}
-    for _, clip in parse_records(path, Clip.from_record):
-        by_video.setdefault(clip.video_id, []).append(clip)
-    return {vid: validate_clip_sequence(clips) for vid, clips in by_video.items()}
+    """Group a clip record file by video; a broken run names its first breaking clip's line."""
+    by_video: dict[str, list[tuple[int, Clip]]] = {}
+    for line_no, clip in parse_records(path, Clip.from_record):
+        by_video.setdefault(clip.video_id, []).append((line_no, clip))
+    clips_by_video = {}
+    for video_id, numbered in by_video.items():
+        numbered.sort(key=lambda pair: pair[1].index)
+        try:
+            clips_by_video[video_id] = validate_clip_sequence([clip for _, clip in numbered])
+        except ClipRunError as exc:
+            raise RecordError(f"{path}:{numbered[exc.position][0]}: video {video_id!r}: {exc}") from None
+    return clips_by_video
 
 
 def run_sft_pipeline(

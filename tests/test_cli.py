@@ -147,6 +147,27 @@ class TestSegment:
         assert f"shots.records:1: invalid record: {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "boundaries,norm",
+        [([0.0, 1e308, 1.7e308], "inf"), ([0.0, 1e-170, 2e-170], "0.0"),
+         ([0.0, 5e-324, 1e-323], "0.0")],
+        ids=["overflow", "underflow", "subnormal"],
+    )
+    def test_pooled_clip_without_direction_is_run_error(self, tmp_path, capsys, boundaries, norm):
+        shots = tmp_path / "shots.records"
+        write_records(
+            shots, [{"video_id": "s", "boundaries_s": boundaries, "embeddings": [[1, 0], [1, 0]]}]
+        )
+        out = tmp_path / "clips.records"
+        code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
+        assert code == 1
+        assert err == (
+            f"error: {shots}:1: invalid record: pooled clip embedding has no direction (norm {norm})\n"
+        )
+        (entry,) = read_lines(tmp_path / "clips.records.report")
+        assert entry["error"] == "RecordError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("tau", ["2", "0", "-0.5", "nan"])
     def test_tau_outside_unit_interval_is_usage_error(self, corpus, tmp_path, capsys, tau):
         out = tmp_path / "clips.records"
@@ -183,10 +204,6 @@ class TestTree:
     def test_bad_selection_is_usage_error(self, capsys):
         code, _, err = run_cli(["tree", "--n", "4", "--select", "a,b"], capsys)
         assert code == 2 and "usage error" in err
-
-    def test_out_of_range_selection_is_run_error(self, capsys):
-        code, _, err = run_cli(["tree", "--n", "4", "--select", "0,9"], capsys)
-        assert code == 1 and "error" in err
 
 
 class TestBuildSft:
@@ -332,6 +349,34 @@ class TestBuildSft:
             ]
             assert len(read_lines(out)) == corpus.manifest["expected_emitted"] - 1
             assert len(rejected) == len(corpus.manifest["expected_rejections"]) + 1
+
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [({"index": 2, "start_s": 3.0, "end_s": 5.0}, "clip indices are not contiguous 0..1: [0, 2]"),
+         ({"index": 1, "start_s": 2.0, "end_s": 5.0}, "clip 1 starts at 2.0 before clip 0 ends at 3.0")],
+        ids=["gap", "overlap"],
+    )
+    def test_broken_clip_run_names_line(self, corpus, tmp_path, capsys, second, message):
+        paths = corpus.manifest["paths"]
+        clips = tmp_path / "clips.records"
+        write_records(
+            clips,
+            [{"video_id": "a", "index": 0, "start_s": 0.0, "end_s": 3.0},
+             {"video_id": "b", "index": 0, "start_s": 0.0, "end_s": 1.0},
+             {"video_id": "a", **second}],
+        )
+        out = tmp_path / "sft.records"
+        code, _, err = run_cli(
+            ["build-sft", "--videos", str(clips), "--qa", paths["qa"],
+             "--config", paths["config"], "-o", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert err == f"error: {clips}:3: video 'a': {message}\n"
+        (entry,) = read_lines(tmp_path / "sft.records.report")
+        assert entry["error"] == "RecordError"
+        assert not out.exists()
 
 
 class TestEstimateDemand:
@@ -758,6 +803,30 @@ class TestGrpoEval:
 
 
     @pytest.mark.parametrize(
+        "record,message",
+        [
+            ({"current": [[-0.1], [-0.2]], "old": [[-1.0], [-0.5]], "ref": [[-0.1], [-0.2]],
+              "scaled_advantages": [1.0]}, "1 advantages for 2 responses"),
+            ({"current": [], "old": [], "ref": [], "scaled_advantages": []},
+             "group has no responses"),
+        ],
+        ids=["misaligned", "empty"],
+    )
+    def test_group_counts_name_line(self, tmp_path, capsys, record, message):
+        logprob_file = tmp_path / "lp.records"
+        write_records(logprob_file, [record])
+        report = tmp_path / "grpo.report"
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0",
+             "--report", str(report)],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: {logprob_file}:1: invalid record: {message}\n"
+        (entry,) = read_lines(report)
+        assert entry["error"] == "RecordError"
+
+    @pytest.mark.parametrize(
         "current",
         [
             [[-0.5, None]],
@@ -808,6 +877,35 @@ class TestGrpoEval:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "{config}",
+              "--parallelism", "0"], "--parallelism must be >= 1, got 0"),
+            (["estimate-demand", "--qa", "{qa}", "--config", "{config}", "--parallelism", "0"],
+             "--parallelism must be >= 1, got 0"),
+            (["estimate-demand", "--qa", "{qa}", "--config", "{config}", "--m", "0"],
+             "--m must be >= 1, got 0"),
+            (["build-rl", "--in", "{demand}", "--band", "0.8:0.2"],
+             "--band must satisfy lo < hi, got '0.8:0.2'"),
+            (["tree", "--n", "0", "--select", "0"], "--n must be >= 1, got 0"),
+            (["tree", "--n", "4", "--select", "7"], "--select indices must be in [0, 3], got 7"),
+        ],
+        ids=["build_sft_parallelism", "demand_parallelism", "demand_m", "build_rl_band",
+             "tree_n", "tree_select"],
+    )
+    def test_out_of_range_flag_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, args, message
+    ):
+        out = tmp_path / "out.records"
+        args = [arg.format(**corpus.manifest["paths"], demand=demand_file) for arg in args]
+        if args[0] != "tree":
+            args += ["-o", str(out)]
+        code, stdout, err = run_cli([*args, "--report", str(tmp_path / "report")], capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"usage error: {message}\n"
+        assert not (tmp_path / "report").exists() and not out.exists()
+
     def test_unknown_command_exits_two(self, capsys):
         assert main(["conjure"]) == 2
         capsys.readouterr()

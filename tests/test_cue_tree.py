@@ -102,7 +102,7 @@ class TestBuildTree:
         for node in preorder(tree):
             assert 0 <= node.lo <= node.hi <= n - 1
             if node.is_leaf:
-                assert node.size == 1
+                assert node.hi == node.lo
                 seen_leaves.append(node.lo)
             else:
                 left, right = node.children
@@ -110,7 +110,7 @@ class TestBuildTree:
                 assert left.hi + 1 == right.lo
                 assert left.depth == right.depth == node.depth + 1
                 # midpoint split: a surplus clip lands in the left child
-                assert left.size in (right.size, right.size + 1)
+                assert left.hi - left.lo in (right.hi - right.lo, right.hi - right.lo + 1)
         assert seen_leaves == list(range(n))
 
     @given(st.integers(1, 128))
@@ -143,7 +143,7 @@ class TestPathToLeaf:
 class TestBacktrack:
     def test_sorts_and_dedups_selection(self):
         subtree = backtrack(build_tree(6), [4, 1, 4])
-        assert subtree.selected == (1, 4)
+        assert tuple(path[-1].lo for path in subtree.paths) == (1, 4)
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelectionError):

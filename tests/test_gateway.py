@@ -209,6 +209,19 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
+    @pytest.mark.parametrize("content", [None, 5, "a\ud800b"], ids=["null", "number", "lone_surrogate"])
+    def test_content_must_be_encodable_text(self, content):
+        post = FakePost([FakeResponse(body={"choices": [{"message": {"content": content}}]})])
+        with pytest.raises(BackendUnavailableError, match="^malformed backend response: "):
+            http_backend(post).complete(ChatRequest("llm", "hi"))
+
+    def test_malformed_content_is_retried(self):
+        null = FakeResponse(body={"choices": [{"message": {"content": None}}]})
+        post = FakePost([null, FakeResponse()])
+        gateway = Gateway(backends={"llm": http_backend(post)}, sleep=lambda s: None)
+        assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
+        assert len(post.calls) == 2
+
 
 class FlakyBackend:
     def __init__(self, failures, error=BackendUnavailableError, reply="ok"):

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toc.errors import (
-    EmptyError,
     EmptyRationaleError,
     GapError,
     OverlapError,
@@ -78,14 +77,6 @@ class TestValidateClipSequence:
     def test_index_gap(self):
         with pytest.raises(GapError):
             validate_clip_sequence([clip(0, 0.0, 5.0), clip(2, 5.0, 9.0)])
-
-    def test_empty(self):
-        with pytest.raises(EmptyError):
-            validate_clip_sequence([])
-
-    def test_mixed_videos(self):
-        with pytest.raises(ValueError):
-            validate_clip_sequence([clip(0, 0.0, 5.0, "a"), clip(1, 5.0, 9.0, "b")])
 
     def test_touching_spans_allowed(self):
         validate_clip_sequence([clip(0, 0.0, 5.0), clip(1, 5.0, 5.5)])

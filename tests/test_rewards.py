@@ -67,14 +67,6 @@ class TestAnswersMatch:
         assert not answers_match("B.", "B")
         assert not answers_match("A", "B")
 
-    def test_numerical_string_compare_by_default(self):
-        assert answers_match("3.14", "3.14", "numerical")
-        assert not answers_match("3.140", "3.14", "numerical")
-
-    def test_open_ended_trimmed_compare(self):
-        assert answers_match(" a red door ", "a red door", "open_ended")
-        assert not answers_match("a red door", "a blue door", "open_ended")
-
 
 class TestRewards:
     def test_vanilla(self):
@@ -220,6 +212,12 @@ class TestScoreGroup:
     def test_score_flags_rejects_bad_gamma(self):
         with pytest.raises(RangeError):
             score_flags(0.0, [True, False])
+
+    @pytest.mark.parametrize("gamma", [1e200, -1e200])
+    def test_score_flags_checks_gamma_before_normalizing(self, gamma):
+        # normalize_advantages would overflow on this gamma before scale_advantages saw it
+        with pytest.raises(RangeError, match="gamma must be in"):
+            score_flags(gamma, [True, False])
 
 
 class TestPolicyLogProbs:

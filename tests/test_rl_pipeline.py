@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import FailingBackend, scripted_gateway
 
 from toc.config import apply_overrides, build_gateway, load_config
-from toc.errors import InvalidBandError, NonMultipleChoiceError
+from toc.errors import InvalidBandError
 from toc.gateway import Gateway
 from toc.records import QaPair, QaTask, RlSample, dump_record, load_qa_tasks
 from toc.rl_pipeline import (
@@ -74,11 +74,6 @@ class TestTrialRequest:
 
 
 class TestRunTrials:
-    def test_rejects_non_multiple_choice(self):
-        qa = QaPair(question="q", answer="x", qa_type="open_ended")
-        with pytest.raises(NonMultipleChoiceError):
-            run_trials(scripted_gateway([]), qa, "v", 4)
-
     def test_scores_each_trial(self):
         qa = mc_qa("B")
         replies = [

@@ -21,8 +21,8 @@ from toc.errors import (
     RecordError,
     StepCountMismatchError,
 )
-from toc.gateway import Gateway, MockBackend, RetryPolicy, request_digest
-from toc.records import Clip, QaPair, QaTask, load_qa_tasks
+from toc.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy, request_digest
+from toc.records import Clip, QaPair, QaTask, load_qa_tasks, write_records
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
     STAGES,
@@ -33,7 +33,6 @@ from toc.sft_pipeline import (
     clip_caption_request,
     clip_descriptions_json,
     compilation_caption_request,
-    filter_low_quality,
     filter_request,
     linearize_trajectory,
     load_clips,
@@ -353,13 +352,6 @@ class TestStageOps:
         assert [c.caption for c in out] == [f"cue {pos}" for pos in range(len(chain))]
         assert [c.clip_indices for c in out] == [c.clip_indices for c in chain]
 
-    def test_filter_low_quality(self):
-        qa = make_qa()
-        yes = scripted_gateway([(filter_request("the cue", qa), "Yes.")])
-        no = scripted_gateway([(filter_request("the cue", qa), "No")])
-        assert filter_low_quality(yes, "the cue", qa) is True
-        assert filter_low_quality(no, "the cue", qa) is False
-
     def rationale_gateway(self, cues, qa, reply):
         return scripted_gateway([(rationale_request(cues, qa), reply)])
 
@@ -368,9 +360,7 @@ class TestStageOps:
         cues = ["wide", "narrow"]
         reply = "Step 1: I scan the video. Step 2: I focus on the door."
         gateway = self.rationale_gateway(cues, qa, reply)
-        stripped, raw = summarize_rationale(gateway, cues, qa)
-        assert stripped == "I scan the video. I focus on the door."
-        assert raw == reply
+        assert summarize_rationale(gateway, cues, qa) == "I scan the video. I focus on the door."
 
     def test_summarize_rationale_step_count_mismatch(self):
         qa = make_qa()
@@ -391,10 +381,6 @@ class TestStageOps:
         gateway = self.rationale_gateway(["wide"], qa, "   ")
         with pytest.raises(EmptyRationaleError):
             summarize_rationale(gateway, ["wide"], qa)
-
-    def test_summarize_rationale_needs_cues(self):
-        with pytest.raises(ValueError):
-            summarize_rationale(scripted_gateway([]), [], make_qa())
 
 
 def make_task(video_id: str = "v", qa: QaPair | None = None) -> QaTask:
@@ -677,3 +663,46 @@ class TestLoadClips:
         by_video = load_clips(path)
         assert sorted(by_video) == ["v1", "v2"]
         assert [c.index for c in by_video["v2"]] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            # the breaking clip comes first in the file, before the clip it follows
+            ([("a", 2, 3.0, 5.0), ("a", 0, 0.0, 3.0)],
+             "clips.records:1: video 'a': clip indices are not contiguous 0..1: [0, 2]"),
+            ([("a", 1, 2.0, 5.0), ("a", 0, 0.0, 3.0)],
+             "clips.records:1: video 'a': clip 1 starts at 2.0 before clip 0 ends at 3.0"),
+            ([("a", 0, 0.0, 3.0), ("b", 0, 0.0, 1.0), ("a", 0, 0.0, 3.0)],
+             "clips.records:3: video 'a': clip indices are not contiguous 0..1: [0, 0]"),
+        ],
+        ids=["gap", "overlap", "repeated_index"],
+    )
+    def test_broken_run_names_line_and_video(self, tmp_path, rows, message):
+        path = tmp_path / "clips.records"
+        write_records(
+            path,
+            [{"video_id": v, "index": i, "start_s": s, "end_s": e} for v, i, s, e in rows],
+        )
+        with pytest.raises(RecordError) as info:
+            load_clips(path)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
+
+class _NullContent:
+    """An HTTP 200 reply whose message content is null."""
+
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": None}}]}
+
+
+def test_null_backend_content_rejects_as_caption_failed(tmp_path):
+    backend = HttpBackend("https://example.test", "m", "key", post=lambda *a, **kw: _NullContent())
+    gateway = Gateway(
+        backends={"mllm": backend, "llm": backend},
+        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+        sleep=lambda s: None,
+    )
+    summary = run_sft_pipeline(gateway, [make_task()], {"v": make_clips(3)}, tmp_path / "sft.records")
+    assert summary["rejection_reasons"] == {"caption_failed": 1}
