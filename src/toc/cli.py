@@ -182,7 +182,10 @@ def cmd_estimate_demand(args: argparse.Namespace) -> int:
         for reason, count in sorted(skipped.items())
     ]
     _write_report(args, entries)
-    print(f"annotated {len(annotated)}/{len(tasks)} samples -> {args.out}")
+    print(
+        f"annotated {len(annotated)}/{len(tasks)} samples "
+        f"({sum(skipped.values())} skipped) -> {args.out}"
+    )
     return 0
 
 

@@ -51,21 +51,6 @@ class Config:
     retry_max_attempts: int = 3
     retry_base_delay_s: float = 0.5
 
-    def validate(self) -> "Config":
-        _check_fields(self, "config", "")
-        for role, backend in self.backends.items():
-            if role not in MODEL_ROLES:
-                raise ConfigError(f"unknown backend role {role!r}")
-            _check_fields(backend, "backend", f"backend {role!r}: ")
-            if backend.kind not in BACKEND_KINDS:
-                raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
-            if backend.kind == "http":
-                if not backend.endpoint:
-                    raise ConfigError(f"backend {role!r} needs key 'endpoint'")
-                if not backend.model:
-                    raise ConfigError(f"backend {role!r} needs key 'model'")
-        return self
-
 
 def _check_fields(obj: Config | BackendConfig, shape: str, where: str) -> None:
     try:
@@ -80,7 +65,18 @@ def _backend_config(role: str, entry: object) -> BackendConfig:
     for key in entry:
         if key not in SHAPES["backend"]:
             raise ConfigError(f"unknown backend key {key!r} for role {role!r}")
-    return BackendConfig(**entry)
+    if role not in MODEL_ROLES:
+        raise ConfigError(f"unknown backend role {role!r}")
+    backend = BackendConfig(**entry)
+    _check_fields(backend, "backend", f"backend {role!r}: ")
+    if backend.kind not in BACKEND_KINDS:
+        raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
+    if backend.kind == "http":
+        if not backend.endpoint:
+            raise ConfigError(f"backend {role!r} needs key 'endpoint'")
+        if not backend.model:
+            raise ConfigError(f"backend {role!r} needs key 'model'")
+    return backend
 
 
 def load_config(path: str | Path) -> Config:
@@ -101,7 +97,7 @@ def load_config(path: str | Path) -> Config:
     config = Config(**raw)
     _check_fields(config, "config", "")  # backends is an object before its entries are read
     backends = {role: _backend_config(role, entry) for role, entry in config.backends.items()}
-    config = replace(config, backends=backends).validate()
+    config = replace(config, backends=backends)
     mock_table = config.mock_table_path
     if mock_table is not None and not Path(mock_table).is_absolute():
         return replace(config, mock_table_path=str(path.parent / mock_table))
@@ -109,9 +105,13 @@ def load_config(path: str | Path) -> Config:
 
 
 def apply_overrides(config: Config, **overrides: object) -> Config:
-    """Replace any non-None override fields; flags win over the file."""
+    """Replace any non-None override fields; flags win over the file.
+
+    The CLI checks each flag's value; the config file's values were checked
+    by load_config.
+    """
     changed = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **changed).validate() if changed else config
+    return replace(config, **changed) if changed else config
 
 
 def build_gateway(config: Config) -> Gateway:

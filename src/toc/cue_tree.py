@@ -21,7 +21,6 @@ class TreeNode:
 
     lo: int
     hi: int
-    depth: int
     children: tuple["TreeNode", ...] = ()
 
     @property
@@ -33,11 +32,11 @@ class TreeNode:
         return tuple(range(self.lo, self.hi + 1))
 
 
-def _split(lo: int, hi: int, depth: int) -> TreeNode:
+def _split(lo: int, hi: int) -> TreeNode:
     if lo == hi:
-        return TreeNode(lo, hi, depth)
+        return TreeNode(lo, hi)
     mid = (lo + hi) // 2
-    return TreeNode(lo, hi, depth, (_split(lo, mid, depth + 1), _split(mid + 1, hi, depth + 1)))
+    return TreeNode(lo, hi, (_split(lo, mid), _split(mid + 1, hi)))
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def build_tree(n_leaves: int) -> CueTree:
     """Build the tree by repeated midpoint splits; odd spans put the extra clip left."""
     if n_leaves < 1:
         raise InvalidSizeError(f"n_leaves must be >= 1, got {n_leaves}")
-    return CueTree(n_leaves=n_leaves, root=_split(0, n_leaves - 1, 0))
+    return CueTree(n_leaves=n_leaves, root=_split(0, n_leaves - 1))
 
 
 @dataclass(frozen=True)

@@ -9,23 +9,7 @@ class TocError(Exception):
     """
 
 
-# --- record and clip-sequence validation ---
-
-
-class ClipRunError(TocError, ValueError):
-    """A video's clips break their 0..N-1 run at `position`, counted in index order."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(message)
-        self.position = position
-
-
-class OverlapError(ClipRunError):
-    """Clip time spans overlap."""
-
-
-class GapError(ClipRunError):
-    """Clip indices are not a contiguous 0..N-1 run."""
+# --- records ---
 
 
 class EmptyRationaleError(TocError):
@@ -66,15 +50,22 @@ class OutOfRangeError(TocError):
     """A leaf index falls outside 0..N-1."""
 
 
+# --- configuration ---
+
+
+class ConfigError(TocError):
+    """Configuration is missing or inconsistent."""
+
+
 # --- gateway ---
 
 
 class GatewayError(TocError):
-    """Base class for chat-backend failures."""
+    """Base class for chat-backend failures that fail one request, not the run."""
 
 
-class AuthError(GatewayError):
-    """Credential missing or rejected by the backend."""
+class AuthError(ConfigError):
+    """Credential missing or rejected by the backend; it stops the run, never retried."""
 
 
 class BackendUnavailableError(GatewayError):
@@ -112,10 +103,6 @@ class ReservedTagError(TocError):
     """A rationale holds a tag that delimits the blocks of the training target."""
 
 
-class InvalidBandError(TocError):
-    """Difficulty band bounds are not an increasing pair."""
-
-
 # --- reward engine ---
 
 
@@ -136,10 +123,6 @@ class NonFiniteError(TocError, ValueError):
 
 
 # --- cli ---
-
-
-class ConfigError(TocError):
-    """Configuration is missing or inconsistent."""
 
 
 class UsageError(TocError):

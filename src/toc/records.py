@@ -17,14 +17,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import (
-    EmptyRationaleError,
-    GapError,
-    NonFiniteError,
-    OverlapError,
-    RangeError,
-    RecordError,
-)
+from .errors import EmptyRationaleError, NonFiniteError, RangeError, RecordError
 from .templates import step_numbers
 
 QA_TYPES = ("multiple_choice", "open_ended", "numerical")
@@ -191,27 +184,6 @@ class Clip:
             embedding=tuple(float(v) for v in embedding) if embedding is not None else None,
             caption=rec.get("caption"),
         )
-
-
-def validate_clip_sequence(clips: list[Clip]) -> list[Clip]:
-    """Sort one video's clips by index and enforce the sequence invariants.
-
-    Indices must be exactly 0..N-1 and time spans must be non-overlapping and
-    increasing with index.
-    """
-    ordered = sorted(clips, key=lambda c: c.index)
-    indices = [c.index for c in ordered]
-    for pos, index in enumerate(indices):
-        if index != pos:
-            raise GapError(f"clip indices are not contiguous 0..{len(ordered) - 1}: {indices}", pos)
-    for pos, (prev, nxt) in enumerate(zip(ordered, ordered[1:]), 1):
-        if nxt.start_s < prev.end_s:
-            raise OverlapError(
-                f"clip {nxt.index} starts at {nxt.start_s} before clip "
-                f"{prev.index} ends at {prev.end_s}",
-                pos,
-            )
-    return ordered
 
 
 @dataclass(frozen=True)

@@ -65,16 +65,25 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
 
     The divisor is G-1; that choice is what makes closed_form_advantages
     exact.  A group with all rewards equal has zero deviation and is defined
-    to yield all-zero advantages rather than dividing by zero.
+    to yield all-zero advantages rather than dividing by zero.  A reward
+    that is not finite, or a sum or square beyond the float range, is a
+    NonFiniteError.
     """
     size = len(rewards)
     if size < 2:
         raise GroupTooSmallError(f"need at least 2 rewards, got {size}")
+    if not all(map(math.isfinite, rewards)):
+        raise NonFiniteError("rewards must be finite")
     first = rewards[0]
     if all(r == first for r in rewards):
         return [0.0] * size
-    mean = math.fsum(rewards) / size
-    variance = math.fsum((r - mean) ** 2 for r in rewards) / (size - 1)
+    try:
+        mean = math.fsum(rewards) / size
+        variance = math.fsum((r - mean) ** 2 for r in rewards) / (size - 1)
+    except OverflowError:
+        raise NonFiniteError("reward statistics overflowed") from None
+    if variance == math.inf:  # a reward's distance from the mean overflowed
+        raise NonFiniteError("reward statistics overflowed")
     std = math.sqrt(variance)
     return [(r - mean) / std for r in rewards]
 

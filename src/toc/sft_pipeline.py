@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple, Sequence
 
 from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
 from .errors import (
-    ClipRunError,
     EmptyCaptionError,
     EmptyRationaleError,
     EmptySelectionError,
@@ -43,7 +42,6 @@ from .records import (
     SftSample,
     check_record,
     parse_records,
-    validate_clip_sequence,
     write_records,
 )
 from .templates import (
@@ -448,17 +446,33 @@ def process_sample(
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
-    """Group a clip record file by video; a broken run names its first breaking clip's line."""
+    """Group a clip record file by video, each video's clips sorted by index.
+
+    A video's indices must be exactly 0..N-1, and each clip must start no
+    earlier than the clip before it ends.  A broken run is a RecordError
+    naming its first breaking clip's line; a gap is found before an overlap.
+    """
     by_video: dict[str, list[tuple[int, Clip]]] = {}
     for line_no, clip in parse_records(path, Clip.from_record):
         by_video.setdefault(clip.video_id, []).append((line_no, clip))
     clips_by_video = {}
     for video_id, numbered in by_video.items():
         numbered.sort(key=lambda pair: pair[1].index)
-        try:
-            clips_by_video[video_id] = validate_clip_sequence([clip for _, clip in numbered])
-        except ClipRunError as exc:
-            raise RecordError(f"{path}:{numbered[exc.position][0]}: video {video_id!r}: {exc}") from None
+        clips = [clip for _, clip in numbered]
+        indices = [clip.index for clip in clips]
+        gap = next((pos for pos, index in enumerate(indices) if index != pos), None)
+        if gap is not None:
+            raise RecordError(
+                f"{path}:{numbered[gap][0]}: video {video_id!r}: "
+                f"clip indices are not contiguous 0..{len(clips) - 1}: {indices}"
+            )
+        for pos, (prev, nxt) in enumerate(zip(clips, clips[1:]), 1):
+            if nxt.start_s < prev.end_s:
+                raise RecordError(
+                    f"{path}:{numbered[pos][0]}: video {video_id!r}: clip {nxt.index} "
+                    f"starts at {nxt.start_s} before clip {prev.index} ends at {prev.end_s}"
+                )
+        clips_by_video[video_id] = clips
     return clips_by_video
 
 

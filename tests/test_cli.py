@@ -379,6 +379,25 @@ class TestBuildSft:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+def test_missing_api_key_stops_the_run(corpus, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv("TOC_API_KEY", raising=False)
+    http = {"kind": "http", "endpoint": "https://example.test/v1/chat", "model": "m"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backends": {"mllm": http, "llm": http}}), encoding="utf-8")
+    paths = corpus.manifest["paths"]
+    videos = ["--videos", paths["clips"]] if command == "build-sft" else []
+    out = tmp_path / "out.records"
+    code, _, err = run_cli(
+        [command, *videos, "--qa", paths["qa"], "--config", str(config), "-o", str(out)], capsys
+    )
+    assert code == 1 and err == "error: no API key set (export TOC_API_KEY)\n"
+    (entry,) = read_lines(tmp_path / "out.records.report")
+    assert entry["kind"] == "error" and entry["error"] == "AuthError"
+    # nothing is written or rejected, so a rerun with the key starts clean
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.records.report"]
+
+
 class TestEstimateDemand:
     def test_corpus_run(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
@@ -398,6 +417,22 @@ class TestEstimateDemand:
             assert row["reasoning_demand"] == pytest.approx(math.exp(-row["alpha"] / 8))
             assert row["difficulty"] == pytest.approx(1 - row["alpha"] / 8)
         assert "annotated 20/20" in stdout
+
+    def test_skips_are_counted_without_a_line_each(self, corpus, tmp_path, capsys, caplog):
+        paths = corpus.manifest["paths"]
+        rows = [row for row in read_records(paths["mock_table"]) if row["note"] != "v03 trial 0"]
+        write_records(tmp_path / "mock_table.records", rows)
+        shutil.copy(paths["config"], tmp_path / "config.json")
+        out = tmp_path / "demand.records"
+        code, stdout, err = run_cli(
+            ["estimate-demand", "--qa", paths["qa"], "--config", str(tmp_path / "config.json"),
+             "-o", str(out)],
+            capsys,
+        )
+        assert code == 0 and err == "" and caplog.records == []
+        assert stdout == f"annotated 19/20 samples (1 skipped) -> {out}\n"
+        report = read_lines(tmp_path / "demand.records.report")
+        assert {"kind": "rejection", "reason": "trials_failed", "count": 1} in report
 
     def test_multiple_choice_without_options_is_run_error(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
@@ -888,11 +923,13 @@ class TestTopLevel:
              "--m must be >= 1, got 0"),
             (["build-rl", "--in", "{demand}", "--band", "0.8:0.2"],
              "--band must satisfy lo < hi, got '0.8:0.2'"),
+            (["build-rl", "--in", "{demand}", "--band", "0.5:0.5"],
+             "--band must satisfy lo < hi, got '0.5:0.5'"),
             (["tree", "--n", "0", "--select", "0"], "--n must be >= 1, got 0"),
             (["tree", "--n", "4", "--select", "7"], "--select indices must be in [0, 3], got 7"),
         ],
         ids=["build_sft_parallelism", "demand_parallelism", "demand_m", "build_rl_band",
-             "tree_n", "tree_select"],
+             "build_rl_empty_band", "tree_n", "tree_select"],
     )
     def test_out_of_range_flag_is_usage_error(
         self, corpus, demand_file, tmp_path, capsys, args, message

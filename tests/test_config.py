@@ -153,14 +153,10 @@ def test_unreadable_mock_table_is_config_error(tmp_path, table):
         build_gateway(config)
 
 
-def test_apply_overrides_validates_again(tmp_path):
+def test_apply_overrides_replaces_given_fields(tmp_path):
     config = load_config(write_config(tmp_path, {"parallelism": 2}))
     assert apply_overrides(config, parallelism=None, m_trials=None) is config
     assert apply_overrides(config, parallelism=4).parallelism == 4
-    with pytest.raises(ConfigError, match="parallelism must be finite and >= 1"):
-        apply_overrides(config, parallelism=0)
-    with pytest.raises(ConfigError, match="m_trials must be an integer"):
-        apply_overrides(config, m_trials=2.0)
 
 
 @pytest.mark.parametrize(

@@ -52,15 +52,16 @@ def oracle_chain(n: int, selected) -> list[list[int]]:
 
 
 def preorder(tree: CueTree):
-    stack = [tree.root]
+    """(node, depth) pairs in preorder; the root is at depth 0."""
+    stack = [(tree.root, 0)]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
 
 
 def max_depth(tree: CueTree) -> int:
-    return max(n.depth for n in preorder(tree) if n.is_leaf)
+    return max(depth for n, depth in preorder(tree) if n.is_leaf)
 
 
 def all_subsets(n: int):
@@ -71,7 +72,7 @@ def all_subsets(n: int):
 class TestBuildTree:
     def test_single_leaf(self):
         tree = build_tree(1)
-        assert tree.root == TreeNode(0, 0, 0)
+        assert tree.root == TreeNode(0, 0)
         assert max_depth(tree) == 0
 
     def test_power_of_two_is_perfect(self):
@@ -79,15 +80,15 @@ class TestBuildTree:
         root = tree.root
         assert (root.lo, root.hi) == (0, 3)
         assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 3)]
-        leaves = [n for n in preorder(tree) if n.is_leaf]
-        assert [(n.lo, n.depth) for n in leaves] == [(0, 2), (1, 2), (2, 2), (3, 2)]
+        leaves = [(n.lo, depth) for n, depth in preorder(tree) if n.is_leaf]
+        assert leaves == [(0, 2), (1, 2), (2, 2), (3, 2)]
 
     def test_odd_split_puts_extra_clip_left(self):
         root = build_tree(3).root
         assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 2)]
 
     def test_preorder_walk(self):
-        got = [(n.lo, n.hi) for n in preorder(build_tree(3))]
+        got = [(n.lo, n.hi) for n, _ in preorder(build_tree(3))]
         assert got == [(0, 2), (0, 1), (0, 0), (1, 1), (2, 2)]
 
     @pytest.mark.parametrize("n", [0, -2])
@@ -99,7 +100,7 @@ class TestBuildTree:
     def test_structure_invariants(self, n):
         tree = build_tree(n)
         seen_leaves = []
-        for node in preorder(tree):
+        for node, _ in preorder(tree):
             assert 0 <= node.lo <= node.hi <= n - 1
             if node.is_leaf:
                 assert node.hi == node.lo
@@ -108,7 +109,6 @@ class TestBuildTree:
                 left, right = node.children
                 assert (left.lo, right.hi) == (node.lo, node.hi)
                 assert left.hi + 1 == right.lo
-                assert left.depth == right.depth == node.depth + 1
                 # midpoint split: a surplus clip lands in the left child
                 assert left.hi - left.lo in (right.hi - right.lo, right.hi - right.lo + 1)
         assert seen_leaves == list(range(n))

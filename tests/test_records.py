@@ -8,13 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toc.errors import (
-    EmptyRationaleError,
-    GapError,
-    OverlapError,
-    RangeError,
-    RecordError,
-)
+from toc.errors import EmptyRationaleError, RangeError, RecordError
 from toc.records import (
     Clip,
     QaPair,
@@ -30,7 +24,6 @@ from toc.records import (
     parse_records,
     read_records,
     render_target,
-    validate_clip_sequence,
     write_records,
 )
 from toc.rewards import extract_answer
@@ -59,27 +52,6 @@ class TestClip:
     def test_none_fields_omitted_from_record(self):
         rec = clip(0, 0.0, 1.0).to_record()
         assert "embedding" not in rec and "caption" not in rec
-
-
-class TestValidateClipSequence:
-    def test_well_formed(self):
-        clips = [clip(0, 0.0, 5.0), clip(1, 5.0, 9.0)]
-        assert validate_clip_sequence(clips) == clips
-
-    def test_sorts_by_index(self):
-        a, b = clip(0, 0.0, 5.0), clip(1, 5.0, 9.0)
-        assert validate_clip_sequence([b, a]) == [a, b]
-
-    def test_overlap(self):
-        with pytest.raises(OverlapError):
-            validate_clip_sequence([clip(0, 0.0, 5.0), clip(1, 4.0, 9.0)])
-
-    def test_index_gap(self):
-        with pytest.raises(GapError):
-            validate_clip_sequence([clip(0, 0.0, 5.0), clip(2, 5.0, 9.0)])
-
-    def test_touching_spans_allowed(self):
-        validate_clip_sequence([clip(0, 0.0, 5.0), clip(1, 5.0, 5.5)])
 
 
 class TestQaPair:

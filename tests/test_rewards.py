@@ -100,6 +100,17 @@ class TestNormalizeAdvantages:
     def test_degenerate_group_is_all_zeros(self, rewards):
         assert normalize_advantages(rewards) == [0.0] * len(rewards)
 
+    @pytest.mark.parametrize(
+        "rewards",
+        [[math.inf, 0.0], [math.nan, 0.0], [-math.inf, -math.inf], [1e200, 0.0],
+         [1.7e308, 1.7e308, 0.0], [1.7e308, -1.7e308, -1.7e308]],
+        ids=["inf", "nan", "equal_infinities", "square_overflows", "sum_overflows",
+             "distance_overflows"],
+    )
+    def test_non_finite_reward_or_statistic(self, rewards):
+        with pytest.raises(NonFiniteError):
+            normalize_advantages(rewards)
+
     def test_known_binary_group(self):
         assert normalize_advantages([1.0, 0.0, 0.0, 0.0]) == pytest.approx(
             [1.5, -0.5, -0.5, -0.5], abs=1e-12

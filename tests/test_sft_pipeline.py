@@ -6,6 +6,7 @@ import json
 import threading
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import CountingBackend, CrashingBackend, FailingBackend, scripted_gateway
@@ -13,6 +14,7 @@ from conftest import CountingBackend, CrashingBackend, FailingBackend, scripted_
 from toc.config import apply_overrides, build_gateway, load_config
 from toc.cue_tree import backtrack, build_tree, layer_compilations
 from toc.errors import (
+    AuthError,
     EmptyCaptionError,
     EmptyRationaleError,
     EmptySelectionError,
@@ -473,6 +475,28 @@ class TestProcessSample:
         again = process_sample(gateway2, task, clips, store)
         assert again == state and backend2.calls == 0
 
+    def test_rejected_credential_stops_at_last_checkpoint(self, tmp_path):
+        clips, task = make_clips(4), make_task()
+        pairs = full_script(clips, task.qa)
+        captions = MockBackend({request_digest(r): reply for r, reply in pairs})
+        denied = HttpBackend(
+            "https://example.test", "m", "key", post=lambda *a, **kw: SimpleNamespace(status_code=401)
+        )
+        gateway = Gateway(
+            backends={"mllm": captions, "llm": denied},
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            sleep=lambda s: None,
+        )
+        store = Journal(tmp_path / "state.journal")
+        with pytest.raises(AuthError, match="status 401"):
+            process_sample(gateway, task, clips, store)
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["stage"] for line in lines] == ["captioned"]
+        # the selection, 2 cue captions, filter and rationale remain
+        retry_gateway, retry_backend = counting_gateway(pairs)
+        resumed = process_sample(retry_gateway, task, clips, Journal(store.path))
+        assert resumed.stage == "emitted" and retry_backend.calls == 5
+
     # crashing mid-captioning persists nothing (9 calls to redo); after the
     # selection checkpoint only the cue/filter/rationale legs remain (4);
     # after the cue captions only filter and rationale remain (2)
@@ -656,13 +680,14 @@ class TestRunSftPipeline:
 class TestLoadClips:
     def test_groups_and_validates(self, tmp_path):
         path = tmp_path / "clips.records"
+        v2 = make_clips(3, "v2")
         rows = [c.to_record() for c in make_clips(2, "v1")] + [
-            c.to_record() for c in make_clips(3, "v2")
+            c.to_record() for c in (v2[2], v2[0], v2[1])
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
         by_video = load_clips(path)
         assert sorted(by_video) == ["v1", "v2"]
-        assert [c.index for c in by_video["v2"]] == [0, 1, 2]
+        assert by_video["v2"] == v2
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -674,8 +699,11 @@ class TestLoadClips:
              "clips.records:1: video 'a': clip 1 starts at 2.0 before clip 0 ends at 3.0"),
             ([("a", 0, 0.0, 3.0), ("b", 0, 0.0, 1.0), ("a", 0, 0.0, 3.0)],
              "clips.records:3: video 'a': clip indices are not contiguous 0..1: [0, 0]"),
+            # an overlap before a gap: the gap is named
+            ([("a", 0, 0.0, 3.0), ("a", 1, 2.0, 5.0), ("a", 3, 5.0, 6.0)],
+             "clips.records:3: video 'a': clip indices are not contiguous 0..2: [0, 1, 3]"),
         ],
-        ids=["gap", "overlap", "repeated_index"],
+        ids=["gap", "overlap", "repeated_index", "gap_and_overlap"],
     )
     def test_broken_run_names_line_and_video(self, tmp_path, rows, message):
         path = tmp_path / "clips.records"

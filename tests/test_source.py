@@ -1,14 +1,20 @@
-"""Source checks that keep dead code from coming back: unused imports and error classes."""
+"""Source checks that keep dead code from coming back.
+
+They flag unused imports, unreferenced error classes, and top-level
+functions and classes that only tests use.
+"""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toc"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 def parse(path: Path) -> ast.Module:
@@ -62,3 +68,29 @@ def test_every_error_class_is_raised_or_caught_somewhere():
             break
         live |= bases
     assert sorted(classes.keys() - live) == []
+
+
+def exported() -> set[str]:
+    """The names in the package's __all__."""
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("toc/__init__.py has no __all__")
+
+
+def test_no_top_level_function_or_class_is_used_only_by_tests():
+    benchmark = [parse(path) for path in sorted(BENCH.glob("*.py")) if not path.name.startswith("test_")]
+    used_outside = exported().union(*map(names_read, benchmark))
+    top_level = [(path, node, names_read(node)) for path in MODULES for node in parse(path).body]
+    readers = Counter(name for _, _, names in top_level for name in names)
+    # A definition's own body does not count: a recursive function reads itself.
+    unused = [
+        f"{path.name}: {node.name}"
+        for path, node, names in top_level
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in used_outside
+        and readers[node.name] == (node.name in names)
+    ]
+    assert unused == [], f"used only by tests: {unused}"
