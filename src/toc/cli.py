@@ -110,7 +110,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         raise UsageError(f"--select indices must be in [0, {args.n - 1}], got {args.select}")
     subtree = backtrack(build_tree(args.n), selected)
     for depth, nodes in enumerate(subtree.layers):
-        intervals = " ".join(f"[{n.lo},{n.hi}]" for n in nodes)
+        intervals = " ".join(f"[{lo},{hi}]" for lo, hi in nodes)
         print(f"layer {depth}: {intervals}")
     chain = layer_compilations(subtree)
     for pos, compilation in enumerate(chain):

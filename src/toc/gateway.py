@@ -40,16 +40,6 @@ class ChatRequest:
     max_tokens: int = 1024
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.model_role not in MODEL_ROLES:
-            raise ValueError(f"model_role must be one of {MODEL_ROLES}, got {self.model_role!r}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_tokens <= 0:
-            raise ValueError(f"max_tokens must be > 0, got {self.max_tokens}")
-        if self.model_role != "mllm" and self.media:
-            raise ValueError("media references are only valid for the mllm role")
-
 
 def canonical_request(request: ChatRequest) -> dict:
     """The digested form; its one-message list keeps digests of stored tables stable."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,8 +66,10 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
 
     The divisor is G-1; that choice is what makes closed_form_advantages
     exact.  A group with all rewards equal has zero deviation and is defined
-    to yield all-zero advantages rather than dividing by zero.  A reward
-    that is not finite, or a sum or square beyond the float range, is a
+    to yield all-zero advantages rather than dividing by zero.  Unequal
+    rewards whose variance underflows the normal float range are scaled by
+    a power of two, which is exact, and normalized again.  A reward that is
+    not finite, or a sum or square beyond the float range, is a
     NonFiniteError.
     """
     size = len(rewards)
@@ -77,13 +80,25 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
     first = rewards[0]
     if all(r == first for r in rewards):
         return [0.0] * size
+
+    def moments(values: Sequence[float]) -> tuple[float, float]:
+        mean = math.fsum(values) / size
+        return mean, math.fsum((v - mean) ** 2 for v in values) / (size - 1)
+
     try:
-        mean = math.fsum(rewards) / size
-        variance = math.fsum((r - mean) ** 2 for r in rewards) / (size - 1)
+        mean, variance = moments(rewards)
     except OverflowError:
         raise NonFiniteError("reward statistics overflowed") from None
     if variance == math.inf:  # a reward's distance from the mean overflowed
         raise NonFiniteError("reward statistics overflowed")
+    if variance < sys.float_info.min:
+        # The squared deviations underflowed.  Bringing the largest magnitude
+        # into [0.5, 1) by a power of two is exact.  A group whose variance
+        # is normal is never scaled: a square of scaled values can round
+        # differently in its last bit.
+        shift = -math.frexp(max(map(abs, rewards)))[1]
+        rewards = [math.ldexp(r, shift) for r in rewards]
+        mean, variance = moments(rewards)
     std = math.sqrt(variance)
     return [(r - mean) / std for r in rewards]
 

@@ -153,7 +153,7 @@ def run_build_rl(
 ) -> tuple[list[RlSample], list[str]]:
     """Band-filter then balance; returns the dataset and any warnings."""
     in_band = filter_by_difficulty(samples, band_lo, band_hi)
-    selected = balance_tiers(in_band, target, seed) if in_band else []
+    selected = balance_tiers(in_band, target, seed)
     warnings = []
     if len(selected) < target:
         warnings.append(

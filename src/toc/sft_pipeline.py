@@ -1,12 +1,13 @@
 """Build the rationale-bearing SFT dataset, stage by stage.
 
-Per sample: caption every clip, ask the LLM which clips matter, derive the
-coarse-to-fine compilation chain, caption each compilation, screen the final
-cue for answerability, summarize the chain into a step-style rationale, and
-emit the training record.  Every stage checkpoint is appended to the run's
+Per sample: caption every clip, ask the LLM which clips matter, caption
+each compilation of the coarse-to-fine chain derived from that selection,
+screen the final cue for answerability, and summarize the chain into a
+step-style rationale.  Every stage checkpoint is appended to the run's
 journal, so an interrupted run resumes without repeating backend calls, and
 a sample that fails a stage is parked with a rejection reason instead of
-aborting the run.
+aborting the run.  The journal holds only what the models said; the chain
+and the training record are recomputed from it where they are used.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Where one sample stands; payload accumulates stage outputs.
+    """Where one sample stands; payload accumulates the model outputs of its stages.
 
     stage is None before the first checkpoint, then a STAGES entry or
     "rejected".  digest fingerprints the inputs the state was computed from;
@@ -193,12 +194,14 @@ class Journal:
 
     Each line holds a sample id, its input digest, the stage reached and
     that stage's payload additions; a rejection is a "rejected" line whose
-    payload holds the reason and detail.  The file is read once, on
-    construction: a torn last line (no trailing newline, left by a crash) is
-    truncated away before anything is appended, and a sample's lines are
-    merged back into its state.  Appends are serialized, and each one is
-    flushed by closing the file, so the file stays usable after a crash at
-    any point.
+    payload holds the reason and detail.  Older journals also hold
+    "compiled" lines, read as "selected", and "summarized" lines, read as
+    "emitted"; their "chain" and "record" payloads are merged and ignored.
+    The file is read once, on construction: a torn last line (no trailing
+    newline, left by a crash) is truncated away before anything is appended,
+    and a sample's lines are merged back into its state.  Appends are
+    serialized, and each one is flushed by closing the file, so the file
+    stays usable after a crash at any point.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -221,7 +224,8 @@ class Journal:
             try:
                 entry = json.loads(line)
                 check_record(entry, "journal")
-                sample_id, digest, stage = entry["sample_id"], entry["digest"], entry["stage"]
+                sample_id, digest = entry["sample_id"], entry["digest"]
+                stage = _OLD_STAGES.get(entry["stage"], entry["stage"])
                 if stage not in STAGES and stage != "rejected":
                     raise ValueError(f"unknown stage {stage!r}")
             except (KeyError, TypeError, ValueError) as exc:
@@ -345,12 +349,8 @@ class _Sample(NamedTuple):
         qa = self.task.qa
         return {"selected": select_key_clips(self.gateway, clips, qa, lenient=self.lenient)}
 
-    def compile(self, payload: dict) -> dict:
-        subtree = backtrack(build_tree(len(self.clips)), payload["selected"])
-        return {"chain": [list(c.clip_indices) for c in layer_compilations(subtree)]}
-
     def caption_cues(self, payload: dict) -> dict:
-        chain = [Compilation(clip_indices=tuple(ix)) for ix in payload["chain"]]
+        chain = layer_compilations(backtrack(build_tree(len(self.clips)), payload["selected"]))
         return {"cues": [c.caption for c in caption_compilations(self.gateway, chain, self.clips)]}
 
     def filter(self, payload: dict) -> dict:
@@ -361,17 +361,18 @@ class _Sample(NamedTuple):
     def summarize(self, payload: dict) -> dict:
         return {"rationale": summarize_rationale(self.gateway, payload["cues"], self.task.qa)}
 
-    def emit(self, payload: dict) -> dict:
-        task, question = self.task, self.task.qa.formatted_question()
-        sample = SftSample.build(
-            id=task.sample_id,
-            video_id=task.video_id,
-            question=question,
-            answer=task.qa.answer,
-            rationale=payload["rationale"],
-            prompt=render_train_infer(question, task.qa.qa_type),
-        )
-        return {"record": sample.to_record()}
+
+def sft_record(task: QaTask, rationale: str) -> dict:
+    """The dataset line of an emitted sample."""
+    question = task.qa.formatted_question()
+    return SftSample.build(
+        id=task.sample_id,
+        video_id=task.video_id,
+        question=question,
+        answer=task.qa.answer,
+        rationale=rationale,
+        prompt=render_train_infer(question, task.qa.qa_type),
+    ).to_record()
 
 
 # One row per stage, in checkpoint order: the step that reaches the stage, and
@@ -390,7 +391,6 @@ STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] 
             GatewayError: "selection_failed",
         },
     ),
-    "compiled": (_Sample.compile, {}),
     "cue_captioned": (
         _Sample.caption_cues,
         {EmptyCaptionError: "empty_caption", GatewayError: "cue_caption_failed"},
@@ -403,7 +403,7 @@ STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] 
             InsufficientCuesError: "insufficient_cues",
         },
     ),
-    "summarized": (
+    "emitted": (
         _Sample.summarize,
         {
             StepCountMismatchError: "step_count_mismatch",
@@ -412,9 +412,10 @@ STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] 
             GatewayError: "rationale_failed",
         },
     ),
-    "emitted": (_Sample.emit, {}),
 }
 STAGES = tuple(STAGE_TABLE)
+# The stage that each retired stage of older journals reads as.
+_OLD_STAGES = {"compiled": "selected", "summarized": "emitted"}
 
 
 def process_sample(
@@ -488,7 +489,7 @@ def run_sft_pipeline(
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
     Up to `workers` samples are in flight at once.  Progress goes to
-    `<out>.journal`; the dataset and sidecar are rewritten from the
+    `<out>.journal`; the dataset and sidecar are rendered from the
     journalled states on every run, so a resumed run produces the same bytes
     as a clean one.  A sample whose inputs changed since it was journalled
     restarts and is counted as invalidated.
@@ -507,7 +508,11 @@ def run_sft_pipeline(
         states = list(pool.map(run_one, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
-    emitted = [state.payload["record"] for state in states if state.stage == "emitted"]
+    emitted = [
+        sft_record(task, state.payload["rationale"])
+        for task, state in zip(tasks, states)
+        if state.stage == "emitted"
+    ]
     rejections = [
         {
             "id": state.sample_id,

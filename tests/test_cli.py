@@ -685,6 +685,14 @@ class TestReward:
             "scaled_advantages": [0.0, 0.0],
         }
 
+    def test_tiny_gamma_keeps_the_closed_form(self, tmp_path, capsys):
+        group_file = tmp_path / "groups.records"
+        write_records(group_file, [{"gamma": 1e-200, "correct": [True, False]}])
+        code, stdout, _ = run_cli(["reward", "--group", str(group_file)], capsys)
+        assert code == 0
+        root_half = sig12(math.sqrt(0.5))
+        assert json.loads(stdout)["advantages"] == [root_half, -root_half]
+
     def test_missing_keys_is_run_error(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"
         write_records(group_file, [{"gamma": 0.5, "correct": [True, False]}, {"correct": [True]}])

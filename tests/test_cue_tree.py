@@ -1,7 +1,8 @@
-"""Segment tree construction, backtracking, and the compilation chain.
+"""Segment tree paths, backtracking, and the compilation chain.
 
-The oracle here never touches TreeNode: it re-derives each root-to-leaf path
-by descending plain (lo, hi) intervals with the same midpoint rule.
+The oracle here re-derives each root-to-leaf path by descending (lo, hi)
+intervals with the same midpoint rule as the code, so the explicit expected
+paths and chains below are the independent checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from toc.cue_tree import (
     Compilation,
     CueTree,
-    TreeNode,
     backtrack,
     build_tree,
     layer_compilations,
@@ -51,17 +51,12 @@ def oracle_chain(n: int, selected) -> list[list[int]]:
     return out
 
 
-def preorder(tree: CueTree):
-    """(node, depth) pairs in preorder; the root is at depth 0."""
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+def leaf_paths(tree: CueTree) -> list[tuple[tuple[int, int], ...]]:
+    return [tree.path_to_leaf(idx) for idx in range(tree.n_leaves)]
 
 
 def max_depth(tree: CueTree) -> int:
-    return max(depth for n, depth in preorder(tree) if n.is_leaf)
+    return max(len(path) - 1 for path in leaf_paths(tree))
 
 
 def all_subsets(n: int):
@@ -72,24 +67,25 @@ def all_subsets(n: int):
 class TestBuildTree:
     def test_single_leaf(self):
         tree = build_tree(1)
-        assert tree.root == TreeNode(0, 0)
+        assert leaf_paths(tree) == [((0, 0),)]
         assert max_depth(tree) == 0
 
     def test_power_of_two_is_perfect(self):
         tree = build_tree(4)
-        root = tree.root
-        assert (root.lo, root.hi) == (0, 3)
-        assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 3)]
-        leaves = [(n.lo, depth) for n, depth in preorder(tree) if n.is_leaf]
-        assert leaves == [(0, 2), (1, 2), (2, 2), (3, 2)]
+        assert leaf_paths(tree) == [
+            ((0, 3), (0, 1), (0, 0)),
+            ((0, 3), (0, 1), (1, 1)),
+            ((0, 3), (2, 3), (2, 2)),
+            ((0, 3), (2, 3), (3, 3)),
+        ]
+        assert max_depth(tree) == 2
 
     def test_odd_split_puts_extra_clip_left(self):
-        root = build_tree(3).root
-        assert [(c.lo, c.hi) for c in root.children] == [(0, 1), (2, 2)]
-
-    def test_preorder_walk(self):
-        got = [(n.lo, n.hi) for n, _ in preorder(build_tree(3))]
-        assert got == [(0, 2), (0, 1), (0, 0), (1, 1), (2, 2)]
+        assert leaf_paths(build_tree(3)) == [
+            ((0, 2), (0, 1), (0, 0)),
+            ((0, 2), (0, 1), (1, 1)),
+            ((0, 2), (2, 2)),
+        ]
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_invalid_size(self, n):
@@ -99,19 +95,19 @@ class TestBuildTree:
     @given(st.integers(1, 128))
     def test_structure_invariants(self, n):
         tree = build_tree(n)
-        seen_leaves = []
-        for node, _ in preorder(tree):
-            assert 0 <= node.lo <= node.hi <= n - 1
-            if node.is_leaf:
-                assert node.hi == node.lo
-                seen_leaves.append(node.lo)
-            else:
-                left, right = node.children
-                assert (left.lo, right.hi) == (node.lo, node.hi)
-                assert left.hi + 1 == right.lo
-                # midpoint split: a surplus clip lands in the left child
-                assert left.hi - left.lo in (right.hi - right.lo, right.hi - right.lo + 1)
-        assert seen_leaves == list(range(n))
+        children: dict[tuple[int, int], set[tuple[int, int]]] = {}
+        for idx, path in enumerate(leaf_paths(tree)):
+            assert path[0] == (0, n - 1)
+            assert path[-1] == (idx, idx)
+            for (lo, hi), child in zip(path, path[1:]):
+                assert lo <= child[0] <= idx <= child[1] <= hi
+                children.setdefault((lo, hi), set()).add(child)
+        for (lo, hi), halves in children.items():
+            (left_lo, left_hi), (right_lo, right_hi) = sorted(halves)
+            assert (left_lo, right_hi) == (lo, hi)
+            assert left_hi + 1 == right_lo
+            # midpoint split: a surplus clip lands in the left half
+            assert left_hi - left_lo in (right_hi - right_lo, right_hi - right_lo + 1)
 
     @given(st.integers(1, 128))
     def test_depth_is_logarithmic(self, n):
@@ -120,13 +116,11 @@ class TestBuildTree:
 
 class TestPathToLeaf:
     def test_path_intervals(self):
-        tree = build_tree(4)
-        assert [(p.lo, p.hi) for p in tree.path_to_leaf(2)] == [(0, 3), (2, 3), (2, 2)]
+        assert build_tree(4).path_to_leaf(2) == ((0, 3), (2, 3), (2, 2))
 
     def test_short_path_for_shallow_leaf(self):
         # in a 3-leaf tree, clip 2 sits one level below the root
-        tree = build_tree(3)
-        assert [(p.lo, p.hi) for p in tree.path_to_leaf(2)] == [(0, 2), (2, 2)]
+        assert build_tree(3).path_to_leaf(2) == ((0, 2), (2, 2))
 
     @pytest.mark.parametrize("idx", [-1, 4])
     def test_out_of_range(self, idx):
@@ -136,14 +130,13 @@ class TestPathToLeaf:
     @given(st.integers(1, 64), st.data())
     def test_matches_interval_descent(self, n, data):
         idx = data.draw(st.integers(0, n - 1))
-        got = [(p.lo, p.hi) for p in build_tree(n).path_to_leaf(idx)]
-        assert got == interval_path(n, idx)
+        assert list(build_tree(n).path_to_leaf(idx)) == interval_path(n, idx)
 
 
 class TestBacktrack:
     def test_sorts_and_dedups_selection(self):
         subtree = backtrack(build_tree(6), [4, 1, 4])
-        assert tuple(path[-1].lo for path in subtree.paths) == (1, 4)
+        assert tuple(path[-1][0] for path in subtree.paths) == (1, 4)
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelectionError):
@@ -155,15 +148,13 @@ class TestBacktrack:
 
     def test_layers_group_nodes_by_exact_depth(self):
         subtree = backtrack(build_tree(4), [0, 2])
-        spans = [[(n.lo, n.hi) for n in layer] for layer in subtree.layers]
-        assert spans == [[(0, 3)], [(0, 1), (2, 3)], [(0, 0), (2, 2)]]
+        assert subtree.layers == [((0, 3),), ((0, 1), (2, 3)), ((0, 0), (2, 2))]
 
     def test_shallow_leaf_absent_from_deeper_layers(self):
         # clip 2's path in a 3-leaf tree stops at depth 1, so depth 2 holds
         # only clip 0's leaf; covered_at still carries clip 2 forward
         subtree = backtrack(build_tree(3), [0, 2])
-        spans = [[(n.lo, n.hi) for n in layer] for layer in subtree.layers]
-        assert spans == [[(0, 2)], [(0, 1), (2, 2)], [(0, 0)]]
+        assert subtree.layers == [((0, 2),), ((0, 1), (2, 2)), ((0, 0),)]
         assert subtree.covered_at(2) == frozenset({0, 2})
 
     def test_covered_at_tightens_with_depth(self):
@@ -175,14 +166,6 @@ class TestBacktrack:
 
 
 class TestCompilation:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            Compilation(clip_indices=())
-
-    def test_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            Compilation(clip_indices=(2, 1))
-
     def test_as_set(self):
         assert Compilation(clip_indices=(0, 2)).as_set == frozenset({0, 2})
 

@@ -1,9 +1,10 @@
 """Byte pins: the sha256 of every file and output line the CLI writes on fixed inputs.
 
-The inputs are the seed-7 mock corpora of 20 and 200 samples, and small
-reward and log-prob files written here from a fixed seed.  `build-sft` and
-`estimate-demand` run at parallelism 1 and 4, and both runs must match one
-pin.  A deliberate change to an output edits DIGESTS, and the change log
+The inputs are the seed-7 mock corpora of 20 and 200 samples, small reward
+and log-prob files written here from a fixed seed, and `tree` selections:
+every non-empty one of 1 to 5 clips, and three seeded ones of 37.
+`build-sft` and `estimate-demand` run at parallelism 1 and 4, and both runs
+must match one pin.  A deliberate change to an output edits DIGESTS, and the change log
 names each digest changed and why.
 
 `segment` normalises embeddings through BLAS, so its pins may differ in a
@@ -15,16 +16,19 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
-import shutil
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from toc.cli import main
-from toc.gateway import MockBackend
+from toc.cue_tree import Compilation
+from toc.gateway import ChatRequest, MockBackend
 from toc.mockgen import synthesize_corpus
-from toc.records import write_records
+from toc.records import load_qa_tasks, write_records
+from toc.sft_pipeline import compilation_caption_request, filter_request, rationale_request
 
 # The journal that a cold build-sft run writes on the 20-sample corpus at parallelism 1.
 JOURNAL_20 = Path(__file__).parent / "golden" / "build_sft_20.journal"
@@ -64,6 +68,18 @@ DIGESTS = {
     "grpo-eval.report": "f31fc0c916dfd27499d6b4d98cb06e5343d4b6fcf8f4d5c72b1920947f8f1598",
     "reward stdout": "1f3b3da464067c68371b8715ac70ca66ef70109d5ecc079122e8abb591c8f99d",
     "reward.report": "73231ba3b4e78609712794c62d097b07ab480a35b4861f0a7efb07ee3b4923c4",
+    "tree --n 1 stdout": "08a885acda8d70ab61de62a256edf9b6b2b036bc81a32b3c6b41c94d9b6fc054",
+    "tree --n 1.report": "0c9a9fdc931feabbf8f3c03e358f6962808f772ef9b78a7d4095cf8c0cb73783",
+    "tree --n 2 stdout": "565c20561ec8f3d4a773589f6ac54da04351a14b331d414f3d0e2984c37876d4",
+    "tree --n 2.report": "014d20d0a5e3aad5218380ce6aa58c09bf982a14dfdba7b3ea0eeb62ad827719",
+    "tree --n 3 stdout": "5ed1e1254d6dea89a08f305fd23ea76fa5c98802663c367ed55f208351aa4d6a",
+    "tree --n 3.report": "655ebb8711cde1246b6c6caef9cc630334e6d8b3affb7cd64abd7b8a910ff28f",
+    "tree --n 37 stdout": "2a9d67d067bc5255715919e1a72ce8470ead8445724ea0dbea74a7afb0ce8de5",
+    "tree --n 37.report": "2e49df0e6a381aca5ba90ce8d959f77d27213690b2fff21c710f330e27caa76e",
+    "tree --n 4 stdout": "ed84153f9c939113524027d4c7169fa7086ce8f8ef1380acfb86ce0b1f829e09",
+    "tree --n 4.report": "8c551271f0b9ccfde1646434a073f7b500c5bb19366ffdc5f6075bfa9f0b4560",
+    "tree --n 5 stdout": "af6ce6b2887ece3a4ca1fa00d1b569849d7058f02ca51b31eeff997b5c283322",
+    "tree --n 5.report": "f754d2eb07dd6b0efe1ff8e2215e8be67da5abf2ff9ac17a70981c776a87b28b",
 }
 
 
@@ -150,10 +166,37 @@ def reward_outputs(work: Path) -> dict[str, list[bytes]]:
     }
 
 
+def tree_selections(n: int) -> list[list[int]]:
+    """Every non-empty selection of up to 5 clips; above that, three seeded ones.
+
+    A seeded selection is unsorted and may repeat an index.
+    """
+    if n <= 5:
+        return [list(sel) for k in range(1, n + 1) for sel in combinations(range(n), k)]
+    rng = random.Random(n)
+    return [[rng.randrange(n) for _ in range(size)] for size in (1, 6, 30)]
+
+
+def tree_outputs(work: Path) -> dict[str, list[bytes]]:
+    """Per clip count, the stdouts and the reports of its selections, joined in order."""
+    found: dict[str, list[bytes]] = {}
+    for n in (1, 2, 3, 4, 5, 37):
+        stdouts, reports = [], []
+        for selected in tree_selections(n):
+            report = work / f"tree{n}.report"
+            stdouts.append(run("tree", "--n", str(n), "--select", ",".join(map(str, selected)),
+                               "--report", str(report)))
+            reports.append(report.read_bytes())
+        found[f"tree --n {n} stdout"] = [b"".join(stdouts)]
+        found[f"tree --n {n}.report"] = [b"".join(reports)]
+    return found
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory) -> dict[str, list[bytes]]:
     """Every pinned output by pin name, once per run that must reproduce it."""
     found = reward_outputs(tmp_path_factory.mktemp("reward"))
+    found.update(tree_outputs(tmp_path_factory.mktemp("tree")))
     for size in (20, 200):
         corpus = tmp_path_factory.mktemp(f"corpus{size}")
         synthesize_corpus(corpus, num_samples=size, seed=7, m_trials=8)
@@ -182,8 +225,12 @@ def test_one_changed_byte_fails_the_pin(outputs, name):
         check_pin(name, bytes(data))
 
 
-def test_pinned_journal_resumes_without_calls(tmp_path, monkeypatch):
-    calls = []
+def resume_golden(tmp_path: Path, monkeypatch, journal: bytes) -> list[ChatRequest]:
+    """Resume build-sft on the 20-sample corpus from `journal`; the requests it sent.
+
+    The outputs must match their pins.
+    """
+    calls: list[ChatRequest] = []
     complete = MockBackend.complete
     monkeypatch.setattr(
         MockBackend, "complete", lambda self, request: calls.append(request) or complete(self, request)
@@ -191,7 +238,41 @@ def test_pinned_journal_resumes_without_calls(tmp_path, monkeypatch):
     corpus = tmp_path / "corpus"
     synthesize_corpus(corpus, num_samples=20, seed=7, m_trials=8)
     out = tmp_path / "sft"
-    shutil.copyfile(JOURNAL_20, f"{out}.journal")
+    Path(f"{out}.journal").write_bytes(journal)
     for name, data in build_sft(corpus, out, 1).items():
         check_pin(f"20/{name}", data)
-    assert calls == []
+    return calls
+
+
+def test_pinned_journal_resumes_without_calls(tmp_path, monkeypatch):
+    assert resume_golden(tmp_path, monkeypatch, JOURNAL_20.read_bytes()) == []
+
+
+# The golden journal was written when the pipeline still journalled a
+# "compiled" line after "selected" and a "summarized" line before "emitted".
+# v10#0 has the longest chain, four compilations; its lines after `last` are
+# dropped, as a crash there would leave them.
+@pytest.mark.parametrize("last", ["compiled", "summarized"])
+def test_cut_golden_journal_resumes_to_the_pins(tmp_path, monkeypatch, last):
+    lines = JOURNAL_20.read_bytes().splitlines(keepends=True)
+    at = [pos for pos, line in enumerate(lines) if json.loads(line)["sample_id"] == "v10#0"]
+    sample = [json.loads(lines[pos]) for pos in at]
+    stages = [e["stage"] for e in sample]
+    assert stages == ["captioned", "selected", "compiled", "cue_captioned", "filtered",
+                      "summarized", "emitted"]
+    dropped = set(at[stages.index(last) + 1:])
+    journal = b"".join(line for pos, line in enumerate(lines) if pos not in dropped)
+
+    calls = resume_golden(tmp_path, monkeypatch, journal)
+    if last == "summarized":
+        assert calls == []
+        return
+    payload = {k: v for e in sample for k, v in e["payload"].items()}
+    (task,) = [t for t in load_qa_tasks(tmp_path / "corpus" / "qa.records")
+               if t.sample_id == "v10#0"]
+    assert len(payload["chain"]) == 4
+    assert calls == [
+        *(compilation_caption_request("v10", Compilation(tuple(ix))) for ix in payload["chain"]),
+        filter_request(payload["cues"][-1], task.qa),
+        rationale_request(payload["cues"], task.qa),
+    ]

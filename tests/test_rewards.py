@@ -111,6 +111,13 @@ class TestNormalizeAdvantages:
         with pytest.raises(NonFiniteError):
             normalize_advantages(rewards)
 
+    # The squared deviations underflow from about 1e-154 down; at 1e-162 the
+    # variance was 0 and the division raised ZeroDivisionError.
+    @pytest.mark.parametrize("g", [1e-155, 1e-161, 1e-200, 5e-324])
+    def test_tiny_rewards_keep_the_closed_form(self, g):
+        a_correct, a_wrong = closed_form_advantages(2, 1)
+        assert normalize_advantages([g, 0.0]) == pytest.approx([a_correct, a_wrong], abs=1e-15)
+
     def test_known_binary_group(self):
         assert normalize_advantages([1.0, 0.0, 0.0, 0.0]) == pytest.approx(
             [1.5, -0.5, -0.5, -0.5], abs=1e-12

@@ -44,6 +44,7 @@ from toc.sft_pipeline import (
     sample_digest,
     select_key_clips,
     selection_request,
+    sft_record,
     summarize_rationale,
 )
 from toc.templates import render_train_infer
@@ -405,7 +406,8 @@ class TestProcessSample:
         assert state.stage == "emitted"
         # 4 captions + selection + 2 cue captions + filter + rationale
         assert backend.calls == 9
-        record = state.payload["record"]
+        assert state.payload["rationale"] == "I narrow the search. I narrow the search."
+        record = sft_record(task, state.payload["rationale"])
         assert record["id"] == "v#0"
         assert record["rationale"] == "I narrow the search. I narrow the search."
         assert record["target"] == (
@@ -524,15 +526,15 @@ class TestProcessSample:
     # The rejected sample is cut just before its "rejected" line.
     @pytest.mark.parametrize(
         "tweak,kept,resume_calls",
-        [({}, kept, calls) for kept, calls in enumerate([9, 5, 4, 4, 2, 1, 0, 0])]
-        + [({"filter_reply": "No"}, 4, 1)],
+        [({}, kept, calls) for kept, calls in enumerate([9, 5, 4, 2, 1, 0])]
+        + [({"filter_reply": "No"}, 3, 1)],
     )
     def test_resume_from_every_checkpoint(self, tmp_path, tweak, kept, resume_calls):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, **tweak)
         clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
         lines = clean_store.path.read_bytes().splitlines(keepends=True)
-        assert len(lines) == (5 if tweak else 7)
+        assert len(lines) == (4 if tweak else 5)
         cut = tmp_path / "cut.journal"
         cut.write_bytes(b"".join(lines[:kept]))
         gateway, backend = counting_gateway(pairs)

@@ -1,7 +1,7 @@
 """Source checks that keep dead code from coming back.
 
 They flag unused imports, unreferenced error classes, and top-level
-functions and classes that only tests use.
+functions, classes, methods and properties that only tests use.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toc"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 BENCH = PACKAGE.parent.parent / "bench"
+SCRIPTS = PACKAGE.parent.parent / "scripts"
 
 
 def parse(path: Path) -> ast.Module:
@@ -92,5 +93,34 @@ def test_no_top_level_function_or_class_is_used_only_by_tests():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in used_outside
         and readers[node.name] == (node.name in names)
+    ]
+    assert unused == [], f"used only by tests: {unused}"
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read, bare or as an attribute."""
+    return Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_no_method_or_property_is_read_only_by_tests():
+    outside = [*MODULES, *sorted(SCRIPTS.glob("*.py")),
+               *(path for path in sorted(BENCH.glob("*.py")) if not path.name.startswith("test_"))]
+    read = sum((reads(parse(path)) for path in outside), Counter())
+    methods = [
+        (path, cls, node)
+        for path in MODULES
+        for cls in parse(path).body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    # Python calls dunder methods itself; a method's own body does not count.
+    unused = [
+        f"{path.name}: {cls.name}.{node.name}"
+        for path, cls, node in methods
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and read[node.name] == reads(node)[node.name]
     ]
     assert unused == [], f"used only by tests: {unused}"
