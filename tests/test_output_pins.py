@@ -30,8 +30,11 @@ from toc.mockgen import synthesize_corpus
 from toc.records import load_qa_tasks, write_records
 from toc.sft_pipeline import compilation_caption_request, filter_request, rationale_request
 
-# The journal that a cold build-sft run writes on the 20-sample corpus at parallelism 1.
+# The journals that a cold build-sft run writes on the 20-sample corpus at
+# parallelism 1: an older one with seven stages, and one with the five stages
+# written today.
 JOURNAL_20 = Path(__file__).parent / "golden" / "build_sft_20.journal"
+JOURNAL_20_FIVE_STAGES = Path(__file__).parent / "golden" / "build_sft_20_five_stages.journal"
 
 CORPUS_FILES = ("clips.records", "qa.records", "mock_table.records", "shots.records", "config.json")
 
@@ -246,6 +249,10 @@ def resume_golden(tmp_path: Path, monkeypatch, journal: bytes) -> list[ChatReque
 
 def test_pinned_journal_resumes_without_calls(tmp_path, monkeypatch):
     assert resume_golden(tmp_path, monkeypatch, JOURNAL_20.read_bytes()) == []
+
+
+def test_five_stage_journal_resumes_without_calls(tmp_path, monkeypatch):
+    assert resume_golden(tmp_path, monkeypatch, JOURNAL_20_FIVE_STAGES.read_bytes()) == []
 
 
 # The golden journal was written when the pipeline still journalled a
