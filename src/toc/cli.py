@@ -10,14 +10,16 @@ report only when --report is given.  Exit codes: 0 success, 1 run error,
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .config import apply_overrides, build_gateway, load_config
 from .cue_tree import backtrack, build_tree, layer_compilations
-from .errors import ConfigError, TocError, UsageError
+from .errors import TocError, UsageError
 from .records import (
     RlSample,
     check_record,
@@ -49,6 +51,13 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
     path = _report_path(args)
     if path is not None:
         write_records(path, entries)
+
+
+def _check_out_dirs(args: argparse.Namespace) -> None:
+    """Fail before any input is read or model called if an output's directory is missing."""
+    for path in (getattr(args, "out", None), getattr(args, "report", None)):
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _parse_band(text: str) -> tuple[float, float]:
@@ -322,19 +331,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out_dirs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, TocError) as exc:
-        _write_report(
-            args,
-            [{"kind": "error", "error": type(exc).__name__, "message": str(exc)}],
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+    except (TocError, OSError) as exc:
+        # an OSError names the path it failed on, such as an input that is a directory
+        named = isinstance(exc, OSError) and exc.filename is not None
+        message = f"{exc.filename}: {exc.strerror}" if named else str(exc)
+        try:
+            _write_report(args, [{"kind": "error", "error": type(exc).__name__, "message": message}])
+        except OSError:
+            pass  # the report's directory may be the one that is missing
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

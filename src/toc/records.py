@@ -56,6 +56,13 @@ SHAPES: dict[str, dict[str, tuple[type | list[type], float | None, bool]]] = {
     "mock table": {"digest": (str, None, False), "reply": (str, None, False)},
     "journal": {"sample_id": (str, None, False), "digest": (str, None, False),
                 "stage": (str, None, False), "payload": (dict, None, False)},
+    # A journalled sample's payload once a line of each stage is merged into it.
+    "captioned payload": {"captions": ([str], None, False)},
+    "selected payload": {"selected": ([int], 0, False)},
+    "cue_captioned payload": {"cues": ([str], None, False)},
+    "filtered payload": {},
+    "emitted payload": {"rationale": (str, None, False)},
+    "rejected payload": {"reason": (str, None, False), "detail": (str, None, False)},
     "config": {"backends": (dict, None, False), "m_trials": (int, 1, False),
                "parallelism": (int, 1, False), "strict_parsing": (bool, None, False),
                "mock_table_path": (str, None, True), "trial_temperature": (float, 0, False),
@@ -261,28 +268,6 @@ class SftSample:
     target: str
     prompt: str
 
-    @classmethod
-    def build(
-        cls,
-        id: str,
-        video_id: str,
-        question: str,
-        answer: str,
-        rationale: str,
-        prompt: str,
-    ) -> "SftSample":
-        sample = cls(
-            id=id,
-            video_id=video_id,
-            question=question,
-            answer=answer,
-            rationale=rationale,
-            target=render_target(rationale, answer),
-            prompt=prompt,
-        )
-        sample.validate()
-        return sample
-
     def validate(self) -> None:
         if step_numbers(self.rationale):
             raise ValueError("rationale still contains a step marker")
@@ -463,48 +448,38 @@ def write_records(path: str | Path, records: Iterable[dict]) -> int:
 
 
 def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, record) for every non-blank line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
-                if not isinstance(rec, dict):
-                    raise RecordError(f"{path}:{line_no}: expected a JSON object")
-                # Only a \uXXXX escape can put a surrogate into a decoded string,
-                # and a paired one decodes to a single character that encodes
-                # fine.  Most lines hold no backslash, which one fast scan finds.
-                if "\\" in line and ("\\ud" in line or "\\uD" in line):
-                    try:
-                        dump_record(rec).encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise RecordError(
-                            f"{path}:{line_no}: a string holds a lone surrogate escape"
-                        ) from None
-                yield line_no, rec
-    except UnicodeDecodeError:
-        raise RecordError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+    """(1-based line number, record) for every non-blank line.
 
-
-def _undecodable_line(path: str | Path) -> int:
-    """Number of the first line of a file that is not valid UTF-8.
-
-    The text reader decodes ahead of the line it yields, so its count cannot
-    say which line failed.  Read again keeping the bad bytes as surrogate
-    escapes, which no valid line holds, with the same line splitting.
+    Bytes that are not UTF-8 are read as surrogate escapes, which no valid
+    line holds, so the first faulty line is the one named.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RecordError(f"{path}:{line_no}: not valid UTF-8") from None
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return line_no
-    raise AssertionError("unreachable")
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise RecordError(f"{path}:{line_no}: expected a JSON object")
+            # Only a \uXXXX escape can put a surrogate into a decoded string,
+            # and a paired one decodes to a single character that encodes
+            # fine.  Most lines hold no backslash, which one fast scan finds.
+            if "\\" in line and ("\\ud" in line or "\\uD" in line):
+                try:
+                    dump_record(rec).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise RecordError(
+                        f"{path}:{line_no}: a string holds a lone surrogate escape"
+                    ) from None
+            yield line_no, rec
 
 
 def read_records(path: str | Path) -> Iterator[dict]:

@@ -218,8 +218,9 @@ def _kl_estimate(current: Sequence[float], ref: Sequence[float]) -> float:
         return 0.0
     log_ratios = np.subtract(ref, current).tolist()
     try:
-        # math.exp, not np.exp: the two can differ in the last bit.
-        per_token = [math.exp(log_r) - log_r - 1.0 for log_r in log_ratios]
+        # expm1(x) - x never rounds below zero, where exp(x) - x - 1 can for
+        # a tiny x; math.expm1, not np.expm1: the two can differ in the last bit.
+        per_token = [math.expm1(log_r) - log_r for log_r in log_ratios]
         return math.fsum(per_token) / len(per_token)
     except OverflowError:
         raise NonFiniteError("KL estimate overflowed") from None

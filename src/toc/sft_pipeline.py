@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -43,6 +44,7 @@ from .records import (
     SftSample,
     check_record,
     parse_records,
+    render_target,
     write_records,
 )
 from .templates import (
@@ -69,28 +71,16 @@ DESCRIBE_PROMPT = "Describe this video clip in detail."
 # --- request builders, shared with the mock-corpus generator ---
 
 
-def clip_media_ref(clip: Clip) -> str:
-    return f"{clip.video_id}#clip{clip.index}"
-
-
-def compilation_media_ref(video_id: str, compilation: Compilation) -> str:
-    joined = "-".join(str(i) for i in compilation.clip_indices)
-    return f"{video_id}#comp{joined}"
+def _describe_request(media_ref: str) -> ChatRequest:
+    return ChatRequest("mllm", DESCRIBE_PROMPT, media=(media_ref,), max_tokens=CAPTION_MAX_TOKENS)
 
 
 def clip_caption_request(clip: Clip) -> ChatRequest:
-    return ChatRequest(
-        "mllm", DESCRIBE_PROMPT, media=(clip_media_ref(clip),), max_tokens=CAPTION_MAX_TOKENS
-    )
+    return _describe_request(f"{clip.video_id}#clip{clip.index}")
 
 
 def compilation_caption_request(video_id: str, compilation: Compilation) -> ChatRequest:
-    return ChatRequest(
-        "mllm",
-        DESCRIBE_PROMPT,
-        media=(compilation_media_ref(video_id, compilation),),
-        max_tokens=CAPTION_MAX_TOKENS,
-    )
+    return _describe_request(f"{video_id}#comp{'-'.join(map(str, compilation.clip_indices))}")
 
 
 def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
@@ -199,9 +189,12 @@ class Journal:
     "emitted"; their "chain" and "record" payloads are merged and ignored.
     The file is read once, on construction: a torn last line (no trailing
     newline, left by a crash) is truncated away before anything is appended,
-    and a sample's lines are merged back into its state.  Appends are
-    serialized, and each one is flushed by closing the file, so the file
-    stays usable after a crash at any point.
+    and the rest is read line by line by the shared record reader, merging a
+    sample's lines back into its state.  Once a line is merged, the payload
+    must hold the keys its stage's SHAPES row names; a line that breaks this
+    is a RecordError naming it.  Appends are serialized, and each one is
+    flushed by closing the file, so the file stays usable after a crash at
+    any point.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -213,27 +206,32 @@ class Journal:
 
     def _replay(self) -> None:
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        fh.seek(0)
+                        os.truncate(self.path, fh.read().rfind(b"\n") + 1)
         except FileNotFoundError:
             return
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(end)
-        for line_no, line in enumerate(data[:end].splitlines(), 1):
-            try:
-                entry = json.loads(line)
-                check_record(entry, "journal")
-                sample_id, digest = entry["sample_id"], entry["digest"]
-                stage = _OLD_STAGES.get(entry["stage"], entry["stage"])
-                if stage not in STAGES and stage != "rejected":
-                    raise ValueError(f"unknown stage {stage!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise RecordError(f"{self.path}:{line_no}: invalid journal line: {exc}") from None
-            known = self._states.get(sample_id)
-            payload = known.payload if known is not None and known.digest == digest else {}
-            payload.update(entry["payload"])
-            self._states[sample_id] = PipelineState(sample_id, stage, payload, digest)
+        for _ in parse_records(self.path, self._merge):
+            pass
+
+    def _merge(self, entry: dict) -> None:
+        """Merge one journal line into its sample's state."""
+        check_record(entry, "journal")
+        sample_id, digest = entry["sample_id"], entry["digest"]
+        stage = _OLD_STAGES.get(entry["stage"], entry["stage"])
+        if stage not in STAGES and stage != "rejected":
+            raise ValueError(f"unknown stage {stage!r}")
+        known = self._states.get(sample_id)
+        payload = known.payload if known is not None and known.digest == digest else {}
+        payload.update(entry["payload"])
+        check_record(payload, f"{stage} payload")
+        if stage == "cue_captioned" and not payload["cues"]:
+            raise ValueError("cues must not be empty")
+        self._states[sample_id] = PipelineState(sample_id, stage, payload, digest)
 
     def resume(self, sample_id: str, digest: str) -> PipelineState:
         """The sample's journalled state; a fresh one if absent or from other inputs."""
@@ -260,16 +258,20 @@ class Journal:
 # --- stage operations ---
 
 
+def _describe(gateway: Gateway, request: ChatRequest, what: str) -> str:
+    """The stripped caption the mllm role gives for one describe request."""
+    caption = gateway.complete(request).strip()
+    if not caption:
+        raise EmptyCaptionError(f"empty caption for {what}")
+    return caption
+
+
 def caption_clips(gateway: Gateway, clips: Sequence[Clip]) -> list[Clip]:
     """Fill every clip's caption via the mllm role; order preserved."""
-
-    def one(clip: Clip) -> Clip:
-        caption = gateway.complete(clip_caption_request(clip)).strip()
-        if not caption:
-            raise EmptyCaptionError(f"empty caption for clip {clip.index}")
-        return replace(clip, caption=caption)
-
-    return [one(c) for c in clips]
+    return [
+        replace(c, caption=_describe(gateway, clip_caption_request(c), f"clip {c.index}"))
+        for c in clips
+    ]
 
 
 def select_key_clips(
@@ -291,18 +293,12 @@ def caption_compilations(
 ) -> list[Compilation]:
     """Fill captions for every chain element; these are the ordered visual cues."""
     video_id = clips[0].video_id
-
-    def one(compilation: Compilation) -> Compilation:
-        caption = gateway.complete(
-            compilation_caption_request(video_id, compilation)
-        ).strip()
-        if not caption:
-            raise EmptyCaptionError(
-                f"empty caption for compilation {compilation.clip_indices}"
-            )
-        return replace(compilation, caption=caption)
-
-    return [one(c) for c in compilations]
+    return [
+        replace(c, caption=_describe(
+            gateway, compilation_caption_request(video_id, c), f"compilation {c.clip_indices}"
+        ))
+        for c in compilations
+    ]
 
 
 def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> str:
@@ -365,14 +361,17 @@ class _Sample(NamedTuple):
 def sft_record(task: QaTask, rationale: str) -> dict:
     """The dataset line of an emitted sample."""
     question = task.qa.formatted_question()
-    return SftSample.build(
+    sample = SftSample(
         id=task.sample_id,
         video_id=task.video_id,
         question=question,
         answer=task.qa.answer,
         rationale=rationale,
         prompt=render_train_infer(question, task.qa.qa_type),
-    ).to_record()
+        target=render_target(rationale, task.qa.answer),
+    )
+    sample.validate()
+    return sample.to_record()
 
 
 # One row per stage, in checkpoint order: the step that reaches the stage, and
@@ -508,11 +507,14 @@ def run_sft_pipeline(
         states = list(pool.map(run_one, tasks))
     finally:
         pool.shutdown(cancel_futures=True)
-    emitted = [
-        sft_record(task, state.payload["rationale"])
-        for task, state in zip(tasks, states)
-        if state.stage == "emitted"
-    ]
+    emitted = []
+    for task, state in zip(tasks, states):
+        if state.stage == "emitted":
+            try:
+                emitted.append(sft_record(task, state.payload["rationale"]))
+            except (ValueError, EmptyRationaleError) as exc:
+                # summarize_rationale only journals a rationale that renders
+                raise RecordError(f"{journal.path}: sample {task.sample_id}: {exc}") from None
     rejections = [
         {
             "id": state.sample_id,

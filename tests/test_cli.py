@@ -10,10 +10,14 @@ from pathlib import Path
 import pytest
 
 from toc.cli import main, sig12
+from toc.gateway import MockBackend
 from toc.records import read_records, write_records
 
 # An integer literal too large for a float.
 HUGE = 10**400
+
+# The journal of a cold build-sft run on the 20-sample seed-7 corpus.
+JOURNAL_20 = Path(__file__).parent / "golden" / "build_sft_20_five_stages.journal"
 
 
 def run_cli(args, capsys):
@@ -73,7 +77,7 @@ class TestSegment:
             ["segment", "--shots", str(tmp_path / "nope"), "-o", str(tmp_path / "o")],
             capsys,
         )
-        assert code == 1 and "missing file" in err
+        assert code == 1 and err == f"error: {tmp_path / 'nope'}: No such file or directory\n"
 
     def test_shot_without_embeddings_is_run_error(self, tmp_path, capsys):
         shots = tmp_path / "shots.records"
@@ -377,6 +381,122 @@ class TestBuildSft:
         (entry,) = read_lines(tmp_path / "sft.records.report")
         assert entry["error"] == "RecordError"
         assert not out.exists()
+
+
+class TestCorruptJournal:
+    """A journal line whose payload does not fit its stage stops the resume."""
+
+    def resume(self, corpus, tmp_path, capsys, entries):
+        out = tmp_path / "sft.records"
+        lines = "".join(json.dumps(entry) + "\n" for entry in entries)
+        Path(f"{out}.journal").write_text(lines, encoding="utf-8")
+        paths = corpus.manifest["paths"]
+        code, _, err = run_cli(
+            ["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+             "--config", paths["config"], "-o", str(out)],
+            capsys,
+        )
+        assert code == 1 and "Traceback" not in err
+        (entry,) = read_lines(tmp_path / "sft.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "sample_id,stage,payload,message",
+        [
+            ("v00#0", "emitted", {}, ":5: invalid record: missing key 'rationale'"),
+            ("v00#0", "emitted", {"rationale": 5}, ":5: invalid record: rationale must be a string, got 5"),
+            ("v00#0", "emitted", {"rationale": "Step 1: hi <answer>"},
+             ": sample v00#0: rationale still contains a step marker"),
+            ("v17#0", "rejected", {"reason": "x"}, ":87: invalid record: missing key 'detail'"),
+        ],
+        ids=["rationale_missing", "rationale_number", "rationale_unrenderable", "detail_missing"],
+    )
+    def test_finished_sample(self, corpus, tmp_path, capsys, sample_id, stage, payload, message):
+        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        for entry in entries:
+            if (entry["sample_id"], entry["stage"]) == (sample_id, stage):
+                entry["payload"] = payload
+        err = self.resume(corpus, tmp_path, capsys, entries)
+        assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
+
+    @pytest.mark.parametrize(
+        "stage,payload,message",
+        [
+            ("captioned", {}, ":26: invalid record: missing key 'captions'"),
+            ("selected", {"selected": "01"},
+             ":27: invalid record: selected must be a list of integers, got '01'"),
+            ("selected", {}, ":27: invalid record: missing key 'selected'"),
+            ("cue_captioned", {"cues": []}, ":28: invalid record: cues must not be empty"),
+            ("cue_captioned", {}, ":28: invalid record: missing key 'cues'"),
+        ],
+        ids=["captioned_missing", "selected_string", "selected_missing", "cues_empty",
+             "cues_missing"],
+    )
+    def test_cut_sample(self, corpus, tmp_path, capsys, stage, payload, message):
+        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        stages = [e["stage"] for e in entries if e["sample_id"] == "v05#0"]
+        dropped = stages[stages.index(stage) + 1:]
+        entries = [e for e in entries if e["sample_id"] != "v05#0" or e["stage"] not in dropped]
+        for entry in entries:
+            if (entry["sample_id"], entry["stage"]) == ("v05#0", stage):
+                entry["payload"] = payload
+        err = self.resume(corpus, tmp_path, capsys, entries)
+        assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
+
+
+class TestPaths:
+    """A path that cannot be read or written is a run error naming it."""
+
+    @pytest.mark.parametrize("command", ["build-sft", "build-rl"])
+    def test_input_directory_is_run_error(self, corpus, tmp_path, capsys, command):
+        paths = corpus.manifest["paths"]
+        out = tmp_path / "out.records"
+        if command == "build-sft":
+            args = ["build-sft", "--videos", paths["clips"], "--qa", str(tmp_path),
+                    "--config", paths["config"], "-o", str(out)]
+        else:
+            args = ["build-rl", "--in", str(tmp_path), "-o", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1 and err == f"error: {tmp_path}: Is a directory\n"
+        (entry,) = read_lines(tmp_path / "out.records.report")
+        assert entry == {"kind": "error", "error": "IsADirectoryError",
+                         "message": f"{tmp_path}: Is a directory"}
+
+    @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+    def test_missing_output_directory_fails_before_any_call(
+        self, corpus, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        paths = corpus.manifest["paths"]
+        videos = ["--videos", paths["clips"]] if command == "build-sft" else []
+        out = tmp_path / "nodir" / "out.records"
+        args = [command, *videos, "--qa", paths["qa"], "--config", paths["config"], "-o", str(out)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 1 and err == f"error: {out}: No such file or directory\n"
+        assert calls == [] and list(tmp_path.iterdir()) == []
+        code, _, _ = run_cli([*args, "--report", str(tmp_path / "report")], capsys)
+        assert code == 1 and calls == []
+        (entry,) = read_lines(tmp_path / "report")
+        assert entry == {"kind": "error", "error": "FileNotFoundError",
+                         "message": f"{out}: No such file or directory"}
+
+    def test_report_in_missing_directory_is_run_error(self, tmp_path, capsys):
+        report = tmp_path / "nodir" / "report"
+        code, stdout, err = run_cli(["tree", "--n", "2", "--select", "0", "--report", str(report)],
+                                    capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {report}: No such file or directory\n"
+
+    def test_unwritable_report_is_run_error(self, tmp_path, capsys):
+        report = tmp_path / "report"
+        report.mkdir()
+        code, stdout, err = run_cli(["tree", "--n", "2", "--select", "0", "--report", str(report)],
+                                    capsys)
+        assert code == 1 and stdout.startswith("layer 0:")
+        assert err.startswith(f"error: {report}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])

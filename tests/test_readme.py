@@ -1,6 +1,7 @@
 """The README's examples load: its config through load_config, and each File
 formats example line through the reader of the command that takes it.  Each
-File formats bullet lists its shape's keys as records.SHAPES has them."""
+File formats bullet lists its shape's keys as records.SHAPES has them, and the
+journal bullet's sub-list lists each stage's payload keys."""
 
 from __future__ import annotations
 
@@ -35,14 +36,24 @@ def section(title: str) -> str:
     return text[start:end if end != -1 else None]
 
 
+# A bullet's sub-list item: "  - `stage`: keys", one line each.
+STAGE_ITEM = r"^  - `(\w+)`: (.*)$"
+
+
 def format_bullets() -> dict[str, tuple[str, str]]:
-    """Shape name -> its bullet's text and the example lines of its json block."""
+    """Shape name -> its bullet's text without sub-list items, and its json example lines."""
     found = re.findall(r"^- \*\*(.+?)\*\*(.*?)```json\n(.*?)\n\s*```", section("File formats"),
                        re.M | re.S)
     return {
-        name: (" ".join(text.split()), "\n".join(line.strip() for line in block.splitlines()))
+        name: (" ".join(re.sub(STAGE_ITEM, "", text, flags=re.M).split()),
+               "\n".join(line.strip() for line in block.splitlines()))
         for name, text, block in found
     }
+
+
+def stage_items() -> dict[str, str]:
+    """Journal stage -> its item in the File formats sub-list."""
+    return dict(re.findall(STAGE_ITEM, section("File formats"), re.M))
 
 
 def format_examples() -> dict[str, str]:
@@ -103,12 +114,25 @@ def test_every_shape_has_an_example():
     assert sorted(format_examples()) == sorted(READERS)
 
 
-@pytest.mark.parametrize("shape", sorted(set(SHAPES) - {"config", "backend"}))
+PAYLOADS = {shape for shape in SHAPES if shape.endswith(" payload")}
+
+
+def listed_keys(text: str) -> dict[str, str]:
+    return dict(re.findall(r"`(\w+)` \(([^)]*)\)", text))
+
+
+@pytest.mark.parametrize("shape", sorted(set(SHAPES) - {"config", "backend"} - PAYLOADS))
 def test_bullet_lists_the_table_keys(shape):
     text, example = format_bullets()[shape]
-    listed = dict(re.findall(r"`(\w+)` \(([^)]*)\)", text))
-    assert listed == {key: described(*rule) for key, rule in SHAPES[shape].items()}
+    assert listed_keys(text) == {key: described(*rule) for key, rule in SHAPES[shape].items()}
     assert set(json.loads(example)) <= set(SHAPES[shape])
+
+
+def test_journal_sub_list_lists_each_stage_payload():
+    assert {stage: listed_keys(text) for stage, text in stage_items().items()} == {
+        shape.removesuffix(" payload"): {key: described(*rule) for key, rule in SHAPES[shape].items()}
+        for shape in PAYLOADS
+    }
 
 
 @pytest.mark.parametrize("shape", sorted(READERS))

@@ -123,10 +123,12 @@ class TestRenderTarget:
 
 class TestSftSample:
     def build(self, rationale: str = "I locate the clip.") -> SftSample:
-        return SftSample.build(
-            id="v#0", video_id="v", question="q", answer="A",
-            rationale=rationale, prompt="p",
+        sample = SftSample(
+            id="v#0", video_id="v", question="q", answer="A", rationale=rationale,
+            target=render_target(rationale, "A"), prompt="p",
         )
+        sample.validate()
+        return sample
 
     def test_build_sets_target(self):
         sample = self.build()
@@ -242,6 +244,12 @@ class TestRecordIo:
         path = tmp_path / "x.records"
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(RecordError, match=rf"{path}:{bad}: not valid UTF-8"):
+            list(read_records(path))
+
+    def test_first_faulty_line_is_named(self, tmp_path):
+        path = tmp_path / "x.records"
+        path.write_bytes(b'{"a": \n{"t": "\xff"}\n')
+        with pytest.raises(RecordError, match=rf"{path}:1: malformed JSON"):
             list(read_records(path))
 
     def test_paired_surrogate_escape_loads_and_writes_unchanged(self, tmp_path):

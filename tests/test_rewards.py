@@ -303,6 +303,10 @@ class TestKlEstimate:
         with pytest.raises(NonFiniteError):
             _kl_estimate([-800.0], [0.0])
 
+    def test_tiny_log_ratio_is_not_negative(self):
+        # exp(x) - x - 1 rounds to -1.1e-16 here
+        assert _kl_estimate([-6.5139154893794915e-15], [0.0]) >= 0.0
+
     @given(
         st.lists(st.floats(-5.0, 0.0, allow_nan=False), min_size=1, max_size=8),
         st.lists(st.floats(-5.0, 0.0, allow_nan=False), min_size=1, max_size=8),

@@ -225,7 +225,7 @@ class TestJournal:
     def test_ids_with_path_separators_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
         journal = Journal(path)
-        journal.advance(journal.resume("a/b#0", "d1"), "captioned", {})
+        journal.advance(journal.resume("a/b#0", "d1"), "captioned", {"captions": ["x"]})
         assert Journal(path).resume("a/b#0", "d1").stage == "captioned"
 
     def test_changed_digest_restarts_and_counts_invalidated(self, tmp_path):
@@ -258,14 +258,59 @@ class TestJournal:
         journal.advance(state, "selected", {"selected": [0]})
         assert Journal(path).resume("v#0", "d1").stage == "selected"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
+        journal = Journal(path)
+        assert journal.resume("v#0", "d1") == state
+        journal.advance(state, "selected", {"selected": [0]})
+        assert Journal(path).resume("v#0", "d1").stage == "selected"
+
+    def test_non_utf8_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        line = b'{"sample_id": "v#1", "digest": "d1", "stage": "captioned", "payload": {"captions": ["\xff"]}}\n'
+        path.write_bytes(path.read_bytes() + line)
+        with pytest.raises(RecordError, match=rf"{path}:2: not valid UTF-8"):
+            Journal(path)
+
+    @pytest.mark.parametrize(
+        "stage,payload,message",
+        [
+            ("captioned", {"captions": "x"}, "captions must be a list of strings"),
+            ("selected", {"selected": [-1]}, "selected must be finite and >= 0"),
+            ("cue_captioned", {"cues": []}, "cues must not be empty"),
+            ("emitted", {"record": {}}, "missing key 'rationale'"),
+            ("rejected", {"detail": "why"}, "missing key 'reason'"),
+        ],
+        ids=["captions_string", "selected_negative", "cues_empty", "emitted_record_only",
+             "rejected_no_reason"],
+    )
+    def test_payload_that_breaks_its_stage_names_the_line(self, tmp_path, stage, payload, message):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        journal.advance(journal.resume("v#1", "d1"), stage, payload)
+        with pytest.raises(RecordError, match=rf"{path}:2: invalid record: {message}"):
+            Journal(path)
+
     def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
         path = tmp_path / "run.journal"
+
+        def payloads(worker, n):
+            text = f"worker {worker} sample {n} " * 4
+            return {"captioned": {"captions": [text] * 8}, "selected": {"selected": [worker, n]},
+                    "cue_captioned": {"cues": [text] * 4}, "filtered": {},
+                    "emitted": {"rationale": text}}
 
         def walk(journal, worker):
             for n in range(40):
                 state = journal.resume(f"w{worker}#{n}", "d1")
                 for stage in STAGES:
-                    state = journal.advance(state, stage, {stage: [worker, n] * 8})
+                    state = journal.advance(state, stage, payloads(worker, n)[stage])
 
         journal = Journal(path)
         threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
@@ -279,7 +324,9 @@ class TestJournal:
             for n in range(40):
                 state = replayed.resume(f"w{worker}#{n}", "d1")
                 assert state.stage == "emitted"
-                assert state.payload == {stage: [worker, n] * 8 for stage in STAGES}
+                assert state.payload == {
+                    k: v for stage in STAGES for k, v in payloads(worker, n)[stage].items()
+                }
 
     @pytest.mark.parametrize(
         "line",
@@ -297,7 +344,7 @@ class TestJournal:
     def test_invalid_complete_line_is_record_error(self, tmp_path, line):
         path = tmp_path / "run.journal"
         path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(RecordError, match="run.journal:1: invalid journal line"):
+        with pytest.raises(RecordError, match="run.journal:1: (malformed JSON|invalid record)"):
             Journal(path)
 
 
