@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import apply_overrides, build_gateway, load_config
-from .cue_tree import backtrack, build_tree, layer_compilations
+from .cue_tree import backtrack, build_tree, layer_compilations, trajectory_layers
 from .errors import TocError, UsageError
 from .records import (
     RlSample,
@@ -54,8 +54,10 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
 
 
 def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail before any input is read or model called if an output's directory is missing."""
-    for path in (getattr(args, "out", None), getattr(args, "report", None)):
+    """Fail before any input is read or model called if an output is or lacks a directory."""
+    for path in (getattr(args, "out", None), _report_path(args)):
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
@@ -117,17 +119,18 @@ def cmd_tree(args: argparse.Namespace) -> int:
     selected = _parse_indices(args.select)
     if any(not 0 <= index < args.n for index in selected):
         raise UsageError(f"--select indices must be in [0, {args.n - 1}], got {args.select}")
-    subtree = backtrack(build_tree(args.n), selected)
-    for depth, nodes in enumerate(subtree.layers):
+    paths = backtrack(build_tree(args.n), selected)
+    layers = trajectory_layers(paths)
+    for depth, nodes in enumerate(layers):
         intervals = " ".join(f"[{lo},{hi}]" for lo, hi in nodes)
         print(f"layer {depth}: {intervals}")
-    chain = layer_compilations(subtree)
+    chain = layer_compilations(paths)
     for pos, compilation in enumerate(chain):
         print(f"compilation {pos}: {','.join(map(str, compilation.clip_indices))}")
     _write_report(
         args,
         [
-            {"kind": "stage", "stage": "layers", "count": len(subtree.layers)},
+            {"kind": "stage", "stage": "layers", "count": len(layers)},
             {"kind": "stage", "stage": "compilations", "count": len(chain)},
         ],
     )

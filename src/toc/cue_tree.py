@@ -2,21 +2,23 @@
 
 The tree recursively halves the clip index range until every span holds one
 clip; a node is its inclusive interval (lo, hi), computed on demand rather
-than stored.  Backtracking from the selected leaves to the root yields a
-trajectory subtree; the clips covered at each depth, with exact repeats
-dropped, form a strictly shrinking chain of clip sets that starts at the
-whole video and ends at the selected clips.
+than stored.  Backtracking from the selected leaves to the root yields one
+root-to-leaf path per selected clip; the clips covered at each depth, with
+exact repeats dropped, form a strictly shrinking chain of clip sets that
+starts at the whole video and ends at the selected clips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptySelectionError, InvalidSizeError, OutOfRangeError
 
 # A tree node: the inclusive clip index interval it covers.
 Interval = tuple[int, int]
+# The nodes from the root down to one clip's leaf.
+LeafPath = tuple[Interval, ...]
 
 
 @dataclass(frozen=True)
@@ -24,24 +26,6 @@ class CueTree:
     """Segment tree with one leaf per clip index 0..n_leaves-1."""
 
     n_leaves: int
-
-    def path_to_leaf(self, clip_index: int) -> tuple[Interval, ...]:
-        """Root-to-leaf intervals for one clip index.
-
-        Each span splits at its midpoint, so an odd span puts its extra clip
-        in the left half.
-        """
-        if not 0 <= clip_index < self.n_leaves:
-            raise OutOfRangeError(
-                f"clip index {clip_index} outside [0, {self.n_leaves - 1}]"
-            )
-        lo, hi = 0, self.n_leaves - 1
-        path = [(lo, hi)]
-        while lo != hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if clip_index <= mid else (mid + 1, hi)
-            path.append((lo, hi))
-        return tuple(path)
 
 
 def build_tree(n_leaves: int) -> CueTree:
@@ -51,44 +35,35 @@ def build_tree(n_leaves: int) -> CueTree:
     return CueTree(n_leaves)
 
 
-@dataclass(frozen=True)
-class TrajectorySubtree:
-    """Union of root-to-leaf paths for the selected clips."""
+def backtrack(tree: CueTree, selected: Iterable[int]) -> list[LeafPath]:
+    """The root-to-leaf path of every selected clip, in ascending clip order.
 
-    paths: tuple[tuple[Interval, ...], ...]
-
-    @property
-    def layers(self) -> list[tuple[Interval, ...]]:
-        """Subtree intervals grouped by depth, in ascending order.
-
-        Layer 0 is always just the root; the last layer is the depth of the
-        deepest selected leaf.
-        """
-        depth_count = max(len(p) for p in self.paths)
-        return [
-            tuple(sorted({p[depth] for p in self.paths if len(p) > depth}))
-            for depth in range(depth_count)
-        ]
-
-    def covered_at(self, depth: int) -> frozenset[int]:
-        """Clips covered at one depth.
-
-        A path that ends above this depth keeps contributing its leaf, so
-        selected clips never drop out of a layer.
-        """
-        covered: set[int] = set()
-        for path in self.paths:
-            lo, hi = path[min(depth, len(path) - 1)]
-            covered.update(range(lo, hi + 1))
-        return frozenset(covered)
-
-
-def backtrack(tree: CueTree, selected: Iterable[int]) -> TrajectorySubtree:
-    """Trace every selected clip back to the root."""
+    Each span splits at its midpoint, so an odd span puts its extra clip in
+    the left half.
+    """
     chosen = sorted(set(selected))
     if not chosen:
         raise EmptySelectionError("no clips selected")
-    return TrajectorySubtree(paths=tuple(tree.path_to_leaf(idx) for idx in chosen))
+    paths = []
+    for clip_index in chosen:
+        if not 0 <= clip_index < tree.n_leaves:
+            raise OutOfRangeError(f"clip index {clip_index} outside [0, {tree.n_leaves - 1}]")
+        lo, hi = 0, tree.n_leaves - 1
+        path = [(lo, hi)]
+        while lo != hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if clip_index <= mid else (mid + 1, hi)
+            path.append((lo, hi))
+        paths.append(tuple(path))
+    return paths
+
+
+def trajectory_layers(paths: Sequence[LeafPath]) -> list[tuple[Interval, ...]]:
+    """The paths' nodes grouped by depth, each layer sorted; layer 0 is the root alone."""
+    return [
+        tuple(sorted({path[depth] for path in paths if len(path) > depth}))
+        for depth in range(max(map(len, paths)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -98,23 +73,23 @@ class Compilation:
     clip_indices: tuple[int, ...]
     caption: str | None = None
 
-    @property
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.clip_indices)
 
-
-def layer_compilations(subtree: TrajectorySubtree) -> list[Compilation]:
+def layer_compilations(paths: Sequence[LeafPath]) -> list[Compilation]:
     """Per-depth clip unions with exact repeats removed.
 
-    Coverage only shrinks with depth, so dropping any layer equal to the one
-    kept before it leaves a chain of strictly nested sets: the full clip
-    range first, the selected clips last.
+    A path that ends above a depth keeps its leaf there.  backtrack's paths
+    ascend by clip, so at one depth each node is the previous path's or lies
+    right of it, and one walk lists the covered clips sorted.  Coverage
+    only shrinks with depth, so the chain runs from every clip to the
+    selected ones, each set strictly inside the one before.
     """
-    depth_count = max(len(p) for p in subtree.paths)
     chain: list[Compilation] = []
-    for depth in range(depth_count):
-        covered = subtree.covered_at(depth)
-        if chain and covered == chain[-1].as_set:
-            continue
-        chain.append(Compilation(clip_indices=tuple(sorted(covered))))
+    for depth in range(max(map(len, paths))):
+        covered: list[int] = []
+        for path in paths:
+            lo, hi = path[min(depth, len(path) - 1)]
+            if not covered or covered[-1] < lo:
+                covered.extend(range(lo, hi + 1))
+        if not chain or tuple(covered) != chain[-1].clip_indices:
+            chain.append(Compilation(tuple(covered)))
     return chain

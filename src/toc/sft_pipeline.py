@@ -191,10 +191,11 @@ class Journal:
     newline, left by a crash) is truncated away before anything is appended,
     and the rest is read line by line by the shared record reader, merging a
     sample's lines back into its state.  Once a line is merged, the payload
-    must hold the keys its stage's SHAPES row names; a line that breaks this
-    is a RecordError naming it.  Appends are serialized, and each one is
-    flushed by closing the file, so the file stays usable after a crash at
-    any point.
+    must hold the keys the SHAPES rows of its stage and of every earlier
+    stage name (an "emitted" or "rejected" line needs only its own row's);
+    a line that breaks this is a RecordError naming it.  Appends are
+    serialized, and each one is flushed by closing the file, so the file
+    stays usable after a crash at any point.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -228,9 +229,9 @@ class Journal:
         known = self._states.get(sample_id)
         payload = known.payload if known is not None and known.digest == digest else {}
         payload.update(entry["payload"])
-        check_record(payload, f"{stage} payload")
-        if stage == "cue_captioned" and not payload["cues"]:
-            raise ValueError("cues must not be empty")
+        shapes = (stage,) if stage in ("emitted", "rejected") else STAGES[:STAGES.index(stage) + 1]
+        for shape in reversed(shapes):  # own row first: a key the line breaks is the one named
+            check_record(payload, f"{shape} payload")
         self._states[sample_id] = PipelineState(sample_id, stage, payload, digest)
 
     def resume(self, sample_id: str, digest: str) -> PipelineState:
@@ -417,6 +418,19 @@ STAGES = tuple(STAGE_TABLE)
 _OLD_STAGES = {"compiled": "selected", "summarized": "emitted"}
 
 
+def _check_checkpoint(state: PipelineState, n_clips: int) -> None:
+    """Raise unless a checkpoint fits n_clips clips: one caption per clip, once selected a
+    selection backtrack accepts, once cue-captioned one cue per compilation of its chain."""
+    captions = state.payload["captions"]
+    if len(captions) != n_clips:
+        raise ValueError(f"caption count {len(captions)} does not match clip count {n_clips}")
+    if state.stage != "captioned":
+        chain = layer_compilations(backtrack(build_tree(n_clips), state.payload["selected"]))
+        cues = chain if state.stage == "selected" else state.payload["cues"]
+        if len(cues) != len(chain):
+            raise ValueError(f"cue count {len(cues)} does not match chain length {len(chain)}")
+
+
 def process_sample(
     gateway: Gateway,
     task: QaTask,
@@ -432,6 +446,11 @@ def process_sample(
     if not clips:
         detail = f"no clips for video {task.video_id}"
         return journal.advance(state, "rejected", {"reason": "missing_clips", "detail": detail})
+    if state.stage is not None:
+        try:
+            _check_checkpoint(state, len(clips))
+        except (ValueError, EmptySelectionError, OutOfRangeError) as exc:
+            raise RecordError(f"{journal.path}: sample {state.sample_id}: {exc}") from None
     sample = _Sample(gateway, task, clips, lenient)
     todo = STAGES if state.stage is None else STAGES[STAGES.index(state.stage) + 1:]
     for stage in todo:

@@ -168,7 +168,7 @@ def test_05_chain_property_exhaustive():
             )
             for selected in subsets:
                 chain = layer_compilations(backtrack(tree, selected))
-                sets = [c.as_set for c in chain]
+                sets = [frozenset(c.clip_indices) for c in chain]
                 assert sets[0] == frozenset(range(n)), (n, selected)
                 assert sets[-1] == frozenset(selected), (n, selected)
                 for wider, tighter in zip(sets, sets[1:]):

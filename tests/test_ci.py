@@ -1,4 +1,4 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit."""
 
 from __future__ import annotations
 
@@ -13,3 +13,11 @@ def test_workflow_runs_the_tier1_command():
         encoding="utf-8"), re.M)
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert f"run: {command}\n" in workflow
+
+
+def test_tier1_job_has_a_time_limit():
+    # without one, a deadlocked test holds the job for the runner's 6-hour default
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    job = re.search(r"^  tier1:\n((?:    .*\n)+)", workflow, re.M).group(1)
+    (minutes,) = re.findall(r"^    timeout-minutes: (\d+)$", job, re.M)
+    assert 0 < int(minutes) <= 60

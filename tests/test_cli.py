@@ -384,9 +384,14 @@ class TestBuildSft:
 
 
 class TestCorruptJournal:
-    """A journal line whose payload does not fit its stage stops the resume."""
+    """A journal line whose payload does not fit its stage or its sample stops the resume.
 
-    def resume(self, corpus, tmp_path, capsys, entries):
+    The run stops before any model call.
+    """
+
+    def resume(self, corpus, tmp_path, capsys, monkeypatch, entries):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
         out = tmp_path / "sft.records"
         lines = "".join(json.dumps(entry) + "\n" for entry in entries)
         Path(f"{out}.journal").write_text(lines, encoding="utf-8")
@@ -399,8 +404,19 @@ class TestCorruptJournal:
         assert code == 1 and "Traceback" not in err
         (entry,) = read_lines(tmp_path / "sft.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
-        assert not out.exists()
+        assert not out.exists() and calls == []
         return err
+
+    def cut_v05(self, stage, edit):
+        """The golden journal with v05#0 cut after `stage` and that stage's payload edited."""
+        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        stages = [e["stage"] for e in entries if e["sample_id"] == "v05#0"]
+        dropped = stages[stages.index(stage) + 1:]
+        entries = [e for e in entries if e["sample_id"] != "v05#0" or e["stage"] not in dropped]
+        for entry in entries:
+            if (entry["sample_id"], entry["stage"]) == ("v05#0", stage):
+                entry["payload"] = edit(entry["payload"])
+        return entries
 
     @pytest.mark.parametrize(
         "sample_id,stage,payload,message",
@@ -413,12 +429,14 @@ class TestCorruptJournal:
         ],
         ids=["rationale_missing", "rationale_number", "rationale_unrenderable", "detail_missing"],
     )
-    def test_finished_sample(self, corpus, tmp_path, capsys, sample_id, stage, payload, message):
+    def test_finished_sample(
+        self, corpus, tmp_path, capsys, monkeypatch, sample_id, stage, payload, message
+    ):
         entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
         for entry in entries:
             if (entry["sample_id"], entry["stage"]) == (sample_id, stage):
                 entry["payload"] = payload
-        err = self.resume(corpus, tmp_path, capsys, entries)
+        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
         assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
 
     @pytest.mark.parametrize(
@@ -428,22 +446,46 @@ class TestCorruptJournal:
             ("selected", {"selected": "01"},
              ":27: invalid record: selected must be a list of integers, got '01'"),
             ("selected", {}, ":27: invalid record: missing key 'selected'"),
-            ("cue_captioned", {"cues": []}, ":28: invalid record: cues must not be empty"),
+            # a chain has at least one compilation, so no cues never fit
+            ("cue_captioned", {"cues": []},
+             ": sample v05#0: cue count 0 does not match chain length 2"),
             ("cue_captioned", {}, ":28: invalid record: missing key 'cues'"),
         ],
         ids=["captioned_missing", "selected_string", "selected_missing", "cues_empty",
              "cues_missing"],
     )
-    def test_cut_sample(self, corpus, tmp_path, capsys, stage, payload, message):
-        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
-        stages = [e["stage"] for e in entries if e["sample_id"] == "v05#0"]
-        dropped = stages[stages.index(stage) + 1:]
-        entries = [e for e in entries if e["sample_id"] != "v05#0" or e["stage"] not in dropped]
-        for entry in entries:
-            if (entry["sample_id"], entry["stage"]) == ("v05#0", stage):
-                entry["payload"] = payload
-        err = self.resume(corpus, tmp_path, capsys, entries)
+    def test_cut_sample(self, corpus, tmp_path, capsys, monkeypatch, stage, payload, message):
+        entries = self.cut_v05(stage, lambda _: payload)
+        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
         assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
+
+    def test_line_without_its_earlier_stages(self, corpus, tmp_path, capsys, monkeypatch):
+        # v01#0 keeps only its filtered line, so its merged payload lacks every earlier key
+        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        entries = [e for e in entries if e["sample_id"] != "v01#0" or e["stage"] == "filtered"]
+        line = next(n for n, e in enumerate(entries, 1) if e["sample_id"] == "v01#0")
+        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
+        journal = tmp_path / "sft.records.journal"
+        assert err == f"error: {journal}:{line}: invalid record: missing key 'cues'\n"
+
+    # v05#0 has 3 clips and selects [0, 2], a chain of 2 compilations
+    @pytest.mark.parametrize(
+        "stage,edit,message",
+        [
+            ("captioned", lambda p: {"captions": p["captions"][:1]},
+             "caption count 1 does not match clip count 3"),
+            ("selected", lambda p: {"selected": [9]}, "clip index 9 outside [0, 2]"),
+            ("cue_captioned", lambda p: {"cues": p["cues"][:1]},
+             "cue count 1 does not match chain length 2"),
+        ],
+        ids=["captions_cut", "selected_outside", "cues_cut"],
+    )
+    def test_checkpoint_that_does_not_fit_its_sample(
+        self, corpus, tmp_path, capsys, monkeypatch, stage, edit, message
+    ):
+        entries = self.cut_v05(stage, edit)
+        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
+        assert err == f"error: {tmp_path / 'sft.records.journal'}: sample v05#0: {message}\n"
 
 
 class TestPaths:
@@ -495,8 +537,25 @@ class TestPaths:
         report.mkdir()
         code, stdout, err = run_cli(["tree", "--n", "2", "--select", "0", "--report", str(report)],
                                     capsys)
-        assert code == 1 and stdout.startswith("layer 0:")
-        assert err.startswith(f"error: {report}") and "Traceback" not in err
+        assert code == 1 and stdout == ""
+        assert err == f"error: {report}: Is a directory\n"
+
+    @pytest.mark.parametrize("directory", ["out", "out.report"])
+    @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+    def test_output_directory_fails_before_any_call(
+        self, corpus, tmp_path, capsys, monkeypatch, command, directory
+    ):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        paths = corpus.manifest["paths"]
+        videos = ["--videos", paths["clips"]] if command == "build-sft" else []
+        (tmp_path / directory).mkdir()
+        out = tmp_path / "out"
+        args = [command, *videos, "--qa", paths["qa"], "--config", paths["config"], "-o", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {tmp_path / directory}: Is a directory\n"
+        assert calls == [] and not out.is_file() and list((tmp_path / directory).iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])

@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toc.cue_tree import (
-    Compilation,
     CueTree,
     backtrack,
     build_tree,
     layer_compilations,
+    trajectory_layers,
 )
 from toc.errors import EmptySelectionError, InvalidSizeError, OutOfRangeError
 
@@ -52,7 +52,7 @@ def oracle_chain(n: int, selected) -> list[list[int]]:
 
 
 def leaf_paths(tree: CueTree) -> list[tuple[tuple[int, int], ...]]:
-    return [tree.path_to_leaf(idx) for idx in range(tree.n_leaves)]
+    return backtrack(tree, range(tree.n_leaves))
 
 
 def max_depth(tree: CueTree) -> int:
@@ -115,28 +115,31 @@ class TestBuildTree:
 
 
 class TestPathToLeaf:
+    """The one root-to-leaf path that backtrack gives for a single clip."""
+
     def test_path_intervals(self):
-        assert build_tree(4).path_to_leaf(2) == ((0, 3), (2, 3), (2, 2))
+        assert backtrack(build_tree(4), [2]) == [((0, 3), (2, 3), (2, 2))]
 
     def test_short_path_for_shallow_leaf(self):
         # in a 3-leaf tree, clip 2 sits one level below the root
-        assert build_tree(3).path_to_leaf(2) == ((0, 2), (2, 2))
+        assert backtrack(build_tree(3), [2]) == [((0, 2), (2, 2))]
 
     @pytest.mark.parametrize("idx", [-1, 4])
     def test_out_of_range(self, idx):
-        with pytest.raises(OutOfRangeError):
-            build_tree(4).path_to_leaf(idx)
+        with pytest.raises(OutOfRangeError, match=rf"^clip index {idx} outside \[0, 3\]$"):
+            backtrack(build_tree(4), [idx])
 
     @given(st.integers(1, 64), st.data())
     def test_matches_interval_descent(self, n, data):
         idx = data.draw(st.integers(0, n - 1))
-        assert list(build_tree(n).path_to_leaf(idx)) == interval_path(n, idx)
+        (path,) = backtrack(build_tree(n), [idx])
+        assert list(path) == interval_path(n, idx)
 
 
 class TestBacktrack:
     def test_sorts_and_dedups_selection(self):
-        subtree = backtrack(build_tree(6), [4, 1, 4])
-        assert tuple(path[-1][0] for path in subtree.paths) == (1, 4)
+        paths = backtrack(build_tree(6), [4, 1, 4])
+        assert tuple(path[-1][0] for path in paths) == (1, 4)
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelectionError):
@@ -147,33 +150,28 @@ class TestBacktrack:
             backtrack(build_tree(4), [0, 4])
 
     def test_layers_group_nodes_by_exact_depth(self):
-        subtree = backtrack(build_tree(4), [0, 2])
-        assert subtree.layers == [((0, 3),), ((0, 1), (2, 3)), ((0, 0), (2, 2))]
+        paths = backtrack(build_tree(4), [0, 2])
+        assert trajectory_layers(paths) == [((0, 3),), ((0, 1), (2, 3)), ((0, 0), (2, 2))]
 
     def test_shallow_leaf_absent_from_deeper_layers(self):
         # clip 2's path in a 3-leaf tree stops at depth 1, so depth 2 holds
-        # only clip 0's leaf; covered_at still carries clip 2 forward
-        subtree = backtrack(build_tree(3), [0, 2])
-        assert subtree.layers == [((0, 2),), ((0, 1), (2, 2)), ((0, 0),)]
-        assert subtree.covered_at(2) == frozenset({0, 2})
+        # only clip 0's leaf; the chain still carries clip 2 forward
+        paths = backtrack(build_tree(3), [0, 2])
+        assert trajectory_layers(paths) == [((0, 2),), ((0, 1), (2, 2)), ((0, 0),)]
+        assert layer_compilations(paths)[-1].clip_indices == (0, 2)
 
     def test_covered_at_tightens_with_depth(self):
-        subtree = backtrack(build_tree(8), [1, 6])
-        assert subtree.covered_at(0) == frozenset(range(8))
-        assert subtree.covered_at(1) == frozenset(range(8))
-        assert subtree.covered_at(2) == frozenset({0, 1, 6, 7})
-        assert subtree.covered_at(3) == frozenset({1, 6})
-
-
-class TestCompilation:
-    def test_as_set(self):
-        assert Compilation(clip_indices=(0, 2)).as_set == frozenset({0, 2})
+        # coverage per depth: all 8, all 8 (dropped as a repeat), {0, 1, 6, 7}, {1, 6}
+        paths = backtrack(build_tree(8), [1, 6])
+        assert [c.clip_indices for c in layer_compilations(paths)] == [
+            tuple(range(8)), (0, 1, 6, 7), (1, 6),
+        ]
 
 
 class TestLayerCompilations:
     def chain_sets(self, n: int, selected) -> list[list[int]]:
-        subtree = backtrack(build_tree(n), selected)
-        return [list(c.clip_indices) for c in layer_compilations(subtree)]
+        paths = backtrack(build_tree(n), selected)
+        return [list(c.clip_indices) for c in layer_compilations(paths)]
 
     def test_four_clips_select_alternating(self):
         assert self.chain_sets(4, [0, 2]) == [[0, 1, 2, 3], [0, 2]]
@@ -205,7 +203,10 @@ class TestLayerCompilations:
         selected = data.draw(
             st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
         )
-        sets = [c.as_set for c in layer_compilations(backtrack(build_tree(n), selected))]
+        chain = layer_compilations(backtrack(build_tree(n), selected))
+        for c in chain:
+            assert list(c.clip_indices) == sorted(set(c.clip_indices))  # ascending, no repeats
+        sets = [frozenset(c.clip_indices) for c in chain]
         assert sets[0] == frozenset(range(n))
         assert sets[-1] == frozenset(selected)
         for wider, tighter in zip(sets, sets[1:]):

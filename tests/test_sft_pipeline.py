@@ -282,12 +282,15 @@ class TestJournal:
         [
             ("captioned", {"captions": "x"}, "captions must be a list of strings"),
             ("selected", {"selected": [-1]}, "selected must be finite and >= 0"),
-            ("cue_captioned", {"cues": []}, "cues must not be empty"),
+            ("cue_captioned", {"cues": "x"}, "cues must be a list of strings"),
+            # a checkpoint needs the keys of every earlier stage too
+            ("selected", {"selected": [0]}, "missing key 'captions'"),
+            ("filtered", {}, "missing key 'cues'"),
             ("emitted", {"record": {}}, "missing key 'rationale'"),
             ("rejected", {"detail": "why"}, "missing key 'reason'"),
         ],
-        ids=["captions_string", "selected_negative", "cues_empty", "emitted_record_only",
-             "rejected_no_reason"],
+        ids=["captions_string", "selected_negative", "cues_string", "selected_alone",
+             "filtered_alone", "emitted_record_only", "rejected_no_reason"],
     )
     def test_payload_that_breaks_its_stage_names_the_line(self, tmp_path, stage, payload, message):
         path = tmp_path / "run.journal"
@@ -296,6 +299,16 @@ class TestJournal:
         journal.advance(journal.resume("v#1", "d1"), stage, payload)
         with pytest.raises(RecordError, match=rf"{path}:2: invalid record: {message}"):
             Journal(path)
+
+    def test_terminal_line_alone_replays(self, tmp_path):
+        # a journal compacted to one line per finished sample still resumes
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.advance(journal.resume("v#0", "d1"), "emitted", {"rationale": "r"})
+        journal.advance(journal.resume("v#1", "d1"), "rejected", {"reason": "x", "detail": "y"})
+        replayed = Journal(path)
+        assert replayed.resume("v#0", "d1").payload == {"rationale": "r"}
+        assert replayed.resume("v#1", "d1").stage == "rejected"
 
     def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
         path = tmp_path / "run.journal"
@@ -587,6 +600,34 @@ class TestProcessSample:
         gateway, backend = counting_gateway(pairs)
         assert process_sample(gateway, task, clips, Journal(cut)) == clean
         assert backend.calls == resume_calls
+
+    # a 4-clip sample selecting [0, 2] has a chain of 2 compilations
+    @pytest.mark.parametrize(
+        "kept,updates,message",
+        [
+            (1, {"captions": ["a", "b", "c"]}, "caption count 3 does not match clip count 4"),
+            (2, {"selected": [4]}, r"clip index 4 outside \[0, 3\]"),
+            (2, {"selected": []}, "no clips selected"),
+            (3, {"cues": ["a", "b", "c"]}, "cue count 3 does not match chain length 2"),
+            (4, {"cues": ["a"]}, "cue count 1 does not match chain length 2"),
+        ],
+        ids=["captions_cut", "selected_outside", "selected_empty", "cues_extra",
+             "filtered_cues_cut"],
+    )
+    def test_checkpoint_that_does_not_fit_is_record_error(self, tmp_path, kept, updates, message):
+        clips, task = make_clips(4), make_task()
+        pairs = full_script(clips, task.qa)
+        _, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
+        lines = clean_store.path.read_text(encoding="utf-8").splitlines()
+        entries = [json.loads(line) for line in lines[:kept]]
+        for entry in entries:
+            entry["payload"].update((k, v) for k, v in updates.items() if k in entry["payload"])
+        cut = tmp_path / "cut.journal"
+        cut.write_text("".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8")
+        gateway, backend = counting_gateway(pairs)
+        with pytest.raises(RecordError, match=rf"^{cut}: sample v#0: {message}$"):
+            process_sample(gateway, task, clips, Journal(cut))
+        assert backend.calls == 0
 
 
 class TestRunSftPipeline:
