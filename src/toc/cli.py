@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: segment, tree, build-sft,
-estimate-demand, build-rl, reward, grpo-eval.  Commands that write an
-output file also write `<output>.report`; print-only commands write a
-report only when --report is given.  Exit codes: 0 success, 1 run error,
-2 usage error.
+estimate-demand, build-rl, reward, grpo-eval.  Each command returns its
+report rows, and `main` writes them: to `<output>.report` for commands
+that write an output file, and for print-only commands only when
+--report is given.  Exit codes: 0 success, 1 run error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import errno
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from .config import apply_overrides, build_gateway, load_config
+from .config import Config, apply_overrides, build_gateway, load_config
 from .cue_tree import backtrack, build_tree, layer_compilations, trajectory_layers
 from .errors import TocError, UsageError
+from .gateway import Gateway
 from .records import (
+    QaTask,
     RlSample,
     check_record,
     dump_record,
@@ -32,7 +33,7 @@ from .records import (
 from .rewards import PolicyLogProbs, RewardGroup, grpo_objective, score_flags
 from .rl_pipeline import run_build_rl, run_demand_pipeline, tier_histogram
 from .segmentation import DEFAULT_TAU, ShotBoundarySet, stitch
-from .sft_pipeline import load_clips, run_sft_pipeline
+from .sft_pipeline import JOURNAL_SUFFIX, REJECTED_SUFFIX, load_clips, run_sft_pipeline
 
 
 def sig12(x: float) -> float:
@@ -40,11 +41,9 @@ def sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _report_path(args: argparse.Namespace) -> Path | None:
-    if getattr(args, "report", None):
-        return Path(args.report)
+def _report_path(args: argparse.Namespace) -> str | None:
     out = getattr(args, "out", None)
-    return Path(f"{out}.report") if out else None
+    return args.report or (f"{out}.report" if out else None)
 
 
 def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
@@ -54,11 +53,23 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
 
 
 def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail before any input is read or model called if an output is or lacks a directory."""
-    for path in (getattr(args, "out", None), _report_path(args)):
-        if path is not None and os.path.isdir(path):
+    """Fail before any input is read or model called if two outputs are one file, if an
+    output is where another is staged, or if an output is or lacks a directory."""
+    out = getattr(args, "out", None)
+    paths = [path for path in (out, _report_path(args)) if path is not None]
+    if args.command == "build-sft":
+        paths += [f"{out}{suffix}" for suffix in (REJECTED_SUFFIX, JOURNAL_SUFFIX)]
+    resolved = [os.path.realpath(path) for path in paths]
+    staged = {os.path.realpath(f"{path}.tmp") for path in paths}  # see write_records
+    for pos, real in enumerate(resolved):
+        if real in resolved[:pos]:
+            raise UsageError(f"two outputs are one file: {paths[pos]}")
+        if real in staged:
+            raise UsageError(f"output {paths[pos]} is the temporary file of another output")
+    for path in paths:
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -87,10 +98,27 @@ def _parse_indices(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
+def _stages(**counts: int) -> list[dict]:
+    return [{"kind": "stage", "stage": stage, "count": count} for stage, count in counts.items()]
+
+
+def _rejections(reasons: dict[str, int]) -> list[dict]:
+    return [
+        {"kind": "rejection", "reason": reason, "count": count}
+        for reason, count in sorted(reasons.items())
+    ]
+
+
+def _model_run(args: argparse.Namespace, **overrides) -> tuple[Config, Gateway, list[QaTask]]:
+    """The config with its flag overrides, its gateway and the QA tasks of a model-calling run."""
+    _check_at_least_one("--parallelism", args.parallelism)
+    config = apply_overrides(load_config(args.config), parallelism=args.parallelism, **overrides)
+    return config, build_gateway(config), load_qa_tasks(args.qa)
+
+
+def cmd_segment(args: argparse.Namespace) -> list[dict]:
     if not 0.0 < args.tau <= 1.0:
         raise UsageError(f"--tau must be in (0, 1], got {args.tau}")
-    entries: list[dict] = []
     clips_out: list[dict] = []
     videos = shots_in = 0
     # One line per video, stitched as it is read, so that a clip without a pooled
@@ -106,15 +134,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
         shots_in += shot_set.shot_count
         clips_out.extend(c.to_record() for c in clips)
     write_records(args.out, clips_out)
-    entries.append({"kind": "stage", "stage": "videos", "count": videos})
-    entries.append({"kind": "stage", "stage": "shots_in", "count": shots_in})
-    entries.append({"kind": "stage", "stage": "clips_out", "count": len(clips_out)})
-    _write_report(args, entries)
     print(f"stitched {shots_in} shots into {len(clips_out)} clips across {videos} videos")
-    return 0
+    return _stages(videos=videos, shots_in=shots_in, clips_out=len(clips_out))
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
+def cmd_tree(args: argparse.Namespace) -> list[dict]:
     _check_at_least_one("--n", args.n)
     selected = _parse_indices(args.select)
     if any(not 0 <= index < args.n for index in selected):
@@ -127,21 +151,11 @@ def cmd_tree(args: argparse.Namespace) -> int:
     chain = layer_compilations(paths)
     for pos, compilation in enumerate(chain):
         print(f"compilation {pos}: {','.join(map(str, compilation.clip_indices))}")
-    _write_report(
-        args,
-        [
-            {"kind": "stage", "stage": "layers", "count": len(layers)},
-            {"kind": "stage", "stage": "compilations", "count": len(chain)},
-        ],
-    )
-    return 0
+    return _stages(layers=len(layers), compilations=len(chain))
 
 
-def cmd_build_sft(args: argparse.Namespace) -> int:
-    _check_at_least_one("--parallelism", args.parallelism)
-    config = apply_overrides(load_config(args.config), parallelism=args.parallelism)
-    gateway = build_gateway(config)
-    tasks = load_qa_tasks(args.qa)
+def cmd_build_sft(args: argparse.Namespace) -> list[dict]:
+    config, gateway, tasks = _model_run(args)
     clips_by_video = load_clips(args.videos)
     report = run_sft_pipeline(
         gateway,
@@ -151,32 +165,17 @@ def cmd_build_sft(args: argparse.Namespace) -> int:
         lenient=not config.strict_parsing,
         workers=config.parallelism,
     )
-    entries = [
-        {"kind": "stage", "stage": "total", "count": report["total"]},
-        {"kind": "stage", "stage": "emitted", "count": report["emitted"]},
-        {"kind": "stage", "stage": "rejected", "count": report["rejected"]},
-        {"kind": "stage", "stage": "invalidated", "count": report["invalidated"]},
-    ]
-    entries += [
-        {"kind": "rejection", "reason": reason, "count": count}
-        for reason, count in report["rejection_reasons"].items()
-    ]
-    _write_report(args, entries)
     print(
         f"emitted {report['emitted']}/{report['total']} samples "
         f"({report['rejected']} rejected) -> {args.out}"
     )
-    return 0
+    counts = {stage: report[stage] for stage in ("total", "emitted", "rejected", "invalidated")}
+    return _stages(**counts) + _rejections(report["rejection_reasons"])
 
 
-def cmd_estimate_demand(args: argparse.Namespace) -> int:
+def cmd_estimate_demand(args: argparse.Namespace) -> list[dict]:
     _check_at_least_one("--m", args.m)
-    _check_at_least_one("--parallelism", args.parallelism)
-    config = apply_overrides(
-        load_config(args.config), m_trials=args.m, parallelism=args.parallelism
-    )
-    gateway = build_gateway(config)
-    tasks = load_qa_tasks(args.qa)
+    config, gateway, tasks = _model_run(args, m_trials=args.m)
     annotated, skipped = run_demand_pipeline(
         gateway,
         tasks,
@@ -185,42 +184,31 @@ def cmd_estimate_demand(args: argparse.Namespace) -> int:
         workers=config.parallelism,
     )
     write_records(args.out, (s.to_record() for s in annotated))
-    entries = [
-        {"kind": "stage", "stage": "total", "count": len(tasks)},
-        {"kind": "stage", "stage": "annotated", "count": len(annotated)},
-    ]
-    entries += [
-        {"kind": "rejection", "reason": reason, "count": count}
-        for reason, count in sorted(skipped.items())
-    ]
-    _write_report(args, entries)
     print(
         f"annotated {len(annotated)}/{len(tasks)} samples "
         f"({sum(skipped.values())} skipped) -> {args.out}"
     )
-    return 0
+    return _stages(total=len(tasks), annotated=len(annotated)) + _rejections(skipped)
 
 
-def cmd_build_rl(args: argparse.Namespace) -> int:
+def cmd_build_rl(args: argparse.Namespace) -> list[dict]:
     band_lo, band_hi = _parse_band(args.band)
     _check_at_least_one("--target", args.target)
     samples = [sample for _, sample in parse_records(args.input, RlSample.from_record)]
     selected, warnings = run_build_rl(samples, band_lo, band_hi, args.target, args.seed)
     write_records(args.out, (s.to_record() for s in selected))
-    entries: list[dict] = [
-        {"kind": "stage", "stage": "input", "count": len(samples)},
-        {"kind": "stage", "stage": "emitted", "count": len(selected)},
-    ]
-    entries += [
-        {"kind": "tier", "difficulty": sig12(difficulty), "count": count}
-        for difficulty, count in tier_histogram(selected).items()
-    ]
-    entries += [{"kind": "warning", "message": message} for message in warnings]
-    _write_report(args, entries)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     print(f"selected {len(selected)}/{len(samples)} samples -> {args.out}")
-    return 0
+    tiers = [
+        {"kind": "tier", "difficulty": sig12(difficulty), "count": count}
+        for difficulty, count in tier_histogram(selected).items()
+    ]
+    return (
+        _stages(input=len(samples), emitted=len(selected))
+        + tiers
+        + [{"kind": "warning", "message": message} for message in warnings]
+    )
 
 
 def _group(rec: dict) -> RewardGroup:
@@ -228,7 +216,7 @@ def _group(rec: dict) -> RewardGroup:
     return score_flags(float(rec["gamma"]), rec["correct"])
 
 
-def cmd_reward(args: argparse.Namespace) -> int:
+def cmd_reward(args: argparse.Namespace) -> list[dict]:
     count = 0
     for pos, (_, group) in enumerate(parse_records(args.group, _group)):
         print(
@@ -245,15 +233,14 @@ def cmd_reward(args: argparse.Namespace) -> int:
             )
         )
         count += 1
-    _write_report(args, [{"kind": "stage", "stage": "groups", "count": count}])
-    return 0
+    return _stages(groups=count)
 
 
 def _logprob_group(rec: dict) -> tuple[PolicyLogProbs, list[float]]:
     return PolicyLogProbs.from_record(rec), [float(a) for a in rec["scaled_advantages"]]
 
 
-def cmd_grpo_eval(args: argparse.Namespace) -> int:
+def cmd_grpo_eval(args: argparse.Namespace) -> list[dict]:
     if not (math.isfinite(args.epsilon) and args.epsilon > 0):
         raise UsageError(f"--epsilon must be finite and > 0, got {args.epsilon}")
     if not (math.isfinite(args.beta) and args.beta >= 0):
@@ -261,8 +248,7 @@ def cmd_grpo_eval(args: argparse.Namespace) -> int:
     groups = [group for _, group in parse_records(args.logprobs, _logprob_group)]
     objective = grpo_objective(groups, args.epsilon, args.beta)
     print(dump_record({"objective": sig12(objective), "groups": len(groups)}))
-    _write_report(args, [{"kind": "stage", "stage": "groups", "count": len(groups)}])
-    return 0
+    return _stages(groups=len(groups))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,7 +321,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _check_out_dirs(args)
-        return args.func(args)
+        _write_report(args, args.func(args))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Both backends answer the same ChatRequest; which one serves a request is
 decided per model role.  The mock looks replies up by a digest of the full
 canonical request, which is what makes every pipeline test runnable offline
-and byte-stable.
+and byte-stable.  `ordered_map` is how both pipelines put their samples in
+flight.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import hashlib
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import requests
 
@@ -27,6 +29,18 @@ from .errors import (
 from .records import check_record, parse_records
 
 MODEL_ROLES = ("mllm", "llm")
+
+
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """fn over items, up to `workers` at once, results in item order.
+
+    On an error the items still queued are cancelled rather than run first.
+    """
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

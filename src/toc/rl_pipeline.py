@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 from typing import Sequence
 
 from .errors import GatewayError
-from .gateway import ChatRequest, Gateway
+from .gateway import ChatRequest, Gateway, ordered_map
 from .records import QaPair, QaTask, RlSample
 from .rewards import answers_match, extract_answer
 from .templates import render_direct_answer
@@ -134,11 +133,7 @@ def run_demand_pipeline(
             m_trials=m_trials,
         )
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        results = list(pool.map(annotate, tasks))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    results = ordered_map(annotate, tasks, workers)
     annotated = [result for result in results if isinstance(result, RlSample)]
     skipped = Counter(result for result in results if isinstance(result, str))
     return annotated, skipped

@@ -17,7 +17,6 @@ import json
 import os
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -35,7 +34,7 @@ from .errors import (
     ReservedTagError,
     StepCountMismatchError,
 )
-from .gateway import ChatRequest, Gateway
+from .gateway import ChatRequest, Gateway, ordered_map
 from .records import (
     TARGET_TAGS,
     Clip,
@@ -62,6 +61,10 @@ CAPTION_MAX_TOKENS = 512
 SELECTION_MAX_TOKENS = 64
 FILTER_MAX_TOKENS = 8
 RATIONALE_MAX_TOKENS = 512
+
+# The two files build-sft writes next to its dataset `<out>`.
+REJECTED_SUFFIX = ".rejected"
+JOURNAL_SUFFIX = ".journal"
 
 # Captioning has no prompt box to reproduce; the media reference carries the
 # clip identity, so one fixed instruction suffices.
@@ -513,19 +516,13 @@ def run_sft_pipeline(
     restarts and is counted as invalidated.
     """
     out = Path(out_path)
-    journal = Journal(f"{out}.journal")
+    journal = Journal(f"{out}{JOURNAL_SUFFIX}")
 
     def run_one(task: QaTask) -> PipelineState:
         clips = clips_by_video.get(task.video_id)
         return process_sample(gateway, task, clips, journal, lenient=lenient)
 
-    # Samples run concurrently, results come back in task order; on an error
-    # the samples still queued are cancelled rather than run first.
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        states = list(pool.map(run_one, tasks))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    states = ordered_map(run_one, tasks, workers)
     emitted = []
     for task, state in zip(tasks, states):
         if state.stage == "emitted":
@@ -544,7 +541,7 @@ def run_sft_pipeline(
         if state.stage != "emitted"
     ]
     write_records(out, emitted)
-    write_records(Path(str(out) + ".rejected"), rejections)
+    write_records(f"{out}{REJECTED_SUFFIX}", rejections)
     reasons = Counter(r["reason"] for r in rejections)
     return {
         "total": len(tasks),

@@ -1,8 +1,10 @@
-"""The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit."""
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit,
+after installing the dependencies that pyproject.toml lists."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,3 +23,11 @@ def test_tier1_job_has_a_time_limit():
     job = re.search(r"^  tier1:\n((?:    .*\n)+)", workflow, re.M).group(1)
     (minutes,) = re.findall(r"^    timeout-minutes: (\d+)$", job, re.M)
     assert 0 < int(minutes) <= 60
+
+
+def test_install_step_names_no_package_itself():
+    # a package list of its own drifts from pyproject.toml's dependencies and test extra
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (command,) = re.findall(r"^        run: (python -m pip install .*)$", workflow, re.M)
+    args = shlex.split(command)[4:]
+    assert [arg for arg in args if not arg.startswith("-")] == [".[test]"]

@@ -540,8 +540,11 @@ class TestPaths:
         assert code == 1 and stdout == ""
         assert err == f"error: {report}: Is a directory\n"
 
-    @pytest.mark.parametrize("directory", ["out", "out.report"])
-    @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+    @pytest.mark.parametrize(
+        "command,directory",
+        [("build-sft", name) for name in ("out", "out.report", "out.rejected", "out.journal")]
+        + [("estimate-demand", name) for name in ("out", "out.report")],
+    )
     def test_output_directory_fails_before_any_call(
         self, corpus, tmp_path, capsys, monkeypatch, command, directory
     ):
@@ -556,6 +559,40 @@ class TestPaths:
         assert code == 1 and stdout == ""
         assert err == f"error: {tmp_path / directory}: Is a directory\n"
         assert calls == [] and not out.is_file() and list((tmp_path / directory).iterdir()) == []
+        assert not (tmp_path / "out.journal").is_file()
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["build-rl", "--in", "{demand}", "-o", "rl.records", "--report", "rl.records"],
+             "two outputs are one file: rl.records"),
+            (["build-rl", "--in", "{demand}", "-o", "rl.records", "--report", "./rl.records"],
+             "two outputs are one file: ./rl.records"),
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "{config}",
+              "-o", "s.records", "--report", "s.records.journal"],
+             "two outputs are one file: s.records.journal"),
+            (["estimate-demand", "--qa", "{qa}", "--config", "{config}",
+              "-o", "d.records", "--report", "./d.records"],
+             "two outputs are one file: ./d.records"),
+            # the report is written through rl.tmp, which would replace the dataset
+            (["build-rl", "--in", "{demand}", "-o", "rl.tmp", "--report", "rl"],
+             "output rl.tmp is the temporary file of another output"),
+        ],
+        ids=["rl_report_is_out", "rl_report_is_dot_out", "sft_report_is_journal",
+             "demand_report_is_dot_out", "rl_out_is_report_tmp"],
+    )
+    def test_two_outputs_on_one_file_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, message
+    ):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        args = [arg.format(**corpus.manifest["paths"], demand=demand_file) for arg in args]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"usage error: {message}\n"
+        assert calls == [] and sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])

@@ -1,7 +1,8 @@
 """The README's examples load: its config through load_config, and each File
 formats example line through the reader of the command that takes it.  Each
 File formats bullet lists its shape's keys as records.SHAPES has them, and the
-journal bullet's sub-list lists each stage's payload keys."""
+journal bullet's sub-list lists each stage's payload keys.  The Layout
+block names every module of the package."""
 
 from __future__ import annotations
 
@@ -153,3 +154,11 @@ def test_config_example_loads(tmp_path):
     }
     assert config.mock_table_path == str(tmp_path / "mock_table.records")
     assert (config.m_trials, config.parallelism, config.strict_parsing) == (8, 4, True)
+
+
+def test_layout_names_every_module():
+    (block,) = re.findall(r"```\n(.*?)```", section("Layout"), re.S)
+    (package,) = re.findall(r"^src/toc/\n((?:  .*\n)+)", block, re.M)
+    listed = re.findall(r"^  (\w+\.py) ", package, re.M)
+    modules = sorted(p.name for p in (README.parent / "src" / "toc").glob("*.py"))
+    assert sorted(listed) == [name for name in modules if name != "__init__.py"]

@@ -1,7 +1,8 @@
 """Source checks that keep dead code from coming back.
 
 They flag unused imports, unreferenced error classes, and top-level
-functions, classes, methods and properties that only tests use.
+functions, classes, methods and properties that only tests use, and keep
+the CLI's report written in one place.
 """
 
 from __future__ import annotations
@@ -124,3 +125,16 @@ def test_no_method_or_property_is_read_only_by_tests():
         and read[node.name] == reads(node)[node.name]
     ]
     assert unused == [], f"used only by tests: {unused}"
+
+
+def test_only_main_writes_a_report_and_no_command_builds_a_stage_row():
+    functions = [node for node in parse(PACKAGE / "cli.py").body if isinstance(node, ast.FunctionDef)]
+    writers = [fn.name for fn in functions if reads(fn)["_write_report"]]
+    assert writers == ["main"]
+    hand_built = [
+        fn.name
+        for fn in functions
+        if fn.name.startswith("cmd_")
+        and any(isinstance(node, ast.Constant) and node.value == "stage" for node in ast.walk(fn))
+    ]
+    assert hand_built == []
