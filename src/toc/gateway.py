@@ -13,8 +13,10 @@ import hashlib
 import json
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -34,11 +36,19 @@ MODEL_ROLES = ("mllm", "llm")
 def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
     """fn over items, up to `workers` at once, results in item order.
 
-    On an error the items still queued are cancelled rather than run first.
+    At most 2 * workers items are submitted and not yet taken; the next item
+    is pulled only as a result is taken.  On an error the items still queued
+    are cancelled rather than run first.
     """
+    items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(fn, items))
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
+        results = []
+        while pending:
+            results.append(pending.popleft().result())
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+        return results
     finally:
         pool.shutdown(cancel_futures=True)
 

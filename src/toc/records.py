@@ -56,11 +56,7 @@ SHAPES: dict[str, dict[str, tuple[type | list[type], float | None, bool]]] = {
     "mock table": {"digest": (str, None, False), "reply": (str, None, False)},
     "journal": {"sample_id": (str, None, False), "digest": (str, None, False),
                 "stage": (str, None, False), "payload": (dict, None, False)},
-    # A journalled sample's payload once a line of each stage is merged into it.
-    "captioned payload": {"captions": ([str], None, False)},
-    "selected payload": {"selected": ([int], 0, False)},
-    "cue_captioned payload": {"cues": ([str], None, False)},
-    "filtered payload": {},
+    # The payload of a journalled outcome of each stage.
     "emitted payload": {"rationale": (str, None, False)},
     "rejected payload": {"reason": (str, None, False), "detail": (str, None, False)},
     "config": {"backends": (dict, None, False), "m_trials": (int, 1, False),

@@ -3,11 +3,12 @@
 Per sample: caption every clip, ask the LLM which clips matter, caption
 each compilation of the coarse-to-fine chain derived from that selection,
 screen the final cue for answerability, and summarize the chain into a
-step-style rationale.  Every stage checkpoint is appended to the run's
-journal, so an interrupted run resumes without repeating backend calls, and
-a sample that fails a stage is parked with a rejection reason instead of
-aborting the run.  The journal holds only what the models said; the chain
-and the training record are recomputed from it where they are used.
+step-style rationale.  A sample that fails a stage is rejected with a reason
+instead of aborting the run.  Each sample's outcome, the rationale or the
+rejection, is appended to the run's journal, so a rerun makes no backend
+call for a finished sample; a sample in flight at a crash starts over, and
+one rejected for a backend failure is retried.  The training record is
+rendered from the journalled rationale where it is used.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
 from .errors import (
@@ -136,22 +137,19 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
     return ChatRequest("llm", prompt, max_tokens=RATIONALE_MAX_TOKENS)
 
 
-# --- per-sample state and its journal ---
+# --- per-sample outcomes and their journal ---
 
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Where one sample stands; payload accumulates the model outputs of its stages.
-
-    stage is None before the first checkpoint, then a STAGES entry or
-    "rejected".  digest fingerprints the inputs the state was computed from;
-    a state is only resumed for a sample whose inputs still hash to it.
-    """
+    """One sample's outcome: "emitted" with a rationale, or "rejected" with a
+    reason and detail.  digest fingerprints the sample's inputs; the outcome
+    is resumed only while they still hash to it."""
 
     sample_id: str
-    stage: str | None
+    stage: str
     payload: dict
-    digest: str = ""
+    digest: str
 
 
 # Prompt text and request limits shared by every sample, hashed once;
@@ -183,28 +181,19 @@ def sample_digest(task: QaTask, clips: Sequence[Clip] | None, lenient: bool) -> 
 
 
 class Journal:
-    """Append-only JSONL log of stage transitions; the resume state of a run.
+    """Append-only JSONL log of sample outcomes, one PipelineState per line.
 
-    Each line holds a sample id, its input digest, the stage reached and
-    that stage's payload additions; a rejection is a "rejected" line whose
-    payload holds the reason and detail.  Older journals also hold
-    "compiled" lines, read as "selected", and "summarized" lines, read as
-    "emitted"; their "chain" and "record" payloads are merged and ignored.
-    The file is read once, on construction: a torn last line (no trailing
-    newline, left by a crash) is truncated away before anything is appended,
-    and the rest is read line by line by the shared record reader, merging a
-    sample's lines back into its state.  Once a line is merged, the payload
-    must hold the keys the SHAPES rows of its stage and of every earlier
-    stage name (an "emitted" or "rejected" line needs only its own row's);
-    a line that breaks this is a RecordError naming it.  Appends are
-    serialized, and each one is flushed by closing the file, so the file
-    stays usable after a crash at any point.
+    Read once, on construction: a torn last line (left by a crash) is
+    truncated away, and the rest goes through the shared record reader.
+    Checkpoint lines of earlier versions are skipped, as are rejections for
+    a backend failure, which the next run retries; another stage is a
+    RecordError naming its line.  Appends are serialized and flushed.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.invalidated: set[str] = set()
-        self._states: dict[str, PipelineState] = {}
+        self._outcomes: dict[str, PipelineState] = {}
         self._lock = threading.Lock()
         self._replay()
 
@@ -219,43 +208,37 @@ class Journal:
                         os.truncate(self.path, fh.read().rfind(b"\n") + 1)
         except FileNotFoundError:
             return
-        for _ in parse_records(self.path, self._merge):
+        for _ in parse_records(self.path, self._read):
             pass
 
-    def _merge(self, entry: dict) -> None:
-        """Merge one journal line into its sample's state."""
+    def _read(self, entry: dict) -> None:
+        """Keep the outcome one journal line holds."""
         check_record(entry, "journal")
-        sample_id, digest = entry["sample_id"], entry["digest"]
-        stage = _OLD_STAGES.get(entry["stage"], entry["stage"])
-        if stage not in STAGES and stage != "rejected":
+        stage, payload = entry["stage"], entry["payload"]
+        if stage in _CHECKPOINT_STAGES:
+            return
+        if stage not in ("emitted", "rejected"):
             raise ValueError(f"unknown stage {stage!r}")
-        known = self._states.get(sample_id)
-        payload = known.payload if known is not None and known.digest == digest else {}
-        payload.update(entry["payload"])
-        shapes = (stage,) if stage in ("emitted", "rejected") else STAGES[:STAGES.index(stage) + 1]
-        for shape in reversed(shapes):  # own row first: a key the line breaks is the one named
-            check_record(payload, f"{shape} payload")
-        self._states[sample_id] = PipelineState(sample_id, stage, payload, digest)
+        check_record(payload, f"{stage} payload")
+        if payload.get("reason") not in _RETRIED_REASONS:
+            state = PipelineState(entry["sample_id"], stage, payload, entry["digest"])
+            self._outcomes[state.sample_id] = state
 
-    def resume(self, sample_id: str, digest: str) -> PipelineState:
-        """The sample's journalled state; a fresh one if absent or from other inputs."""
-        with self._lock:
-            known = self._states.get(sample_id)
-            if known is not None and known.digest == digest:
-                return known
-            if known is not None:
-                self.invalidated.add(sample_id)
-        return PipelineState(sample_id, None, {}, digest)
+    def resume(self, sample_id: str, digest: str) -> PipelineState | None:
+        """The sample's journalled outcome; None if absent or from other inputs."""
+        known = self._outcomes.get(sample_id)
+        if known is None or known.digest == digest:
+            return known
+        self.invalidated.add(sample_id)
+        return None
 
-    def advance(self, state: PipelineState, stage: str, updates: dict) -> PipelineState:
-        """Move a sample to `stage` with the step's payload additions."""
-        entry = {"sample_id": state.sample_id, "digest": state.digest, "stage": stage}
-        line = json.dumps({**entry, "payload": updates})
-        state = replace(state, stage=stage, payload={**state.payload, **updates})
-        with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-            self._states[state.sample_id] = state
+    def append(self, state: PipelineState) -> PipelineState:
+        """Journal a sample's outcome; returns it."""
+        line = json.dumps({"sample_id": state.sample_id, "digest": state.digest,
+                           "stage": state.stage, "payload": state.payload})
+        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+            self._outcomes[state.sample_id] = state
         return state
 
 
@@ -333,35 +316,6 @@ def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> st
 # --- orchestration ---
 
 
-class _Sample(NamedTuple):
-    """One sample's inputs; each step maps the payload so far to its additions."""
-
-    gateway: Gateway
-    task: QaTask
-    clips: Sequence[Clip]
-    lenient: bool
-
-    def caption(self, payload: dict) -> dict:
-        return {"captions": [c.caption for c in caption_clips(self.gateway, self.clips)]}
-
-    def select(self, payload: dict) -> dict:
-        clips = [replace(c, caption=cap) for c, cap in zip(self.clips, payload["captions"])]
-        qa = self.task.qa
-        return {"selected": select_key_clips(self.gateway, clips, qa, lenient=self.lenient)}
-
-    def caption_cues(self, payload: dict) -> dict:
-        chain = layer_compilations(backtrack(build_tree(len(self.clips)), payload["selected"]))
-        return {"cues": [c.caption for c in caption_compilations(self.gateway, chain, self.clips)]}
-
-    def filter(self, payload: dict) -> dict:
-        if not parse_yes_no(self.gateway.complete(filter_request(payload["cues"][-1], self.task.qa))):
-            raise InsufficientCuesError("final cue judged insufficient")
-        return {}
-
-    def summarize(self, payload: dict) -> dict:
-        return {"rationale": summarize_rationale(self.gateway, payload["cues"], self.task.qa)}
-
-
 def sft_record(task: QaTask, rationale: str) -> dict:
     """The dataset line of an emitted sample."""
     question = task.qa.formatted_question()
@@ -378,60 +332,34 @@ def sft_record(task: QaTask, rationale: str) -> dict:
     return sample.to_record()
 
 
-# One row per stage, in checkpoint order: the step that reaches the stage, and
-# the rejection reason for each exception type the step may raise.  Any other
-# exception aborts the run with the sample parked at its last checkpoint.
-STAGE_TABLE: dict[str, tuple[Callable[[_Sample, dict], dict], dict[type, str]]] = {
-    "captioned": (
-        _Sample.caption, {EmptyCaptionError: "empty_caption", GatewayError: "caption_failed"}
-    ),
-    "selected": (
-        _Sample.select,
-        {
-            ParseError: "selection_unparseable",
-            OutOfRangeError: "selection_out_of_range",
-            EmptySelectionError: "selection_empty",
-            GatewayError: "selection_failed",
-        },
-    ),
-    "cue_captioned": (
-        _Sample.caption_cues,
-        {EmptyCaptionError: "empty_caption", GatewayError: "cue_caption_failed"},
-    ),
-    "filtered": (
-        _Sample.filter,
-        {
-            ParseError: "filter_unparseable",
-            GatewayError: "filter_failed",
-            InsufficientCuesError: "insufficient_cues",
-        },
-    ),
-    "emitted": (
-        _Sample.summarize,
-        {
-            StepCountMismatchError: "step_count_mismatch",
-            EmptyRationaleError: "empty_rationale",
-            ReservedTagError: "reserved_tag",
-            GatewayError: "rationale_failed",
-        },
-    ),
+# Per step, in order, the rejection reason for each exception type the step
+# may raise.  Any other exception aborts the run, and the samples in flight
+# start over on the next one.
+REJECTION_REASONS: dict[str, dict[type, str]] = {
+    "caption": {EmptyCaptionError: "empty_caption", GatewayError: "caption_failed"},
+    "select": {
+        ParseError: "selection_unparseable",
+        OutOfRangeError: "selection_out_of_range",
+        EmptySelectionError: "selection_empty",
+        GatewayError: "selection_failed",
+    },
+    "caption_cues": {EmptyCaptionError: "empty_caption", GatewayError: "cue_caption_failed"},
+    "filter": {
+        ParseError: "filter_unparseable",
+        GatewayError: "filter_failed",
+        InsufficientCuesError: "insufficient_cues",
+    },
+    "summarize": {
+        StepCountMismatchError: "step_count_mismatch",
+        EmptyRationaleError: "empty_rationale",
+        ReservedTagError: "reserved_tag",
+        GatewayError: "rationale_failed",
+    },
 }
-STAGES = tuple(STAGE_TABLE)
-# The stage that each retired stage of older journals reads as.
-_OLD_STAGES = {"compiled": "selected", "summarized": "emitted"}
-
-
-def _check_checkpoint(state: PipelineState, n_clips: int) -> None:
-    """Raise unless a checkpoint fits n_clips clips: one caption per clip, once selected a
-    selection backtrack accepts, once cue-captioned one cue per compilation of its chain."""
-    captions = state.payload["captions"]
-    if len(captions) != n_clips:
-        raise ValueError(f"caption count {len(captions)} does not match clip count {n_clips}")
-    if state.stage != "captioned":
-        chain = layer_compilations(backtrack(build_tree(n_clips), state.payload["selected"]))
-        cues = chain if state.stage == "selected" else state.payload["cues"]
-        if len(cues) != len(chain):
-            raise ValueError(f"cue count {len(cues)} does not match chain length {len(chain)}")
+# The reasons for a backend failure: rejected in this run, retried by the next.
+_RETRIED_REASONS = frozenset(reasons[GatewayError] for reasons in REJECTION_REASONS.values())
+# The stages short of an outcome that journals of earlier versions also hold.
+_CHECKPOINT_STAGES = ("captioned", "selected", "cue_captioned", "filtered")
 
 
 def process_sample(
@@ -442,29 +370,38 @@ def process_sample(
     *,
     lenient: bool = False,
 ) -> PipelineState:
-    """Walk one sample from its journalled stage to "emitted" or "rejected"."""
-    state = journal.resume(task.sample_id, sample_digest(task, clips, lenient))
-    if state.stage in ("emitted", "rejected"):
-        return state
+    """The sample's journalled outcome, else run every step and journal the outcome.
+
+    A rejection for a backend failure is returned but not journalled.
+    """
+    digest = sample_digest(task, clips, lenient)
+    known = journal.resume(task.sample_id, digest)
+    if known is not None:
+        return known
     if not clips:
         detail = f"no clips for video {task.video_id}"
-        return journal.advance(state, "rejected", {"reason": "missing_clips", "detail": detail})
-    if state.stage is not None:
-        try:
-            _check_checkpoint(state, len(clips))
-        except (ValueError, EmptySelectionError, OutOfRangeError) as exc:
-            raise RecordError(f"{journal.path}: sample {state.sample_id}: {exc}") from None
-    sample = _Sample(gateway, task, clips, lenient)
-    todo = STAGES if state.stage is None else STAGES[STAGES.index(state.stage) + 1:]
-    for stage in todo:
-        step, reasons = STAGE_TABLE[stage]
-        try:
-            updates = step(sample, state.payload)
-        except tuple(reasons) as exc:
-            reason = next(r for kind, r in reasons.items() if isinstance(exc, kind))
-            return journal.advance(state, "rejected", {"reason": reason, "detail": str(exc)})
-        state = journal.advance(state, stage, updates)
-    return state
+        rejected = {"reason": "missing_clips", "detail": detail}
+        return journal.append(PipelineState(task.sample_id, "rejected", rejected, digest))
+    step = "caption"  # the running step: the except clause below reads its row
+    try:
+        captioned = caption_clips(gateway, clips)
+        step = "select"
+        selected = select_key_clips(gateway, captioned, task.qa, lenient=lenient)
+        step = "caption_cues"
+        chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
+        cues = [c.caption for c in caption_compilations(gateway, chain, clips)]
+        step = "filter"
+        if not parse_yes_no(gateway.complete(filter_request(cues[-1], task.qa))):
+            raise InsufficientCuesError("final cue judged insufficient")
+        step = "summarize"
+        rationale = summarize_rationale(gateway, cues, task.qa)
+    except tuple(REJECTION_REASONS[step]) as exc:
+        reason = next(r for kind, r in REJECTION_REASONS[step].items() if isinstance(exc, kind))
+        rejected = {"reason": reason, "detail": str(exc)}
+        state = PipelineState(task.sample_id, "rejected", rejected, digest)
+        return state if reason in _RETRIED_REASONS else journal.append(state)
+    emitted = {"rationale": rationale}
+    return journal.append(PipelineState(task.sample_id, "emitted", emitted, digest))
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
@@ -509,11 +446,11 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    Up to `workers` samples are in flight at once.  Progress goes to
-    `<out>.journal`; the dataset and sidecar are rendered from the
-    journalled states on every run, so a resumed run produces the same bytes
-    as a clean one.  A sample whose inputs changed since it was journalled
-    restarts and is counted as invalidated.
+    Up to `workers` samples are in flight at once.  Outcomes go to
+    `<out>.journal`; the dataset and sidecar are rendered from the outcomes
+    on every run, so a resumed run produces the same bytes as a clean one.
+    A sample whose inputs changed since it was journalled restarts and is
+    counted as invalidated.
     """
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
@@ -529,14 +466,10 @@ def run_sft_pipeline(
             try:
                 emitted.append(sft_record(task, state.payload["rationale"]))
             except (ValueError, EmptyRationaleError) as exc:
-                # summarize_rationale only journals a rationale that renders
+                # summarize_rationale only returns a rationale that renders
                 raise RecordError(f"{journal.path}: sample {task.sample_id}: {exc}") from None
     rejections = [
-        {
-            "id": state.sample_id,
-            "reason": state.payload["reason"],
-            "detail": state.payload["detail"],
-        }
+        {"id": state.sample_id, "reason": state.payload["reason"], "detail": state.payload["detail"]}
         for state in states
         if state.stage != "emitted"
     ]

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from toc.errors import BackendUnavailableError
 from toc.gateway import ChatRequest, Gateway, MockBackend, RetryPolicy, request_digest
 from toc.mockgen import synthesize_corpus
 
@@ -57,6 +58,31 @@ class FailingBackend:
             self.calls += 1
         time.sleep(self.delay_s)
         raise RuntimeError("backend crashed")
+
+
+class OutageBackend:
+    """Wraps a backend; calls numbered `start` to `stop - 1` (from 0) raise BackendUnavailableError.
+
+    Thread-safe call numbering; `requests` holds every request the wrapped
+    backend answered.
+    """
+
+    def __init__(self, inner, start: int, stop: int) -> None:
+        self.inner = inner
+        self.start, self.stop = start, stop
+        self.calls = 0
+        self.requests: list[ChatRequest] = []
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> str:
+        with self._lock:
+            number = self.calls
+            self.calls += 1
+        if self.start <= number < self.stop:
+            raise BackendUnavailableError(f"simulated outage (call {number})")
+        with self._lock:
+            self.requests.append(request)
+        return self.inner.complete(request)
 
 
 def scripted_gateway(pairs, **overrides) -> Gateway:

@@ -384,32 +384,58 @@ class TestBuildSft:
 
 
 class TestCorruptJournal:
-    """A journal line whose payload does not fit its stage or its sample stops the resume.
-
-    The run stops before any model call.
+    """A faulty outcome line or a line of an unknown stage stops the resume
+    before any model call.  A checkpoint line of a five-stage journal is
+    skipped whatever its payload, and its sample starts over.
     """
+
+    def run(self, corpus, out, entries, capsys):
+        out.parent.mkdir(exist_ok=True)
+        lines = "".join(json.dumps(entry) + "\n" for entry in entries)
+        Path(f"{out}.journal").write_text(lines, encoding="utf-8")
+        paths = corpus.manifest["paths"]
+        return run_cli(
+            ["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+             "--config", paths["config"], "-o", str(out)],
+            capsys,
+        )
 
     def resume(self, corpus, tmp_path, capsys, monkeypatch, entries):
         calls = []
         monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
         out = tmp_path / "sft.records"
-        lines = "".join(json.dumps(entry) + "\n" for entry in entries)
-        Path(f"{out}.journal").write_text(lines, encoding="utf-8")
-        paths = corpus.manifest["paths"]
-        code, _, err = run_cli(
-            ["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
-             "--config", paths["config"], "-o", str(out)],
-            capsys,
-        )
+        code, _, err = self.run(corpus, out, entries, capsys)
         assert code == 1 and "Traceback" not in err
         (entry,) = read_lines(tmp_path / "sft.records.report")
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert not out.exists() and calls == []
         return err
 
+    def starts_over(self, corpus, tmp_path, capsys, monkeypatch, entries, sample_id):
+        """Resuming from `entries` makes the calls and writes the bytes that
+        resuming from the golden journal without `sample_id`'s lines does."""
+        calls = []
+        complete = MockBackend.complete
+        monkeypatch.setattr(
+            MockBackend, "complete", lambda self, request: calls.append(request) or complete(self, request)
+        )
+        without = [e for e in self.golden() if e["sample_id"] != sample_id]
+        runs = []
+        for name, journal in (("without", without), ("edited", entries)):
+            out = tmp_path / name / "sft.records"
+            start = len(calls)
+            code, _, err = self.run(corpus, out, journal, capsys)
+            assert code == 0 and "Traceback" not in err
+            runs.append((calls[start:], out.read_bytes(), Path(f"{out}.rejected").read_bytes()))
+        assert runs[0][0] and runs[1] == runs[0]
+
+    @staticmethod
+    def golden():
+        return [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+
     def cut_v05(self, stage, edit):
         """The golden journal with v05#0 cut after `stage` and that stage's payload edited."""
-        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        entries = self.golden()
         stages = [e["stage"] for e in entries if e["sample_id"] == "v05#0"]
         dropped = stages[stages.index(stage) + 1:]
         entries = [e for e in entries if e["sample_id"] != "v05#0" or e["stage"] not in dropped]
@@ -432,60 +458,58 @@ class TestCorruptJournal:
     def test_finished_sample(
         self, corpus, tmp_path, capsys, monkeypatch, sample_id, stage, payload, message
     ):
-        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
+        entries = self.golden()
         for entry in entries:
             if (entry["sample_id"], entry["stage"]) == (sample_id, stage):
                 entry["payload"] = payload
         err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
         assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
 
+    def test_seven_stage_journal_is_refused(self, corpus, tmp_path, capsys, monkeypatch):
+        # v00#0's first lines as a journal of the version before the five
+        # stages wrote them: "compiled" followed "selected"
+        entries = [e for e in self.golden() if e["sample_id"] == "v00#0"][:2]
+        compiled = {**entries[1], "stage": "compiled", "payload": {"chain": [[0, 1, 2]]}}
+        err = self.resume(corpus, tmp_path, capsys, monkeypatch, [*entries, compiled])
+        journal = tmp_path / "sft.records.journal"
+        assert err == f"error: {journal}:3: invalid record: unknown stage 'compiled'\n"
+
     @pytest.mark.parametrize(
-        "stage,payload,message",
+        "stage,payload",
         [
-            ("captioned", {}, ":26: invalid record: missing key 'captions'"),
-            ("selected", {"selected": "01"},
-             ":27: invalid record: selected must be a list of integers, got '01'"),
-            ("selected", {}, ":27: invalid record: missing key 'selected'"),
-            # a chain has at least one compilation, so no cues never fit
-            ("cue_captioned", {"cues": []},
-             ": sample v05#0: cue count 0 does not match chain length 2"),
-            ("cue_captioned", {}, ":28: invalid record: missing key 'cues'"),
+            ("captioned", {}),
+            ("selected", {"selected": "01"}),
+            ("selected", {}),
+            ("cue_captioned", {"cues": []}),
+            ("cue_captioned", {}),
         ],
         ids=["captioned_missing", "selected_string", "selected_missing", "cues_empty",
              "cues_missing"],
     )
-    def test_cut_sample(self, corpus, tmp_path, capsys, monkeypatch, stage, payload, message):
+    def test_cut_sample(self, corpus, tmp_path, capsys, monkeypatch, stage, payload):
         entries = self.cut_v05(stage, lambda _: payload)
-        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
-        assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
+        self.starts_over(corpus, tmp_path, capsys, monkeypatch, entries, "v05#0")
 
     def test_line_without_its_earlier_stages(self, corpus, tmp_path, capsys, monkeypatch):
-        # v01#0 keeps only its filtered line, so its merged payload lacks every earlier key
-        entries = [json.loads(line) for line in JOURNAL_20.read_text(encoding="utf-8").splitlines()]
-        entries = [e for e in entries if e["sample_id"] != "v01#0" or e["stage"] == "filtered"]
-        line = next(n for n, e in enumerate(entries, 1) if e["sample_id"] == "v01#0")
-        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
-        journal = tmp_path / "sft.records.journal"
-        assert err == f"error: {journal}:{line}: invalid record: missing key 'cues'\n"
+        # v01#0 keeps only its filtered line, which is skipped
+        entries = [e for e in self.golden() if e["sample_id"] != "v01#0" or e["stage"] == "filtered"]
+        self.starts_over(corpus, tmp_path, capsys, monkeypatch, entries, "v01#0")
 
     # v05#0 has 3 clips and selects [0, 2], a chain of 2 compilations
     @pytest.mark.parametrize(
-        "stage,edit,message",
+        "stage,edit",
         [
-            ("captioned", lambda p: {"captions": p["captions"][:1]},
-             "caption count 1 does not match clip count 3"),
-            ("selected", lambda p: {"selected": [9]}, "clip index 9 outside [0, 2]"),
-            ("cue_captioned", lambda p: {"cues": p["cues"][:1]},
-             "cue count 1 does not match chain length 2"),
+            ("captioned", lambda p: {"captions": p["captions"][:1]}),
+            ("selected", lambda p: {"selected": [9]}),
+            ("cue_captioned", lambda p: {"cues": p["cues"][:1]}),
         ],
         ids=["captions_cut", "selected_outside", "cues_cut"],
     )
     def test_checkpoint_that_does_not_fit_its_sample(
-        self, corpus, tmp_path, capsys, monkeypatch, stage, edit, message
+        self, corpus, tmp_path, capsys, monkeypatch, stage, edit
     ):
         entries = self.cut_v05(stage, edit)
-        err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
-        assert err == f"error: {tmp_path / 'sft.records.journal'}: sample v05#0: {message}\n"
+        self.starts_over(corpus, tmp_path, capsys, monkeypatch, entries, "v05#0")
 
 
 class TestPaths:

@@ -1,4 +1,4 @@
-"""Request canonicalization, both backends, and the retry loop."""
+"""Request canonicalization, both backends, the retry loop and the ordered map."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from toc.gateway import (
     MockBackend,
     RetryPolicy,
     canonical_request,
+    ordered_map,
     request_digest,
 )
 from toc.records import write_records
@@ -321,3 +322,54 @@ class TestGateway:
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError):
             Gateway(backends={}, max_in_flight=0)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_pulls_at_most_two_items_per_worker_ahead(self, workers):
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for item in range(50):
+                pulled += 1
+                yield item
+
+        started, release = threading.Event(), threading.Event()
+
+        def fn(item):
+            if item == 0:
+                started.set()
+                assert release.wait(timeout=30)
+            return item * 2
+
+        with ThreadPoolExecutor(max_workers=1) as caller:
+            result = caller.submit(ordered_map, fn, items(), workers)
+            assert started.wait(timeout=30)
+            # the other workers finish every item they were given meanwhile
+            assert not result.done() and not release.wait(timeout=0.2)
+            assert pulled <= 2 * workers
+            release.set()
+            assert result.result(timeout=30) == [item * 2 for item in range(50)]
+        assert pulled == 50
+
+    @pytest.mark.parametrize("items", [[], [7]])
+    def test_fewer_items_than_workers(self, items):
+        assert ordered_map(lambda item: -item, items, 4) == [-item for item in items]
+
+    def test_error_stops_pulling_items(self):
+        pulled = []
+
+        def items():
+            for item in range(100):
+                pulled.append(item)
+                yield item
+
+        def fn(item):
+            if item == 3:
+                raise ValueError("item 3")
+            return item
+
+        with pytest.raises(ValueError, match="item 3"):
+            ordered_map(fn, items(), 2)
+        assert len(pulled) <= 3 + 2 * 2

@@ -18,22 +18,30 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from toc.cli import main
-from toc.cue_tree import Compilation
+from toc.cue_tree import backtrack, build_tree, layer_compilations
 from toc.gateway import ChatRequest, MockBackend
 from toc.mockgen import synthesize_corpus
 from toc.records import load_qa_tasks, write_records
-from toc.sft_pipeline import compilation_caption_request, filter_request, rationale_request
+from toc.sft_pipeline import (
+    clip_caption_request,
+    compilation_caption_request,
+    filter_request,
+    load_clips,
+    rationale_request,
+    selection_request,
+)
 
 # The journals that a cold build-sft run writes on the 20-sample corpus at
-# parallelism 1: an older one with seven stages, and one with the five stages
-# written today.
-JOURNAL_20 = Path(__file__).parent / "golden" / "build_sft_20.journal"
+# parallelism 1: one outcome line per sample, as written today, and an older
+# one with a line for each of five stages.
+JOURNAL_20 = Path(__file__).parent / "golden" / "build_sft_20_outcomes.journal"
 JOURNAL_20_FIVE_STAGES = Path(__file__).parent / "golden" / "build_sft_20_five_stages.journal"
 
 CORPUS_FILES = ("clips.records", "qa.records", "mock_table.records", "shots.records", "config.json")
@@ -196,16 +204,21 @@ def tree_outputs(work: Path) -> dict[str, list[bytes]]:
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory) -> dict[str, list[bytes]]:
+def work(tmp_path_factory) -> dict[int, Path]:
+    """Per corpus size, the directory its command runs write to."""
+    return {size: tmp_path_factory.mktemp(f"work{size}") for size in (20, 200)}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory, work) -> dict[str, list[bytes]]:
     """Every pinned output by pin name, once per run that must reproduce it."""
     found = reward_outputs(tmp_path_factory.mktemp("reward"))
     found.update(tree_outputs(tmp_path_factory.mktemp("tree")))
-    for size in (20, 200):
+    for size, work_dir in work.items():
         corpus = tmp_path_factory.mktemp(f"corpus{size}")
         synthesize_corpus(corpus, num_samples=size, seed=7, m_trials=8)
-        work = tmp_path_factory.mktemp(f"work{size}")
         found.update({f"{size}/{name}": data
-                      for name, data in corpus_outputs(corpus, work).items()})
+                      for name, data in corpus_outputs(corpus, work_dir).items()})
     return found
 
 
@@ -255,31 +268,43 @@ def test_five_stage_journal_resumes_without_calls(tmp_path, monkeypatch):
     assert resume_golden(tmp_path, monkeypatch, JOURNAL_20_FIVE_STAGES.read_bytes()) == []
 
 
-# The golden journal was written when the pipeline still journalled a
-# "compiled" line after "selected" and a "summarized" line before "emitted".
-# v10#0 has the longest chain, four compilations; its lines after `last` are
-# dropped, as a crash there would leave them.
-@pytest.mark.parametrize("last", ["compiled", "summarized"])
-def test_cut_golden_journal_resumes_to_the_pins(tmp_path, monkeypatch, last):
-    lines = JOURNAL_20.read_bytes().splitlines(keepends=True)
-    at = [pos for pos, line in enumerate(lines) if json.loads(line)["sample_id"] == "v10#0"]
-    sample = [json.loads(lines[pos]) for pos in at]
-    stages = [e["stage"] for e in sample]
-    assert stages == ["captioned", "selected", "compiled", "cue_captioned", "filtered",
-                      "summarized", "emitted"]
-    dropped = set(at[stages.index(last) + 1:])
-    journal = b"".join(line for pos, line in enumerate(lines) if pos not in dropped)
+def test_cold_run_writes_the_pinned_journal(outputs, work):
+    one, four = ((work[20] / f"sft{parallelism}.journal").read_bytes() for parallelism in (1, 4))
+    assert one == JOURNAL_20.read_bytes()
+    assert sorted(four.splitlines()) == sorted(one.splitlines())
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_cold_run_journals_one_line_per_sample(outputs, work, parallelism):
+    lines = (work[200] / f"sft{parallelism}.journal").read_bytes().splitlines()
+    assert len({json.loads(line)["sample_id"] for line in lines}) == len(lines) == 200
+
+
+# A crash after v10#0's checkpoints were written, before its outcome was,
+# leaves the five-stage journal without v10#0's "emitted" line.  Its
+# checkpoint lines are skipped, so v10#0 starts over: the resume sends its
+# whole request sequence, and only that.
+def test_cut_golden_journal_resumes_to_the_pins(tmp_path, monkeypatch):
+    lines = JOURNAL_20_FIVE_STAGES.read_bytes().splitlines(keepends=True)
+    entries = [json.loads(line) for line in lines]
+    sample = {e["stage"]: e["payload"] for e in entries if e["sample_id"] == "v10#0"}
+    assert list(sample) == ["captioned", "selected", "cue_captioned", "filtered", "emitted"]
+    journal = b"".join(
+        line for line, e in zip(lines, entries) if (e["sample_id"], e["stage"]) != ("v10#0", "emitted")
+    )
 
     calls = resume_golden(tmp_path, monkeypatch, journal)
-    if last == "summarized":
-        assert calls == []
-        return
-    payload = {k: v for e in sample for k, v in e["payload"].items()}
-    (task,) = [t for t in load_qa_tasks(tmp_path / "corpus" / "qa.records")
-               if t.sample_id == "v10#0"]
-    assert len(payload["chain"]) == 4
+    corpus = tmp_path / "corpus"
+    (task,) = [t for t in load_qa_tasks(corpus / "qa.records") if t.sample_id == "v10#0"]
+    clips = load_clips(corpus / "clips.records")["v10"]
+    captioned = [replace(c, caption=cap) for c, cap in zip(clips, sample["captioned"]["captions"])]
+    chain = layer_compilations(backtrack(build_tree(len(clips)), sample["selected"]["selected"]))
+    cues = sample["cue_captioned"]["cues"]
+    assert len(chain) == len(cues) == 4
     assert calls == [
-        *(compilation_caption_request("v10", Compilation(tuple(ix))) for ix in payload["chain"]),
-        filter_request(payload["cues"][-1], task.qa),
-        rationale_request(payload["cues"], task.qa),
+        *(clip_caption_request(clip) for clip in clips),
+        selection_request(captioned, task.qa),
+        *(compilation_caption_request("v10", compilation) for compilation in chain),
+        filter_request(cues[-1], task.qa),
+        rationale_request(cues, task.qa),
     ]

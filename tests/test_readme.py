@@ -88,7 +88,9 @@ def journal_states(path):
     entries = list(read_records(path))
     journal = Journal(path)
     states = [journal.resume(entry["sample_id"], entry["digest"]) for entry in entries]
-    assert [state.stage for state in states] == [entry["stage"] for entry in entries]
+    assert [(state.stage, state.payload) for state in states] == [
+        (entry["stage"], entry["payload"]) for entry in entries
+    ]
     return states
 
 

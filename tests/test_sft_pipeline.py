@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import CountingBackend, CrashingBackend, FailingBackend, scripted_gateway
+from conftest import (
+    CountingBackend,
+    CrashingBackend,
+    FailingBackend,
+    OutageBackend,
+    scripted_gateway,
+)
 
 from toc.config import apply_overrides, build_gateway, load_config
 from toc.cue_tree import backtrack, build_tree, layer_compilations
@@ -24,10 +31,11 @@ from toc.errors import (
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy, request_digest
-from toc.records import Clip, QaPair, QaTask, load_qa_tasks, write_records
+from toc.records import Clip, QaPair, QaTask, load_qa_tasks, read_records, write_records
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
-    STAGES,
+    JOURNAL_SUFFIX,
+    REJECTED_SUFFIX,
     Journal,
     PipelineState,
     caption_clips,
@@ -193,86 +201,81 @@ def test_stored_digests_are_pinned(name):
     assert stored_digests()[name] == PINNED_DIGESTS[name]
 
 
+def emitted(sample_id: str, digest: str = "d1", rationale: str = "r") -> PipelineState:
+    return PipelineState(sample_id, "emitted", {"rationale": rationale}, digest)
+
+
+def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1") -> str:
+    return json.dumps({"sample_id": sample_id, "digest": digest, "stage": stage, "payload": payload})
+
+
 class TestJournal:
     def test_advance_resume_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["café"]})
+        state = Journal(path).append(emitted("v#0", rationale="café"))
         assert Journal(path).resume("v#0", "d1") == state
 
     def test_missing_sample_starts_fresh(self, tmp_path):
         journal = Journal(tmp_path / "run.journal")
-        assert journal.resume("nope", "d1") == PipelineState("nope", None, {}, "d1")
+        assert journal.resume("nope", "d1") is None
         assert not journal.invalidated
 
     def test_one_line_per_transition_in_one_file(self, tmp_path):
         path = tmp_path / "run.journal"
         journal = Journal(path)
-        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
-        journal.advance(state, "rejected", {"reason": "selection_empty", "detail": "why"})
+        journal.append(emitted("v#0", rationale="x"))
+        journal.append(PipelineState("v#1", "rejected", {"reason": "selection_empty", "detail": "why"}, "d1"))
         assert [p.name for p in tmp_path.iterdir()] == ["run.journal"]
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert lines == [
-            {"sample_id": "v#0", "digest": "d1", "stage": "captioned",
-             "payload": {"captions": ["x"]}},
-            {"sample_id": "v#0", "digest": "d1", "stage": "rejected",
+            {"sample_id": "v#0", "digest": "d1", "stage": "emitted", "payload": {"rationale": "x"}},
+            {"sample_id": "v#1", "digest": "d1", "stage": "rejected",
              "payload": {"reason": "selection_empty", "detail": "why"}},
         ]
-        assert Journal(path).resume("v#0", "d1").payload == {
-            "captions": ["x"], "reason": "selection_empty", "detail": "why",
-        }
+        assert Journal(path).resume("v#1", "d1").payload == {"reason": "selection_empty", "detail": "why"}
 
     def test_ids_with_path_separators_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.advance(journal.resume("a/b#0", "d1"), "captioned", {"captions": ["x"]})
-        assert Journal(path).resume("a/b#0", "d1").stage == "captioned"
+        Journal(path).append(emitted("a/b#0"))
+        assert Journal(path).resume("a/b#0", "d1").stage == "emitted"
 
     def test_changed_digest_restarts_and_counts_invalidated(self, tmp_path):
         path = tmp_path / "run.journal"
+        Journal(path).append(emitted("v#0", "old", "x"))
         journal = Journal(path)
-        state = journal.advance(journal.resume("v#0", "old"), "captioned", {"captions": ["x"]})
-        journal.advance(state, "selected", {"selected": [0]})
-        journal = Journal(path)
-        fresh = journal.resume("v#0", "new")
-        assert fresh == PipelineState("v#0", None, {}, "new")
+        assert journal.resume("v#0", "new") is None
         assert journal.invalidated == {"v#0"}
-        journal.advance(fresh, "captioned", {"captions": ["y"]})
-        # the new digest's lines replace, not extend, the old run's payload
+        state = journal.append(emitted("v#0", "new", "y"))
+        # the sample's last outcome line wins
         replayed = Journal(path)
-        assert replayed.resume("v#0", "new") == PipelineState(
-            "v#0", "captioned", {"captions": ["y"]}, "new"
-        )
+        assert replayed.resume("v#0", "new") == state
         assert not replayed.invalidated
 
     def test_torn_last_line_is_truncated_before_appending(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        state = Journal(path).append(emitted("v#0"))
         whole = path.read_bytes()
-        path.write_bytes(whole + b'{"sample_id": "v#0", "digest": "d1", "sta')
+        path.write_bytes(whole + b'{"sample_id": "v#1", "digest": "d1", "sta')
         journal = Journal(path)
         assert path.read_bytes() == whole
-        state = journal.resume("v#0", "d1")
-        assert state.stage == "captioned"
-        journal.advance(state, "selected", {"selected": [0]})
-        assert Journal(path).resume("v#0", "d1").stage == "selected"
+        assert journal.resume("v#0", "d1") == state
+        journal.append(emitted("v#1"))
+        assert Journal(path).resume("v#1", "d1").stage == "emitted"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "run.journal"
         journal = Journal(path)
-        state = journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
+        state = journal.append(emitted("v#0"))
         path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
         journal = Journal(path)
         assert journal.resume("v#0", "d1") == state
-        journal.advance(state, "selected", {"selected": [0]})
-        assert Journal(path).resume("v#0", "d1").stage == "selected"
+        journal.append(emitted("v#1"))
+        assert Journal(path).resume("v#1", "d1").stage == "emitted"
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
-        line = b'{"sample_id": "v#1", "digest": "d1", "stage": "captioned", "payload": {"captions": ["\xff"]}}\n'
+        Journal(path).append(emitted("v#0"))
+        line = b'{"sample_id": "v#1", "digest": "d1", "stage": "emitted", "payload": {"rationale": "\xff"}}\n'
         path.write_bytes(path.read_bytes() + line)
         with pytest.raises(RecordError, match=rf"{path}:2: not valid UTF-8"):
             Journal(path)
@@ -280,32 +283,54 @@ class TestJournal:
     @pytest.mark.parametrize(
         "stage,payload,message",
         [
-            ("captioned", {"captions": "x"}, "captions must be a list of strings"),
-            ("selected", {"selected": [-1]}, "selected must be finite and >= 0"),
-            ("cue_captioned", {"cues": "x"}, "cues must be a list of strings"),
-            # a checkpoint needs the keys of every earlier stage too
-            ("selected", {"selected": [0]}, "missing key 'captions'"),
-            ("filtered", {}, "missing key 'cues'"),
             ("emitted", {"record": {}}, "missing key 'rationale'"),
             ("rejected", {"detail": "why"}, "missing key 'reason'"),
         ],
-        ids=["captions_string", "selected_negative", "cues_string", "selected_alone",
-             "filtered_alone", "emitted_record_only", "rejected_no_reason"],
+        ids=["emitted_record_only", "rejected_no_reason"],
     )
     def test_payload_that_breaks_its_stage_names_the_line(self, tmp_path, stage, payload, message):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.advance(journal.resume("v#0", "d1"), "captioned", {"captions": ["x"]})
-        journal.advance(journal.resume("v#1", "d1"), stage, payload)
+        Journal(path).append(emitted("v#0"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(journal_line("v#1", stage, payload) + "\n")
         with pytest.raises(RecordError, match=rf"{path}:2: invalid record: {message}"):
             Journal(path)
 
+    # Journals of earlier versions hold a line per checkpoint; whatever its
+    # payload, the line is skipped and its sample has no outcome.
+    @pytest.mark.parametrize(
+        "stage,payload",
+        [
+            ("captioned", {"captions": "x"}),
+            ("selected", {"selected": [-1]}),
+            ("cue_captioned", {"cues": "x"}),
+            ("selected", {"selected": [0]}),
+            ("filtered", {}),
+        ],
+        ids=["captions_string", "selected_negative", "cues_string", "selected_alone",
+             "filtered_alone"],
+    )
+    def test_checkpoint_line_is_skipped(self, tmp_path, stage, payload):
+        path = tmp_path / "run.journal"
+        state = Journal(path).append(emitted("v#0"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(journal_line("v#1", stage, payload) + "\n")
+        journal = Journal(path)
+        assert journal.resume("v#1", "d1") is None
+        assert journal.resume("v#0", "d1") == state
+
+    def test_backend_failure_line_is_skipped(self, tmp_path):
+        # an earlier version journalled a rejection for a backend failure too
+        path = tmp_path / "run.journal"
+        failed = {"reason": "caption_failed", "detail": "backend error (status 503)"}
+        path.write_text(journal_line("v#0", "rejected", failed) + "\n", encoding="utf-8")
+        assert Journal(path).resume("v#0", "d1") is None
+
     def test_terminal_line_alone_replays(self, tmp_path):
-        # a journal compacted to one line per finished sample still resumes
         path = tmp_path / "run.journal"
         journal = Journal(path)
-        journal.advance(journal.resume("v#0", "d1"), "emitted", {"rationale": "r"})
-        journal.advance(journal.resume("v#1", "d1"), "rejected", {"reason": "x", "detail": "y"})
+        journal.append(emitted("v#0"))
+        journal.append(PipelineState("v#1", "rejected", {"reason": "x", "detail": "y"}, "d1"))
         replayed = Journal(path)
         assert replayed.resume("v#0", "d1").payload == {"rationale": "r"}
         assert replayed.resume("v#1", "d1").stage == "rejected"
@@ -313,17 +338,12 @@ class TestJournal:
     def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
         path = tmp_path / "run.journal"
 
-        def payloads(worker, n):
-            text = f"worker {worker} sample {n} " * 4
-            return {"captioned": {"captions": [text] * 8}, "selected": {"selected": [worker, n]},
-                    "cue_captioned": {"cues": [text] * 4}, "filtered": {},
-                    "emitted": {"rationale": text}}
+        def rationale(worker, n):
+            return f"worker {worker} sample {n} " * 40
 
         def walk(journal, worker):
             for n in range(40):
-                state = journal.resume(f"w{worker}#{n}", "d1")
-                for stage in STAGES:
-                    state = journal.advance(state, stage, payloads(worker, n)[stage])
+                journal.append(emitted(f"w{worker}#{n}", rationale=rationale(worker, n)))
 
         journal = Journal(path)
         threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
@@ -336,10 +356,7 @@ class TestJournal:
         for worker in range(8):
             for n in range(40):
                 state = replayed.resume(f"w{worker}#{n}", "d1")
-                assert state.stage == "emitted"
-                assert state.payload == {
-                    k: v for stage in STAGES for k, v in payloads(worker, n)[stage].items()
-                }
+                assert state.payload == {"rationale": rationale(worker, n)}
 
     @pytest.mark.parametrize(
         "line",
@@ -350,9 +367,12 @@ class TestJournal:
             '{"sample_id": "v#0", "digest": "d1", "stage": "captioned", "payload": 3}',
             '{"sample_id": "v#0", "digest": "d1", "stage": "captioned", "payload": []}',
             '{"sample_id": 5, "digest": "d1", "stage": "captioned", "payload": {}}',
+            # the stages only seven-stage journals hold
+            '{"sample_id": "v#0", "digest": "d1", "stage": "compiled", "payload": {"chain": [[0]]}}',
+            '{"sample_id": "v#0", "digest": "d1", "stage": "summarized", "payload": {"rationale": "r"}}',
         ],
         ids=["not_json", "no_payload", "unknown_stage", "payload_not_object", "payload_list",
-             "number_sample_id"],
+             "number_sample_id", "compiled", "summarized"],
     )
     def test_invalid_complete_line_is_record_error(self, tmp_path, line):
         path = tmp_path / "run.journal"
@@ -452,6 +472,25 @@ def make_task(video_id: str = "v", qa: QaPair | None = None) -> QaTask:
     )
 
 
+def five_stage_lines(clips, clean_journal: Path) -> list[bytes]:
+    """The lines a five-stage journal held for a sample that full_script walks
+    with its default selection; its outcome is the one line of clean_journal."""
+    (outcome,) = clean_journal.read_bytes().splitlines(keepends=True)
+    entry = json.loads(outcome)
+    chain = layer_compilations(backtrack(build_tree(len(clips)), [0, 2]))
+    checkpoints = [
+        ("captioned", {"captions": [f"clip {c.index}: something happens" for c in clips]}),
+        ("selected", {"selected": [0, 2]}),
+        ("cue_captioned", {"cues": [f"cue over clips {list(c.clip_indices)}" for c in chain]}),
+        ("filtered", {}),
+    ]
+    if entry["stage"] == "rejected":  # rejected by the filter
+        checkpoints.pop()
+    lines = [(json.dumps({**entry, "stage": stage, "payload": payload}) + "\n").encode()
+             for stage, payload in checkpoints]
+    return lines + [outcome]
+
+
 class TestProcessSample:
     def run_one(self, pairs, clips, task=None, tmp_path=None, **kwargs):
         store = Journal(tmp_path / "state.journal")
@@ -537,7 +576,23 @@ class TestProcessSample:
         again = process_sample(gateway2, task, clips, store)
         assert again == state and backend2.calls == 0
 
-    def test_rejected_credential_stops_at_last_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stage,reason",
+        [("caption", "caption_failed"), ("selection", "selection_failed"),
+         ("cue_caption", "cue_caption_failed"), ("filter", "filter_failed"),
+         ("rationale", "rationale_failed")],
+    )
+    def test_backend_failure_is_retried_by_the_next_run(self, tmp_path, stage, reason):
+        clips, task = make_clips(4), make_task()
+        state, _, store = self.run_one(full_script(clips, task.qa, skip_stages=(stage,)), clips,
+                                       task, tmp_path)
+        assert state.stage == "rejected" and state.payload["reason"] == reason
+        assert not store.path.exists()
+        gateway, backend = counting_gateway(full_script(clips, task.qa))
+        assert process_sample(gateway, task, clips, Journal(store.path)).stage == "emitted"
+        assert backend.calls == 9
+
+    def test_rejected_credential_journals_nothing(self, tmp_path):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
         captions = MockBackend({request_digest(r): reply for r, reply in pairs})
@@ -552,17 +607,15 @@ class TestProcessSample:
         store = Journal(tmp_path / "state.journal")
         with pytest.raises(AuthError, match="status 401"):
             process_sample(gateway, task, clips, store)
-        lines = store.path.read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)["stage"] for line in lines] == ["captioned"]
-        # the selection, 2 cue captions, filter and rationale remain
+        assert not store.path.exists()
+        # the sample starts over: 4 captions, the selection, 2 cue captions, filter, rationale
         retry_gateway, retry_backend = counting_gateway(pairs)
         resumed = process_sample(retry_gateway, task, clips, Journal(store.path))
-        assert resumed.stage == "emitted" and retry_backend.calls == 5
+        assert resumed.stage == "emitted" and retry_backend.calls == 9
 
-    # crashing mid-captioning persists nothing (9 calls to redo); after the
-    # selection checkpoint only the cue/filter/rationale legs remain (4);
-    # after the cue captions only filter and rationale remain (2)
-    @pytest.mark.parametrize("crash_after,resume_calls", [(2, 9), (5, 4), (7, 2)])
+    # wherever the crash lands, nothing of the sample was journalled, so the
+    # resume makes all 9 of its calls
+    @pytest.mark.parametrize("crash_after,resume_calls", [(2, 9), (5, 9), (7, 9)])
     def test_crash_then_resume_matches_clean_run(self, tmp_path, crash_after, resume_calls):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
@@ -575,25 +628,27 @@ class TestProcessSample:
         crash_gw, _ = crashing_gateway(pairs, crash_after)
         with pytest.raises(RuntimeError, match="simulated crash"):
             process_sample(crash_gw, task, clips, resumed_store)
+        assert not resumed_store.path.exists()
         retry_gateway, retry_backend = counting_gateway(pairs)
         resumed = process_sample(retry_gateway, task, clips, resumed_store)
 
         assert resumed == clean
         assert retry_backend.calls == resume_calls
 
-    # A clean run journals one line per stage, captioned to emitted; resuming
-    # from its first `kept` lines makes exactly the calls it made after them.
-    # The rejected sample is cut just before its "rejected" line.
+    # A journal of an earlier version holds one line per stage, captioned to
+    # emitted; resuming from its first `kept` lines skips the checkpoints, so
+    # the sample starts over unless its outcome line was kept.  The rejected
+    # sample is cut just before its "rejected" line.
     @pytest.mark.parametrize(
         "tweak,kept,resume_calls",
-        [({}, kept, calls) for kept, calls in enumerate([9, 5, 4, 2, 1, 0])]
-        + [({"filter_reply": "No"}, 3, 1)],
+        [({}, kept, calls) for kept, calls in enumerate([9, 9, 9, 9, 9, 0])]
+        + [({"filter_reply": "No"}, 3, 8)],
     )
     def test_resume_from_every_checkpoint(self, tmp_path, tweak, kept, resume_calls):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, **tweak)
         clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
-        lines = clean_store.path.read_bytes().splitlines(keepends=True)
+        lines = five_stage_lines(clips, clean_store.path)
         assert len(lines) == (4 if tweak else 5)
         cut = tmp_path / "cut.journal"
         cut.write_bytes(b"".join(lines[:kept]))
@@ -601,33 +656,32 @@ class TestProcessSample:
         assert process_sample(gateway, task, clips, Journal(cut)) == clean
         assert backend.calls == resume_calls
 
-    # a 4-clip sample selecting [0, 2] has a chain of 2 compilations
+    # a 4-clip sample selecting [0, 2] has a chain of 2 compilations; the
+    # checkpoints are skipped, not checked against the sample
     @pytest.mark.parametrize(
-        "kept,updates,message",
+        "kept,updates",
         [
-            (1, {"captions": ["a", "b", "c"]}, "caption count 3 does not match clip count 4"),
-            (2, {"selected": [4]}, r"clip index 4 outside \[0, 3\]"),
-            (2, {"selected": []}, "no clips selected"),
-            (3, {"cues": ["a", "b", "c"]}, "cue count 3 does not match chain length 2"),
-            (4, {"cues": ["a"]}, "cue count 1 does not match chain length 2"),
+            (1, {"captions": ["a", "b", "c"]}),
+            (2, {"selected": [4]}),
+            (2, {"selected": []}),
+            (3, {"cues": ["a", "b", "c"]}),
+            (4, {"cues": ["a"]}),
         ],
         ids=["captions_cut", "selected_outside", "selected_empty", "cues_extra",
              "filtered_cues_cut"],
     )
-    def test_checkpoint_that_does_not_fit_is_record_error(self, tmp_path, kept, updates, message):
+    def test_checkpoint_that_does_not_fit_is_skipped(self, tmp_path, kept, updates):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
-        _, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
-        lines = clean_store.path.read_text(encoding="utf-8").splitlines()
-        entries = [json.loads(line) for line in lines[:kept]]
+        clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
+        entries = [json.loads(line) for line in five_stage_lines(clips, clean_store.path)[:kept]]
         for entry in entries:
             entry["payload"].update((k, v) for k, v in updates.items() if k in entry["payload"])
         cut = tmp_path / "cut.journal"
         cut.write_text("".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8")
         gateway, backend = counting_gateway(pairs)
-        with pytest.raises(RecordError, match=rf"^{cut}: sample v#0: {message}$"):
-            process_sample(gateway, task, clips, Journal(cut))
-        assert backend.calls == 0
+        assert process_sample(gateway, task, clips, Journal(cut)) == clean
+        assert backend.calls == 9
 
 
 class TestRunSftPipeline:
@@ -765,6 +819,90 @@ class TestRunSftPipeline:
             )
         # each sample fails on its first call, so calls count the samples started
         assert backend.calls < len(tasks)
+
+
+class TestResumeAfterFailure:
+    """A rerun makes exactly the calls of the samples the failed run left without an outcome."""
+
+    @pytest.fixture
+    def inputs(self, corpus):
+        paths = corpus.manifest["paths"]
+        return load_qa_tasks(paths["qa"]), load_clips(paths["clips"]), paths["mock_table"]
+
+    @staticmethod
+    def gateway(backend) -> Gateway:
+        return Gateway(backends={"mllm": backend, "llm": backend},
+                       retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), sleep=lambda s: None)
+
+    def clean_calls(self, inputs, tmp_path) -> dict[str, Counter]:
+        """Each sample's request digests in a clean run of it alone."""
+        tasks, clips_by_video, table = inputs
+        journal = Journal(tmp_path / "alone.journal")
+        calls = {}
+        for task in tasks:
+            backend = OutageBackend(MockBackend.from_file(table), 0, 0)
+            process_sample(self.gateway(backend), task, clips_by_video.get(task.video_id), journal)
+            calls[task.sample_id] = Counter(map(request_digest, backend.requests))
+        return calls
+
+    def outputs(self, out: Path) -> tuple[bytes, bytes, list[bytes]]:
+        journal = sorted(Path(f"{out}{JOURNAL_SUFFIX}").read_bytes().splitlines())
+        return out.read_bytes(), Path(f"{out}{REJECTED_SUFFIX}").read_bytes(), journal
+
+    def rerun(self, inputs, out: Path, workers: int = 1) -> tuple[dict, Counter]:
+        tasks, clips_by_video, table = inputs
+        backend = OutageBackend(MockBackend.from_file(table), 0, 0)
+        report = run_sft_pipeline(self.gateway(backend), tasks, clips_by_video, out, workers=workers)
+        return report, Counter(map(request_digest, backend.requests))
+
+    def journalled(self, out: Path) -> set[str]:
+        return {rec["sample_id"] for rec in read_records(f"{out}{JOURNAL_SUFFIX}")}
+
+    @pytest.mark.parametrize("workers,crash_after", [(1, 40), (1, 101), (4, 40), (4, 101)])
+    def test_crash_then_resume_calls_only_unfinished_samples(self, inputs, tmp_path, workers,
+                                                              crash_after):
+        tasks, clips_by_video, table = inputs
+        clean_calls = self.clean_calls(inputs, tmp_path)
+        clean = tmp_path / "clean" / "sft.records"
+        clean.parent.mkdir()
+        self.rerun(inputs, clean)
+
+        out = tmp_path / "crashed" / "sft.records"
+        out.parent.mkdir()
+        crashing = CrashingBackend(MockBackend.from_file(table), crash_after)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_sft_pipeline(self.gateway(crashing), tasks, clips_by_video, out, workers=workers)
+        finished = self.journalled(out)
+        assert 0 < len(finished) < len(tasks)
+
+        _, calls = self.rerun(inputs, out, workers)
+        assert calls == sum((clean_calls[t.sample_id] for t in tasks if t.sample_id not in finished),
+                            Counter())
+        assert self.outputs(out) == self.outputs(clean)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_backend_outage_is_retried_by_the_next_run(self, inputs, tmp_path, workers):
+        tasks, clips_by_video, table = inputs
+        clean_calls = self.clean_calls(inputs, tmp_path)
+        clean = tmp_path / "clean" / "sft.records"
+        clean.parent.mkdir()
+        clean_report, _ = self.rerun(inputs, clean)
+
+        out = tmp_path / "outage" / "sft.records"
+        out.parent.mkdir()
+        outage = OutageBackend(MockBackend.from_file(table), 30, 90)
+        report = run_sft_pipeline(self.gateway(outage), tasks, clips_by_video, out, workers=workers)
+        failed = {r["id"] for r in read_records(f"{out}{REJECTED_SUFFIX}")
+                  if r["reason"].endswith("_failed")}
+        assert failed
+        assert sum(n for reason, n in report["rejection_reasons"].items()
+                   if reason.endswith("_failed")) == len(failed)
+        assert self.journalled(out) == {t.sample_id for t in tasks} - failed
+
+        report, calls = self.rerun(inputs, out, workers)
+        assert report == clean_report
+        assert calls == sum((clean_calls[sample_id] for sample_id in failed), Counter())
+        assert self.outputs(out) == self.outputs(clean)
 
 
 class TestLoadClips:

@@ -2,7 +2,8 @@
 
 They flag unused imports, unreferenced error classes, and top-level
 functions, classes, methods and properties that only tests use, and keep
-the CLI's report written in one place.
+the CLI's report written in one place.  Every Python file must also parse
+as Python 3.10, the oldest version the package supports.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toc"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 BENCH = PACKAGE.parent.parent / "bench"
 SCRIPTS = PACKAGE.parent.parent / "scripts"
+TESTS = Path(__file__).resolve().parent
 
 
 def parse(path: Path) -> ast.Module:
@@ -138,3 +140,12 @@ def test_only_main_writes_a_report_and_no_command_builds_a_stage_row():
         and any(isinstance(node, ast.Constant) and node.value == "stage" for node in ast.walk(fn))
     ]
     assert hand_built == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
