@@ -280,17 +280,20 @@ def test_cold_run_journals_one_line_per_sample(outputs, work, parallelism):
     assert len({json.loads(line)["sample_id"] for line in lines}) == len(lines) == 200
 
 
-# A crash after v10#0's checkpoints were written, before its outcome was,
-# leaves the five-stage journal without v10#0's "emitted" line.  Its
+# A crash after some of v10#0's checkpoints were written, before its outcome
+# was, leaves the five-stage journal without v10#0's lines after `last`.  Its
 # checkpoint lines are skipped, so v10#0 starts over: the resume sends its
 # whole request sequence, and only that.
-def test_cut_golden_journal_resumes_to_the_pins(tmp_path, monkeypatch):
+@pytest.mark.parametrize("last", ["selected", "filtered"])
+def test_journal_cut_before_the_outcome_reruns_the_sample(tmp_path, monkeypatch, last):
     lines = JOURNAL_20_FIVE_STAGES.read_bytes().splitlines(keepends=True)
     entries = [json.loads(line) for line in lines]
     sample = {e["stage"]: e["payload"] for e in entries if e["sample_id"] == "v10#0"}
-    assert list(sample) == ["captioned", "selected", "cue_captioned", "filtered", "emitted"]
+    stages = list(sample)
+    assert stages == ["captioned", "selected", "cue_captioned", "filtered", "emitted"]
+    dropped = set(stages[stages.index(last) + 1:])
     journal = b"".join(
-        line for line, e in zip(lines, entries) if (e["sample_id"], e["stage"]) != ("v10#0", "emitted")
+        line for line, e in zip(lines, entries) if e["sample_id"] != "v10#0" or e["stage"] not in dropped
     )
 
     calls = resume_golden(tmp_path, monkeypatch, journal)
