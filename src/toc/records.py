@@ -418,8 +418,9 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
 # --- newline-delimited record IO ---
 
 
-def dump_record(rec: dict) -> str:
-    return json.dumps(rec, ensure_ascii=False)
+# The encoder json.dumps(rec, ensure_ascii=False) would build anew for every
+# line; encode keeps no state between calls, so threads may share it.
+dump_record: Callable[[dict], str] = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> int:

@@ -136,13 +136,10 @@ class RewardGroup:
 
     gamma: float
     correct: list[bool]
+    x: int
     rewards: list[float]
     advantages: list[float]
     scaled_advantages: list[float]
-
-    @property
-    def x(self) -> int:
-        return sum(self.correct)
 
     @property
     def size(self) -> int:
@@ -150,16 +147,27 @@ class RewardGroup:
 
 
 def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
-    """Score a group from correctness flags alone."""
-    if not 0.0 < gamma <= 1.0:  # first: normalize_advantages overflows on a gamma past ~1e154
+    """Score a group from correctness flags alone.
+
+    Normalizing the rewards gamma · correct cancels gamma, so each flag's
+    advantage is closed_form_advantages(size, x); the demand reaches the
+    scaled advantages alone.  An all-equal group has all-zero advantages.
+    """
+    if not 0.0 < gamma <= 1.0:
         raise RangeError(f"gamma must be in (0, 1], got {gamma}")
     correct = [bool(c) for c in correct_flags]
-    rewards = [gamma if c else 0.0 for c in correct]
-    advantages = normalize_advantages(rewards)
+    size = len(correct)
+    if size < 2:
+        raise GroupTooSmallError(f"need at least 2 rewards, got {size}")
+    x = sum(correct)
+    # At x = 0 or x = size the missing side is None, and no flag picks it.
+    a_correct, a_wrong = closed_form_advantages(size, x)
+    advantages = [a_correct if c else a_wrong for c in correct]
     return RewardGroup(
         gamma=gamma,
         correct=correct,
-        rewards=rewards,
+        x=x,
+        rewards=[gamma if c else 0.0 for c in correct],
         advantages=advantages,
         scaled_advantages=scale_advantages(advantages, gamma),
     )

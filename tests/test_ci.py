@@ -1,8 +1,10 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit,
-after installing the dependencies that pyproject.toml lists."""
+after installing the dependencies that pyproject.toml lists; every BENCH_*.json
+claims a metric and workload that BENCHMARK.json declares."""
 
 from __future__ import annotations
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -31,3 +33,16 @@ def test_install_step_names_no_package_itself():
     (command,) = re.findall(r"^        run: (python -m pip install .*)$", workflow, re.M)
     args = shlex.split(command)[4:]
     assert [arg for arg in args if not arg.startswith("-")] == [".[test]"]
+
+
+def test_bench_files_claim_a_declared_metric_and_workload():
+    # a BENCH_*.json that names a metric or workload the benchmark lacks claims nothing it measured
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {entry["name"] for entry in declared["end_to_end"]}
+    workloads = {entry["name"] for entry in declared["workloads"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        claim = json.loads(path.read_text(encoding="utf-8"))["claim"]
+        assert claim["metric"] in metrics, path.name
+        assert claim["workload"] in workloads, path.name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -201,6 +202,22 @@ class TestRecordIo:
 
     def test_non_ascii_not_escaped(self):
         assert dump_record({"t": "café"}) == '{"t": "café"}'
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"t": "café ✓ 視頻 🎬", "ẞ": "ß"},
+            {"q": 'say "hi" \\ back/slash', "ctl": "\x00\x01\t\n\r\x1f\x7f\u2028"},
+            {"lone": "\ud800", "pair": "\U0001f3ac"},
+            {"z": -0.0, "tiny": 1e-300, "sub": 5e-324, "big": 2**70, "neg": -(2**70), "f": 0.1},
+            {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+            {"nested": [[1, [2.5, {"a": [None, True, False]}]], {"b": {"c": []}}], "e": {}},
+            {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+            {},
+        ],
+    )
+    def test_same_bytes_as_json_dumps(self, rec):
+        assert dump_record(rec) == json.dumps(rec, ensure_ascii=False)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "x.records"

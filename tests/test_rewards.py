@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 import statistics
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -191,6 +193,19 @@ class TestClosedFormAdvantages:
                 got = normalize_advantages([1.0] * x + [0.0] * (g - x))
                 assert got == pytest.approx(expect, abs=1e-12), (g, x)
 
+    def test_closed_form_within_one_ulp_of_exact(self):
+        # Why score_flags may differ from normalizing gamma · correct in the
+        # last bits: the closed form is the one that is correctly rounded.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for g in range(2, 17):
+                for x in range(1, g):
+                    a_correct, a_wrong = closed_form_advantages(g, x)
+                    exact_correct = (Decimal((g - 1) * (g - x)) / Decimal(g * x)).sqrt()
+                    exact_wrong = -(Decimal(x * (g - 1)) / Decimal(g * (g - x))).sqrt()
+                    for got, exact in ((a_correct, exact_correct), (a_wrong, exact_wrong)):
+                        assert abs(Decimal(got) - exact) <= Decimal(math.ulp(got)), (g, x)
+
 
 class TestScaleAdvantages:
     def test_scales_elementwise(self):
@@ -216,6 +231,10 @@ class TestScaleAdvantages:
         assert demand == pytest.approx(binary, abs=1e-12)
 
 
+# gamma from 1 down to the smallest float, through the range where normalizing
+# gamma · correct needed its power-of-two rescale.
+SCORE_GAMMAS = (1.0, 0.9, 0.5, 1 / 3, math.exp(-7 / 8), 1e-3, 1e-154, 1e-200, 1e-300, 5e-324)
+
 class TestScoreGroup:
     def test_score_flags_trail(self):
         group = score_flags(0.5, [True, False, False, True])
@@ -233,9 +252,35 @@ class TestScoreGroup:
 
     @pytest.mark.parametrize("gamma", [1e200, -1e200])
     def test_score_flags_checks_gamma_before_normalizing(self, gamma):
-        # normalize_advantages would overflow on this gamma before scale_advantages saw it
+        # the gamma check comes before any other
         with pytest.raises(RangeError, match="gamma must be in"):
             score_flags(gamma, [True, False])
+
+    @pytest.mark.parametrize("g", range(2, 17))
+    def test_score_flags_takes_the_closed_form(self, g):
+        rng = random.Random(g)
+        for x in range(g + 1):
+            a_correct, a_wrong = closed_form_advantages(g, x)
+            ordered = [True] * x + [False] * (g - x)
+            shuffled = rng.sample(ordered, g)
+            for flags in (ordered, shuffled):
+                expect = [a_correct if f else a_wrong for f in flags]
+                for gamma in SCORE_GAMMAS:
+                    group = score_flags(gamma, flags)
+                    assert group.advantages == expect, (g, x, gamma)
+                    assert group.scaled_advantages == [a * gamma for a in expect]
+                    assert group.rewards == [gamma if f else 0.0 for f in flags]
+                    assert (group.x, group.size) == (x, g)
+                    if x in (0, g):
+                        assert group.advantages == [0.0] * g
+
+    @pytest.mark.parametrize("flags", [[], [True], [False]])
+    def test_score_flags_small_group_keeps_its_message(self, flags):
+        with pytest.raises(GroupTooSmallError, match=rf"^need at least 2 rewards, got {len(flags)}$"):
+            score_flags(0.5, flags)
+        with pytest.raises(RangeError, match="gamma must be in"):
+            score_flags(2.0, flags)
+
 
 
 class TestPolicyLogProbs:
