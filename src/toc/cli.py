@@ -54,18 +54,26 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
 
 def _check_out_dirs(args: argparse.Namespace) -> None:
     """Fail before any input is read or model called if two outputs are one file, if an
-    output is where another is staged, or if an output is or lacks a directory."""
+    output is where a later one is staged, or if an output is or lacks a directory."""
     out = getattr(args, "out", None)
-    paths = [path for path in (out, _report_path(args)) if path is not None]
+    # What write_records writes, in order: the dataset, build-sft's sidecar, the report.
+    written = [path for path in (out, _report_path(args)) if path is not None]
+    journal = []  # appended to before any of them is written
     if args.command == "build-sft":
-        paths += [f"{out}{suffix}" for suffix in (REJECTED_SUFFIX, JOURNAL_SUFFIX)]
+        written.insert(1, f"{out}{REJECTED_SUFFIX}")
+        journal = [f"{out}{JOURNAL_SUFFIX}"]
+    paths = written + journal
     resolved = [os.path.realpath(path) for path in paths]
-    staged = {os.path.realpath(f"{path}.tmp") for path in paths}  # see write_records
     for pos, real in enumerate(resolved):
         if real in resolved[:pos]:
             raise UsageError(f"two outputs are one file: {paths[pos]}")
-        if real in staged:
-            raise UsageError(f"output {paths[pos]} is the temporary file of another output")
+    # write_records stages each file at <path>.tmp and renames it into place, which carries
+    # off the journal or an output written before; one written after is only created then.
+    for pos, path in enumerate(written):
+        staged = os.path.realpath(f"{path}.tmp")
+        if staged in resolved[:pos] + resolved[len(written):]:
+            clobbered = paths[resolved.index(staged)]
+            raise UsageError(f"output {clobbered} is the temporary file of another output")
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

@@ -21,7 +21,7 @@ from .gateway import (
     MODEL_ROLES,
     RetryPolicy,
 )
-from .records import SHAPES, check_record
+from .records import SHAPES, check_record, dump_record
 
 API_KEY_ENV = "TOC_API_KEY"
 
@@ -84,10 +84,11 @@ def load_config(path: str | Path) -> Config:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-        json.dumps(raw, ensure_ascii=False).encode("utf-8")  # no lone surrogate escape
+        dump_record(raw).encode("utf-8")  # no lone surrogate escape
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except ValueError as exc:  # malformed JSON, bytes that are not UTF-8, a lone surrogate
+    # malformed JSON, bytes that are not UTF-8, a lone surrogate, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")

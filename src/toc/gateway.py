@@ -10,7 +10,6 @@ flight.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from collections import deque
@@ -28,7 +27,7 @@ from .errors import (
     GatewayTimeoutError,
     RecordError,
 )
-from .records import check_record, parse_records
+from .records import check_record, json_encoder, parse_records
 
 MODEL_ROLES = ("mllm", "llm")
 
@@ -76,11 +75,12 @@ def canonical_request(request: ChatRequest) -> dict:
     }
 
 
+_canonical_json = json_encoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def request_digest(request: ChatRequest) -> str:
     """16 hex chars of sha256 over the canonical request JSON."""
-    payload = json.dumps(
-        canonical_request(request), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    payload = _canonical_json(canonical_request(request))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -182,7 +182,8 @@ class HttpBackend:
         try:
             content = response.json()["choices"][0]["message"]["content"]
             str.encode(content, "utf-8")  # TypeError unless text, ValueError on a lone surrogate
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # RecursionError: a body nested deeper than the JSON decoder goes
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise BackendUnavailableError(f"malformed backend response: {exc}") from exc
         return content
 

@@ -292,16 +292,21 @@ def _check_alpha(alpha: int, m_trials: int) -> None:
 _TOL = 1e-12  # how far a stored demand or difficulty may sit from its recomputed value
 
 
+def _demand_and_difficulty(alpha: int, m_trials: int) -> tuple[float, float]:
+    """Both scores of alpha correct answers in M trials, after one range check."""
+    _check_alpha(alpha, m_trials)
+    ratio = alpha / m_trials
+    return math.exp(-ratio), 1.0 - ratio
+
+
 def demand_from_alpha(alpha: int, m_trials: int) -> float:
     """Reasoning demand e^(-alpha/M) for alpha correct no-think answers in M trials."""
-    _check_alpha(alpha, m_trials)
-    return math.exp(-alpha / m_trials)
+    return _demand_and_difficulty(alpha, m_trials)[0]
 
 
 def difficulty_from_alpha(alpha: int, m_trials: int) -> float:
     """Difficulty score 1 - alpha/M."""
-    _check_alpha(alpha, m_trials)
-    return 1.0 - alpha / m_trials
+    return _demand_and_difficulty(alpha, m_trials)[1]
 
 
 @dataclass(frozen=True)
@@ -347,35 +352,38 @@ class RlSample:
 
     def recompute_consistent(self) -> bool:
         """True when the stored demand and difficulty agree with alpha/m_trials."""
-        return (
-            abs(self.reasoning_demand - demand_from_alpha(self.alpha, self.m_trials)) <= _TOL
-            and abs(self.difficulty - difficulty_from_alpha(self.alpha, self.m_trials)) <= _TOL
-        )
+        demand, difficulty = _demand_and_difficulty(self.alpha, self.m_trials)
+        return abs(self.reasoning_demand - demand) <= _TOL and abs(self.difficulty - difficulty) <= _TOL
 
     def to_record(self) -> dict:
-        return dict(vars(self), options=list(self.options))
+        return {
+            "id": self.id,
+            "video_id": self.video_id,
+            "question": self.question,
+            "options": list(self.options),
+            "answer": self.answer,
+            "alpha": self.alpha,
+            "m_trials": self.m_trials,
+            "reasoning_demand": self.reasoning_demand,
+            "difficulty": self.difficulty,
+        }
 
     @classmethod
     def from_record(cls, rec: dict) -> "RlSample":
         """Read a stored sample; its demand and difficulty must match alpha/m_trials."""
         check_record(rec, "rl sample")
-        sample = cls(
-            id=rec["id"],
-            video_id=rec["video_id"],
-            question=rec["question"],
-            options=tuple(rec["options"]),
-            answer=rec["answer"],
-            alpha=rec["alpha"],
-            m_trials=rec["m_trials"],
-            reasoning_demand=float(rec["reasoning_demand"]),
-            difficulty=float(rec["difficulty"]),
-        )
-        if not sample.recompute_consistent():
+        alpha, m_trials = rec["alpha"], rec["m_trials"]
+        demand, difficulty = float(rec["reasoning_demand"]), float(rec["difficulty"])
+        expected_demand, expected_difficulty = _demand_and_difficulty(alpha, m_trials)
+        if abs(demand - expected_demand) > _TOL or abs(difficulty - expected_difficulty) > _TOL:
             raise ValueError(
-                f"reasoning_demand {sample.reasoning_demand} and difficulty {sample.difficulty} "
-                f"disagree with alpha {sample.alpha} of m_trials {sample.m_trials}"
+                f"reasoning_demand {demand} and difficulty {difficulty} "
+                f"disagree with alpha {alpha} of m_trials {m_trials}"
             )
-        return sample
+        return cls(
+            rec["id"], rec["video_id"], rec["question"], tuple(rec["options"]), rec["answer"],
+            alpha, m_trials, demand, difficulty,
+        )
 
 
 @dataclass(frozen=True)
@@ -418,9 +426,50 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
 # --- newline-delimited record IO ---
 
 
-# The encoder json.dumps(rec, ensure_ascii=False) would build anew for every
-# line; encode keeps no state between calls, so threads may share it.
-dump_record: Callable[[dict], str] = json.JSONEncoder(ensure_ascii=False).encode
+def json_encoder(
+    *, sort_keys: bool = False, separators: tuple[str, str] = (", ", ": "), ensure_ascii: bool = True
+) -> Callable[[object], str]:
+    """json.dumps with these options, its C encoder built once instead of per call.
+
+    The encoder gets the arguments JSONEncoder.iterencode passes it, except
+    that it keeps no circular-reference check: records are trees.  It then
+    holds no state between calls, so threads may share it.  A value JSON
+    cannot hold raises the same TypeError as json.dumps.
+    """
+    enc = json.encoder.c_make_encoder(
+        None,
+        json.JSONEncoder().default,
+        json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring,
+        None,
+        separators[1],
+        separators[0],
+        sort_keys,
+        False,
+        True,
+    )
+    return lambda obj: "".join(enc(obj, 0))
+
+
+# json.dumps(rec, ensure_ascii=False)
+dump_record: Callable[[dict], str] = json_encoder(ensure_ascii=False)
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> object:
+    """The JSON value of a stripped line, as json.loads gives it.
+
+    One raw_decode call reads a valid line.  Anything else goes through
+    json.loads again, so that its error (extra data, a byte order mark, a
+    nesting too deep) is the one raised.
+    """
+    try:
+        value, end = _raw_decode(line)
+        if end == len(line):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
@@ -461,8 +510,8 @@ def _numbered_records(path: str | Path) -> Iterator[tuple[int, dict]]:
                 except UnicodeEncodeError:
                     raise RecordError(f"{path}:{line_no}: not valid UTF-8") from None
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = _decode_line(line)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise RecordError(f"{path}:{line_no}: malformed JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise RecordError(f"{path}:{line_no}: expected a JSON object")

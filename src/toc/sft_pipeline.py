@@ -43,6 +43,8 @@ from .records import (
     QaTask,
     SftSample,
     check_record,
+    dump_record,
+    json_encoder,
     parse_records,
     render_target,
     write_records,
@@ -89,14 +91,13 @@ def compilation_caption_request(video_id: str, compilation: Compilation) -> Chat
 
 def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
     """The structured object the selection prompt's guidelines describe."""
-    return json.dumps(
+    return dump_record(
         {
             "num_clips": len(clips),
             "clips": [{"index": c.index, "description": c.caption} for c in clips],
             "question": qa.formatted_question(),
             "answer": qa.answer,
-        },
-        ensure_ascii=False,
+        }
     )
 
 
@@ -152,17 +153,18 @@ class PipelineState:
     digest: str
 
 
+_sorted_json = json_encoder(sort_keys=True)  # json.dumps(obj, sort_keys=True)
+
 # Prompt text and request limits shared by every sample, hashed once;
 # sample_digest extends a copy with one sample's own inputs.
 _PROMPTS_DIGEST = hashlib.sha256(
-    json.dumps(
+    _sorted_json(
         [
             DESCRIBE_PROMPT,
             list(TEMPLATES.values()),
             TASK_INSTRUCTIONS,
             [CAPTION_MAX_TOKENS, SELECTION_MAX_TOKENS, FILTER_MAX_TOKENS, RATIONALE_MAX_TOKENS],
-        ],
-        sort_keys=True,
+        ]
     ).encode("ascii")
 )
 
@@ -176,7 +178,7 @@ def sample_digest(task: QaTask, clips: Sequence[Clip] | None, lenient: bool) -> 
         "lenient": lenient,
     }
     digest = _PROMPTS_DIGEST.copy()
-    digest.update(json.dumps(inputs, sort_keys=True).encode("ascii"))
+    digest.update(_sorted_json(inputs).encode("ascii"))
     return digest.hexdigest()
 
 
@@ -459,7 +461,14 @@ def run_sft_pipeline(
         clips = clips_by_video.get(task.video_id)
         return process_sample(gateway, task, clips, journal, lenient=lenient)
 
-    states = ordered_map(run_one, tasks, workers)
+    # A journalled outcome is read on this thread; only the other samples go to the pool.
+    known = [
+        journal.resume(task.sample_id, sample_digest(task, clips_by_video.get(task.video_id), lenient))
+        for task in tasks
+    ]
+    todo = [task for task, state in zip(tasks, known) if state is None]
+    fresh = iter(ordered_map(run_one, todo, workers))
+    states = [next(fresh) if state is None else state for state in known]
     emitted = []
     for task, state in zip(tasks, states):
         if state.stage == "emitted":

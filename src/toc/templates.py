@@ -95,7 +95,8 @@ def parse_index_array(reply: str, lenient: bool = False) -> list[int]:
     """
     try:
         return _validate_index_array(json.loads(reply))
-    except (json.JSONDecodeError, ParseError):
+    # ValueError: malformed JSON or an integer of too many digits; RecursionError: nested too deep
+    except (ValueError, RecursionError, ParseError):
         if not lenient:
             raise ParseError(f"reply is not a bare JSON integer array: {reply!r}") from None
     bracketed = re.search(r"\[[^][]*\]", reply)
@@ -103,7 +104,7 @@ def parse_index_array(reply: str, lenient: bool = False) -> list[int]:
         raise ParseError(f"no bracketed array found in reply: {reply!r}")
     try:
         return _validate_index_array(json.loads(bracketed.group(0)))
-    except json.JSONDecodeError:
+    except ValueError:  # malformed, or an integer of too many digits; it cannot nest
         raise ParseError(f"bracketed text is not a JSON array: {bracketed.group(0)!r}") from None
 
 

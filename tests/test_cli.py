@@ -585,6 +585,16 @@ class TestPaths:
         assert calls == [] and not out.is_file() and list((tmp_path / directory).iterdir()) == []
         assert not (tmp_path / "out.journal").is_file()
 
+    def test_report_on_the_temporary_file_of_the_dataset(self, demand_file, tmp_path, capsys,
+                                                          monkeypatch):
+        # the dataset is renamed off rl.tmp before the report is written there
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["build-rl", "--in", str(demand_file), "--target", "3",
+                                "-o", "rl", "--report", "rl.tmp"], capsys)
+        assert code == 0 and err == ""
+        assert len(read_lines(tmp_path / "rl")) == 3
+        assert read_lines(tmp_path / "rl.tmp")[0] == {"kind": "stage", "stage": "input", "count": 20}
+
     @pytest.mark.parametrize(
         "args,message",
         [
@@ -924,6 +934,15 @@ class TestReward:
             "rewards": [1.0, 1.0], "advantages": [0.0, 0.0],
             "scaled_advantages": [0.0, 0.0],
         }
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"gamma": ' + "1" * 5000 + "}"],
+                             ids=["nested_too_deep", "too_many_digits"])
+    def test_line_json_cannot_read_is_run_error(self, tmp_path, capsys, line):
+        group_file = tmp_path / "groups.records"
+        group_file.write_text(line + "\n", encoding="utf-8")
+        code, stdout, err = run_cli(["reward", "--group", str(group_file)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: {group_file}:1: malformed JSON: ") and err.count("\n") == 1
 
     def test_tiny_gamma_keeps_the_closed_form(self, tmp_path, capsys):
         group_file = tmp_path / "groups.records"

@@ -146,6 +146,14 @@ def test_unreadable_config_file_is_config_error(tmp_path, name, content, message
         load_config(tmp_path / name)
 
 
+@pytest.mark.parametrize("depth", [3000, 100_000])
+def test_backends_nested_too_deep_is_config_error(tmp_path, depth):
+    path = tmp_path / "config.json"
+    path.write_text('{"backends": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
 @pytest.mark.parametrize("table", ["missing.records", "."], ids=["missing", "directory"])
 def test_unreadable_mock_table_is_config_error(tmp_path, table):
     config = load_config(write_config(tmp_path, {"mock_table_path": table}))

@@ -100,6 +100,13 @@ class TestMockBackend:
         with pytest.raises(RecordError, match="table.records:2: conflicting .* given on line 1"):
             MockBackend.from_file(path)
 
+    def test_from_file_names_a_line_nested_too_deep(self, tmp_path):
+        path = tmp_path / "table.records"
+        write_records(path, [{"digest": "d", "reply": "r"}])
+        path.write_text(path.read_text() + "[" * 100_000 + "\n")
+        with pytest.raises(RecordError, match=rf"^{path}:2: malformed JSON: "):
+            MockBackend.from_file(path)
+
 
 class FakeResponse:
     def __init__(self, status_code=200, body=None, bad_json=False):
@@ -191,6 +198,14 @@ class TestHttpBackend:
     def test_malformed_body(self):
         post = FakePost([FakeResponse(bad_json=True)])
         with pytest.raises(BackendUnavailableError):
+            http_backend(post).complete(ChatRequest("llm", "hi"))
+
+    def test_body_nested_too_deep(self):
+        response = requests.models.Response()
+        response.status_code, response.encoding = 200, "utf-8"
+        response._content = b'{"choices": ' + b"[" * 100_000
+        post = FakePost([response])
+        with pytest.raises(BackendUnavailableError, match="^malformed backend response: "):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     @pytest.mark.parametrize("content", [None, 5, "a\ud800b"], ids=["null", "number", "lone_surrogate"])

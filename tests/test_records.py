@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from toc.records import (
     demand_from_alpha,
     difficulty_from_alpha,
     dump_record,
+    json_encoder,
     load_qa_tasks,
     option_label,
     parse_records,
@@ -28,6 +31,20 @@ from toc.records import (
     write_records,
 )
 from toc.rewards import extract_answer
+
+
+# Records whose encoding json.dumps fixes: text that needs escapes, floats at
+# their limits, nesting, and keys that are not strings.
+JSON_CASES = [
+    {"t": "café ✓ 視頻 🎬", "ẞ": "ß"},
+    {"q": 'say "hi" \\ back/slash', "ctl": "\x00\x01\t\n\r\x1f\x7f\u2028"},
+    {"lone": "\ud800", "pair": "\U0001f3ac"},
+    {"z": -0.0, "tiny": 1e-300, "sub": 5e-324, "big": 2**70, "neg": -(2**70), "f": 0.1},
+    {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+    {"nested": [[1, [2.5, {"a": [None, True, False]}]], {"b": {"c": []}}], "e": {}},
+    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+    {},
+]
 
 
 def clip(index: int, start: float, end: float, video_id: str = "v") -> Clip:
@@ -203,19 +220,7 @@ class TestRecordIo:
     def test_non_ascii_not_escaped(self):
         assert dump_record({"t": "café"}) == '{"t": "café"}'
 
-    @pytest.mark.parametrize(
-        "rec",
-        [
-            {"t": "café ✓ 視頻 🎬", "ẞ": "ß"},
-            {"q": 'say "hi" \\ back/slash', "ctl": "\x00\x01\t\n\r\x1f\x7f\u2028"},
-            {"lone": "\ud800", "pair": "\U0001f3ac"},
-            {"z": -0.0, "tiny": 1e-300, "sub": 5e-324, "big": 2**70, "neg": -(2**70), "f": 0.1},
-            {"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
-            {"nested": [[1, [2.5, {"a": [None, True, False]}]], {"b": {"c": []}}], "e": {}},
-            {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
-            {},
-        ],
-    )
+    @pytest.mark.parametrize("rec", JSON_CASES)
     def test_same_bytes_as_json_dumps(self, rec):
         assert dump_record(rec) == json.dumps(rec, ensure_ascii=False)
 
@@ -313,6 +318,82 @@ class TestRecordIo:
         path.write_text('{"video_id": "v", "index": 0, "start_s": 0, "end_s": 1}\n\n' + line + "\n")
         with pytest.raises(RecordError, match=rf"clips.records:3: invalid record: {message}"):
             list(parse_records(path, Clip.from_record))
+
+
+# The options of each shared encoder, as json.dumps takes them: dump_record's,
+# request_digest's and sample_digest's.
+ENCODER_OPTIONS = [
+    {"ensure_ascii": False},
+    {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False},
+    {"sort_keys": True},
+]
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def encoded(encode, value) -> object:
+    """encode(value), or the type and text of the error it raises."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("options", ENCODER_OPTIONS, ids=["record", "request", "sample"])
+    @pytest.mark.parametrize("rec", JSON_CASES + [
+        pytest.param({"set": {1}}, id="set"), pytest.param({"tuple": (1, "a")}, id="tuple"),
+        pytest.param("text", id="string"), pytest.param([1], id="list"),
+    ])
+    def test_each_encoder_gives_json_dumps_bytes(self, options, rec):
+        # a key of every type cannot be sorted, and a set cannot be encoded: the errors match too
+        assert encoded(json_encoder(**options), rec) == encoded(lambda v: json.dumps(v, **options), rec)
+
+    @pytest.mark.parametrize("options", ENCODER_OPTIONS, ids=["record", "request", "sample"])
+    @given(tree=JSON_TREES)
+    def test_each_encoder_gives_json_dumps_bytes_on_any_tree(self, options, tree):
+        assert json_encoder(**options)(tree) == json.dumps(tree, **options)
+
+    def test_dump_record_from_four_threads_at_once(self, fast_thread_switching):
+        recs = [{"i": i, "t": "視頻" * (i % 7), "xs": [i / 7, None, [True]]} for i in range(2000)]
+        expected = [dump_record(rec) for rec in recs]
+        start = threading.Barrier(4)
+
+        def dump_all(_: int) -> list[str]:
+            start.wait()
+            return [dump_record(rec) for rec in recs]
+
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(dump_all, range(4), timeout=60)) == [expected] * 4
+
+    @given(recs=st.lists(st.dictionaries(st.text(), JSON_TREES, max_size=4), max_size=5))
+    def test_reader_gives_json_loads_records(self, tmp_path_factory, recs):
+        path = tmp_path_factory.mktemp("reader") / "x.records"
+        lines = [json.dumps(rec, ensure_ascii=pos % 2 == 0) for pos, rec in enumerate(recs)]
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        expected = [json.loads(line) for line in lines]
+        # NaN is never equal to itself; its JSON text is
+        assert [json.dumps(rec) for rec in read_records(path)] == [json.dumps(rec) for rec in expected]
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"a": 1}   x', '{"a": 1} {"b": 2}', "\ufeff{\"a\": 1}", '{"a": [1, 2', '{"a": tru}',
+         "[" * 100_000, '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"a": ' + "1" * 5000 + "}"],
+        ids=["trailing_data_after_spaces", "two_objects", "byte_order_mark", "truncated",
+             "bad_literal", "deep_nesting", "deep_nesting_in_an_object", "too_many_digits"],
+    )
+    def test_malformed_line_gives_json_loads_message(self, tmp_path, line):
+        path = tmp_path / "x.records"
+        path.write_text('{"a": 0}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises((ValueError, RecursionError)) as expected:
+            json.loads(line)
+        with pytest.raises(RecordError) as raised:
+            list(read_records(path))
+        assert str(raised.value) == f"{path}:2: malformed JSON: {expected.value}"
 
 
 class TestQaTasks:

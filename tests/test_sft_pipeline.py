@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -278,6 +279,13 @@ class TestJournal:
         line = b'{"sample_id": "v#1", "digest": "d1", "stage": "emitted", "payload": {"rationale": "\xff"}}\n'
         path.write_bytes(path.read_bytes() + line)
         with pytest.raises(RecordError, match=rf"{path}:2: not valid UTF-8"):
+            Journal(path)
+
+    def test_line_nested_too_deep_names_path_and_line(self, tmp_path):
+        path = tmp_path / "run.journal"
+        Journal(path).append(emitted("v#0"))
+        path.write_text(path.read_text() + '{"payload": ' + "[" * 100_000 + "\n")
+        with pytest.raises(RecordError, match=rf"^{path}:2: malformed JSON: "):
             Journal(path)
 
     @pytest.mark.parametrize(
@@ -806,6 +814,32 @@ class TestRunSftPipeline:
             assert summary["emitted"] == corpus.manifest["expected_emitted"]
             outputs.append((out.read_bytes(), Path(f"{out}.rejected").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("depth", [3000, 100_000])
+    def test_selection_nested_too_deep_is_unparseable(self, tmp_path, depth):
+        pairs, tasks, clips_by_video, out = self.two_sample_setup(tmp_path)
+        nested = "[" * depth + "]" * depth
+        pairs = full_script(clips_by_video["va"], tasks[0].qa, selection_reply=nested)
+        gateway, _ = counting_gateway(pairs)
+        summary = run_sft_pipeline(gateway, tasks[:1], clips_by_video, out, workers=2)
+        assert summary["rejection_reasons"] == {"selection_unparseable": 1}
+
+    def test_finished_run_resumes_without_the_pool(self, corpus, tmp_path, monkeypatch):
+        paths = corpus.manifest["paths"]
+        tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
+        gateway = build_gateway(apply_overrides(load_config(paths["config"]), parallelism=4))
+        out = tmp_path / "sft.records"
+        submitted = []
+        submit = ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                            lambda pool, *args: submitted.append(args) or submit(pool, *args))
+        cold = run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
+        assert len(submitted) == len(tasks)
+        dataset, sidecar = out.read_bytes(), Path(f"{out}.rejected").read_bytes()
+        submitted.clear()
+        assert run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4) == cold
+        assert submitted == []
+        assert (out.read_bytes(), Path(f"{out}.rejected").read_bytes()) == (dataset, sidecar)
 
     def test_crash_cancels_queued_samples(self, corpus, tmp_path):
         paths = corpus.manifest["paths"]

@@ -139,6 +139,16 @@ class TestParseIndexArray:
         with pytest.raises(ParseError):
             parse_index_array("try [a, b]", lenient=True)
 
+    @pytest.mark.parametrize("depth", [3000, 100_000])
+    def test_nesting_too_deep_is_unparseable(self, depth):
+        with pytest.raises(ParseError, match="not a bare JSON integer array"):
+            parse_index_array("[" * depth + "]" * depth)
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_integer_of_too_many_digits_is_unparseable(self, lenient):
+        with pytest.raises(ParseError):
+            parse_index_array("[" + "1" * 5000 + "]", lenient=lenient)
+
 
 class TestParseYesNo:
     @pytest.mark.parametrize("reply", ["Yes", "yes", "YES, clearly.", '"Yes."', "  yes  "])
