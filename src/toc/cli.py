@@ -53,9 +53,13 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
 
 
 def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail before any input is read or model called if two outputs are one file, if an
-    output is where a later one is staged, or if an output is or lacks a directory."""
+    """Fail before any input is read or model called if an output path is empty, if two
+    outputs are one file, if an output is where a later one is staged, or if an output is
+    or lacks a directory."""
     out = getattr(args, "out", None)
+    for flag, path in (("-o", out), ("--report", args.report)):
+        if path == "":
+            raise UsageError(f"{flag} must name a file, got an empty path")
     # What write_records writes, in order: the dataset, build-sft's sidecar, the report.
     written = [path for path in (out, _report_path(args)) if path is not None]
     journal = []  # appended to before any of them is written

@@ -27,6 +27,10 @@ API_KEY_ENV = "TOC_API_KEY"
 
 BACKEND_KINDS = ("mock", "http")
 
+# The longest first retry delay or request timeout taken, in seconds:
+# time.sleep and socket timeouts refuse waits not far above it.
+MAX_WAIT_S = 1e9
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -57,6 +61,9 @@ def _check_fields(obj: Config | BackendConfig, shape: str, where: str) -> None:
         check_record(vars(obj), shape)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}{exc}") from None
+    for key in ("retry_base_delay_s", "timeout_s"):
+        if getattr(obj, key, 0) > MAX_WAIT_S:
+            raise ConfigError(f"{where}{key} must be <= 1e9 seconds, got {getattr(obj, key)!r}")
 
 
 def _backend_config(role: str, entry: object) -> BackendConfig:

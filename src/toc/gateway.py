@@ -10,6 +10,7 @@ flight.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from collections import deque
@@ -202,7 +203,7 @@ class RetryPolicy:
             raise ValueError(f"base_delay_s must be >= 0, got {self.base_delay_s}")
 
     def delay_s(self, attempt: int) -> float:
-        return self.base_delay_s * 2**attempt
+        return math.ldexp(self.base_delay_s, attempt)  # a float 2**attempt overflows from 1024
 
 
 # Every backend failure retries but a missing or rejected credential.
@@ -228,11 +229,9 @@ class Gateway:
         if backend is None:
             raise BackendUnavailableError(f"no backend configured for role {request.model_role!r}")
         with self._semaphore:
-            for attempt in range(self.retry.max_attempts):
+            for attempt in range(self.retry.max_attempts - 1):
                 try:
                     return backend.complete(request)
                 except _RETRYABLE_ERRORS:
-                    if attempt == self.retry.max_attempts - 1:
-                        raise
                     self.sleep(self.retry.delay_s(attempt))
-        raise AssertionError("unreachable")
+            return backend.complete(request)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from .cue_tree import backtrack, build_tree, layer_compilations
@@ -77,14 +79,6 @@ def _rationale(rng: random.Random, steps: int) -> str:
     return " ".join(parts)
 
 
-class _Table:
-    def __init__(self) -> None:
-        self.rows: list[dict] = []
-
-    def script(self, request: ChatRequest, reply: str, note: str) -> None:
-        self.rows.append({"digest": request_digest(request), "reply": reply, "note": note})
-
-
 def synthesize_corpus(
     out_dir: str | Path,
     num_samples: int = 20,
@@ -95,11 +89,14 @@ def synthesize_corpus(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    table = _Table()
+    table: list[dict] = []
     clip_rows: list[dict] = []
     qa_rows: list[dict] = []
-    expected_rejections: dict[str, int] = {}
+    expected_rejections: Counter[str] = Counter()
     expected_alphas: list[int] = []
+
+    def script(request: ChatRequest, reply: str, note: str) -> None:
+        table.append({"digest": request_digest(request), "reply": reply, "note": note})
 
     for i in range(num_samples):
         video_id = f"v{i:02d}"
@@ -131,24 +128,19 @@ def synthesize_corpus(
         captioned = []
         for clip in clips:
             caption = _caption(rng, video_id, clip.index)
-            table.script(clip_caption_request(clip), caption, f"{video_id} clip {clip.index} caption")
-            captioned.append(Clip(
-                video_id=clip.video_id, index=clip.index, start_s=clip.start_s,
-                end_s=clip.end_s, caption=caption,
-            ))
+            script(clip_caption_request(clip), caption, f"{video_id} clip {clip.index} caption")
+            captioned.append(replace(clip, caption=caption))
 
         selected = sorted(rng.sample(range(n_clips), min(n_clips, rng.randint(1, 2))))
         if i == num_samples - 3:
-            table.script(
+            script(
                 selection_request(captioned, qa),
                 f"I think clips {selected} matter most.",
                 f"{video_id} selection (unparseable on purpose)",
             )
-            expected_rejections["selection_unparseable"] = (
-                expected_rejections.get("selection_unparseable", 0) + 1
-            )
+            expected_rejections["selection_unparseable"] += 1
         else:
-            table.script(
+            script(
                 selection_request(captioned, qa),
                 json.dumps(selected),
                 f"{video_id} selection",
@@ -157,29 +149,25 @@ def synthesize_corpus(
             cues = []
             for compilation in chain:
                 cue = _cue_caption(rng, video_id, compilation.clip_indices)
-                table.script(
+                script(
                     compilation_caption_request(video_id, compilation),
                     cue,
                     f"{video_id} compilation {compilation.clip_indices} caption",
                 )
                 cues.append(cue)
             if i == num_samples - 2:
-                table.script(filter_request(cues[-1], qa), "No", f"{video_id} filter (reject)")
-                expected_rejections["insufficient_cues"] = (
-                    expected_rejections.get("insufficient_cues", 0) + 1
-                )
+                script(filter_request(cues[-1], qa), "No", f"{video_id} filter (reject)")
+                expected_rejections["insufficient_cues"] += 1
             else:
-                table.script(filter_request(cues[-1], qa), "Yes", f"{video_id} filter")
+                script(filter_request(cues[-1], qa), "Yes", f"{video_id} filter")
                 steps = len(cues) + 1 if i == num_samples - 1 else len(cues)
-                table.script(
+                script(
                     rationale_request(cues, qa),
                     _rationale(rng, steps),
                     f"{video_id} rationale",
                 )
                 if i == num_samples - 1:
-                    expected_rejections["step_count_mismatch"] = (
-                        expected_rejections.get("step_count_mismatch", 0) + 1
-                    )
+                    expected_rejections["step_count_mismatch"] += 1
 
         # The RL leg: M direct-answer trials hitting a spread of alpha values.
         alpha = i % (m_trials + 1)
@@ -192,7 +180,7 @@ def synthesize_corpus(
                 reply = "It is hard to say without sound."
             else:
                 reply = f"<answer>{wrong}</answer>"
-            table.script(
+            script(
                 trial_request(qa, video_ref, trial_index),
                 reply,
                 f"{video_id} trial {trial_index}",
@@ -225,7 +213,7 @@ def synthesize_corpus(
 
     write_records(out / "clips.records", clip_rows)
     write_records(out / "qa.records", qa_rows)
-    write_records(out / "mock_table.records", table.rows)
+    write_records(out / "mock_table.records", table)
     write_records(out / "shots.records", shot_rows)
     config = {
         "backends": {"mllm": {"kind": "mock"}, "llm": {"kind": "mock"}},
@@ -237,13 +225,11 @@ def synthesize_corpus(
     }
     (out / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 
-    in_band = [a for a in expected_alphas if 0.2 <= 1.0 - a / m_trials <= 0.8]
     return {
         "num_samples": num_samples,
-        "expected_emitted": num_samples - sum(expected_rejections.values()),
+        "expected_emitted": num_samples - expected_rejections.total(),
         "expected_rejections": expected_rejections,
         "expected_alphas": expected_alphas,
-        "expected_in_band": len(in_band),
         "paths": {
             "clips": str(out / "clips.records"),
             "qa": str(out / "qa.records"),

@@ -147,6 +147,15 @@ def float_array(values: object, ndim: int, what: str) -> np.ndarray:
     return array
 
 
+def _set_fields(record: object) -> dict:
+    """The fields of a record type that are not None, each tuple as a list."""
+    return {
+        key: list(value) if type(value) is tuple else value
+        for key, value in vars(record).items()
+        if value is not None
+    }
+
+
 def option_label(position: int) -> str:
     """Label for the option at a 0-based position: 0 -> "A", 1 -> "B", ..."""
     return _OPTION_LABELS[position]
@@ -170,10 +179,7 @@ class Clip:
             )
 
     def to_record(self) -> dict:
-        rec = {key: value for key, value in vars(self).items() if value is not None}
-        if self.embedding is not None:
-            rec["embedding"] = list(self.embedding)
-        return rec
+        return _set_fields(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "Clip":
@@ -205,6 +211,8 @@ class QaPair:
     def __post_init__(self) -> None:
         if self.qa_type not in QA_TYPES:
             raise ValueError(f"unknown qa_type {self.qa_type!r}")
+        if self.options and self.qa_type != "multiple_choice":
+            raise ValueError(f"only multiple_choice takes options, not {self.qa_type}")
         if any(tag in self.answer for tag in TARGET_TAGS):
             raise ValueError(f"answer must not contain any of {TARGET_TAGS}")
         if len(self.options or ()) > len(_OPTION_LABELS):
@@ -229,10 +237,7 @@ class QaPair:
         return "\n".join(lines)
 
     def to_record(self) -> dict:
-        rec = {key: value for key, value in vars(self).items() if value is not None}
-        if self.options is not None:
-            rec["options"] = list(self.options)
-        return rec
+        return _set_fields(self)
 
     @classmethod
     def from_record(cls, rec: dict) -> "QaPair":
@@ -304,11 +309,6 @@ def demand_from_alpha(alpha: int, m_trials: int) -> float:
     return _demand_and_difficulty(alpha, m_trials)[0]
 
 
-def difficulty_from_alpha(alpha: int, m_trials: int) -> float:
-    """Difficulty score 1 - alpha/M."""
-    return _demand_and_difficulty(alpha, m_trials)[1]
-
-
 @dataclass(frozen=True)
 class RlSample:
     """One demand-annotated record for the reinforcement-learning dataset.
@@ -338,17 +338,8 @@ class RlSample:
         alpha: int,
         m_trials: int,
     ) -> "RlSample":
-        return cls(
-            id=id,
-            video_id=video_id,
-            question=question,
-            options=tuple(options),
-            answer=answer,
-            alpha=alpha,
-            m_trials=m_trials,
-            reasoning_demand=demand_from_alpha(alpha, m_trials),
-            difficulty=difficulty_from_alpha(alpha, m_trials),
-        )
+        demand, difficulty = _demand_and_difficulty(alpha, m_trials)
+        return cls(id, video_id, question, tuple(options), answer, alpha, m_trials, demand, difficulty)
 
     def recompute_consistent(self) -> bool:
         """True when the stored demand and difficulty agree with alpha/m_trials."""
@@ -372,18 +363,16 @@ class RlSample:
     def from_record(cls, rec: dict) -> "RlSample":
         """Read a stored sample; its demand and difficulty must match alpha/m_trials."""
         check_record(rec, "rl sample")
-        alpha, m_trials = rec["alpha"], rec["m_trials"]
-        demand, difficulty = float(rec["reasoning_demand"]), float(rec["difficulty"])
-        expected_demand, expected_difficulty = _demand_and_difficulty(alpha, m_trials)
-        if abs(demand - expected_demand) > _TOL or abs(difficulty - expected_difficulty) > _TOL:
-            raise ValueError(
-                f"reasoning_demand {demand} and difficulty {difficulty} "
-                f"disagree with alpha {alpha} of m_trials {m_trials}"
-            )
-        return cls(
+        sample = cls(
             rec["id"], rec["video_id"], rec["question"], tuple(rec["options"]), rec["answer"],
-            alpha, m_trials, demand, difficulty,
+            rec["alpha"], rec["m_trials"], float(rec["reasoning_demand"]), float(rec["difficulty"]),
         )
+        if not sample.recompute_consistent():
+            raise ValueError(
+                f"reasoning_demand {sample.reasoning_demand} and difficulty {sample.difficulty} "
+                f"disagree with alpha {sample.alpha} of m_trials {sample.m_trials}"
+            )
+        return sample
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,7 @@ def run_trials(
     ]
 
 
-def filter_by_difficulty(
-    samples: Sequence[RlSample], lo: float = 0.2, hi: float = 0.8
-) -> list[RlSample]:
+def filter_by_difficulty(samples: Sequence[RlSample], lo: float, hi: float) -> list[RlSample]:
     """Keep samples with lo <= difficulty <= hi, preserving order."""
     return [s for s in samples if lo <= s.difficulty <= hi]
 

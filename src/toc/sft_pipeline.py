@@ -14,7 +14,6 @@ rendered from the journalled rationale where it is used.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from collections import Counter
@@ -236,8 +235,8 @@ class Journal:
 
     def append(self, state: PipelineState) -> PipelineState:
         """Journal a sample's outcome; returns it."""
-        line = json.dumps({"sample_id": state.sample_id, "digest": state.digest,
-                           "stage": state.stage, "payload": state.payload})
+        line = dump_record({"sample_id": state.sample_id, "digest": state.digest,
+                            "stage": state.stage, "payload": state.payload})
         with self._lock, open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
             self._outcomes[state.sample_id] = state
@@ -261,20 +260,6 @@ def caption_clips(gateway: Gateway, clips: Sequence[Clip]) -> list[Clip]:
         replace(c, caption=_describe(gateway, clip_caption_request(c), f"clip {c.index}"))
         for c in clips
     ]
-
-
-def select_key_clips(
-    gateway: Gateway, clips: Sequence[Clip], qa: QaPair, *, lenient: bool = False
-) -> list[int]:
-    """Ask which captioned clips are essential; returns sorted valid indices."""
-    reply = gateway.complete(selection_request(clips, qa))
-    indices = parse_index_array(reply, lenient=lenient)
-    if not indices:
-        raise EmptySelectionError("selection reply is an empty array")
-    for idx in indices:
-        if not 0 <= idx < len(clips):
-            raise OutOfRangeError(f"selected clip {idx} outside [0, {len(clips) - 1}]")
-    return indices
 
 
 def caption_compilations(
@@ -388,9 +373,10 @@ def process_sample(
     try:
         captioned = caption_clips(gateway, clips)
         step = "select"
-        selected = select_key_clips(gateway, captioned, task.qa, lenient=lenient)
-        step = "caption_cues"
+        reply = gateway.complete(selection_request(captioned, task.qa))
+        selected = parse_index_array(reply, lenient=lenient)
         chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
+        step = "caption_cues"
         cues = [c.caption for c in caption_compilations(gateway, chain, clips)]
         step = "filter"
         if not parse_yes_no(gateway.complete(filter_request(cues[-1], task.qa))):

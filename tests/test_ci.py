@@ -1,6 +1,7 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit,
-after installing the dependencies that pyproject.toml lists; every BENCH_*.json
-claims a metric and workload that BENCHMARK.json declares."""
+after installing the dependencies that pyproject.toml lists, then the benchmark's own
+command on every workload; every BENCH_*.json claims a metric and workload that
+BENCHMARK.json declares."""
 
 from __future__ import annotations
 
@@ -33,6 +34,20 @@ def test_install_step_names_no_package_itself():
     (command,) = re.findall(r"^        run: (python -m pip install .*)$", workflow, re.M)
     args = shlex.split(command)[4:]
     assert [arg for arg in args if not arg.startswith("-")] == [".[test]"]
+
+
+def test_workflow_runs_the_benchmark_command_on_every_workload():
+    # bench/test_bench.py calls run.measure in-process; this runs bench/run.py as BENCHMARK.json
+    # says, and fails unless its last line is the result object with no failed operation
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    (step,) = re.findall(r"^      - name: Benchmark entry point\n        run: \|\n((?:          .*\n)+)",
+                         workflow, re.M)
+    (workloads,) = re.findall(r"^          for workload in (.*); do$", step, re.M)
+    assert workloads.split() == [entry["name"] for entry in declared["workloads"]]
+    command = shlex.join(declared["command"])
+    assert f'out=$({command} --workload "$workload" --seed 1 --seconds 1 --trace 0)' in step
+    assert "tail -n 1 | python3 -c" in step and 'result["failed"] == 0' in step
 
 
 def test_bench_files_claim_a_declared_metric_and_workload():

@@ -329,6 +329,22 @@ class TestBuildSft:
         assert sample_id in [rec["id"] for rec in read_lines(tmp_path / "sft.records.rejected")]
 
 
+    def test_more_retries_than_two_powers_a_float_holds(self, corpus, tmp_path, capsys):
+        # the 1100th attempt's zero delay is 0.0 * 2**1098, and 2**1024 overflows a float
+        paths = corpus.manifest["paths"]
+        table = tmp_path / "mock_table.records"
+        rows = read_records(paths["mock_table"])
+        write_records(table, [row for row in rows if row["note"] != "v03 clip 0 caption"])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mock_table_path": str(table), "retry_base_delay_s": 0.0,
+                                      "retry_max_attempts": 1100}), encoding="utf-8")
+        out = tmp_path / "sft.records"
+        code, _, err = run_cli(["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+                                "--config", str(config), "-o", str(out)], capsys)
+        assert code == 0 and err == ""
+        rejected = read_lines(tmp_path / "sft.records.rejected")
+        assert [r["id"] for r in rejected if r["reason"] == "caption_failed"] == ["v03#0"]
+
     def test_tagged_rationale_rejects_only_its_sample(self, corpus, tmp_path, capsys):
         paths = corpus.manifest["paths"]
         rows = [
@@ -626,6 +642,30 @@ class TestPaths:
         code, stdout, err = run_cli(args, capsys)
         assert code == 2 and stdout == ""
         assert err == f"usage error: {message}\n"
+        assert calls == [] and sorted(tmp_path.iterdir()) == before
+
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "{config}",
+              "-o", ""], "-o"),
+            (["segment", "--shots", "{shots}", "-o", ""], "-o"),
+            (["build-rl", "--in", "{demand}", "-o", "rl.records", "--report", ""], "--report"),
+        ],
+        ids=["build_sft_out", "segment_out", "build_rl_report"],
+    )
+    def test_empty_output_path_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, flag
+    ):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        args = [arg.format(**corpus.manifest["paths"], demand=demand_file) for arg in args]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"usage error: {flag} must name a file, got an empty path\n"
         assert calls == [] and sorted(tmp_path.iterdir()) == before
 
 

@@ -31,6 +31,8 @@ WRONG_VALUES = [
     {"backends": []},
     {"strict_parsing": "no"},
     {"parallelism": 2.5},
+    # time.sleep cannot wait this long: the first retry would raise OverflowError
+    {"retry_base_delay_s": 1e10},
 ]
 
 
@@ -91,6 +93,12 @@ def test_int_counts_as_float(tmp_path):
     assert config.trial_temperature == 0 and config.retry_base_delay_s == 2
 
 
+def test_waits_up_to_1e9_seconds_are_taken(tmp_path):
+    config = load_config(write_config(tmp_path, {"retry_base_delay_s": 1e9,
+                                                 "backends": {"llm": {"timeout_s": 1e9}}}))
+    assert config.retry_base_delay_s == 1e9 and config.backends["llm"].timeout_s == 1e9
+
+
 def test_relative_mock_table_resolves_against_config_dir(tmp_path):
     (tmp_path / "corpus").mkdir()
     path = write_config(tmp_path / "corpus", {"mock_table_path": "table.records"})
@@ -120,6 +128,9 @@ def test_http_backend_needs_endpoint_and_model(tmp_path, missing):
         ({"llm": {"kind": 1}}, "backend 'llm': kind must be a string"),
         ({"llm": {"kind": "mock", "timeout_s": "60"}}, "backend 'llm': timeout_s must be a number"),
         ({"llm": {"kind": "mock", "timeout_s": 0}}, "backend 'llm': timeout_s must be finite"),
+        # a socket timeout this long is an OverflowError raised out of requests
+        ({"mllm": {"kind": "http", "endpoint": "https://example.test", "model": "m",
+                   "timeout_s": 1e10}}, r"backend 'mllm': timeout_s must be <= 1e9 seconds"),
     ],
 )
 def test_bad_backend_entry_is_config_error(tmp_path, backends, message):

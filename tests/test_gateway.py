@@ -241,6 +241,11 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.5)
         assert [policy.delay_s(a) for a in range(3)] == [0.5, 1.0, 2.0]
 
+    def test_delays_past_the_float_range_of_two_powers(self):
+        # 2.0**1024 overflows a float, but a zero delay doubles to zero and a tiny one stays finite
+        assert RetryPolicy(max_attempts=1100, base_delay_s=0.0).delay_s(1099) == 0.0
+        assert RetryPolicy(base_delay_s=2.0**-1074).delay_s(1100) == 2.0**26
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"max_attempts": 0}, {"base_delay_s": -1.0}],

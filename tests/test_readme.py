@@ -1,13 +1,18 @@
 """The README's examples load: its config through load_config, and each File
 formats example line through the reader of the command that takes it.  Each
-File formats bullet lists its shape's keys as records.SHAPES has them, and the
-journal bullet's sub-list lists each stage's payload keys.  The Layout
-block names every module of the package."""
+File formats bullet lists its shape's keys as records.SHAPES has them, the
+journal bullet's sub-list lists each stage's payload keys, and the rejected
+bullet lists every rejection reason.  The Quickstart runs as written, and the
+Layout block names every module of the package."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +30,7 @@ from toc.records import (
     render_target,
 )
 from toc.segmentation import ShotBoundarySet
-from toc.sft_pipeline import Journal, load_clips
+from toc.sft_pipeline import REJECTION_REASONS, Journal, load_clips
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -94,6 +99,16 @@ def journal_states(path):
     return states
 
 
+# Every reason a .rejected line may give: a sample without clips, or a step's rejection.
+REASONS = {"missing_clips"} | {reason for row in REJECTION_REASONS.values() for reason in row.values()}
+
+
+def rejections(path):
+    rows = list(read_records(path))
+    assert all(set(row) == {"id", "reason", "detail"} and row["reason"] in REASONS for row in rows)
+    return rows
+
+
 def rl_samples(path):
     samples = parsed(RlSample.from_record)(path)
     assert all(sample.recompute_consistent() for sample in samples)
@@ -105,6 +120,7 @@ READERS = {
     "clip": lambda path: [clip for clips in load_clips(path).values() for clip in clips],
     "qa": load_qa_tasks,
     "sft sample": sft_samples,
+    "rejected": rejections,
     "rl sample": rl_samples,
     "reward group": parsed(_group),
     "logprobs": parsed(_logprob_group),
@@ -138,6 +154,13 @@ def test_journal_sub_list_lists_each_stage_payload():
     }
 
 
+def test_rejected_bullet_lists_its_keys_and_every_reason():
+    text, _ = format_bullets()["rejected"]
+    assert listed_keys(text) == {"id": "string", "reason": "string", "detail": "string"}
+    (reasons,) = re.findall(r"The reasons are (.*?)\.", text)
+    assert set(re.findall(r"`(\w+)`", reasons)) == REASONS
+
+
 @pytest.mark.parametrize("shape", sorted(READERS))
 def test_format_example_parses(tmp_path, shape):
     path = tmp_path / "example.records"
@@ -156,6 +179,32 @@ def test_config_example_loads(tmp_path):
     }
     assert config.mock_table_path == str(tmp_path / "mock_table.records")
     assert (config.m_trials, config.parallelism, config.strict_parsing) == (8, 4, True)
+
+
+def quickstart_commands() -> list[str]:
+    """The Quickstart's shell commands in order, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", section("Quickstart (fully offline)"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_quickstart_runs_as_written(tmp_path):
+    # `toc` runs this checkout's package and `scripts/` its scripts, whatever is installed
+    python, scripts = shlex.quote(sys.executable), shlex.quote(str(README.parent / "scripts"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(README.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    commands = quickstart_commands()
+    assert len(commands) == 10
+    for command in commands:
+        command = re.sub(r"^toc ", f"{python} -m toc.cli ", command)
+        command = re.sub(r"^python3 scripts/", f"{python} {scripts}/", command)
+        done = subprocess.run(command, shell=True, cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, (command, done.stderr)
+        assert "Traceback" not in done.stderr
+    examples = format_examples()
+    assert (tmp_path / "groups.records").read_text() == examples["reward group"] + "\n"
+    assert (tmp_path / "logprobs.records").read_text() == examples["logprobs"] + "\n"
 
 
 def test_layout_names_every_module():

@@ -20,7 +20,6 @@ from toc.records import (
     SftSample,
     check_record,
     demand_from_alpha,
-    difficulty_from_alpha,
     dump_record,
     json_encoder,
     load_qa_tasks,
@@ -110,6 +109,14 @@ class TestQaPair:
         with pytest.raises(TypeError, match="answer must be a string, got 7"):
             check_record({**rec, "answer": 7, "qa_type": "numerical"}, "qa")
 
+    @pytest.mark.parametrize("qa_type", ["open_ended", "numerical"])
+    def test_only_multiple_choice_takes_options(self, qa_type):
+        # else formatted_question would append them to every prompt
+        with pytest.raises(ValueError, match=f"only multiple_choice takes options, not {qa_type}"):
+            QaPair(question="q", answer="x", qa_type=qa_type, options=("a", "b"))
+        no_options = QaPair(question="q", answer="x", qa_type=qa_type, options=())
+        assert no_options.formatted_question() == "q"
+
     def test_options_need_labels(self):
         with pytest.raises(ValueError, match="at most 26 options"):
             QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x",) * 27)
@@ -165,29 +172,34 @@ class TestSftSample:
         assert SftSample.from_record(sample.to_record()) == sample
 
 
+def difficulty(alpha: int, m: int) -> float:
+    """The difficulty score of alpha correct trials out of m, as RlSample derives it."""
+    return RlSample.from_trial_count("v#0", "v", "q", ("a",), "A", alpha, m).difficulty
+
+
 class TestDemandAndDifficulty:
     def test_endpoints(self):
         assert demand_from_alpha(0, 8) == 1.0
         assert abs(demand_from_alpha(8, 8) - math.exp(-1)) < 1e-15
-        assert difficulty_from_alpha(0, 8) == 1.0
-        assert difficulty_from_alpha(8, 8) == 0.0
+        assert difficulty(0, 8) == 1.0
+        assert difficulty(8, 8) == 0.0
 
     def test_midpoint(self):
         assert abs(demand_from_alpha(4, 8) - math.exp(-0.5)) < 1e-15
-        assert difficulty_from_alpha(4, 8) == 0.5
+        assert difficulty(4, 8) == 0.5
 
     @pytest.mark.parametrize("alpha,m", [(-1, 8), (9, 8), (0, 0)])
     def test_range_errors(self, alpha, m):
         with pytest.raises(RangeError):
             demand_from_alpha(alpha, m)
         with pytest.raises(RangeError):
-            difficulty_from_alpha(alpha, m)
+            difficulty(alpha, m)
 
     @given(st.integers(1, 64), st.data())
     def test_strictly_decreasing_in_alpha(self, m, data):
         alpha = data.draw(st.integers(0, m - 1))
         assert demand_from_alpha(alpha, m) > demand_from_alpha(alpha + 1, m)
-        assert difficulty_from_alpha(alpha, m) > difficulty_from_alpha(alpha + 1, m)
+        assert difficulty(alpha, m) > difficulty(alpha + 1, m)
 
 
 class TestRlSample:
@@ -450,6 +462,8 @@ class TestQaTasks:
               "qa_type": "open_ended"}, "qa_index must be an integer, got True"),
             ({"video_id": "v", "qa_index": -1, "question": "q", "answer": "x",
               "qa_type": "open_ended"}, "qa_index must be finite and >= 0, got -1"),
+            ({"video_id": "v", "question": "q", "options": ["a", "b"], "answer": "x",
+              "qa_type": "open_ended"}, "only multiple_choice takes options, not open_ended"),
         ],
     )
     def test_invalid_record_names_path_and_line(self, tmp_path, row, message):

@@ -97,7 +97,7 @@ class TestFilterByDifficulty:
 
     def test_order_preserved(self):
         samples = [rl(2, 4), rl(0, 3), rl(1, 5)]
-        assert filter_by_difficulty(samples) == samples
+        assert filter_by_difficulty(samples, 0.2, 0.8) == samples
 
 
 def water_fill_counts(supply: list[int], target: int) -> list[int]:

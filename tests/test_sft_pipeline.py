@@ -25,9 +25,6 @@ from toc.errors import (
     AuthError,
     EmptyCaptionError,
     EmptyRationaleError,
-    EmptySelectionError,
-    OutOfRangeError,
-    ParseError,
     RecordError,
     StepCountMismatchError,
 )
@@ -51,7 +48,6 @@ from toc.sft_pipeline import (
     rationale_request,
     run_sft_pipeline,
     sample_digest,
-    select_key_clips,
     selection_request,
     sft_record,
     summarize_rationale,
@@ -403,34 +399,34 @@ class TestStageOps:
         with pytest.raises(EmptyCaptionError):
             caption_clips(scripted_gateway(pairs), clips)
 
-    def selection_setup(self, reply):
-        clips = [replace(c, caption=f"cap{c.index}") for c in make_clips(4)]
-        qa = make_qa()
-        gateway = scripted_gateway([(selection_request(clips, qa), reply)])
-        return gateway, clips, qa
+    def select(self, tmp_path, reply, selected=(0, 2), **kwargs):
+        """The outcome of a four-clip sample whose selection reply is `reply`;
+        the other replies are scripted for a chain ending at `selected`."""
+        clips, task = make_clips(4), make_task()
+        gateway = scripted_gateway(full_script(clips, task.qa, selected=selected,
+                                               selection_reply=reply))
+        return process_sample(gateway, task, clips, Journal(tmp_path / "run.journal"), **kwargs)
 
-    def test_select_key_clips(self):
-        gateway, clips, qa = self.selection_setup("[2, 0]")
-        assert select_key_clips(gateway, clips, qa) == [0, 2]
+    def test_select_key_clips(self, tmp_path):
+        # emitted only if the cue chain ends at clips 0 and 2, whatever the reply's order
+        assert self.select(tmp_path, "[2, 0]").stage == "emitted"
 
-    def test_select_empty(self):
-        gateway, clips, qa = self.selection_setup("[]")
-        with pytest.raises(EmptySelectionError):
-            select_key_clips(gateway, clips, qa)
+    def test_select_empty(self, tmp_path):
+        state = self.select(tmp_path, "[]")
+        assert state.payload == {"reason": "selection_empty", "detail": "no clips selected"}
 
-    def test_select_out_of_range(self):
-        gateway, clips, qa = self.selection_setup("[0, 7]")
-        with pytest.raises(OutOfRangeError):
-            select_key_clips(gateway, clips, qa)
+    def test_select_out_of_range(self, tmp_path):
+        state = self.select(tmp_path, "[0, 7]")
+        assert state.payload == {"reason": "selection_out_of_range",
+                                 "detail": "clip index 7 outside [0, 3]"}
 
-    def test_select_strict_parse(self):
-        gateway, clips, qa = self.selection_setup("```json\n[1]\n```")
-        with pytest.raises(ParseError):
-            select_key_clips(gateway, clips, qa)
+    def test_select_strict_parse(self, tmp_path):
+        state = self.select(tmp_path, "```json\n[1]\n```", selected=(1,))
+        assert state.payload["reason"] == "selection_unparseable"
 
-    def test_select_lenient_parse(self):
-        gateway, clips, qa = self.selection_setup("```json\n[1]\n```")
-        assert select_key_clips(gateway, clips, qa, lenient=True) == [1]
+    def test_select_lenient_parse(self, tmp_path):
+        state = self.select(tmp_path, "```json\n[1]\n```", selected=(1,), lenient=True)
+        assert state.stage == "emitted"
 
     def test_caption_compilations(self):
         clips = make_clips(4)
@@ -575,6 +571,30 @@ class TestProcessSample:
         gateway2, backend2 = counting_gateway(pairs)
         again = process_sample(gateway2, task, clips, store)
         assert again == state and backend2.calls == 0
+
+    def test_non_ascii_rationale_is_journalled_as_utf8(self, tmp_path):
+        clips, task = make_clips(4), make_task()
+        pairs = full_script(clips, task.qa, rationale_reply="Step 1: Le café. Step 2: 視頻 ✓.")
+        state, _, store = self.run_one(pairs, clips, task, tmp_path)
+        assert state.payload == {"rationale": "Le café. 視頻 ✓."}
+        line = store.path.read_text(encoding="utf-8")
+        assert "Le café. 視頻 ✓." in line and "\\u" not in line
+        gateway, backend = counting_gateway(pairs)
+        assert process_sample(gateway, task, clips, Journal(store.path)) == state
+        assert backend.calls == 0
+
+    def test_ascii_escaped_line_still_resumes(self, tmp_path):
+        # earlier versions wrote journal lines with json.dumps's \uXXXX escapes
+        clips, task = make_clips(4), make_task()
+        pairs = full_script(clips, task.qa, rationale_reply="Step 1: Le café. Step 2: 視頻 ✓.")
+        state, _, store = self.run_one(pairs, clips, task, tmp_path)
+        escaped = tmp_path / "escaped.journal"
+        escaped.write_text(json.dumps(json.loads(store.path.read_text(encoding="utf-8"))) + "\n",
+                           encoding="ascii")
+        assert "\\u00e9" in escaped.read_text(encoding="ascii")
+        gateway, backend = counting_gateway(pairs)
+        assert process_sample(gateway, task, clips, Journal(escaped)) == state
+        assert backend.calls == 0
 
     def test_rejection_is_sticky(self, tmp_path):
         clips, task = make_clips(4), make_task()
