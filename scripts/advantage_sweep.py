@@ -19,7 +19,14 @@ def main() -> None:
         "--gammas", default="1.0,0.5,0.25", help="comma-separated demand values"
     )
     args = parser.parse_args()
-    gammas = [float(v) for v in args.gammas.split(",")]
+    if args.max_g < 2:
+        parser.error(f"--max-g must be >= 2, got {args.max_g}")
+    try:
+        gammas = [float(v) for v in args.gammas.split(",")]
+    except ValueError:
+        parser.error(f"--gammas must be comma-separated numbers, got {args.gammas!r}")
+    if not all(0 < gamma <= 1 for gamma in gammas):
+        parser.error(f"--gammas values must be in (0, 1], got {args.gammas!r}")
 
     header = f"{'G':>3} {'x':>3} {'A_correct':>12} {'A_wrong':>12}"
     for gamma in gammas:

@@ -52,12 +52,19 @@ def _write_report(args: argparse.Namespace, entries: list[dict]) -> None:
         write_records(path, entries)
 
 
-def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail before any input is read or model called if an output path is empty, if two
-    outputs are one file, if an output is where a later one is staged, or if an output is
-    or lacks a directory."""
+# Each input flag, by its argparse dest.
+_INPUT_FLAGS = {"shots": "--shots", "videos": "--videos", "qa": "--qa", "config": "--config",
+                "input": "--in", "group": "--group", "logprobs": "--logprobs"}
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Fail before any input is read or model called if a path is empty, if an input is a
+    file the command writes, if two outputs are one file, if an output is where a later one
+    is staged, or if an output is or lacks a directory."""
     out = getattr(args, "out", None)
-    for flag, path in (("-o", out), ("--report", args.report)):
+    inputs = [(flag, path) for dest, flag in _INPUT_FLAGS.items()
+              if (path := getattr(args, dest, None)) is not None]
+    for flag, path in inputs + [("-o", out), ("--report", args.report)]:
         if path == "":
             raise UsageError(f"{flag} must name a file, got an empty path")
     # What write_records writes, in order: the dataset, build-sft's sidecar, the report.
@@ -78,6 +85,10 @@ def _check_out_dirs(args: argparse.Namespace) -> None:
         if staged in resolved[:pos] + resolved[len(written):]:
             clobbered = paths[resolved.index(staged)]
             raise UsageError(f"output {clobbered} is the temporary file of another output")
+    touched = set(resolved) | {os.path.realpath(f"{path}.tmp") for path in written}
+    for flag, path in inputs:
+        if os.path.realpath(path) in touched:
+            raise UsageError(f"input {flag} {path} is a file this command writes")
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -332,7 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_out_dirs(args)
+        _check_paths(args)
         _write_report(args, args.func(args))
         return 0
     except UsageError as exc:

@@ -21,22 +21,16 @@ Interval = tuple[int, int]
 LeafPath = tuple[Interval, ...]
 
 
-@dataclass(frozen=True)
-class CueTree:
-    """Segment tree with one leaf per clip index 0..n_leaves-1."""
-
-    n_leaves: int
-
-
-def build_tree(n_leaves: int) -> CueTree:
-    """The segment tree over clips 0..n_leaves-1."""
+def build_tree(n_leaves: int) -> int:
+    """The leaf count of the segment tree over clips 0..n_leaves-1, checked to be >= 1."""
     if n_leaves < 1:
         raise InvalidSizeError(f"n_leaves must be >= 1, got {n_leaves}")
-    return CueTree(n_leaves)
+    return n_leaves
 
 
-def backtrack(tree: CueTree, selected: Iterable[int]) -> list[LeafPath]:
-    """The root-to-leaf path of every selected clip, in ascending clip order.
+def backtrack(n_leaves: int, selected: Iterable[int]) -> list[LeafPath]:
+    """The root-to-leaf path of every selected clip in the tree over clips
+    0..n_leaves-1, in ascending clip order.
 
     Each span splits at its midpoint, so an odd span puts its extra clip in
     the left half.
@@ -46,9 +40,9 @@ def backtrack(tree: CueTree, selected: Iterable[int]) -> list[LeafPath]:
         raise EmptySelectionError("no clips selected")
     paths = []
     for clip_index in chosen:
-        if not 0 <= clip_index < tree.n_leaves:
-            raise OutOfRangeError(f"clip index {clip_index} outside [0, {tree.n_leaves - 1}]")
-        lo, hi = 0, tree.n_leaves - 1
+        if not 0 <= clip_index < n_leaves:
+            raise OutOfRangeError(f"clip index {clip_index} outside [0, {n_leaves - 1}]")
+        lo, hi = 0, n_leaves - 1
         path = [(lo, hi)]
         while lo != hi:
             mid = (lo + hi) // 2

@@ -136,7 +136,7 @@ class HttpBackend:
         endpoint: str,
         model: str,
         api_key: str | None,
-        timeout_s: float = 60.0,
+        timeout_s: float,
         post: Callable = requests.post,
     ) -> None:
         self.endpoint = endpoint
@@ -195,12 +195,6 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay_s < 0:
-            raise ValueError(f"base_delay_s must be >= 0, got {self.base_delay_s}")
 
     def delay_s(self, attempt: int) -> float:
         return math.ldexp(self.base_delay_s, attempt)  # a float 2**attempt overflows from 1024

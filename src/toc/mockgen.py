@@ -71,7 +71,7 @@ def _cue_caption(rng: random.Random, video_id: str, indices: tuple[int, ...]) ->
     )
 
 
-def _rationale(rng: random.Random, steps: int) -> str:
+def _rationale(steps: int) -> str:
     parts = []
     for k in range(1, steps + 1):
         move = _MOVES[min(k - 1, len(_MOVES) - 1)]
@@ -89,6 +89,7 @@ def synthesize_corpus(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
+    trial_temperature = 1.0
     table: list[dict] = []
     clip_rows: list[dict] = []
     qa_rows: list[dict] = []
@@ -163,7 +164,7 @@ def synthesize_corpus(
                 steps = len(cues) + 1 if i == num_samples - 1 else len(cues)
                 script(
                     rationale_request(cues, qa),
-                    _rationale(rng, steps),
+                    _rationale(steps),
                     f"{video_id} rationale",
                 )
                 if i == num_samples - 1:
@@ -181,7 +182,7 @@ def synthesize_corpus(
             else:
                 reply = f"<answer>{wrong}</answer>"
             script(
-                trial_request(qa, video_ref, trial_index),
+                trial_request(qa, video_ref, trial_index, trial_temperature),
                 reply,
                 f"{video_id} trial {trial_index}",
             )
@@ -221,7 +222,7 @@ def synthesize_corpus(
         "m_trials": m_trials,
         "parallelism": 1,
         "retry_base_delay_s": 0.0,
-        "trial_temperature": 1.0,
+        "trial_temperature": trial_temperature,
     }
     (out / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 

@@ -21,15 +21,9 @@ from .rewards import answers_match, extract_answer
 from .templates import render_direct_answer
 
 TRIAL_MAX_TOKENS = 32
-DEFAULT_TRIAL_TEMPERATURE = 1.0
 
 
-def trial_request(
-    qa: QaPair,
-    video_ref: str,
-    trial_index: int,
-    temperature: float = DEFAULT_TRIAL_TEMPERATURE,
-) -> ChatRequest:
+def trial_request(qa: QaPair, video_ref: str, trial_index: int, temperature: float) -> ChatRequest:
     """The no-think elicitation; the trial index doubles as the sampling seed."""
     return ChatRequest(
         "mllm",
@@ -47,7 +41,7 @@ def run_trials(
     video_ref: str,
     m_trials: int,
     *,
-    temperature: float = DEFAULT_TRIAL_TEMPERATURE,
+    temperature: float,
 ) -> list[bool]:
     """Issue M trials of a multiple-choice question; return whether each answered correctly.
 
@@ -102,7 +96,7 @@ def run_demand_pipeline(
     tasks: Sequence[QaTask],
     m_trials: int,
     *,
-    temperature: float = DEFAULT_TRIAL_TEMPERATURE,
+    temperature: float,
     workers: int = 1,
 ) -> tuple[list[RlSample], Counter]:
     """Annotate every multiple-choice task with its demand; count skips by reason.

@@ -233,14 +233,12 @@ class Journal:
         self.invalidated.add(sample_id)
         return None
 
-    def append(self, state: PipelineState) -> PipelineState:
-        """Journal a sample's outcome; returns it."""
+    def append(self, state: PipelineState) -> None:
+        """Journal a sample's outcome; resume still answers from what was read."""
         line = dump_record({"sample_id": state.sample_id, "digest": state.digest,
                             "stage": state.stage, "payload": state.payload})
         with self._lock, open(self.path, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-            self._outcomes[state.sample_id] = state
-        return state
 
 
 # --- stage operations ---
@@ -350,25 +348,12 @@ _CHECKPOINT_STAGES = ("captioned", "selected", "cue_captioned", "filtered")
 
 
 def process_sample(
-    gateway: Gateway,
-    task: QaTask,
-    clips: Sequence[Clip] | None,
-    journal: Journal,
-    *,
-    lenient: bool = False,
-) -> PipelineState:
-    """The sample's journalled outcome, else run every step and journal the outcome.
-
-    A rejection for a backend failure is returned but not journalled.
-    """
-    digest = sample_digest(task, clips, lenient)
-    known = journal.resume(task.sample_id, digest)
-    if known is not None:
-        return known
+    gateway: Gateway, task: QaTask, clips: Sequence[Clip] | None, *, lenient: bool
+) -> tuple[str, dict]:
+    """Run every step of one sample: ("emitted", {"rationale"}) or
+    ("rejected", {"reason", "detail"}).  The journal is left to the caller."""
     if not clips:
-        detail = f"no clips for video {task.video_id}"
-        rejected = {"reason": "missing_clips", "detail": detail}
-        return journal.append(PipelineState(task.sample_id, "rejected", rejected, digest))
+        return "rejected", {"reason": "missing_clips", "detail": f"no clips for video {task.video_id}"}
     step = "caption"  # the running step: the except clause below reads its row
     try:
         captioned = caption_clips(gateway, clips)
@@ -385,11 +370,8 @@ def process_sample(
         rationale = summarize_rationale(gateway, cues, task.qa)
     except tuple(REJECTION_REASONS[step]) as exc:
         reason = next(r for kind, r in REJECTION_REASONS[step].items() if isinstance(exc, kind))
-        rejected = {"reason": reason, "detail": str(exc)}
-        state = PipelineState(task.sample_id, "rejected", rejected, digest)
-        return state if reason in _RETRIED_REASONS else journal.append(state)
-    emitted = {"rationale": rationale}
-    return journal.append(PipelineState(task.sample_id, "emitted", emitted, digest))
+        return "rejected", {"reason": reason, "detail": str(exc)}
+    return "emitted", {"rationale": rationale}
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
@@ -443,16 +425,24 @@ def run_sft_pipeline(
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
 
-    def run_one(task: QaTask) -> PipelineState:
-        clips = clips_by_video.get(task.video_id)
-        return process_sample(gateway, task, clips, journal, lenient=lenient)
+    def run_one(pending: tuple[QaTask, str]) -> PipelineState:
+        """Run a sample and journal its outcome, unless it is a backend failure to retry."""
+        task, digest = pending
+        stage, payload = process_sample(gateway, task, clips_by_video.get(task.video_id),
+                                        lenient=lenient)
+        state = PipelineState(task.sample_id, stage, payload, digest)
+        if payload.get("reason") not in _RETRIED_REASONS:
+            journal.append(state)
+        return state
 
     # A journalled outcome is read on this thread; only the other samples go to the pool.
-    known = [
-        journal.resume(task.sample_id, sample_digest(task, clips_by_video.get(task.video_id), lenient))
-        for task in tasks
-    ]
-    todo = [task for task, state in zip(tasks, known) if state is None]
+    known, todo = [], []
+    for task in tasks:
+        digest = sample_digest(task, clips_by_video.get(task.video_id), lenient)
+        state = journal.resume(task.sample_id, digest)
+        known.append(state)
+        if state is None:
+            todo.append((task, digest))
     fresh = iter(ordered_map(run_one, todo, workers))
     states = [next(fresh) if state is None else state for state in known]
     emitted = []

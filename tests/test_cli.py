@@ -634,15 +634,46 @@ class TestPaths:
     def test_two_outputs_on_one_file_is_usage_error(
         self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, message
     ):
+        self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
+
+    @staticmethod
+    def usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message):
+        """Run args in tmp_path: exit 2 with message, no model call, every file there unchanged."""
         calls = []
         monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
         monkeypatch.chdir(tmp_path)
-        before = sorted(tmp_path.iterdir())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         args = [arg.format(**corpus.manifest["paths"], demand=demand_file) for arg in args]
         code, stdout, err = run_cli(args, capsys)
         assert code == 2 and stdout == ""
         assert err == f"usage error: {message}\n"
-        assert calls == [] and sorted(tmp_path.iterdir()) == before
+        assert calls == [] and {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    # Each input below is a file the command would write over, rename away or append to.
+    @pytest.mark.parametrize(
+        "args,flag,path",
+        [
+            (["estimate-demand", "--qa", "x", "--config", "{config}", "-o", "x"], "--qa", "x"),
+            (["build-sft", "--videos", "{clips}", "--qa", "x", "--config", "{config}", "-o", "x"],
+             "--qa", "x"),
+            (["build-sft", "--videos", "x.journal", "--qa", "{qa}", "--config", "{config}",
+              "-o", "x"], "--videos", "x.journal"),
+            (["build-rl", "--in", "d.tmp", "-o", "d"], "--in", "d.tmp"),
+            (["reward", "--group", "g", "--report", "./g"], "--group", "g"),
+        ],
+        ids=["demand_qa_is_out", "sft_qa_is_out", "sft_videos_is_journal", "rl_in_is_out_tmp",
+             "reward_group_is_report"],
+    )
+    def test_output_on_an_input_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, flag, path
+    ):
+        paths = corpus.manifest["paths"]
+        shutil.copy(paths["qa"], tmp_path / "x")
+        shutil.copy(paths["clips"], tmp_path / "x.journal")
+        shutil.copy(demand_file, tmp_path / "d.tmp")
+        (tmp_path / "g").write_text('{"gamma": 0.5, "correct": [true, false]}\n', encoding="utf-8")
+        message = f"input {flag} {path} is a file this command writes"
+        self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
 
 
     @pytest.mark.parametrize(
@@ -658,15 +689,30 @@ class TestPaths:
     def test_empty_output_path_is_usage_error(
         self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, flag
     ):
-        calls = []
-        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
-        monkeypatch.chdir(tmp_path)
-        before = sorted(tmp_path.iterdir())
-        args = [arg.format(**corpus.manifest["paths"], demand=demand_file) for arg in args]
-        code, stdout, err = run_cli(args, capsys)
-        assert code == 2 and stdout == ""
-        assert err == f"usage error: {flag} must name a file, got an empty path\n"
-        assert calls == [] and sorted(tmp_path.iterdir()) == before
+        message = f"{flag} must name a file, got an empty path"
+        self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["segment", "--shots", "", "-o", "c.records"], "--shots"),
+            (["build-sft", "--videos", "", "--qa", "{qa}", "--config", "{config}", "-o", "s"],
+             "--videos"),
+            (["build-sft", "--videos", "{clips}", "--qa", "", "--config", "{config}", "-o", "s"],
+             "--qa"),
+            (["estimate-demand", "--qa", "{qa}", "--config", "", "-o", "d.records"], "--config"),
+            (["build-rl", "--in", "", "-o", "rl.records"], "--in"),
+            (["reward", "--group", ""], "--group"),
+            (["grpo-eval", "--logprobs", "", "--epsilon", "0.2", "--beta", "0"], "--logprobs"),
+        ],
+        ids=["segment_shots", "build_sft_videos", "build_sft_qa", "estimate_demand_config",
+             "build_rl_in", "reward_group", "grpo_eval_logprobs"],
+    )
+    def test_empty_input_path_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, flag
+    ):
+        message = f"{flag} must name a file, got an empty path"
+        self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
 
 
 @pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])

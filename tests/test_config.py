@@ -17,6 +17,7 @@ from toc.config import (
     load_config,
 )
 from toc.errors import ConfigError
+from toc.gateway import HttpBackend, RetryPolicy
 from toc.records import SHAPES
 
 RETIRED_KEYS = ("tau", "band_lo", "band_hi", "target_rl_size", "seed")
@@ -27,6 +28,7 @@ WRONG_VALUES = [
     {"parallelism": None},
     {"mock_table_path": 5},
     {"retry_base_delay_s": -1},
+    {"retry_max_attempts": 0},
     {"retry_max_attempts": 2.5},
     {"backends": []},
     {"strict_parsing": "no"},
@@ -170,6 +172,31 @@ def test_unreadable_mock_table_is_config_error(tmp_path, table):
     config = load_config(write_config(tmp_path, {"mock_table_path": table}))
     with pytest.raises(ConfigError, match="cannot read mock_table_path"):
         build_gateway(config)
+
+
+def test_build_gateway_passes_each_config_value(tmp_path, monkeypatch):
+    monkeypatch.setenv("TOC_API_KEY", "secret")
+    config = load_config(write_config(tmp_path, {
+        "backends": {
+            "mllm": {"kind": "http", "endpoint": "https://a.test/v1", "model": "vision"},
+            "llm": {"kind": "http", "endpoint": "https://b.test/v1", "model": "text",
+                    "timeout_s": 5.5},
+        },
+        "parallelism": 3,
+        "retry_max_attempts": 5,
+        "retry_base_delay_s": 0.25,
+    }))
+    gateway = build_gateway(config)
+    served = {
+        role: (type(backend), backend.endpoint, backend.model, backend.api_key, backend.timeout_s)
+        for role, backend in gateway.backends.items()
+    }
+    assert served == {
+        "mllm": (HttpBackend, "https://a.test/v1", "vision", "secret", 60.0),
+        "llm": (HttpBackend, "https://b.test/v1", "text", "secret", 5.5),
+    }
+    assert gateway.retry == RetryPolicy(max_attempts=5, base_delay_s=0.25)
+    assert gateway.max_in_flight == 3
 
 
 def test_apply_overrides_replaces_given_fields(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toc.cue_tree import (
-    CueTree,
     backtrack,
     build_tree,
     layer_compilations,
@@ -51,12 +50,12 @@ def oracle_chain(n: int, selected) -> list[list[int]]:
     return out
 
 
-def leaf_paths(tree: CueTree) -> list[tuple[tuple[int, int], ...]]:
-    return backtrack(tree, range(tree.n_leaves))
+def leaf_paths(n_leaves: int) -> list[tuple[tuple[int, int], ...]]:
+    return backtrack(n_leaves, range(n_leaves))
 
 
-def max_depth(tree: CueTree) -> int:
-    return max(len(path) - 1 for path in leaf_paths(tree))
+def max_depth(n_leaves: int) -> int:
+    return max(len(path) - 1 for path in leaf_paths(n_leaves))
 
 
 def all_subsets(n: int):

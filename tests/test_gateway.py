@@ -246,14 +246,6 @@ class TestRetryPolicy:
         assert RetryPolicy(max_attempts=1100, base_delay_s=0.0).delay_s(1099) == 0.0
         assert RetryPolicy(base_delay_s=2.0**-1074).delay_s(1100) == 2.0**26
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"max_attempts": 0}, {"base_delay_s": -1.0}],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
 
 class TestGateway:
     def gateway(self, backend, max_attempts=3, max_in_flight=4):

@@ -14,7 +14,6 @@ from toc.config import apply_overrides, build_gateway, load_config
 from toc.gateway import Gateway
 from toc.records import QaPair, QaTask, RlSample, dump_record, load_qa_tasks
 from toc.rl_pipeline import (
-    DEFAULT_TRIAL_TEMPERATURE,
     TRIAL_MAX_TOKENS,
     balance_tiers,
     filter_by_difficulty,
@@ -25,6 +24,9 @@ from toc.rl_pipeline import (
     trial_request,
 )
 from toc.templates import render_direct_answer
+
+# The sampling temperature of the scripted trials.
+TEMPERATURE = 1.0
 
 
 def mc_qa(answer: str = "B") -> QaPair:
@@ -38,7 +40,7 @@ def mc_qa(answer: str = "B") -> QaPair:
 
 def trial_gateway(qa: QaPair, video_ref: str, replies):
     pairs = [
-        (trial_request(qa, video_ref, i, DEFAULT_TRIAL_TEMPERATURE), reply)
+        (trial_request(qa, video_ref, i, TEMPERATURE), reply)
         for i, reply in enumerate(replies)
     ]
     return scripted_gateway(pairs)
@@ -59,17 +61,17 @@ def rl(pos: int, alpha: int, m: int = 8) -> RlSample:
 class TestTrialRequest:
     def test_fields(self):
         qa = mc_qa()
-        req = trial_request(qa, "v00/full", 3)
+        req = trial_request(qa, "v00/full", 3, 0.7)
         assert req.model_role == "mllm"
         assert req.media == ("v00/full",)
         assert req.text == render_direct_answer(qa.formatted_question())
         assert req.seed == 3  # trial index doubles as the sampling seed
-        assert req.temperature == DEFAULT_TRIAL_TEMPERATURE == 1.0
+        assert req.temperature == 0.7
         assert req.max_tokens == TRIAL_MAX_TOKENS
 
     def test_distinct_trials_get_distinct_seeds(self):
         qa = mc_qa()
-        assert trial_request(qa, "v", 0) != trial_request(qa, "v", 1)
+        assert trial_request(qa, "v", 0, TEMPERATURE) != trial_request(qa, "v", 1, TEMPERATURE)
 
 
 class TestRunTrials:
@@ -81,7 +83,7 @@ class TestRunTrials:
             "I think it is B",  # no tag: incorrect
             "<answer>b</answer>",
         ]
-        assert run_trials(trial_gateway(qa, "v", replies), qa, "v", 4) == [True, False, False, True]
+        assert run_trials(trial_gateway(qa, "v", replies), qa, "v", 4, temperature=TEMPERATURE) == [True, False, False, True]
 
 
 class TestFilterByDifficulty:
@@ -203,7 +205,7 @@ class TestRunDemandPipeline:
         ]
         replies = ["<answer>B</answer>", "<answer>B</answer>", "<answer>C</answer>"]
         gateway = trial_gateway(qa, "v0/full", replies)
-        annotated, skipped = run_demand_pipeline(gateway, tasks, 3)
+        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE)
         assert skipped == Counter({"non_multiple_choice": 1})
         (sample,) = annotated
         assert sample.id == "v0#0" and sample.alpha == 2
@@ -218,19 +220,20 @@ class TestRunDemandPipeline:
         ]
         # v's 3 trials are scripted; w's fail inside the gateway
         gateway = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 3)
-        annotated, skipped = run_demand_pipeline(gateway, tasks, 3)
+        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE)
         assert [s.id for s in annotated] == ["v#0"] and annotated[0].alpha == 3
         assert skipped == Counter({"trials_failed": 1})
         # only 2 of 3 trials scripted: one failure skips the question outright
         partial = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 2)
-        annotated, skipped = run_demand_pipeline(partial, tasks[:1], 3)
+        annotated, skipped = run_demand_pipeline(partial, tasks[:1], 3, temperature=TEMPERATURE)
         assert annotated == [] and skipped == Counter({"trials_failed": 1})
 
     def test_alpha_counts_correct_trials(self):
         qa = mc_qa("B")
         task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full")
         replies = ["<answer>B</answer>"] * 3 + ["<answer>A</answer>"] * 5
-        (sample,), _ = run_demand_pipeline(trial_gateway(qa, "v/full", replies), [task], 8)
+        (sample,), _ = run_demand_pipeline(trial_gateway(qa, "v/full", replies), [task], 8,
+                                            temperature=TEMPERATURE)
         assert sample.alpha == 3
         assert sample.reasoning_demand == pytest.approx(math.exp(-3 / 8), abs=1e-15)
         assert sample.difficulty == pytest.approx(1 - 3 / 8, abs=1e-15)
@@ -242,7 +245,8 @@ class TestRunDemandPipeline:
         for workers in (1, 4):
             config = apply_overrides(load_config(paths["config"]), parallelism=workers)
             annotated, skipped = run_demand_pipeline(
-                build_gateway(config), tasks, config.m_trials, workers=workers
+                build_gateway(config), tasks, config.m_trials,
+                temperature=config.trial_temperature, workers=workers,
             )
             assert [s.alpha for s in annotated] == corpus.manifest["expected_alphas"]
             outputs.append(("\n".join(dump_record(s.to_record()) for s in annotated), skipped))
@@ -254,7 +258,7 @@ class TestRunDemandPipeline:
         backend = FailingBackend()
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
         with pytest.raises(RuntimeError, match="backend crashed"):
-            run_demand_pipeline(gateway, tasks, 8, workers=4)
+            run_demand_pipeline(gateway, tasks, 8, temperature=TEMPERATURE, workers=4)
         # each question fails on its first trial, so calls count the questions started
         assert backend.calls < len(tasks)
 

@@ -186,7 +186,7 @@ def stored_digests() -> dict[str, str]:
         "selection": selection_request(clips, qa),
         "filter": filter_request("a cue", qa),
         "rationale": rationale_request(["wide view", "close view"], qa),
-        "trial": trial_request(qa, "v/full", 3),
+        "trial": trial_request(qa, "v/full", 3, 1.0),
     }
     task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full")
     digests = {name: request_digest(request) for name, request in requests.items()}
@@ -209,7 +209,8 @@ def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1"
 class TestJournal:
     def test_advance_resume_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
-        state = Journal(path).append(emitted("v#0", rationale="café"))
+        state = emitted("v#0", rationale="café")
+        Journal(path).append(state)
         assert Journal(path).resume("v#0", "d1") == state
 
     def test_missing_sample_starts_fresh(self, tmp_path):
@@ -242,7 +243,8 @@ class TestJournal:
         journal = Journal(path)
         assert journal.resume("v#0", "new") is None
         assert journal.invalidated == {"v#0"}
-        state = journal.append(emitted("v#0", "new", "y"))
+        state = emitted("v#0", "new", "y")
+        journal.append(state)
         # the sample's last outcome line wins
         replayed = Journal(path)
         assert replayed.resume("v#0", "new") == state
@@ -250,7 +252,8 @@ class TestJournal:
 
     def test_torn_last_line_is_truncated_before_appending(self, tmp_path):
         path = tmp_path / "run.journal"
-        state = Journal(path).append(emitted("v#0"))
+        state = emitted("v#0")
+        Journal(path).append(state)
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"sample_id": "v#1", "digest": "d1", "sta')
         journal = Journal(path)
@@ -261,8 +264,8 @@ class TestJournal:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        state = journal.append(emitted("v#0"))
+        state = emitted("v#0")
+        Journal(path).append(state)
         path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
         journal = Journal(path)
         assert journal.resume("v#0", "d1") == state
@@ -316,7 +319,8 @@ class TestJournal:
     )
     def test_checkpoint_line_is_skipped(self, tmp_path, stage, payload):
         path = tmp_path / "run.journal"
-        state = Journal(path).append(emitted("v#0"))
+        state = emitted("v#0")
+        Journal(path).append(state)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(journal_line("v#1", stage, payload) + "\n")
         journal = Journal(path)
@@ -399,34 +403,33 @@ class TestStageOps:
         with pytest.raises(EmptyCaptionError):
             caption_clips(scripted_gateway(pairs), clips)
 
-    def select(self, tmp_path, reply, selected=(0, 2), **kwargs):
+    def select(self, reply, selected=(0, 2), lenient=False):
         """The outcome of a four-clip sample whose selection reply is `reply`;
         the other replies are scripted for a chain ending at `selected`."""
         clips, task = make_clips(4), make_task()
         gateway = scripted_gateway(full_script(clips, task.qa, selected=selected,
                                                selection_reply=reply))
-        return process_sample(gateway, task, clips, Journal(tmp_path / "run.journal"), **kwargs)
+        return process_sample(gateway, task, clips, lenient=lenient)
 
-    def test_select_key_clips(self, tmp_path):
+    def test_select_key_clips(self):
         # emitted only if the cue chain ends at clips 0 and 2, whatever the reply's order
-        assert self.select(tmp_path, "[2, 0]").stage == "emitted"
+        assert self.select("[2, 0]")[0] == "emitted"
 
-    def test_select_empty(self, tmp_path):
-        state = self.select(tmp_path, "[]")
-        assert state.payload == {"reason": "selection_empty", "detail": "no clips selected"}
+    def test_select_empty(self):
+        assert self.select("[]") == (
+            "rejected", {"reason": "selection_empty", "detail": "no clips selected"}
+        )
 
-    def test_select_out_of_range(self, tmp_path):
-        state = self.select(tmp_path, "[0, 7]")
-        assert state.payload == {"reason": "selection_out_of_range",
-                                 "detail": "clip index 7 outside [0, 3]"}
+    def test_select_out_of_range(self):
+        assert self.select("[0, 7]") == (
+            "rejected", {"reason": "selection_out_of_range", "detail": "clip index 7 outside [0, 3]"}
+        )
 
-    def test_select_strict_parse(self, tmp_path):
-        state = self.select(tmp_path, "```json\n[1]\n```", selected=(1,))
-        assert state.payload["reason"] == "selection_unparseable"
+    def test_select_strict_parse(self):
+        assert self.select("```json\n[1]\n```", selected=(1,))[1]["reason"] == "selection_unparseable"
 
-    def test_select_lenient_parse(self, tmp_path):
-        state = self.select(tmp_path, "```json\n[1]\n```", selected=(1,), lenient=True)
-        assert state.stage == "emitted"
+    def test_select_lenient_parse(self):
+        assert self.select("```json\n[1]\n```", selected=(1,), lenient=True)[0] == "emitted"
 
     def test_caption_compilations(self):
         clips = make_clips(4)
@@ -495,22 +498,32 @@ def five_stage_lines(clips, clean_journal: Path) -> list[bytes]:
     return lines + [outcome]
 
 
-class TestProcessSample:
-    def run_one(self, pairs, clips, task=None, tmp_path=None, **kwargs):
-        store = Journal(tmp_path / "state.journal")
-        gateway, backend = counting_gateway(pairs)
-        state = process_sample(gateway, task or make_task(), clips, store, **kwargs)
-        return state, backend, store
+def run_alone(pairs, task, clips, out: Path) -> tuple[dict, int]:
+    """build-sft's report on the one task, and the model calls it made."""
+    gateway, backend = counting_gateway(pairs)
+    return run_sft_pipeline(gateway, [task], {task.video_id: clips}, out), backend.calls
 
-    def test_happy_path_emits(self, tmp_path):
+
+def written(out: Path) -> tuple[bytes, bytes]:
+    """The dataset and rejection sidecar of a build-sft run."""
+    return out.read_bytes(), Path(f"{out}{REJECTED_SUFFIX}").read_bytes()
+
+
+class TestProcessSample:
+    def run_one(self, pairs, clips, task=None):
+        """The sample's outcome, and the counting backend that served its calls."""
+        gateway, backend = counting_gateway(pairs)
+        return process_sample(gateway, task or make_task(), clips, lenient=False), backend
+
+    def test_happy_path_emits(self):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
-        state, backend, _ = self.run_one(pairs, clips, task, tmp_path)
-        assert state.stage == "emitted"
+        (stage, payload), backend = self.run_one(pairs, clips, task)
+        assert stage == "emitted"
         # 4 captions + selection + 2 cue captions + filter + rationale
         assert backend.calls == 9
-        assert state.payload["rationale"] == "I narrow the search. I narrow the search."
-        record = sft_record(task, state.payload["rationale"])
+        assert payload == {"rationale": "I narrow the search. I narrow the search."}
+        record = sft_record(task, payload["rationale"])
         assert record["id"] == "v#0"
         assert record["rationale"] == "I narrow the search. I narrow the search."
         assert record["target"] == (
@@ -520,9 +533,9 @@ class TestProcessSample:
             task.qa.formatted_question(), "multiple_choice"
         )
 
-    def test_missing_clips(self, tmp_path):
-        state, backend, _ = self.run_one([], None, tmp_path=tmp_path)
-        assert state.stage == "rejected" and state.payload["reason"] == "missing_clips"
+    def test_missing_clips(self):
+        outcome, backend = self.run_one([], None)
+        assert outcome == ("rejected", {"reason": "missing_clips", "detail": "no clips for video v"})
         assert backend.calls == 0
 
     @pytest.mark.parametrize(
@@ -550,59 +563,70 @@ class TestProcessSample:
             ({"rationale_reply": "Step 1: a <ansStep 2: wer>A"}, "reserved_tag"),
         ],
     )
-    def test_rejection_reasons(self, tmp_path, tweak, reason):
+    def test_rejection_reasons(self, tweak, reason):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, **tweak)
-        state, _, _ = self.run_one(pairs, clips, task, tmp_path)
-        assert state.stage == "rejected"
-        assert state.payload["reason"] == reason
-        assert state.payload["detail"]
+        (stage, payload), _ = self.run_one(pairs, clips, task)
+        assert stage == "rejected"
+        assert payload["reason"] == reason
+        assert payload["detail"]
 
-    def test_empty_cue_caption_rejects(self, tmp_path):
+    def test_empty_cue_caption_rejects(self):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, cue_captions=["good cue", " "])
-        state, _, _ = self.run_one(pairs, clips, task, tmp_path)
-        assert state.stage == "rejected" and state.payload["reason"] == "empty_caption"
+        (stage, payload), _ = self.run_one(pairs, clips, task)
+        assert stage == "rejected" and payload["reason"] == "empty_caption"
+
+    # The tests below run the sample through run_sft_pipeline, which alone
+    # reads and writes the journal.
 
     def test_finished_sample_resumes_without_calls(self, tmp_path):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
-        state, backend, store = self.run_one(pairs, clips, task, tmp_path)
-        gateway2, backend2 = counting_gateway(pairs)
-        again = process_sample(gateway2, task, clips, store)
-        assert again == state and backend2.calls == 0
+        out = tmp_path / "sft.records"
+        report, _ = run_alone(pairs, task, clips, out)
+        files, journal = written(out), Path(f"{out}{JOURNAL_SUFFIX}").read_bytes()
+        assert report["emitted"] == 1
+        assert run_alone(pairs, task, clips, out) == (report, 0)
+        assert written(out) == files
+        assert Path(f"{out}{JOURNAL_SUFFIX}").read_bytes() == journal
 
     def test_non_ascii_rationale_is_journalled_as_utf8(self, tmp_path):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, rationale_reply="Step 1: Le café. Step 2: 視頻 ✓.")
-        state, _, store = self.run_one(pairs, clips, task, tmp_path)
-        assert state.payload == {"rationale": "Le café. 視頻 ✓."}
-        line = store.path.read_text(encoding="utf-8")
+        out = tmp_path / "sft.records"
+        run_alone(pairs, task, clips, out)
+        line = Path(f"{out}{JOURNAL_SUFFIX}").read_text(encoding="utf-8")
+        assert json.loads(line)["payload"] == {"rationale": "Le café. 視頻 ✓."}
         assert "Le café. 視頻 ✓." in line and "\\u" not in line
-        gateway, backend = counting_gateway(pairs)
-        assert process_sample(gateway, task, clips, Journal(store.path)) == state
-        assert backend.calls == 0
+        files = written(out)
+        assert run_alone(pairs, task, clips, out)[1] == 0
+        assert written(out) == files
 
     def test_ascii_escaped_line_still_resumes(self, tmp_path):
         # earlier versions wrote journal lines with json.dumps's \uXXXX escapes
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, rationale_reply="Step 1: Le café. Step 2: 視頻 ✓.")
-        state, _, store = self.run_one(pairs, clips, task, tmp_path)
-        escaped = tmp_path / "escaped.journal"
-        escaped.write_text(json.dumps(json.loads(store.path.read_text(encoding="utf-8"))) + "\n",
+        out = tmp_path / "sft.records"
+        run_alone(pairs, task, clips, out)
+        files = written(out)
+        journal = Path(f"{out}{JOURNAL_SUFFIX}")
+        journal.write_text(json.dumps(json.loads(journal.read_text(encoding="utf-8"))) + "\n",
                            encoding="ascii")
-        assert "\\u00e9" in escaped.read_text(encoding="ascii")
-        gateway, backend = counting_gateway(pairs)
-        assert process_sample(gateway, task, clips, Journal(escaped)) == state
-        assert backend.calls == 0
+        assert "\\u00e9" in journal.read_text(encoding="ascii")
+        out.unlink()
+        assert run_alone(pairs, task, clips, out)[1] == 0
+        assert written(out) == files
 
     def test_rejection_is_sticky(self, tmp_path):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, filter_reply="No")
-        state, _, store = self.run_one(pairs, clips, task, tmp_path)
-        gateway2, backend2 = counting_gateway(pairs)
-        again = process_sample(gateway2, task, clips, store)
-        assert again == state and backend2.calls == 0
+        out = tmp_path / "sft.records"
+        report, _ = run_alone(pairs, task, clips, out)
+        assert report["rejection_reasons"] == {"insufficient_cues": 1}
+        files = written(out)
+        assert run_alone(pairs, task, clips, out) == (report, 0)
+        assert written(out) == files
 
     @pytest.mark.parametrize(
         "stage,reason",
@@ -612,34 +636,33 @@ class TestProcessSample:
     )
     def test_backend_failure_is_retried_by_the_next_run(self, tmp_path, stage, reason):
         clips, task = make_clips(4), make_task()
-        state, _, store = self.run_one(full_script(clips, task.qa, skip_stages=(stage,)), clips,
-                                       task, tmp_path)
-        assert state.stage == "rejected" and state.payload["reason"] == reason
-        assert not store.path.exists()
-        gateway, backend = counting_gateway(full_script(clips, task.qa))
-        assert process_sample(gateway, task, clips, Journal(store.path)).stage == "emitted"
-        assert backend.calls == 9
+        out = tmp_path / "sft.records"
+        report, _ = run_alone(full_script(clips, task.qa, skip_stages=(stage,)), task, clips, out)
+        assert report["rejection_reasons"] == {reason: 1}
+        assert not Path(f"{out}{JOURNAL_SUFFIX}").exists()
+        report, calls = run_alone(full_script(clips, task.qa), task, clips, out)
+        assert report["emitted"] == 1 and calls == 9
 
     def test_rejected_credential_journals_nothing(self, tmp_path):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
         captions = MockBackend({request_digest(r): reply for r, reply in pairs})
         denied = HttpBackend(
-            "https://example.test", "m", "key", post=lambda *a, **kw: SimpleNamespace(status_code=401)
+            "https://example.test", "m", "key", 60.0,
+            post=lambda *a, **kw: SimpleNamespace(status_code=401),
         )
         gateway = Gateway(
             backends={"mllm": captions, "llm": denied},
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
             sleep=lambda s: None,
         )
-        store = Journal(tmp_path / "state.journal")
+        out = tmp_path / "sft.records"
         with pytest.raises(AuthError, match="status 401"):
-            process_sample(gateway, task, clips, store)
-        assert not store.path.exists()
+            run_sft_pipeline(gateway, [task], {"v": clips}, out)
+        assert not Path(f"{out}{JOURNAL_SUFFIX}").exists()
         # the sample starts over: 4 captions, the selection, 2 cue captions, filter, rationale
-        retry_gateway, retry_backend = counting_gateway(pairs)
-        resumed = process_sample(retry_gateway, task, clips, Journal(store.path))
-        assert resumed.stage == "emitted" and retry_backend.calls == 9
+        report, calls = run_alone(pairs, task, clips, out)
+        assert report["emitted"] == 1 and calls == 9
 
     # wherever the crash lands, nothing of the sample was journalled, so the
     # resume makes all 9 of its calls
@@ -647,21 +670,19 @@ class TestProcessSample:
     def test_crash_then_resume_matches_clean_run(self, tmp_path, crash_after, resume_calls):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
+        clean = tmp_path / "clean.records"
+        clean_report, _ = run_alone(pairs, task, clips, clean)
 
-        clean_store = Journal(tmp_path / "clean.journal")
-        clean_gateway, _ = counting_gateway(pairs)
-        clean = process_sample(clean_gateway, task, clips, clean_store)
-
-        resumed_store = Journal(tmp_path / "resumed.journal")
+        out = tmp_path / "resumed.records"
         crash_gw, _ = crashing_gateway(pairs, crash_after)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            process_sample(crash_gw, task, clips, resumed_store)
-        assert not resumed_store.path.exists()
-        retry_gateway, retry_backend = counting_gateway(pairs)
-        resumed = process_sample(retry_gateway, task, clips, resumed_store)
+            run_sft_pipeline(crash_gw, [task], {"v": clips}, out)
+        assert not Path(f"{out}{JOURNAL_SUFFIX}").exists()
 
-        assert resumed == clean
-        assert retry_backend.calls == resume_calls
+        assert run_alone(pairs, task, clips, out) == (clean_report, resume_calls)
+        assert written(out) == written(clean)
+        journal = Path(f"{out}{JOURNAL_SUFFIX}").read_bytes()
+        assert journal == Path(f"{clean}{JOURNAL_SUFFIX}").read_bytes()
 
     # A journal of an earlier version holds one line per stage, captioned to
     # emitted; resuming from its first `kept` lines skips the checkpoints, so
@@ -675,14 +696,14 @@ class TestProcessSample:
     def test_resume_from_every_checkpoint(self, tmp_path, tweak, kept, resume_calls):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa, **tweak)
-        clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
-        lines = five_stage_lines(clips, clean_store.path)
+        clean = tmp_path / "clean.records"
+        clean_report, _ = run_alone(pairs, task, clips, clean)
+        lines = five_stage_lines(clips, Path(f"{clean}{JOURNAL_SUFFIX}"))
         assert len(lines) == (4 if tweak else 5)
-        cut = tmp_path / "cut.journal"
-        cut.write_bytes(b"".join(lines[:kept]))
-        gateway, backend = counting_gateway(pairs)
-        assert process_sample(gateway, task, clips, Journal(cut)) == clean
-        assert backend.calls == resume_calls
+        out = tmp_path / "cut.records"
+        Path(f"{out}{JOURNAL_SUFFIX}").write_bytes(b"".join(lines[:kept]))
+        assert run_alone(pairs, task, clips, out) == (clean_report, resume_calls)
+        assert written(out) == written(clean)
 
     # a 4-clip sample selecting [0, 2] has a chain of 2 compilations; the
     # checkpoints are skipped, not checked against the sample
@@ -701,15 +722,18 @@ class TestProcessSample:
     def test_checkpoint_that_does_not_fit_is_skipped(self, tmp_path, kept, updates):
         clips, task = make_clips(4), make_task()
         pairs = full_script(clips, task.qa)
-        clean, _, clean_store = self.run_one(pairs, clips, task, tmp_path)
-        entries = [json.loads(line) for line in five_stage_lines(clips, clean_store.path)[:kept]]
+        clean = tmp_path / "clean.records"
+        clean_report, _ = run_alone(pairs, task, clips, clean)
+        lines = five_stage_lines(clips, Path(f"{clean}{JOURNAL_SUFFIX}"))[:kept]
+        entries = [json.loads(line) for line in lines]
         for entry in entries:
             entry["payload"].update((k, v) for k, v in updates.items() if k in entry["payload"])
-        cut = tmp_path / "cut.journal"
-        cut.write_text("".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8")
-        gateway, backend = counting_gateway(pairs)
-        assert process_sample(gateway, task, clips, Journal(cut)) == clean
-        assert backend.calls == 9
+        out = tmp_path / "cut.records"
+        Path(f"{out}{JOURNAL_SUFFIX}").write_text(
+            "".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8"
+        )
+        assert run_alone(pairs, task, clips, out) == (clean_report, 9)
+        assert written(out) == written(clean)
 
 
 class TestRunSftPipeline:
@@ -891,11 +915,11 @@ class TestResumeAfterFailure:
     def clean_calls(self, inputs, tmp_path) -> dict[str, Counter]:
         """Each sample's request digests in a clean run of it alone."""
         tasks, clips_by_video, table = inputs
-        journal = Journal(tmp_path / "alone.journal")
         calls = {}
         for task in tasks:
             backend = OutageBackend(MockBackend.from_file(table), 0, 0)
-            process_sample(self.gateway(backend), task, clips_by_video.get(task.video_id), journal)
+            process_sample(self.gateway(backend), task, clips_by_video.get(task.video_id),
+                           lenient=False)
             calls[task.sample_id] = Counter(map(request_digest, backend.requests))
         return calls
 
@@ -1008,7 +1032,7 @@ class _NullContent:
 
 
 def test_null_backend_content_rejects_as_caption_failed(tmp_path):
-    backend = HttpBackend("https://example.test", "m", "key", post=lambda *a, **kw: _NullContent())
+    backend = HttpBackend("https://example.test", "m", "key", 60.0, post=lambda *a, **kw: _NullContent())
     gateway = Gateway(
         backends={"mllm": backend, "llm": backend},
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
