@@ -142,23 +142,26 @@ def _model_run(args: argparse.Namespace, **overrides) -> tuple[Config, Gateway, 
 def cmd_segment(args: argparse.Namespace) -> list[dict]:
     if not 0.0 < args.tau <= 1.0:
         raise UsageError(f"--tau must be in (0, 1], got {args.tau}")
-    clips_out: list[dict] = []
-    videos = shots_in = 0
+    counts = {"videos": 0, "shots_in": 0}
     # One line per video, stitched as it is read, so that a clip without a pooled
     # direction names its line; two lines of one video would repeat its clip indices.
     def stitched(rec: dict) -> tuple[ShotBoundarySet, list]:
         shots = ShotBoundarySet.from_record(rec)
         return shots, stitch(shots, args.tau)
 
-    for shot_set, clips in parse_unique(
-        args.shots, stitched, "video_id", lambda pair: pair[0].video_id
-    ):
-        videos += 1
-        shots_in += shot_set.shot_count
-        clips_out.extend(c.to_record() for c in clips)
-    write_records(args.out, clips_out)
-    print(f"stitched {shots_in} shots into {len(clips_out)} clips across {videos} videos")
-    return _stages(videos=videos, shots_in=shots_in, clips_out=len(clips_out))
+    def clip_records():
+        """Each video's clips, written as its line is stitched."""
+        for shot_set, clips in parse_unique(
+            args.shots, stitched, "video_id", lambda pair: pair[0].video_id
+        ):
+            counts["videos"] += 1
+            counts["shots_in"] += shot_set.shot_count
+            yield from (c.to_record() for c in clips)
+
+    clips_out = write_records(args.out, clip_records())
+    videos, shots_in = counts["videos"], counts["shots_in"]
+    print(f"stitched {shots_in} shots into {clips_out} clips across {videos} videos")
+    return _stages(**counts, clips_out=clips_out)
 
 
 def cmd_tree(args: argparse.Namespace) -> list[dict]:

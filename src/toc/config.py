@@ -107,6 +107,8 @@ def load_config(path: str | Path) -> Config:
     backends = {role: _backend_config(role, entry) for role, entry in config.backends.items()}
     config = replace(config, backends=backends)
     mock_table = config.mock_table_path
+    if mock_table is not None and "\0" in mock_table:  # open() raises ValueError, not OSError
+        raise ConfigError(f"mock_table_path must be a path without a NUL character, got {mock_table!r}")
     if mock_table is not None and not Path(mock_table).is_absolute():
         return replace(config, mock_table_path=str(path.parent / mock_table))
     return config

@@ -20,8 +20,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
-import requests
-
 from .errors import (
     AuthError,
     BackendUnavailableError,
@@ -128,7 +126,9 @@ class HttpBackend:
     """POST to an OpenAI-compatible chat-completions endpoint.
 
     The post callable is injectable so the retry and error contract is
-    testable without a network.
+    testable without a network; it defaults to requests.post.  requests is
+    imported here, on the thread that builds the backend, so a run whose
+    roles are all mock never loads the HTTP stack.
     """
 
     def __init__(
@@ -137,13 +137,16 @@ class HttpBackend:
         model: str,
         api_key: str | None,
         timeout_s: float,
-        post: Callable = requests.post,
+        post: Callable | None = None,
     ) -> None:
+        import requests
+
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
         self.timeout_s = timeout_s
-        self.post = post
+        self.post = requests.post if post is None else post
+        self._requests = requests
 
     def _payload(self, request: ChatRequest) -> dict:
         content: object = request.text
@@ -171,9 +174,9 @@ class HttpBackend:
                 headers={"Authorization": f"Bearer {self.api_key}"},
                 timeout=self.timeout_s,
             )
-        except requests.Timeout as exc:
+        except self._requests.Timeout as exc:
             raise GatewayTimeoutError(f"no reply within {self.timeout_s}s") from exc
-        except requests.ConnectionError as exc:
+        except self._requests.ConnectionError as exc:
             raise BackendUnavailableError(f"cannot reach {self.endpoint}: {exc}") from exc
         status = response.status_code
         if status in (401, 403):

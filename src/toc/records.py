@@ -148,11 +148,11 @@ def float_array(values: object, ndim: int, what: str) -> np.ndarray:
 
 
 def _set_fields(record: object) -> dict:
-    """The fields of a record type that are not None, each tuple as a list."""
+    """The fields of a record type that are not None, in field order, each tuple as a list."""
     return {
         key: list(value) if type(value) is tuple else value
-        for key, value in vars(record).items()
-        if value is not None
+        for key in record.__dataclass_fields__  # the fields, in order; no record type has a ClassVar
+        if (value := getattr(record, key)) is not None
     }
 
 
@@ -161,7 +161,7 @@ def option_label(position: int) -> str:
     return _OPTION_LABELS[position]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clip:
     """A temporally contiguous segment of one video."""
 
@@ -195,7 +195,7 @@ class Clip:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaPair:
     """A question with its gold answer.
 
@@ -309,7 +309,7 @@ def demand_from_alpha(alpha: int, m_trials: int) -> float:
     return _demand_and_difficulty(alpha, m_trials)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RlSample:
     """One demand-annotated record for the reinforcement-learning dataset.
 
@@ -375,7 +375,7 @@ class RlSample:
         return sample
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaTask:
     """A (video, question) unit of pipeline work."""
 

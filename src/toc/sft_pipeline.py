@@ -140,7 +140,7 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
 # --- per-sample outcomes and their journal ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineState:
     """One sample's outcome: "emitted" with a rationale, or "rejected" with a
     reason and detail.  digest fingerprints the sample's inputs; the outcome
@@ -419,6 +419,8 @@ def run_sft_pipeline(
     Up to `workers` samples are in flight at once.  Outcomes go to
     `<out>.journal`; the dataset and sidecar are rendered from the outcomes
     on every run, so a resumed run produces the same bytes as a clean one.
+    Each dataset line is written as it is rendered, and the rejections
+    after the last of them; each file still appears only once complete.
     A sample whose inputs changed since it was journalled restarts and is
     counted as invalidated.
     """
@@ -445,25 +447,30 @@ def run_sft_pipeline(
             todo.append((task, digest))
     fresh = iter(ordered_map(run_one, todo, workers))
     states = [next(fresh) if state is None else state for state in known]
-    emitted = []
-    for task, state in zip(tasks, states):
-        if state.stage == "emitted":
+    rejections = []
+
+    def dataset():
+        """The dataset lines in task order; the rejections are kept as they pass."""
+        for task, state in zip(tasks, states):
+            payload = state.payload
+            if state.stage != "emitted":
+                rejections.append(
+                    {"id": state.sample_id, "reason": payload["reason"], "detail": payload["detail"]}
+                )
+                continue
             try:
-                emitted.append(sft_record(task, state.payload["rationale"]))
+                record = sft_record(task, payload["rationale"])
             except (ValueError, EmptyRationaleError) as exc:
                 # summarize_rationale only returns a rationale that renders
                 raise RecordError(f"{journal.path}: sample {task.sample_id}: {exc}") from None
-    rejections = [
-        {"id": state.sample_id, "reason": state.payload["reason"], "detail": state.payload["detail"]}
-        for state in states
-        if state.stage != "emitted"
-    ]
-    write_records(out, emitted)
+            yield record
+
+    emitted = write_records(out, dataset())
     write_records(f"{out}{REJECTED_SUFFIX}", rejections)
     reasons = Counter(r["reason"] for r in rejections)
     return {
         "total": len(tasks),
-        "emitted": len(emitted),
+        "emitted": emitted,
         "rejected": len(rejections),
         "invalidated": len(journal.invalidated),
         "rejection_reasons": dict(sorted(reasons.items())),

@@ -95,10 +95,13 @@ class TestSegment:
         shot = {"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0], "embeddings": [[1.0], [-1.0]]}
         write_records(shots, [shot, {**shot, "video_id": "t"}, shot])
         out = tmp_path / "clips.records"
+        out.write_bytes(b"an earlier run's clips\n")
         code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
         assert code == 1 and "Traceback" not in err
         assert "shots.records:3: video_id 's' duplicates line 1" in err
-        assert not out.exists()
+        # the clips of lines 1 and 2 were streamed to the staged file before line 3 failed
+        assert out.read_bytes() == b"an earlier run's clips\n"
+        assert not (tmp_path / "clips.records.tmp").exists()
 
     @pytest.mark.parametrize(
         "edit",
@@ -467,9 +470,13 @@ class TestCorruptJournal:
             ("v00#0", "emitted", {"rationale": 5}, ":5: invalid record: rationale must be a string, got 5"),
             ("v00#0", "emitted", {"rationale": "Step 1: hi <answer>"},
              ": sample v00#0: rationale still contains a step marker"),
+            # the last emitted sample: every other dataset line is streamed before it fails
+            ("v16#0", "emitted", {"rationale": "Step 1: hi <answer>"},
+             ": sample v16#0: rationale still contains a step marker"),
             ("v17#0", "rejected", {"reason": "x"}, ":87: invalid record: missing key 'detail'"),
         ],
-        ids=["rationale_missing", "rationale_number", "rationale_unrenderable", "detail_missing"],
+        ids=["rationale_missing", "rationale_number", "rationale_unrenderable",
+             "rationale_unrenderable_late", "detail_missing"],
     )
     def test_finished_sample(
         self, corpus, tmp_path, capsys, monkeypatch, sample_id, stage, payload, message
@@ -480,6 +487,8 @@ class TestCorruptJournal:
                 entry["payload"] = payload
         err = self.resume(corpus, tmp_path, capsys, monkeypatch, entries)
         assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
+        assert not (tmp_path / "sft.records.rejected").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_seven_stage_journal_is_refused(self, corpus, tmp_path, capsys, monkeypatch):
         # v00#0's first lines as a journal of the version before the five

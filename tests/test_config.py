@@ -35,6 +35,8 @@ WRONG_VALUES = [
     {"parallelism": 2.5},
     # time.sleep cannot wait this long: the first retry would raise OverflowError
     {"retry_base_delay_s": 1e10},
+    # open() refuses a path holding NUL with a ValueError, which is no OSError
+    {"mock_table_path": "table\u0000.records"},
 ]
 
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 import requests
@@ -220,6 +224,43 @@ class TestHttpBackend:
         gateway = Gateway(backends={"llm": http_backend(post)}, sleep=lambda s: None)
         assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
         assert len(post.calls) == 2
+
+
+# Run in a fresh interpreter: this module imports requests itself.
+ONLY_HTTP_LOADS_REQUESTS = """
+import sys
+import toc.cli
+assert "requests" not in sys.modules, "import toc.cli"
+shots, clips, qa, config, group, out = sys.argv[1:]
+for argv in (
+    ["segment", "--shots", shots, "-o", f"{out}/clips.records"],
+    ["reward", "--group", group],
+    ["build-sft", "--videos", clips, "--qa", qa, "--config", config, "-o", f"{out}/sft.records"],
+):
+    assert toc.cli.main(argv) == 0, argv
+    assert "requests" not in sys.modules, argv[0]
+from toc.config import BackendConfig, Config, build_gateway
+from toc.gateway import HttpBackend
+http = BackendConfig("http", "http://localhost:9/v1", "m")
+gateway = build_gateway(Config(backends={"mllm": http, "llm": http}))
+import requests
+assert all(type(b) is HttpBackend and b.post is requests.post for b in gateway.backends.values())
+print("ok")
+"""
+
+
+def test_requests_is_loaded_only_by_an_http_backend(corpus, tmp_path):
+    paths = corpus.manifest["paths"]
+    group = tmp_path / "groups.records"
+    write_records(group, [{"gamma": 0.5, "correct": [True, False]}])
+    args = [paths["shots"], paths["clips"], paths["qa"], paths["config"], str(group), str(tmp_path)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run(
+        [sys.executable, "-c", ONLY_HTTP_LOADS_REQUESTS, *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith("ok\n")
 
 
 class FlakyBackend:

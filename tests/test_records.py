@@ -30,6 +30,7 @@ from toc.records import (
     write_records,
 )
 from toc.rewards import extract_answer
+from toc.sft_pipeline import PipelineState
 
 
 # Records whose encoding json.dumps fixes: text that needs escapes, floats at
@@ -69,6 +70,21 @@ class TestClip:
     def test_none_fields_omitted_from_record(self):
         rec = clip(0, 0.0, 1.0).to_record()
         assert "embedding" not in rec and "caption" not in rec
+
+
+def test_per_record_types_keep_no_instance_dict():
+    # slotted: a build-sft run holds one Clip per clip, one QaTask per sample and one
+    # PipelineState per outcome, and an instance __dict__ would be most of each
+    qa = QaPair(question="q?", answer="B", qa_type="multiple_choice", options=("x", "y"))
+    instances = [
+        clip(0, 0.0, 1.0),
+        qa,
+        QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full"),
+        RlSample.from_trial_count("v#0", "v", "q?", ("x", "y"), "B", 3, 8),
+        PipelineState("v#0", "emitted", {"rationale": "r"}, "d"),
+    ]
+    for instance in instances:
+        assert not hasattr(instance, "__dict__"), type(instance).__name__
 
 
 class TestQaPair:
