@@ -1,8 +1,8 @@
 """Synthesize a fully offline test corpus.
 
 Walks the exact request sequence both pipelines will issue for a seeded
-synthetic video set and scripts a reply for every request digest, so
-build-sft, estimate-demand, and build-rl run end to end with zero network.
+synthetic video set and scripts one reply for each distinct request digest,
+so build-sft, estimate-demand, and build-rl run end to end with zero network.
 A few samples are deliberately scripted to fail specific stages so the
 rejection paths stay exercised.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cue_tree import backtrack, build_tree, layer_compilations
 from .gateway import ChatRequest, request_digest
-from .records import Clip, QaPair, write_records
+from .records import Clip, QaPair, default_video_ref, write_records
 from .rl_pipeline import trial_request
 from .sft_pipeline import (
     clip_caption_request,
@@ -84,8 +84,13 @@ def synthesize_corpus(
     num_samples: int = 20,
     seed: int = 7,
     m_trials: int = 8,
+    questions_per_video: int = 1,
 ) -> dict:
-    """Write clips, QA, shots, mock table, and config files; return a manifest."""
+    """Write clips, QA, shots, mock table, and config files; return a manifest.
+
+    The num_samples questions come questions_per_video to a video, each
+    video's distinct from one another; the last video may have fewer.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
@@ -96,41 +101,55 @@ def synthesize_corpus(
     expected_rejections: Counter[str] = Counter()
     expected_alphas: list[int] = []
 
-    def script(request: ChatRequest, reply: str, note: str) -> None:
-        table.append({"digest": request_digest(request), "reply": reply, "note": note})
+    scripted: dict[str, str] = {}
+
+    def script(request: ChatRequest, reply: str, note: str) -> str:
+        """Script reply unless the request's digest has one already; the reply it gets."""
+        digest = request_digest(request)
+        if digest not in scripted:
+            scripted[digest] = reply
+            table.append({"digest": digest, "reply": reply, "note": note})
+        return scripted[digest]
 
     for i in range(num_samples):
-        video_id = f"v{i:02d}"
-        n_clips = 1 if i == 0 else rng.randint(2, 6)
-        clips = []
-        t = 0.0
-        for index in range(n_clips):
-            duration = round(rng.uniform(3.0, 10.0), 2)
-            clips.append(
-                Clip(video_id=video_id, index=index, start_s=round(t, 2), end_s=round(t + duration, 2))
-            )
-            t += duration
-        clip_rows.extend(c.to_record() for c in clips)
+        video_number, qa_index = divmod(i, questions_per_video)
+        video_id = f"v{video_number:02d}"
+        if qa_index == 0:
+            n_clips = 1 if i == 0 else rng.randint(2, 6)
+            clips = []
+            t = 0.0
+            for index in range(n_clips):
+                duration = round(rng.uniform(3.0, 10.0), 2)
+                clips.append(
+                    Clip(video_id=video_id, index=index, start_s=round(t, 2), end_s=round(t + duration, 2))
+                )
+                t += duration
+            clip_rows.extend(c.to_record() for c in clips)
 
         options = tuple(rng.sample(_SCENES, 4))
         answer = "ABCD"[rng.randrange(4)]
+        part = f" part {qa_index} of" if qa_index else ""
         qa = QaPair(
-            question=f"Which activity is central to video {video_id}?",
+            question=f"Which activity is central to{part} video {video_id}?",
             answer=answer,
             qa_type="multiple_choice",
             options=options,
         )
-        video_ref = f"{video_id}/full"
+        video_ref = default_video_ref(video_id)
         qa_rows.append(
-            {**qa.to_record(), "video_id": video_id, "qa_index": 0, "video_ref": video_ref}
+            {**qa.to_record(), "video_id": video_id, "qa_index": qa_index, "video_ref": video_ref}
         )
 
         # The SFT leg: captions, selection, cue captions, filter, rationale.
-        captioned = []
-        for clip in clips:
-            caption = _caption(rng, video_id, clip.index)
-            script(clip_caption_request(clip), caption, f"{video_id} clip {clip.index} caption")
-            captioned.append(replace(clip, caption=caption))
+        if qa_index == 0:
+            captioned = [
+                replace(clip, caption=script(
+                    clip_caption_request(video_ref, clip),
+                    _caption(rng, video_id, clip.index),
+                    f"{video_id} clip {clip.index} caption",
+                ))
+                for clip in clips
+            ]
 
         selected = sorted(rng.sample(range(n_clips), min(n_clips, rng.randint(1, 2))))
         if i == num_samples - 3:
@@ -147,15 +166,17 @@ def synthesize_corpus(
                 f"{video_id} selection",
             )
             chain = layer_compilations(backtrack(build_tree(n_clips), selected))
-            cues = []
-            for compilation in chain:
-                cue = _cue_caption(rng, video_id, compilation.clip_indices)
+            # A compilation asked for before (one clip's, or another
+            # question's) keeps its reply; its cue is still drawn, so that
+            # every later draw stays where it was.
+            cues = [
                 script(
-                    compilation_caption_request(video_id, compilation),
-                    cue,
+                    compilation_caption_request(video_ref, compilation, clips),
+                    _cue_caption(rng, video_id, compilation.clip_indices),
                     f"{video_id} compilation {compilation.clip_indices} caption",
                 )
-                cues.append(cue)
+                for compilation in chain
+            ]
             if i == num_samples - 2:
                 script(filter_request(cues[-1], qa), "No", f"{video_id} filter (reject)")
                 expected_rejections["insufficient_cues"] += 1

@@ -375,6 +375,11 @@ class RlSample:
         return sample
 
 
+def default_video_ref(video_id: str) -> str:
+    """The media reference of a video whose QA record names none."""
+    return f"{video_id}/full"
+
+
 @dataclass(frozen=True, slots=True)
 class QaTask:
     """A (video, question) unit of pipeline work."""
@@ -406,7 +411,7 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
             video_id=video_id,
             qa_index=qa_index,
             qa=QaPair.from_record(rec),
-            video_ref=f"{video_id}/full" if video_ref is None else video_ref,
+            video_ref=default_video_ref(video_id) if video_ref is None else video_ref,
         )
 
     return list(parse_unique(path, parse, "sample_id", lambda task: task.sample_id))

@@ -9,6 +9,11 @@ rejection, is appended to the run's journal, so a rerun makes no backend
 call for a finished sample; a sample in flight at a crash starts over, and
 one rejected for a backend failure is retried.  The training record is
 rendered from the journalled rationale where it is used.
+
+Each caption request names the video by its QA record's `video_ref` and the
+span it shows as a temporal media fragment, so a request is fully
+determined by what it asks for: a run makes each distinct request at most
+once per video, and the samples of a video share its replies.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import hashlib
 import os
 import threading
 from collections import Counter
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +41,7 @@ from .errors import (
     ReservedTagError,
     StepCountMismatchError,
 )
-from .gateway import ChatRequest, Gateway, ordered_map
+from .gateway import ChatRequest, Gateway, ordered_map, request_digest
 from .records import (
     TARGET_TAGS,
     Clip,
@@ -42,6 +49,7 @@ from .records import (
     QaTask,
     SftSample,
     check_record,
+    default_video_ref,
     dump_record,
     json_encoder,
     parse_records,
@@ -68,24 +76,42 @@ RATIONALE_MAX_TOKENS = 512
 REJECTED_SUFFIX = ".rejected"
 JOURNAL_SUFFIX = ".journal"
 
-# Captioning has no prompt box to reproduce; the media reference carries the
-# clip identity, so one fixed instruction suffices.
+# Captioning has no prompt box to reproduce; the media references carry what
+# is shown, so one fixed instruction suffices.
 DESCRIBE_PROMPT = "Describe this video clip in detail."
 
 
 # --- request builders, shared with the mock-corpus generator ---
 
 
-def _describe_request(media_ref: str) -> ChatRequest:
-    return ChatRequest("mllm", DESCRIBE_PROMPT, media=(media_ref,), max_tokens=CAPTION_MAX_TOKENS)
+def _media_fragment(video_ref: str, start_s: float, end_s: float) -> str:
+    """`video_ref` from start_s to end_s, as a W3C temporal media fragment."""
+    return f"{video_ref}#t={start_s!r},{end_s!r}"
 
 
-def clip_caption_request(clip: Clip) -> ChatRequest:
-    return _describe_request(f"{clip.video_id}#clip{clip.index}")
+def _describe_request(media: tuple[str, ...]) -> ChatRequest:
+    return ChatRequest("mllm", DESCRIBE_PROMPT, media=media, max_tokens=CAPTION_MAX_TOKENS)
 
 
-def compilation_caption_request(video_id: str, compilation: Compilation) -> ChatRequest:
-    return _describe_request(f"{video_id}#comp{'-'.join(map(str, compilation.clip_indices))}")
+def clip_caption_request(video_ref: str, clip: Clip) -> ChatRequest:
+    return _describe_request((_media_fragment(video_ref, clip.start_s, clip.end_s),))
+
+
+def compilation_caption_request(
+    video_ref: str, compilation: Compilation, clips: Sequence[Clip]
+) -> ChatRequest:
+    """One fragment per run of touching clips: each starts where the one before ends.
+
+    A one-clip compilation is thus the same request as its clip's caption.
+    """
+    runs: list[list[float]] = []
+    for index in compilation.clip_indices:
+        clip = clips[index]
+        if runs and runs[-1][1] == clip.start_s:
+            runs[-1][1] = clip.end_s
+        else:
+            runs.append([clip.start_s, clip.end_s])
+    return _describe_request(tuple(_media_fragment(video_ref, *run) for run in runs))
 
 
 def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
@@ -188,7 +214,9 @@ class Journal:
     truncated away, and the rest goes through the shared record reader.
     Checkpoint lines of earlier versions are skipped, as are rejections for
     a backend failure, which the next run retries; another stage is a
-    RecordError naming its line.  Appends are serialized and flushed.
+    RecordError naming its line.  Appends are serialized and each line is
+    flushed, through one handle opened at the first append; close() or a
+    `with` block closes it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -196,7 +224,20 @@ class Journal:
         self.invalidated: set[str] = set()
         self._outcomes: dict[str, PipelineState] = {}
         self._lock = threading.Lock()
+        self._file = None
         self._replay()
+
+    def __enter__(self) -> "Journal":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def _replay(self) -> None:
         try:
@@ -237,8 +278,11 @@ class Journal:
         """Journal a sample's outcome; resume still answers from what was read."""
         line = dump_record({"sample_id": state.sample_id, "digest": state.digest,
                             "stage": state.stage, "payload": state.payload})
-        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with self._lock:
+            if self._file is None:
+                self._file = open(self.path, "a", encoding="utf-8")
+            self._file.write(line + "\n")
+            self._file.flush()
 
 
 # --- stage operations ---
@@ -252,22 +296,33 @@ def _describe(gateway: Gateway, request: ChatRequest, what: str) -> str:
     return caption
 
 
-def caption_clips(gateway: Gateway, clips: Sequence[Clip]) -> list[Clip]:
+def _video_ref(video_ref: str | None, clips: Sequence[Clip]) -> str:
+    """video_ref, or the ref a QA record without one gets for the clips' video."""
+    return default_video_ref(clips[0].video_id) if video_ref is None else video_ref
+
+
+def caption_clips(
+    gateway: Gateway, clips: Sequence[Clip], video_ref: str | None = None
+) -> list[Clip]:
     """Fill every clip's caption via the mllm role; order preserved."""
+    video_ref = _video_ref(video_ref, clips)
     return [
-        replace(c, caption=_describe(gateway, clip_caption_request(c), f"clip {c.index}"))
+        replace(c, caption=_describe(gateway, clip_caption_request(video_ref, c), f"clip {c.index}"))
         for c in clips
     ]
 
 
 def caption_compilations(
-    gateway: Gateway, compilations: Sequence[Compilation], clips: Sequence[Clip]
+    gateway: Gateway,
+    compilations: Sequence[Compilation],
+    clips: Sequence[Clip],
+    video_ref: str | None = None,
 ) -> list[Compilation]:
     """Fill captions for every chain element; these are the ordered visual cues."""
-    video_id = clips[0].video_id
+    video_ref = _video_ref(video_ref, clips)
     return [
         replace(c, caption=_describe(
-            gateway, compilation_caption_request(video_id, c), f"compilation {c.clip_indices}"
+            gateway, compilation_caption_request(video_ref, c, clips), f"compilation {c.clip_indices}"
         ))
         for c in compilations
     ]
@@ -356,13 +411,13 @@ def process_sample(
         return "rejected", {"reason": "missing_clips", "detail": f"no clips for video {task.video_id}"}
     step = "caption"  # the running step: the except clause below reads its row
     try:
-        captioned = caption_clips(gateway, clips)
+        captioned = caption_clips(gateway, clips, task.video_ref)
         step = "select"
         reply = gateway.complete(selection_request(captioned, task.qa))
         selected = parse_index_array(reply, lenient=lenient)
         chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
         step = "caption_cues"
-        cues = [c.caption for c in caption_compilations(gateway, chain, clips)]
+        cues = [c.caption for c in caption_compilations(gateway, chain, clips, task.video_ref)]
         step = "filter"
         if not parse_yes_no(gateway.complete(filter_request(cues[-1], task.qa))):
             raise InsufficientCuesError("final cue judged insufficient")
@@ -372,6 +427,62 @@ def process_sample(
         reason = next(r for kind, r in REJECTION_REASONS[step].items() if isinstance(exc, kind))
         return "rejected", {"reason": reason, "detail": str(exc)}
     return "emitted", {"rationale": rationale}
+
+
+class _VideoReplies:
+    """A gateway for one video's samples: each distinct request is made once.
+
+    The first sample to ask makes the call, and its future, keyed by the
+    request digest, gives the others the raw reply or the exception; each
+    sample parses the reply itself.
+    """
+
+    def __init__(self, gateway: Gateway, table: dict[str, Future], lock: threading.Lock) -> None:
+        self._gateway, self._table, self._lock = gateway, table, lock
+
+    def complete(self, request: ChatRequest) -> str:
+        key = request_digest(request)
+        with self._lock:
+            future = self._table.get(key)
+            owner = future is None
+            if owner:
+                future = self._table[key] = Future()
+        if not owner:
+            return future.result()
+        try:
+            reply = self._gateway.complete(request)
+        except BaseException as exc:  # every waiter must wake, whatever ends the call
+            future.set_exception(exc)
+            raise
+        future.set_result(reply)
+        return reply
+
+
+class _SharedReplies:
+    """The reply tables of the videos whose samples a run has in flight.
+
+    `pending` counts each video's samples still to run; a video's table is
+    made when one of them starts and dropped when the last one finishes.
+    """
+
+    def __init__(self, gateway: Gateway, pending: Counter[str]) -> None:
+        self.gateway = gateway
+        self.pending = pending
+        self.tables: dict[str, dict[str, Future]] = {}
+        self._lock = threading.Lock()
+
+    @contextmanager
+    def video(self, video_id: str):
+        """A gateway sharing video_id's replies, for the duration of one sample."""
+        with self._lock:
+            table = self.tables.setdefault(video_id, {})
+        try:
+            yield _VideoReplies(self.gateway, table, self._lock)
+        finally:
+            with self._lock:
+                self.pending[video_id] -= 1
+                if not self.pending[video_id]:
+                    del self.tables[video_id]
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
@@ -416,13 +527,15 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    Up to `workers` samples are in flight at once.  Outcomes go to
-    `<out>.journal`; the dataset and sidecar are rendered from the outcomes
-    on every run, so a resumed run produces the same bytes as a clean one.
-    Each dataset line is written as it is rendered, and the rejections
-    after the last of them; each file still appears only once complete.
-    A sample whose inputs changed since it was journalled restarts and is
-    counted as invalidated.
+    Up to `workers` samples are in flight at once, and the samples of one
+    video share replies: each distinct request is made at most once per
+    video, and a failed one fails every sample of the video that asks for
+    it.  Outcomes go to `<out>.journal`; the dataset and sidecar are
+    rendered from the outcomes on every run, so a resumed run produces the
+    same bytes as a clean one.  Each dataset line is written as it is
+    rendered, and the rejections after the last of them; each file still
+    appears only once complete.  A sample whose inputs changed since it was
+    journalled restarts and is counted as invalidated.
     """
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
@@ -430,8 +543,9 @@ def run_sft_pipeline(
     def run_one(pending: tuple[QaTask, str]) -> PipelineState:
         """Run a sample and journal its outcome, unless it is a backend failure to retry."""
         task, digest = pending
-        stage, payload = process_sample(gateway, task, clips_by_video.get(task.video_id),
-                                        lenient=lenient)
+        with shared.video(task.video_id) as replies:
+            stage, payload = process_sample(replies, task, clips_by_video.get(task.video_id),
+                                            lenient=lenient)
         state = PipelineState(task.sample_id, stage, payload, digest)
         if payload.get("reason") not in _RETRIED_REASONS:
             journal.append(state)
@@ -445,7 +559,14 @@ def run_sft_pipeline(
         known.append(state)
         if state is None:
             todo.append((task, digest))
-    fresh = iter(ordered_map(run_one, todo, workers))
+    shared = _SharedReplies(gateway, Counter(task.video_id for task, _ in todo))
+    try:
+        with journal:
+            fresh = iter(ordered_map(run_one, todo, workers))
+    finally:
+        # An aborted run cancels samples, so their videos' tables outlive it
+        # for as long as its traceback keeps this frame.
+        shared.tables.clear()
     states = [next(fresh) if state is None else state for state in known]
     rejections = []
 

@@ -26,7 +26,7 @@ import pytest
 
 from toc.cli import main
 from toc.cue_tree import backtrack, build_tree, layer_compilations
-from toc.gateway import ChatRequest, MockBackend
+from toc.gateway import ChatRequest, MockBackend, request_digest
 from toc.mockgen import synthesize_corpus
 from toc.records import load_qa_tasks, write_records
 from toc.sft_pipeline import (
@@ -56,7 +56,7 @@ DIGESTS = {
     "20/config.json": "0f9e977850717253289c8562ec30010016192323848a1587514e0ee78d0e5d68",
     "20/estimate-demand": "4c5dec79948ef85e0b96e4ddcf0fa59b0fe5504e488d4d92f9d04444577a42d9",
     "20/estimate-demand.report": "75201423627d5a0cd91ddeaaecac1027b1c8edf51ae6f8afb8c2c2a323f87470",
-    "20/mock_table.records": "9db2dd7629a9039723a589eec73bf1175b51b112313f35971dff11ea10100481",
+    "20/mock_table.records": "0cde9341810d86a266be1d8ce3c92b2011cbd5c6503e513d2cef5d5764b0ddcf",
     "20/qa.records": "1bf42ca2ff49ee6b66130544ed068a7d37b3e465290c29789bc5827e788b2f40",
     "20/segment": "b0d61e8e3803010fe5d62dfba443ba8c39f03e9f557bb09075cd101fb2929b3f",
     "20/segment.report": "c37ab3d5364cae98fce275b4a9b52592612116ab21b3ccc1287cf6fb0f5111a9",
@@ -70,7 +70,7 @@ DIGESTS = {
     "200/config.json": "0f9e977850717253289c8562ec30010016192323848a1587514e0ee78d0e5d68",
     "200/estimate-demand": "610cd64a6fcc963fdc99f98a93922e6c27e44688a9fa42efe0a8d492656c4f66",
     "200/estimate-demand.report": "ad086a942767d04841a64cba4736a92fa4cc4c3100dc1e8597e6f091f961b51e",
-    "200/mock_table.records": "fbbda0885c80e5c7375f40d69f2eaedf8092eb4200e0090e56e78aa3349a739c",
+    "200/mock_table.records": "5267ba41dc2c598bfa7f0f193e8f1e6d57ca092b603ebe6924714b47f31ad4df",
     "200/qa.records": "738d6edf8d9129ec1ec4cb70d83bcc2b4de0daf808564237fbd7646f15cecd27",
     "200/segment": "359a941635456999c02ab5b3d79d9d04668458eefd804868ef5c14f4ba14a439",
     "200/segment.report": "c37ab3d5364cae98fce275b4a9b52592612116ab21b3ccc1287cf6fb0f5111a9",
@@ -282,8 +282,10 @@ def test_cold_run_journals_one_line_per_sample(outputs, work, parallelism):
 
 # A crash after some of v10#0's checkpoints were written, before its outcome
 # was, leaves the five-stage journal without v10#0's lines after `last`.  Its
-# checkpoint lines are skipped, so v10#0 starts over: the resume sends its
-# whole request sequence, and only that.
+# checkpoint lines are skipped, so v10#0 starts over: the resume sends each
+# distinct request of its sequence once, and only those.  Its last
+# compilation is clip 4 alone, the request clip 4's caption made, so that
+# caption is its cue.
 @pytest.mark.parametrize("last", ["selected", "filtered"])
 def test_journal_cut_before_the_outcome_reruns_the_sample(tmp_path, monkeypatch, last):
     lines = JOURNAL_20_FIVE_STAGES.read_bytes().splitlines(keepends=True)
@@ -302,12 +304,23 @@ def test_journal_cut_before_the_outcome_reruns_the_sample(tmp_path, monkeypatch,
     clips = load_clips(corpus / "clips.records")["v10"]
     captioned = [replace(c, caption=cap) for c, cap in zip(clips, sample["captioned"]["captions"])]
     chain = layer_compilations(backtrack(build_tree(len(clips)), sample["selected"]["selected"]))
-    cues = sample["cue_captioned"]["cues"]
-    assert len(chain) == len(cues) == 4
-    assert calls == [
-        *(clip_caption_request(clip) for clip in clips),
-        selection_request(captioned, task.qa),
-        *(compilation_caption_request("v10", compilation) for compilation in chain),
-        filter_request(cues[-1], task.qa),
-        rationale_request(cues, task.qa),
-    ]
+    assert len(chain) == len(sample["cue_captioned"]["cues"]) == 4
+    sent: dict[str, str] = {}  # the reply to each request digest sent so far
+    requests = []
+
+    def send(request: ChatRequest, reply: str = "") -> str:
+        digest = request_digest(request)
+        if digest not in sent:
+            sent[digest] = reply
+            requests.append(request)
+        return sent[digest]
+
+    for clip in captioned:
+        send(clip_caption_request(task.video_ref, clip), clip.caption)
+    send(selection_request(captioned, task.qa))
+    cues = [send(compilation_caption_request(task.video_ref, compilation, clips), cue)
+            for compilation, cue in zip(chain, sample["cue_captioned"]["cues"])]
+    assert cues[-1] == captioned[4].caption
+    send(filter_request(cues[-1], task.qa))
+    send(rationale_request(cues, task.qa))
+    assert calls == requests

@@ -6,6 +6,7 @@ import json
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,15 +21,18 @@ from conftest import (
 )
 
 from toc.config import apply_overrides, build_gateway, load_config
-from toc.cue_tree import backtrack, build_tree, layer_compilations
+from toc.cue_tree import Compilation, backtrack, build_tree, layer_compilations
+import toc.sft_pipeline as sft_pipeline
 from toc.errors import (
     AuthError,
+    BackendUnavailableError,
     EmptyCaptionError,
     EmptyRationaleError,
     RecordError,
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy, request_digest
+from toc.mockgen import synthesize_corpus
 from toc.records import Clip, QaPair, QaTask, load_qa_tasks, read_records, write_records
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
@@ -83,7 +87,13 @@ def full_script(
     rationale_reply=None,
     skip_stages=(),
 ):
-    """(request, reply) pairs walking one sample through every stage."""
+    """(request, reply) pairs walking one sample of clips[0]'s video, at its
+    default video_ref, through every stage.
+
+    A request made before keeps its reply, as a run shares it: a one-clip
+    compilation's cue is its clip's caption.
+    """
+    video_ref = f"{clips[0].video_id}/full"
     captions = captions or [f"clip {c.index}: something happens" for c in clips]
     chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
     cue_captions = cue_captions or [
@@ -97,42 +107,40 @@ def full_script(
         )
     captioned = [replace(c, caption=cap) for c, cap in zip(clips, captions)]
     pairs = []
-    if "caption" not in skip_stages:
-        pairs += [(clip_caption_request(c), cap) for c, cap in zip(clips, captions)]
-    if "selection" not in skip_stages:
-        pairs.append((selection_request(captioned, qa), selection_reply))
-    if "cue_caption" not in skip_stages:
-        pairs += [
-            (compilation_caption_request(clips[0].video_id, comp), cap)
-            for comp, cap in zip(chain, cue_captions)
-        ]
-    if "filter" not in skip_stages:
-        pairs.append((filter_request(cue_captions[-1], qa), filter_reply))
-    if "rationale" not in skip_stages:
-        pairs.append((rationale_request(cue_captions, qa), rationale_reply))
+    replies: dict[str, str] = {}
+
+    def answer(stage, request, reply):
+        reply = replies.setdefault(request_digest(request), reply)
+        if stage not in skip_stages:
+            pairs.append((request, reply))
+        return reply
+
+    for clip, caption in zip(clips, captions):
+        answer("caption", clip_caption_request(video_ref, clip), caption)
+    answer("selection", selection_request(captioned, qa), selection_reply)
+    cues = [answer("cue_caption", compilation_caption_request(video_ref, comp, clips), cap)
+            for comp, cap in zip(chain, cue_captions)]
+    answer("filter", filter_request(cues[-1], qa), filter_reply)
+    answer("rationale", rationale_request(cues, qa), rationale_reply)
     return pairs
+
+
+def one_try_gateway(backend) -> Gateway:
+    """A gateway serving both roles from backend, with no retry."""
+    return Gateway(backends={"mllm": backend, "llm": backend},
+                   retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), sleep=lambda s: None)
 
 
 def counting_gateway(pairs):
     backend = CountingBackend(MockBackend({request_digest(r): reply for r, reply in pairs}))
-    gateway = Gateway(
-        backends={"mllm": backend, "llm": backend},
-        retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
-        sleep=lambda s: None,
-    )
-    return gateway, backend
+    return one_try_gateway(backend), backend
 
 
 def crashing_gateway(pairs, crash_after):
     backend = CrashingBackend(
         MockBackend({request_digest(r): reply for r, reply in pairs}), crash_after
     )
-    gateway = Gateway(
-        backends={"mllm": backend, "llm": backend},
-        retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
-        sleep=lambda s: None,
-    )
-    return gateway, backend
+    return one_try_gateway(backend), backend
 
 
 class TestRequestBuilders:
@@ -156,18 +164,58 @@ class TestRequestBuilders:
         )
 
     def test_media_refs(self):
+        # a temporal media fragment per span: a clip's, or a run of touching clips'
         clips = make_clips(3)
-        assert clip_caption_request(clips[2]).media == ("v#clip2",)
+        assert clip_caption_request("v/full", clips[2]).media == ("v/full#t=4.0,6.0",)
         chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
-        req = compilation_caption_request("v", chain[0])
-        assert req.media == ("v#comp0-1-2",)
+        req = compilation_caption_request("v/full", chain[0], clips)
+        assert req.media == ("v/full#t=0.0,6.0",)
+        req = compilation_caption_request("v/full", Compilation((0, 2)), clips)
+        assert req.media == ("v/full#t=0.0,2.0", "v/full#t=4.0,6.0")
+        spaced = [Clip("v", 0, 0.5, 1.25), Clip("v", 1, 1.5, 3.0), Clip("v", 2, 3.0, 7.1)]
+        req = compilation_caption_request("s3://b/v.mp4", Compilation((0, 1, 2)), spaced)
+        assert req.media == ("s3://b/v.mp4#t=0.5,1.25", "s3://b/v.mp4#t=1.5,7.1")
+
+    def test_one_clip_compilation_is_its_clip_caption(self):
+        clips = make_clips(3)
+        assert (compilation_caption_request("v/full", Compilation((1,)), clips)
+                == clip_caption_request("v/full", clips[1]))
+
+    def test_http_payload_names_each_fragment(self):
+        posted = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            posted.append(json)
+            body = {"choices": [{"message": {"content": "a caption"}}]}
+            return SimpleNamespace(status_code=200, json=lambda: body)
+
+        backend = HttpBackend("https://example.test", "m", "key", 60.0, post=post)
+        clips = [Clip("v", 0, 0.0, 2.5), Clip("v", 1, 2.5, 4.0), Clip("v", 2, 6.0, 7.5),
+                 Clip("v", 3, 7.5, 9.0)]
+        backend.complete(clip_caption_request("s3://b/v.mp4", clips[1]))
+        backend.complete(compilation_caption_request("s3://b/v.mp4", Compilation((0, 1, 2, 3)), clips))
+        urls = [[part["video_url"]["url"] for part in payload["messages"][0]["content"]
+                 if part["type"] == "video_url"] for payload in posted]
+        assert urls == [["s3://b/v.mp4#t=2.5,4.0"],
+                        ["s3://b/v.mp4#t=0.0,4.0", "s3://b/v.mp4#t=6.0,9.0"]]
+
+    def test_caption_steps_default_the_video_ref_like_a_qa_record(self, tmp_path):
+        clips = make_clips(2)
+        qa = tmp_path / "qa.records"
+        write_records(qa, [{**make_qa().to_record(), "video_id": "v"}])
+        (task,) = load_qa_tasks(qa)
+        pairs = [(clip_caption_request(task.video_ref, c), f"caption {c.index}") for c in clips]
+        pairs.append((compilation_caption_request(task.video_ref, Compilation((0, 1)), clips), "cue"))
+        gateway = scripted_gateway(pairs)
+        assert [c.caption for c in caption_clips(gateway, clips)] == ["caption 0", "caption 1"]
+        assert caption_compilations(gateway, [Compilation((0, 1))], clips)[0].caption == "cue"
 
 
 # Request digests key mock tables and sample digests key journal lines, so
 # a change to either orphans every stored file; these literals pin both.
 PINNED_DIGESTS = {
-    "clip_caption": "ac0d8ffe199b641c",
-    "compilation_caption": "5e287930ed790a3d",
+    "clip_caption": "d67140cf5c7c9580",
+    "compilation_caption": "b44ed5cee8dbd0f0",
     "selection": "668da53b3888aa06",
     "filter": "674b77ced9aeee29",
     "rationale": "43a063b360b16624",
@@ -181,8 +229,8 @@ def stored_digests() -> dict[str, str]:
     qa = make_qa()
     chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
     requests = {
-        "clip_caption": clip_caption_request(clips[2]),
-        "compilation_caption": compilation_caption_request("v", chain[0]),
+        "clip_caption": clip_caption_request("v/full", clips[2]),
+        "compilation_caption": compilation_caption_request("v/full", chain[0], clips),
         "selection": selection_request(clips, qa),
         "filter": filter_request("a cue", qa),
         "rationale": rationale_request(["wide view", "close view"], qa),
@@ -202,6 +250,13 @@ def emitted(sample_id: str, digest: str = "d1", rationale: str = "r") -> Pipelin
     return PipelineState(sample_id, "emitted", {"rationale": rationale}, digest)
 
 
+def append(path: Path, *states: PipelineState) -> None:
+    """Journal each state to path, closing the journal after."""
+    with Journal(path) as journal:
+        for state in states:
+            journal.append(state)
+
+
 def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1") -> str:
     return json.dumps({"sample_id": sample_id, "digest": digest, "stage": stage, "payload": payload})
 
@@ -210,7 +265,7 @@ class TestJournal:
     def test_advance_resume_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
         state = emitted("v#0", rationale="café")
-        Journal(path).append(state)
+        append(path, state)
         assert Journal(path).resume("v#0", "d1") == state
 
     def test_missing_sample_starts_fresh(self, tmp_path):
@@ -220,9 +275,8 @@ class TestJournal:
 
     def test_one_line_per_transition_in_one_file(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.append(emitted("v#0", rationale="x"))
-        journal.append(PipelineState("v#1", "rejected", {"reason": "selection_empty", "detail": "why"}, "d1"))
+        append(path, emitted("v#0", rationale="x"),
+               PipelineState("v#1", "rejected", {"reason": "selection_empty", "detail": "why"}, "d1"))
         assert [p.name for p in tmp_path.iterdir()] == ["run.journal"]
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert lines == [
@@ -234,17 +288,17 @@ class TestJournal:
 
     def test_ids_with_path_separators_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
-        Journal(path).append(emitted("a/b#0"))
+        append(path, emitted("a/b#0"))
         assert Journal(path).resume("a/b#0", "d1").stage == "emitted"
 
     def test_changed_digest_restarts_and_counts_invalidated(self, tmp_path):
         path = tmp_path / "run.journal"
-        Journal(path).append(emitted("v#0", "old", "x"))
-        journal = Journal(path)
-        assert journal.resume("v#0", "new") is None
-        assert journal.invalidated == {"v#0"}
+        append(path, emitted("v#0", "old", "x"))
         state = emitted("v#0", "new", "y")
-        journal.append(state)
+        with Journal(path) as journal:
+            assert journal.resume("v#0", "new") is None
+            assert journal.invalidated == {"v#0"}
+            journal.append(state)
         # the sample's last outcome line wins
         replayed = Journal(path)
         assert replayed.resume("v#0", "new") == state
@@ -253,28 +307,28 @@ class TestJournal:
     def test_torn_last_line_is_truncated_before_appending(self, tmp_path):
         path = tmp_path / "run.journal"
         state = emitted("v#0")
-        Journal(path).append(state)
+        append(path, state)
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"sample_id": "v#1", "digest": "d1", "sta')
-        journal = Journal(path)
-        assert path.read_bytes() == whole
-        assert journal.resume("v#0", "d1") == state
-        journal.append(emitted("v#1"))
+        with Journal(path) as journal:
+            assert path.read_bytes() == whole
+            assert journal.resume("v#0", "d1") == state
+            journal.append(emitted("v#1"))
         assert Journal(path).resume("v#1", "d1").stage == "emitted"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "run.journal"
         state = emitted("v#0")
-        Journal(path).append(state)
+        append(path, state)
         path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
-        journal = Journal(path)
-        assert journal.resume("v#0", "d1") == state
-        journal.append(emitted("v#1"))
+        with Journal(path) as journal:
+            assert journal.resume("v#0", "d1") == state
+            journal.append(emitted("v#1"))
         assert Journal(path).resume("v#1", "d1").stage == "emitted"
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "run.journal"
-        Journal(path).append(emitted("v#0"))
+        append(path, emitted("v#0"))
         line = b'{"sample_id": "v#1", "digest": "d1", "stage": "emitted", "payload": {"rationale": "\xff"}}\n'
         path.write_bytes(path.read_bytes() + line)
         with pytest.raises(RecordError, match=rf"{path}:2: not valid UTF-8"):
@@ -282,7 +336,7 @@ class TestJournal:
 
     def test_line_nested_too_deep_names_path_and_line(self, tmp_path):
         path = tmp_path / "run.journal"
-        Journal(path).append(emitted("v#0"))
+        append(path, emitted("v#0"))
         path.write_text(path.read_text() + '{"payload": ' + "[" * 100_000 + "\n")
         with pytest.raises(RecordError, match=rf"^{path}:2: malformed JSON: "):
             Journal(path)
@@ -297,7 +351,7 @@ class TestJournal:
     )
     def test_payload_that_breaks_its_stage_names_the_line(self, tmp_path, stage, payload, message):
         path = tmp_path / "run.journal"
-        Journal(path).append(emitted("v#0"))
+        append(path, emitted("v#0"))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(journal_line("v#1", stage, payload) + "\n")
         with pytest.raises(RecordError, match=rf"{path}:2: invalid record: {message}"):
@@ -320,7 +374,7 @@ class TestJournal:
     def test_checkpoint_line_is_skipped(self, tmp_path, stage, payload):
         path = tmp_path / "run.journal"
         state = emitted("v#0")
-        Journal(path).append(state)
+        append(path, state)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(journal_line("v#1", stage, payload) + "\n")
         journal = Journal(path)
@@ -336,9 +390,7 @@ class TestJournal:
 
     def test_terminal_line_alone_replays(self, tmp_path):
         path = tmp_path / "run.journal"
-        journal = Journal(path)
-        journal.append(emitted("v#0"))
-        journal.append(PipelineState("v#1", "rejected", {"reason": "x", "detail": "y"}, "d1"))
+        append(path, emitted("v#0"), PipelineState("v#1", "rejected", {"reason": "x", "detail": "y"}, "d1"))
         replayed = Journal(path)
         assert replayed.resume("v#0", "d1").payload == {"rationale": "r"}
         assert replayed.resume("v#1", "d1").stage == "rejected"
@@ -353,12 +405,12 @@ class TestJournal:
             for n in range(40):
                 journal.append(emitted(f"w{worker}#{n}", rationale=rationale(worker, n)))
 
-        journal = Journal(path)
-        threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        with Journal(path) as journal:
+            threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         replayed = Journal(path)
         for worker in range(8):
@@ -392,14 +444,14 @@ class TestJournal:
 class TestStageOps:
     def test_caption_clips_fills_in_order(self):
         clips = make_clips(3)
-        pairs = [(clip_caption_request(c), f"caption {c.index}") for c in clips]
-        out = caption_clips(scripted_gateway(pairs), clips)
+        pairs = [(clip_caption_request("s3://b/v.mp4", c), f"caption {c.index}") for c in clips]
+        out = caption_clips(scripted_gateway(pairs), clips, "s3://b/v.mp4")
         assert [c.caption for c in out] == ["caption 0", "caption 1", "caption 2"]
         assert [c.index for c in out] == [0, 1, 2]
 
     def test_caption_clips_rejects_blank_reply(self):
         clips = make_clips(1)
-        pairs = [(clip_caption_request(clips[0]), "   ")]
+        pairs = [(clip_caption_request("v/full", clips[0]), "   ")]
         with pytest.raises(EmptyCaptionError):
             caption_clips(scripted_gateway(pairs), clips)
 
@@ -435,10 +487,10 @@ class TestStageOps:
         clips = make_clips(4)
         chain = layer_compilations(backtrack(build_tree(4), [1]))
         pairs = [
-            (compilation_caption_request("v", comp), f"cue {pos}")
+            (compilation_caption_request("s3://b/v.mp4", comp, clips), f"cue {pos}")
             for pos, comp in enumerate(chain)
         ]
-        out = caption_compilations(scripted_gateway(pairs), chain, clips)
+        out = caption_compilations(scripted_gateway(pairs), chain, clips, "s3://b/v.mp4")
         assert [c.caption for c in out] == [f"cue {pos}" for pos in range(len(chain))]
         assert [c.clip_indices for c in out] == [c.clip_indices for c in chain]
 
@@ -907,20 +959,20 @@ class TestResumeAfterFailure:
         paths = corpus.manifest["paths"]
         return load_qa_tasks(paths["qa"]), load_clips(paths["clips"]), paths["mock_table"]
 
-    @staticmethod
-    def gateway(backend) -> Gateway:
-        return Gateway(backends={"mllm": backend, "llm": backend},
-                       retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), sleep=lambda s: None)
-
     def clean_calls(self, inputs, tmp_path) -> dict[str, Counter]:
-        """Each sample's request digests in a clean run of it alone."""
+        """Each sample's distinct request digests in a clean run of it alone.
+
+        A run makes a request its sample repeats (a one-clip compilation is
+        its clip's caption) once, and in this corpus no two samples share a
+        video, so no two share a request.
+        """
         tasks, clips_by_video, table = inputs
         calls = {}
         for task in tasks:
             backend = OutageBackend(MockBackend.from_file(table), 0, 0)
-            process_sample(self.gateway(backend), task, clips_by_video.get(task.video_id),
+            process_sample(one_try_gateway(backend), task, clips_by_video.get(task.video_id),
                            lenient=False)
-            calls[task.sample_id] = Counter(map(request_digest, backend.requests))
+            calls[task.sample_id] = Counter(set(map(request_digest, backend.requests)))
         return calls
 
     def outputs(self, out: Path) -> tuple[bytes, bytes, list[bytes]]:
@@ -930,7 +982,7 @@ class TestResumeAfterFailure:
     def rerun(self, inputs, out: Path, workers: int = 1) -> tuple[dict, Counter]:
         tasks, clips_by_video, table = inputs
         backend = OutageBackend(MockBackend.from_file(table), 0, 0)
-        report = run_sft_pipeline(self.gateway(backend), tasks, clips_by_video, out, workers=workers)
+        report = run_sft_pipeline(one_try_gateway(backend), tasks, clips_by_video, out, workers=workers)
         return report, Counter(map(request_digest, backend.requests))
 
     def journalled(self, out: Path) -> set[str]:
@@ -949,7 +1001,7 @@ class TestResumeAfterFailure:
         out.parent.mkdir()
         crashing = CrashingBackend(MockBackend.from_file(table), crash_after)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_sft_pipeline(self.gateway(crashing), tasks, clips_by_video, out, workers=workers)
+            run_sft_pipeline(one_try_gateway(crashing), tasks, clips_by_video, out, workers=workers)
         finished = self.journalled(out)
         assert 0 < len(finished) < len(tasks)
 
@@ -969,7 +1021,7 @@ class TestResumeAfterFailure:
         out = tmp_path / "outage" / "sft.records"
         out.parent.mkdir()
         outage = OutageBackend(MockBackend.from_file(table), 30, 90)
-        report = run_sft_pipeline(self.gateway(outage), tasks, clips_by_video, out, workers=workers)
+        report = run_sft_pipeline(one_try_gateway(outage), tasks, clips_by_video, out, workers=workers)
         failed = {r["id"] for r in read_records(f"{out}{REJECTED_SUFFIX}")
                   if r["reason"].endswith("_failed")}
         assert failed
@@ -981,6 +1033,186 @@ class TestResumeAfterFailure:
         assert report == clean_report
         assert calls == sum((clean_calls[sample_id] for sample_id in failed), Counter())
         assert self.outputs(out) == self.outputs(clean)
+
+
+class HoldingBackend:
+    """Wraps a backend; holds its first call until `release` is set, then fails
+    it if asked to.  Thread-safe; `requests` holds every request it was sent."""
+
+    def __init__(self, inner, fail_first: bool) -> None:
+        self.inner = inner
+        self.fail_first = fail_first
+        self.release = threading.Event()
+        self.requests: list = []
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.requests.append(request)
+            first = len(self.requests) == 1
+        if first:
+            assert self.release.wait(timeout=30), "the second sample never asked"
+            if self.fail_first:
+                raise BackendUnavailableError("simulated outage")
+        return self.inner.complete(request)
+
+
+@pytest.fixture(scope="module")
+def corpus_q3(tmp_path_factory):
+    """A 2100-sample corpus, three questions to a video, and each sample's
+    outcome and request digests when run alone through process_sample."""
+    manifest = synthesize_corpus(tmp_path_factory.mktemp("q3"), num_samples=2100, seed=5,
+                                 m_trials=1, questions_per_video=3)
+    paths = manifest["paths"]
+    tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
+    table = MockBackend.from_file(paths["mock_table"])
+    outcomes, digests = [], []
+    for task in tasks:
+        backend = OutageBackend(table, 0, 0)
+        outcomes.append(process_sample(one_try_gateway(backend), task,
+                                       clips_by_video.get(task.video_id), lenient=False))
+        digests.append([request_digest(r) for r in backend.requests])
+    return SimpleNamespace(manifest=manifest, tasks=tasks, clips_by_video=clips_by_video,
+                           table=table, outcomes=outcomes, digests=digests)
+
+
+class TestSharedReplies:
+    """The samples of one video make each distinct request once in a run."""
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["answered", "failed"])
+    def test_two_samples_in_flight_share_one_call(self, tmp_path, monkeypatch, fail):
+        clips = make_clips(4)
+        tasks = [make_task(), QaTask(video_id="v", qa_index=1, qa=make_qa("C"), video_ref="v/full")]
+        pairs = full_script(clips, tasks[0].qa) + full_script(clips, tasks[1].qa)
+        distinct = {request_digest(r) for r, _ in pairs}
+        # 4 clip captions and 2 cue captions are asked by both samples
+        assert (len(pairs), len(distinct)) == (18, 12)
+        first = request_digest(clip_caption_request("v/full", clips[0]))
+        backend = HoldingBackend(MockBackend({request_digest(r): reply for r, reply in pairs}), fail)
+        asked, lock = Counter(), threading.Lock()
+
+        def digest(request):
+            key = request_digest(request)
+            with lock:
+                asked[key] += 1
+                if asked[first] == 2:
+                    backend.release.set()
+            return key
+
+        monkeypatch.setattr(sft_pipeline, "request_digest", digest)
+        out = tmp_path / "shared" / "sft.records"
+        out.parent.mkdir()
+        report = run_sft_pipeline(one_try_gateway(backend), tasks, {"v": clips}, out, workers=2)
+        made = Counter(map(request_digest, backend.requests))
+        assert made[first] == 1 and asked[first] == 2
+        journal = Path(f"{out}{JOURNAL_SUFFIX}")
+        if fail:
+            assert report["rejection_reasons"] == {"caption_failed": 2}
+            assert sum(made.values()) == 1
+            assert not journal.exists()
+            monkeypatch.undo()
+            rerun = OutageBackend(MockBackend({request_digest(r): reply for r, reply in pairs}), 0, 0)
+            report = run_sft_pipeline(one_try_gateway(rerun), tasks, {"v": clips}, out, workers=2)
+            made = Counter(map(request_digest, rerun.requests))
+        assert made == Counter(distinct)
+        clean = tmp_path / "clean" / "sft.records"
+        clean.parent.mkdir()
+        clean_report = run_sft_pipeline(counting_gateway(pairs)[0], tasks, {"v": clips}, clean)
+        assert report == clean_report
+        assert written(out) == written(clean)
+        assert sorted(journal.read_bytes().splitlines()) == sorted(
+            Path(f"{clean}{JOURNAL_SUFFIX}").read_bytes().splitlines())
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_outcomes_are_those_of_unshared_samples(self, corpus_q3, tmp_path, workers):
+        tasks, outcomes = corpus_q3.tasks, corpus_q3.outcomes
+        records, rejections = [], []
+        for task, (stage, payload) in zip(tasks, outcomes):
+            if stage == "emitted":
+                records.append(sft_record(task, payload["rationale"]))
+            else:
+                rejections.append({"id": task.sample_id, **payload})
+        expected = tmp_path / "expected.records"
+        write_records(expected, records)
+        write_records(f"{expected}{REJECTED_SUFFIX}", rejections)
+        reasons = Counter(r["reason"] for r in rejections)
+        assert reasons == corpus_q3.manifest["expected_rejections"]
+
+        out = tmp_path / "sft.records"
+        backend = OutageBackend(corpus_q3.table, 0, 0)
+        report = run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video, out,
+                                  workers=workers)
+        assert report == {"total": len(tasks), "emitted": len(records), "rejected": len(rejections),
+                          "invalidated": 0, "rejection_reasons": dict(sorted(reasons.items()))}
+        assert written(out) == written(expected)
+        made = Counter(map(request_digest, backend.requests))
+        unshared = Counter(d for digests in corpus_q3.digests for d in digests)
+        assert made == Counter(set(unshared))
+        assert made.total() <= 0.65 * unshared.total()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("aborted", [False, True], ids=["finished", "aborted"])
+    def test_tables_are_held_only_for_videos_in_flight(self, corpus_q3, tmp_path, monkeypatch,
+                                                      fast_thread_switching, workers, aborted):
+        runs = []
+
+        class Watched(sft_pipeline._SharedReplies):
+            """Checks, as each sample starts and finishes, that every table
+            belongs to a video with a started and unfinished sample."""
+
+            def __init__(self, gateway, pending):
+                super().__init__(gateway, pending)
+                self.total, self.started, self.finished = Counter(pending), Counter(), Counter()
+                self.most = 0
+                runs.append(self)
+
+            def check(self):
+                with self._lock:
+                    live = {v for v in self.started if self.finished[v] < self.total[v]}
+                    assert set(self.tables) <= live
+                    self.most = max(self.most, len(self.tables))
+
+            @contextmanager
+            def video(self, video_id):
+                with self._lock:
+                    self.started[video_id] += 1
+                try:
+                    with super().video(video_id) as replies:
+                        self.check()
+                        yield replies
+                finally:
+                    with self._lock:
+                        self.finished[video_id] += 1
+                    self.check()
+
+        monkeypatch.setattr(sft_pipeline, "_SharedReplies", Watched)
+        tasks = corpus_q3.tasks[:90]
+        if aborted:
+            backend = FailingBackend()
+            with pytest.raises(RuntimeError, match="backend crashed"):
+                run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video,
+                                 tmp_path / "sft.records", workers=workers)
+        else:
+            backend = OutageBackend(corpus_q3.table, 0, 0)
+            run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video,
+                             tmp_path / "sft.records", workers=workers)
+            # no distinct request was made twice, however the threads interleaved
+            distinct = {d for digests in corpus_q3.digests[:90] for d in digests}
+            assert Counter(map(request_digest, backend.requests)) == Counter(distinct)
+        (watched,) = runs
+        assert watched.tables == {}
+        # a video's samples are adjacent, so one worker holds one table at a time
+        assert 1 <= watched.most <= workers
+
+    def test_one_clip_compilation_costs_no_call(self, tmp_path):
+        clips, task = make_clips(4), make_task()
+        chain = layer_compilations(backtrack(build_tree(4), [1]))
+        assert [c.clip_indices for c in chain] == [(0, 1, 2, 3), (0, 1), (1,)]
+        pairs = full_script(clips, task.qa, selected=(1,))
+        report, calls = run_alone(pairs, task, clips, tmp_path / "sft.records")
+        assert report["emitted"] == 1
+        # 4 clip captions, the selection, 2 of the 3 cue captions, filter, rationale
+        assert calls == 9 == len({request_digest(r) for r, _ in pairs})
 
 
 class TestLoadClips:
