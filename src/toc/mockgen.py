@@ -84,13 +84,8 @@ def synthesize_corpus(
     num_samples: int = 20,
     seed: int = 7,
     m_trials: int = 8,
-    questions_per_video: int = 1,
 ) -> dict:
-    """Write clips, QA, shots, mock table, and config files; return a manifest.
-
-    The num_samples questions come questions_per_video to a video, each
-    video's distinct from one another; the last video may have fewer.
-    """
+    """Write clips, QA, shots, mock table, and config files; return a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
@@ -112,44 +107,40 @@ def synthesize_corpus(
         return scripted[digest]
 
     for i in range(num_samples):
-        video_number, qa_index = divmod(i, questions_per_video)
-        video_id = f"v{video_number:02d}"
-        if qa_index == 0:
-            n_clips = 1 if i == 0 else rng.randint(2, 6)
-            clips = []
-            t = 0.0
-            for index in range(n_clips):
-                duration = round(rng.uniform(3.0, 10.0), 2)
-                clips.append(
-                    Clip(video_id=video_id, index=index, start_s=round(t, 2), end_s=round(t + duration, 2))
-                )
-                t += duration
-            clip_rows.extend(c.to_record() for c in clips)
+        video_id = f"v{i:02d}"
+        n_clips = 1 if i == 0 else rng.randint(2, 6)
+        clips = []
+        t = 0.0
+        for index in range(n_clips):
+            duration = round(rng.uniform(3.0, 10.0), 2)
+            clips.append(
+                Clip(video_id=video_id, index=index, start_s=round(t, 2), end_s=round(t + duration, 2))
+            )
+            t += duration
+        clip_rows.extend(c.to_record() for c in clips)
 
         options = tuple(rng.sample(_SCENES, 4))
         answer = "ABCD"[rng.randrange(4)]
-        part = f" part {qa_index} of" if qa_index else ""
         qa = QaPair(
-            question=f"Which activity is central to{part} video {video_id}?",
+            question=f"Which activity is central to video {video_id}?",
             answer=answer,
             qa_type="multiple_choice",
             options=options,
         )
         video_ref = default_video_ref(video_id)
         qa_rows.append(
-            {**qa.to_record(), "video_id": video_id, "qa_index": qa_index, "video_ref": video_ref}
+            {**qa.to_record(), "video_id": video_id, "qa_index": 0, "video_ref": video_ref}
         )
 
         # The SFT leg: captions, selection, cue captions, filter, rationale.
-        if qa_index == 0:
-            captioned = [
-                replace(clip, caption=script(
-                    clip_caption_request(video_ref, clip),
-                    _caption(rng, video_id, clip.index),
-                    f"{video_id} clip {clip.index} caption",
-                ))
-                for clip in clips
-            ]
+        captioned = [
+            replace(clip, caption=script(
+                clip_caption_request(video_ref, clip),
+                _caption(rng, video_id, clip.index),
+                f"{video_id} clip {clip.index} caption",
+            ))
+            for clip in clips
+        ]
 
         selected = sorted(rng.sample(range(n_clips), min(n_clips, rng.randint(1, 2))))
         if i == num_samples - 3:
@@ -166,9 +157,9 @@ def synthesize_corpus(
                 f"{video_id} selection",
             )
             chain = layer_compilations(backtrack(build_tree(n_clips), selected))
-            # A compilation asked for before (one clip's, or another
-            # question's) keeps its reply; its cue is still drawn, so that
-            # every later draw stays where it was.
+            # A one-clip compilation is its clip's caption request and keeps
+            # that reply; its cue is still drawn, so that every later draw
+            # stays where it was.
             cues = [
                 script(
                     compilation_caption_request(video_ref, compilation, clips),

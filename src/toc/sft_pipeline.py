@@ -12,8 +12,8 @@ rendered from the journalled rationale where it is used.
 
 Each caption request names the video by its QA record's `video_ref` and the
 span it shows as a temporal media fragment, so a request is fully
-determined by what it asks for: a run makes each distinct request at most
-once per video, and the samples of a video share its replies.
+determined by what it asks for, and a sample makes each distinct request
+once.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import hashlib
 import os
 import threading
 from collections import Counter
-from concurrent.futures import Future
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +39,7 @@ from .errors import (
     ReservedTagError,
     StepCountMismatchError,
 )
-from .gateway import ChatRequest, Gateway, ordered_map, request_digest
+from .gateway import ChatRequest, Gateway, ordered_map
 from .records import (
     TARGET_TAGS,
     Clip,
@@ -402,6 +400,23 @@ _RETRIED_REASONS = frozenset(reasons[GatewayError] for reasons in REJECTION_REAS
 _CHECKPOINT_STAGES = ("captioned", "selected", "cue_captioned", "filtered")
 
 
+class _OncePerSample:
+    """A gateway for one sample: a request made before gets the reply it got.
+
+    A one-clip compilation is the same request as its clip's caption, so
+    its cue costs no call.
+    """
+
+    def __init__(self, gateway: Gateway) -> None:
+        self._gateway = gateway
+        self._replies: dict[ChatRequest, str] = {}
+
+    def complete(self, request: ChatRequest) -> str:
+        if request not in self._replies:
+            self._replies[request] = self._gateway.complete(request)
+        return self._replies[request]
+
+
 def process_sample(
     gateway: Gateway, task: QaTask, clips: Sequence[Clip] | None, *, lenient: bool
 ) -> tuple[str, dict]:
@@ -409,6 +424,7 @@ def process_sample(
     ("rejected", {"reason", "detail"}).  The journal is left to the caller."""
     if not clips:
         return "rejected", {"reason": "missing_clips", "detail": f"no clips for video {task.video_id}"}
+    gateway = _OncePerSample(gateway)
     step = "caption"  # the running step: the except clause below reads its row
     try:
         captioned = caption_clips(gateway, clips, task.video_ref)
@@ -427,62 +443,6 @@ def process_sample(
         reason = next(r for kind, r in REJECTION_REASONS[step].items() if isinstance(exc, kind))
         return "rejected", {"reason": reason, "detail": str(exc)}
     return "emitted", {"rationale": rationale}
-
-
-class _VideoReplies:
-    """A gateway for one video's samples: each distinct request is made once.
-
-    The first sample to ask makes the call, and its future, keyed by the
-    request digest, gives the others the raw reply or the exception; each
-    sample parses the reply itself.
-    """
-
-    def __init__(self, gateway: Gateway, table: dict[str, Future], lock: threading.Lock) -> None:
-        self._gateway, self._table, self._lock = gateway, table, lock
-
-    def complete(self, request: ChatRequest) -> str:
-        key = request_digest(request)
-        with self._lock:
-            future = self._table.get(key)
-            owner = future is None
-            if owner:
-                future = self._table[key] = Future()
-        if not owner:
-            return future.result()
-        try:
-            reply = self._gateway.complete(request)
-        except BaseException as exc:  # every waiter must wake, whatever ends the call
-            future.set_exception(exc)
-            raise
-        future.set_result(reply)
-        return reply
-
-
-class _SharedReplies:
-    """The reply tables of the videos whose samples a run has in flight.
-
-    `pending` counts each video's samples still to run; a video's table is
-    made when one of them starts and dropped when the last one finishes.
-    """
-
-    def __init__(self, gateway: Gateway, pending: Counter[str]) -> None:
-        self.gateway = gateway
-        self.pending = pending
-        self.tables: dict[str, dict[str, Future]] = {}
-        self._lock = threading.Lock()
-
-    @contextmanager
-    def video(self, video_id: str):
-        """A gateway sharing video_id's replies, for the duration of one sample."""
-        with self._lock:
-            table = self.tables.setdefault(video_id, {})
-        try:
-            yield _VideoReplies(self.gateway, table, self._lock)
-        finally:
-            with self._lock:
-                self.pending[video_id] -= 1
-                if not self.pending[video_id]:
-                    del self.tables[video_id]
 
 
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
@@ -527,15 +487,13 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    Up to `workers` samples are in flight at once, and the samples of one
-    video share replies: each distinct request is made at most once per
-    video, and a failed one fails every sample of the video that asks for
-    it.  Outcomes go to `<out>.journal`; the dataset and sidecar are
-    rendered from the outcomes on every run, so a resumed run produces the
-    same bytes as a clean one.  Each dataset line is written as it is
-    rendered, and the rejections after the last of them; each file still
-    appears only once complete.  A sample whose inputs changed since it was
-    journalled restarts and is counted as invalidated.
+    Up to `workers` samples are in flight at once.  Outcomes go to
+    `<out>.journal`; the dataset and sidecar are rendered from the outcomes
+    on every run, so a resumed run produces the same bytes as a clean one.
+    Each dataset line is written as it is rendered, and the rejections
+    after the last of them; each file still appears only once complete.
+    A sample whose inputs changed since it was journalled restarts and is
+    counted as invalidated.
     """
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
@@ -543,9 +501,8 @@ def run_sft_pipeline(
     def run_one(pending: tuple[QaTask, str]) -> PipelineState:
         """Run a sample and journal its outcome, unless it is a backend failure to retry."""
         task, digest = pending
-        with shared.video(task.video_id) as replies:
-            stage, payload = process_sample(replies, task, clips_by_video.get(task.video_id),
-                                            lenient=lenient)
+        stage, payload = process_sample(gateway, task, clips_by_video.get(task.video_id),
+                                        lenient=lenient)
         state = PipelineState(task.sample_id, stage, payload, digest)
         if payload.get("reason") not in _RETRIED_REASONS:
             journal.append(state)
@@ -559,14 +516,8 @@ def run_sft_pipeline(
         known.append(state)
         if state is None:
             todo.append((task, digest))
-    shared = _SharedReplies(gateway, Counter(task.video_id for task, _ in todo))
-    try:
-        with journal:
-            fresh = iter(ordered_map(run_one, todo, workers))
-    finally:
-        # An aborted run cancels samples, so their videos' tables outlive it
-        # for as long as its traceback keeps this frame.
-        shared.tables.clear()
+    with journal:
+        fresh = iter(ordered_map(run_one, todo, workers))
     states = [next(fresh) if state is None else state for state in known]
     rejections = []
 

@@ -6,7 +6,6 @@ import json
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,17 +21,14 @@ from conftest import (
 
 from toc.config import apply_overrides, build_gateway, load_config
 from toc.cue_tree import Compilation, backtrack, build_tree, layer_compilations
-import toc.sft_pipeline as sft_pipeline
 from toc.errors import (
     AuthError,
-    BackendUnavailableError,
     EmptyCaptionError,
     EmptyRationaleError,
     RecordError,
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy, request_digest
-from toc.mockgen import synthesize_corpus
 from toc.records import Clip, QaPair, QaTask, load_qa_tasks, read_records, write_records
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
@@ -90,8 +86,8 @@ def full_script(
     """(request, reply) pairs walking one sample of clips[0]'s video, at its
     default video_ref, through every stage.
 
-    A request made before keeps its reply, as a run shares it: a one-clip
-    compilation's cue is its clip's caption.
+    A request made before keeps its reply, as a sample makes it once: a
+    one-clip compilation's cue is its clip's caption.
     """
     video_ref = f"{clips[0].video_id}/full"
     captions = captions or [f"clip {c.index}: something happens" for c in clips]
@@ -962,7 +958,7 @@ class TestResumeAfterFailure:
     def clean_calls(self, inputs, tmp_path) -> dict[str, Counter]:
         """Each sample's distinct request digests in a clean run of it alone.
 
-        A run makes a request its sample repeats (a one-clip compilation is
+        A sample makes a request it repeats (a one-clip compilation is
         its clip's caption) once, and in this corpus no two samples share a
         video, so no two share a request.
         """
@@ -1035,174 +1031,8 @@ class TestResumeAfterFailure:
         assert self.outputs(out) == self.outputs(clean)
 
 
-class HoldingBackend:
-    """Wraps a backend; holds its first call until `release` is set, then fails
-    it if asked to.  Thread-safe; `requests` holds every request it was sent."""
-
-    def __init__(self, inner, fail_first: bool) -> None:
-        self.inner = inner
-        self.fail_first = fail_first
-        self.release = threading.Event()
-        self.requests: list = []
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.requests.append(request)
-            first = len(self.requests) == 1
-        if first:
-            assert self.release.wait(timeout=30), "the second sample never asked"
-            if self.fail_first:
-                raise BackendUnavailableError("simulated outage")
-        return self.inner.complete(request)
-
-
-@pytest.fixture(scope="module")
-def corpus_q3(tmp_path_factory):
-    """A 2100-sample corpus, three questions to a video, and each sample's
-    outcome and request digests when run alone through process_sample."""
-    manifest = synthesize_corpus(tmp_path_factory.mktemp("q3"), num_samples=2100, seed=5,
-                                 m_trials=1, questions_per_video=3)
-    paths = manifest["paths"]
-    tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
-    table = MockBackend.from_file(paths["mock_table"])
-    outcomes, digests = [], []
-    for task in tasks:
-        backend = OutageBackend(table, 0, 0)
-        outcomes.append(process_sample(one_try_gateway(backend), task,
-                                       clips_by_video.get(task.video_id), lenient=False))
-        digests.append([request_digest(r) for r in backend.requests])
-    return SimpleNamespace(manifest=manifest, tasks=tasks, clips_by_video=clips_by_video,
-                           table=table, outcomes=outcomes, digests=digests)
-
-
-class TestSharedReplies:
-    """The samples of one video make each distinct request once in a run."""
-
-    @pytest.mark.parametrize("fail", [False, True], ids=["answered", "failed"])
-    def test_two_samples_in_flight_share_one_call(self, tmp_path, monkeypatch, fail):
-        clips = make_clips(4)
-        tasks = [make_task(), QaTask(video_id="v", qa_index=1, qa=make_qa("C"), video_ref="v/full")]
-        pairs = full_script(clips, tasks[0].qa) + full_script(clips, tasks[1].qa)
-        distinct = {request_digest(r) for r, _ in pairs}
-        # 4 clip captions and 2 cue captions are asked by both samples
-        assert (len(pairs), len(distinct)) == (18, 12)
-        first = request_digest(clip_caption_request("v/full", clips[0]))
-        backend = HoldingBackend(MockBackend({request_digest(r): reply for r, reply in pairs}), fail)
-        asked, lock = Counter(), threading.Lock()
-
-        def digest(request):
-            key = request_digest(request)
-            with lock:
-                asked[key] += 1
-                if asked[first] == 2:
-                    backend.release.set()
-            return key
-
-        monkeypatch.setattr(sft_pipeline, "request_digest", digest)
-        out = tmp_path / "shared" / "sft.records"
-        out.parent.mkdir()
-        report = run_sft_pipeline(one_try_gateway(backend), tasks, {"v": clips}, out, workers=2)
-        made = Counter(map(request_digest, backend.requests))
-        assert made[first] == 1 and asked[first] == 2
-        journal = Path(f"{out}{JOURNAL_SUFFIX}")
-        if fail:
-            assert report["rejection_reasons"] == {"caption_failed": 2}
-            assert sum(made.values()) == 1
-            assert not journal.exists()
-            monkeypatch.undo()
-            rerun = OutageBackend(MockBackend({request_digest(r): reply for r, reply in pairs}), 0, 0)
-            report = run_sft_pipeline(one_try_gateway(rerun), tasks, {"v": clips}, out, workers=2)
-            made = Counter(map(request_digest, rerun.requests))
-        assert made == Counter(distinct)
-        clean = tmp_path / "clean" / "sft.records"
-        clean.parent.mkdir()
-        clean_report = run_sft_pipeline(counting_gateway(pairs)[0], tasks, {"v": clips}, clean)
-        assert report == clean_report
-        assert written(out) == written(clean)
-        assert sorted(journal.read_bytes().splitlines()) == sorted(
-            Path(f"{clean}{JOURNAL_SUFFIX}").read_bytes().splitlines())
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_outcomes_are_those_of_unshared_samples(self, corpus_q3, tmp_path, workers):
-        tasks, outcomes = corpus_q3.tasks, corpus_q3.outcomes
-        records, rejections = [], []
-        for task, (stage, payload) in zip(tasks, outcomes):
-            if stage == "emitted":
-                records.append(sft_record(task, payload["rationale"]))
-            else:
-                rejections.append({"id": task.sample_id, **payload})
-        expected = tmp_path / "expected.records"
-        write_records(expected, records)
-        write_records(f"{expected}{REJECTED_SUFFIX}", rejections)
-        reasons = Counter(r["reason"] for r in rejections)
-        assert reasons == corpus_q3.manifest["expected_rejections"]
-
-        out = tmp_path / "sft.records"
-        backend = OutageBackend(corpus_q3.table, 0, 0)
-        report = run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video, out,
-                                  workers=workers)
-        assert report == {"total": len(tasks), "emitted": len(records), "rejected": len(rejections),
-                          "invalidated": 0, "rejection_reasons": dict(sorted(reasons.items()))}
-        assert written(out) == written(expected)
-        made = Counter(map(request_digest, backend.requests))
-        unshared = Counter(d for digests in corpus_q3.digests for d in digests)
-        assert made == Counter(set(unshared))
-        assert made.total() <= 0.65 * unshared.total()
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("aborted", [False, True], ids=["finished", "aborted"])
-    def test_tables_are_held_only_for_videos_in_flight(self, corpus_q3, tmp_path, monkeypatch,
-                                                      fast_thread_switching, workers, aborted):
-        runs = []
-
-        class Watched(sft_pipeline._SharedReplies):
-            """Checks, as each sample starts and finishes, that every table
-            belongs to a video with a started and unfinished sample."""
-
-            def __init__(self, gateway, pending):
-                super().__init__(gateway, pending)
-                self.total, self.started, self.finished = Counter(pending), Counter(), Counter()
-                self.most = 0
-                runs.append(self)
-
-            def check(self):
-                with self._lock:
-                    live = {v for v in self.started if self.finished[v] < self.total[v]}
-                    assert set(self.tables) <= live
-                    self.most = max(self.most, len(self.tables))
-
-            @contextmanager
-            def video(self, video_id):
-                with self._lock:
-                    self.started[video_id] += 1
-                try:
-                    with super().video(video_id) as replies:
-                        self.check()
-                        yield replies
-                finally:
-                    with self._lock:
-                        self.finished[video_id] += 1
-                    self.check()
-
-        monkeypatch.setattr(sft_pipeline, "_SharedReplies", Watched)
-        tasks = corpus_q3.tasks[:90]
-        if aborted:
-            backend = FailingBackend()
-            with pytest.raises(RuntimeError, match="backend crashed"):
-                run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video,
-                                 tmp_path / "sft.records", workers=workers)
-        else:
-            backend = OutageBackend(corpus_q3.table, 0, 0)
-            run_sft_pipeline(one_try_gateway(backend), tasks, corpus_q3.clips_by_video,
-                             tmp_path / "sft.records", workers=workers)
-            # no distinct request was made twice, however the threads interleaved
-            distinct = {d for digests in corpus_q3.digests[:90] for d in digests}
-            assert Counter(map(request_digest, backend.requests)) == Counter(distinct)
-        (watched,) = runs
-        assert watched.tables == {}
-        # a video's samples are adjacent, so one worker holds one table at a time
-        assert 1 <= watched.most <= workers
+class TestOncePerSample:
+    """A sample makes each distinct request once."""
 
     def test_one_clip_compilation_costs_no_call(self, tmp_path):
         clips, task = make_clips(4), make_task()
