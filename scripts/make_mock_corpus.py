@@ -20,6 +20,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7, help="corpus RNG seed")
     parser.add_argument("--m", type=int, default=8, help="demand trial count M")
     args = parser.parse_args()
+    for flag, value in (("--samples", args.samples), ("--m", args.m)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
     manifest = synthesize_corpus(args.out, num_samples=args.samples, seed=args.seed, m_trials=args.m)
     print(json.dumps(manifest, indent=2))
 

@@ -150,9 +150,9 @@ def build_gateway(config: Config) -> Gateway:
             )
     return Gateway(
         backends=backends,
+        max_in_flight=config.parallelism,
         retry=RetryPolicy(
             max_attempts=config.retry_max_attempts,
             base_delay_s=config.retry_base_delay_s,
         ),
-        max_in_flight=config.parallelism,
     )

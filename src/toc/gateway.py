@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .errors import (
     AuthError,
@@ -31,22 +31,22 @@ from .records import check_record, json_encoder, parse_records
 MODEL_ROLES = ("mllm", "llm")
 
 
-def ordered_map(fn: Callable, items: Iterable, workers: int) -> list:
-    """fn over items, up to `workers` at once, results in item order.
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn over items, up to `workers` at once, each result yielded in item order.
 
     At most 2 * workers items are submitted and not yet taken; the next item
-    is pulled only as a result is taken.  On an error the items still queued
-    are cancelled rather than run first.
+    is pulled only as a result is taken.  The pool starts when the first
+    result is asked for, so a caller that takes none builds none.  On an
+    error, or when the caller closes the generator, the items still queued
+    are cancelled and the running ones finish before it returns.
     """
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
-        results = []
         while pending:
-            results.append(pending.popleft().result())
+            yield pending.popleft().result()
             pending.extend(pool.submit(fn, item) for item in islice(items, 1))
-        return results
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -212,13 +212,11 @@ class Gateway:
     """Routes requests to per-role backends with retries and bounded concurrency."""
 
     backends: dict[str, Backend]
+    max_in_flight: int
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    max_in_flight: int = 4
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         self._semaphore = threading.Semaphore(self.max_in_flight)
 
     def complete(self, request: ChatRequest) -> str:

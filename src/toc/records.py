@@ -181,19 +181,6 @@ class Clip:
     def to_record(self) -> dict:
         return _set_fields(self)
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "Clip":
-        check_record(rec, "clip")
-        embedding = rec.get("embedding")
-        return cls(
-            video_id=rec["video_id"],
-            index=rec["index"],
-            start_s=float(rec["start_s"]),
-            end_s=float(rec["end_s"]),
-            embedding=tuple(float(v) for v in embedding) if embedding is not None else None,
-            caption=rec.get("caption"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class QaPair:

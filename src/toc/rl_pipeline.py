@@ -125,9 +125,12 @@ def run_demand_pipeline(
             m_trials=m_trials,
         )
 
-    results = ordered_map(annotate, tasks, workers)
-    annotated = [result for result in results if isinstance(result, RlSample)]
-    skipped = Counter(result for result in results if isinstance(result, str))
+    annotated, skipped = [], Counter()
+    for result in ordered_map(annotate, tasks, workers):
+        if isinstance(result, RlSample):
+            annotated.append(result)
+        else:
+            skipped[result] += 1
     return annotated, skipped
 
 

@@ -22,6 +22,7 @@ import hashlib
 import os
 import threading
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -445,15 +446,22 @@ def process_sample(
     return "emitted", {"rationale": rationale}
 
 
+def _clip_span(rec: dict) -> Clip:
+    """A checked clip record's span: build-sft captions clips itself and reads no embedding."""
+    check_record(rec, "clip")
+    return Clip(rec["video_id"], rec["index"], float(rec["start_s"]), float(rec["end_s"]))
+
+
 def load_clips(path: str | Path) -> dict[str, list[Clip]]:
     """Group a clip record file by video, each video's clips sorted by index.
 
-    A video's indices must be exactly 0..N-1, and each clip must start no
-    earlier than the clip before it ends.  A broken run is a RecordError
-    naming its first breaking clip's line; a gap is found before an overlap.
+    Every key is checked, but a clip keeps only its span.  A video's indices
+    must be exactly 0..N-1, and each clip must start no earlier than the
+    clip before it ends.  A broken run is a RecordError naming its first
+    breaking clip's line; a gap is found before an overlap.
     """
     by_video: dict[str, list[tuple[int, Clip]]] = {}
-    for line_no, clip in parse_records(path, Clip.from_record):
+    for line_no, clip in parse_records(path, _clip_span):
         by_video.setdefault(clip.video_id, []).append((line_no, clip))
     clips_by_video = {}
     for video_id, numbered in by_video.items():
@@ -490,10 +498,12 @@ def run_sft_pipeline(
     Up to `workers` samples are in flight at once.  Outcomes go to
     `<out>.journal`; the dataset and sidecar are rendered from the outcomes
     on every run, so a resumed run produces the same bytes as a clean one.
-    Each dataset line is written as it is rendered, and the rejections
-    after the last of them; each file still appears only once complete.
-    A sample whose inputs changed since it was journalled restarts and is
-    counted as invalidated.
+    Each dataset line is written as its sample finishes, in task order, and
+    the rejections after the last of them; each file still appears only
+    once complete.  However the write ends, the samples running finish and
+    are journalled, and the queued ones are cancelled, before the journal
+    closes.  A sample whose inputs changed since it was journalled restarts
+    and is counted as invalidated.
     """
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
@@ -516,9 +526,8 @@ def run_sft_pipeline(
         known.append(state)
         if state is None:
             todo.append((task, digest))
-    with journal:
-        fresh = iter(ordered_map(run_one, todo, workers))
-    states = [next(fresh) if state is None else state for state in known]
+    fresh = ordered_map(run_one, todo, workers)
+    states = (next(fresh) if state is None else state for state in known)
     rejections = []
 
     def dataset():
@@ -537,7 +546,8 @@ def run_sft_pipeline(
                 raise RecordError(f"{journal.path}: sample {task.sample_id}: {exc}") from None
             yield record
 
-    emitted = write_records(out, dataset())
+    with journal, closing(fresh):  # the pool drains before the journal closes
+        emitted = write_records(out, dataset())
     write_records(f"{out}{REJECTED_SUFFIX}", rejections)
     reasons = Counter(r["reason"] for r in rejections)
     return {

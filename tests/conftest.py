@@ -91,6 +91,7 @@ def scripted_gateway(pairs, **overrides) -> Gateway:
     backend = MockBackend(table)
     kwargs = dict(
         backends={"mllm": backend, "llm": backend},
+        max_in_flight=4,
         retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
         sleep=lambda s: None,
     )

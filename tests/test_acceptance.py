@@ -286,6 +286,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
         crashed = CrashingBackend(MockBackend.from_file(paths["mock_table"]), 25)
         crash_gateway = Gateway(
             backends={"mllm": crashed, "llm": crashed},
+            max_in_flight=4,
             retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
             sleep=lambda s: None,
         )
@@ -296,6 +297,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
         clean_backend = MockBackend.from_file(paths["mock_table"])
         clean_gateway = Gateway(
             backends={"mllm": clean_backend, "llm": clean_backend},
+            max_in_flight=4,
             retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
             sleep=lambda s: None,
         )

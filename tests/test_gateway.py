@@ -221,7 +221,7 @@ class TestHttpBackend:
     def test_malformed_content_is_retried(self):
         null = FakeResponse(body={"choices": [{"message": {"content": None}}]})
         post = FakePost([null, FakeResponse()])
-        gateway = Gateway(backends={"llm": http_backend(post)}, sleep=lambda s: None)
+        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=4, sleep=lambda s: None)
         assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
         assert len(post.calls) == 2
 
@@ -372,10 +372,6 @@ class TestGateway:
         assert results == ["ok"] * 12
         assert 1 <= state["peak"] <= 2
 
-    def test_max_in_flight_validated(self):
-        with pytest.raises(ValueError):
-            Gateway(backends={}, max_in_flight=0)
-
 
 class TestOrderedMap:
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -397,7 +393,7 @@ class TestOrderedMap:
             return item * 2
 
         with ThreadPoolExecutor(max_workers=1) as caller:
-            result = caller.submit(ordered_map, fn, items(), workers)
+            result = caller.submit(lambda: list(ordered_map(fn, items(), workers)))
             assert started.wait(timeout=30)
             # the other workers finish every item they were given meanwhile
             assert not result.done() and not release.wait(timeout=0.2)
@@ -408,7 +404,7 @@ class TestOrderedMap:
 
     @pytest.mark.parametrize("items", [[], [7]])
     def test_fewer_items_than_workers(self, items):
-        assert ordered_map(lambda item: -item, items, 4) == [-item for item in items]
+        assert list(ordered_map(lambda item: -item, items, 4)) == [-item for item in items]
 
     def test_error_stops_pulling_items(self):
         pulled = []
@@ -424,5 +420,5 @@ class TestOrderedMap:
             return item
 
         with pytest.raises(ValueError, match="item 3"):
-            ordered_map(fn, items(), 2)
+            list(ordered_map(fn, items(), 2))
         assert len(pulled) <= 3 + 2 * 2

@@ -24,13 +24,12 @@ from toc.records import (
     json_encoder,
     load_qa_tasks,
     option_label,
-    parse_records,
     read_records,
     render_target,
     write_records,
 )
 from toc.rewards import extract_answer
-from toc.sft_pipeline import PipelineState
+from toc.sft_pipeline import PipelineState, load_clips
 
 
 # Records whose encoding json.dumps fixes: text that needs escapes, floats at
@@ -56,16 +55,22 @@ class TestClip:
         with pytest.raises(ValueError):
             clip(0, 5.0, 5.0)
 
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError, match="index must be finite and >= 0, got -1"):
-            Clip.from_record({"video_id": "v", "index": -1, "start_s": 0.0, "end_s": 1.0})
+    def test_rejects_negative_index(self, tmp_path):
+        path = tmp_path / "clips.records"
+        path.write_text('{"video_id": "v", "index": -1, "start_s": 0.0, "end_s": 1.0}\n')
+        with pytest.raises(RecordError, match="clips.records:1: invalid record: "
+                                              "index must be finite and >= 0, got -1"):
+            load_clips(path)
 
     def test_record_round_trip(self):
         original = Clip(
             video_id="v", index=0, start_s=0.0, end_s=2.0,
             embedding=(0.6, 0.8), caption="a door opens",
         )
-        assert Clip.from_record(original.to_record()) == original
+        assert original.to_record() == {
+            "video_id": "v", "index": 0, "start_s": 0.0, "end_s": 2.0,
+            "embedding": [0.6, 0.8], "caption": "a door opens",
+        }
 
     def test_none_fields_omitted_from_record(self):
         rec = clip(0, 0.0, 1.0).to_record()
@@ -339,13 +344,15 @@ class TestRecordIo:
              "start_s must be a number, got '0'"),
             ('{"video_id": "v", "index": 0, "start_s": 0, "end_s": 1, "embedding": [0.6, "0.8"]}',
              "embedding must be a list of numbers, got '0.8' at index 1"),
+            ('{"video_id": "v", "index": 0, "start_s": 0, "end_s": 1, "embedding": [0.6, NaN]}',
+             "embedding must be finite, got nan at index 1"),
         ],
     )
     def test_parse_records_names_path_and_line(self, tmp_path, line, message):
         path = tmp_path / "clips.records"
         path.write_text('{"video_id": "v", "index": 0, "start_s": 0, "end_s": 1}\n\n' + line + "\n")
         with pytest.raises(RecordError, match=rf"clips.records:3: invalid record: {message}"):
-            list(parse_records(path, Clip.from_record))
+            load_clips(path)
 
 
 # The options of each shared encoder, as json.dumps takes them: dump_record's,

@@ -1,5 +1,6 @@
-"""scripts/advantage_sweep.py prints the closed-form advantage rows and refuses
-arguments outside its range with a usage error, run as the README shows."""
+"""scripts/advantage_sweep.py prints the closed-form advantage rows, and it and
+scripts/make_mock_corpus.py refuse arguments outside their range with a usage
+error, run as the README shows."""
 
 from __future__ import annotations
 
@@ -13,12 +14,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def sweep(*args: str) -> subprocess.CompletedProcess:
+def script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": "src"}
     return subprocess.run(
-        [sys.executable, "scripts/advantage_sweep.py", *args],
+        [sys.executable, f"scripts/{name}", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def sweep(*args: str) -> subprocess.CompletedProcess:
+    return script("advantage_sweep.py", *args)
 
 
 def test_prints_the_closed_form_rows():
@@ -46,3 +51,21 @@ def test_out_of_range_argument_is_usage_error(args, message):
     run = sweep(*args)
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.endswith(f"error: {message}\n") and "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--samples", "0"], "--samples must be >= 1, got 0"),
+        (["--samples", "-3"], "--samples must be >= 1, got -3"),
+        (["--m", "0"], "--m must be >= 1, got 0"),
+        (["--m", "-1"], "--m must be >= 1, got -1"),
+    ],
+    ids=["no_samples", "negative_samples", "no_trials", "negative_trials"],
+)
+def test_corpus_count_below_one_is_usage_error(tmp_path, args, message):
+    out = tmp_path / "corpus"
+    run = script("make_mock_corpus.py", "--out", str(out), *args)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.endswith(f"error: {message}\n") and "Traceback" not in run.stderr
+    assert not out.exists()

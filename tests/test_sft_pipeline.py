@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -19,6 +20,7 @@ from conftest import (
     scripted_gateway,
 )
 
+from toc import records, sft_pipeline
 from toc.config import apply_overrides, build_gateway, load_config
 from toc.cue_tree import Compilation, backtrack, build_tree, layer_compilations
 from toc.errors import (
@@ -123,7 +125,7 @@ def full_script(
 
 def one_try_gateway(backend) -> Gateway:
     """A gateway serving both roles from backend, with no retry."""
-    return Gateway(backends={"mllm": backend, "llm": backend},
+    return Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4,
                    retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), sleep=lambda s: None)
 
 
@@ -701,6 +703,7 @@ class TestProcessSample:
         )
         gateway = Gateway(
             backends={"mllm": captions, "llm": denied},
+            max_in_flight=4,
             retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
             sleep=lambda s: None,
         )
@@ -863,7 +866,7 @@ class TestRunSftPipeline:
 
         def run(out):
             backend = CountingBackend(MockBackend.from_file(paths["mock_table"]))
-            gateway = Gateway(backends={"mllm": backend, "llm": backend})
+            gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
             run_sft_pipeline(gateway, tasks, clips_by_video, out)
             return backend.calls
 
@@ -932,6 +935,103 @@ class TestRunSftPipeline:
         assert run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4) == cold
         assert submitted == []
         assert (out.read_bytes(), Path(f"{out}.rejected").read_bytes()) == (dataset, sidecar)
+
+    def test_each_line_is_written_as_its_sample_finishes(self, corpus, tmp_path, monkeypatch):
+        paths = corpus.manifest["paths"]
+        tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
+        clean = tmp_path / "clean.records"
+        run_sft_pipeline(one_try_gateway(MockBackend.from_file(paths["mock_table"])),
+                         tasks, clips_by_video, clean)
+        last = tasks[-1]
+        earlier = b"".join(line for line in clean.read_bytes().splitlines(keepends=True)
+                           if json.loads(line)["id"] != last.sample_id)
+        assert earlier.count(b"\n") > 1
+
+        # line-buffered, so <out>.tmp shows each line as soon as it is written
+        def line_buffered(file, mode="r", **kwargs):
+            return open(file, mode, **({**kwargs, "buffering": 1} if mode == "w" else kwargs))
+
+        monkeypatch.setattr(records, "open", line_buffered, raising=False)
+        out = tmp_path / "sft.records"
+        seen = []
+
+        class LastSampleWaits:
+            """At the last sample's first call, waits up to 10 s for every earlier line."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                first_of_last = request.media and request.media[0].startswith(f"{last.video_ref}#t=")
+                if first_of_last and not seen:
+                    tmp, deadline = Path(f"{out}.tmp"), time.monotonic() + 10.0
+                    seen.append(None)
+                    while time.monotonic() < deadline:
+                        seen[0] = tmp.read_bytes() if tmp.exists() else None
+                        if seen[0] == earlier:
+                            break
+                        time.sleep(0.01)
+                return self.inner.complete(request)
+
+        backend = LastSampleWaits(MockBackend.from_file(paths["mock_table"]))
+        gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=1)
+        run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=1)
+        assert seen == [earlier]
+        assert out.read_bytes() == clean.read_bytes()
+
+    def test_pool_drains_before_the_journal_closes(self, corpus, tmp_path, monkeypatch):
+        paths = corpus.manifest["paths"]
+        tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
+        out = tmp_path / "sft.records"
+        run_sft_pipeline(one_try_gateway(MockBackend.from_file(paths["mock_table"])),
+                         tasks, clips_by_video, out)
+        # the second sample's journalled rationale no longer renders; every
+        # other sample is fresh, so the first runs before it is read and the
+        # ones after it are in flight when it is
+        journal = Path(f"{out}{JOURNAL_SUFFIX}")
+        entries = {rec["sample_id"]: rec for rec in read_records(journal)}
+        tampered = entries[tasks[1].sample_id]
+        assert tampered["stage"] == "emitted"
+        tampered["payload"]["rationale"] = "Step 1: a leftover marker."
+        journal.write_text(json.dumps(tampered) + "\n", encoding="utf-8")
+
+        lock, calls = threading.Lock(), {"running": 0}
+
+        class Slow:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                with lock:
+                    calls["running"] += 1
+                try:
+                    time.sleep(0.05)
+                    return self.inner.complete(request)
+                finally:
+                    with lock:
+                        calls["running"] -= 1
+
+        finished, running_at_close = [], []
+        run_sample = sft_pipeline.process_sample
+
+        def process_sample_noted(gateway, task, *args, **kwargs):
+            outcome = run_sample(gateway, task, *args, **kwargs)
+            finished.append(task.sample_id)
+            return outcome
+
+        monkeypatch.setattr(sft_pipeline, "process_sample", process_sample_noted)
+        close = Journal.close
+        monkeypatch.setattr(Journal, "close",
+                            lambda journal: running_at_close.append(calls["running"]) or close(journal))
+        backend = Slow(MockBackend.from_file(paths["mock_table"]))
+        gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
+        with pytest.raises(RecordError, match=f"sample {tasks[1].sample_id}: "):
+            run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
+        assert running_at_close == [0]
+        journalled = [rec["sample_id"] for rec in read_records(journal)]
+        assert journalled[0] == tasks[1].sample_id
+        assert sorted(journalled[1:]) == sorted(finished)
+        assert 4 <= len(finished) < len(tasks) - 1
 
     def test_crash_cancels_queued_samples(self, corpus, tmp_path):
         paths = corpus.manifest["paths"]
@@ -1057,6 +1157,17 @@ class TestLoadClips:
         assert sorted(by_video) == ["v1", "v2"]
         assert by_video["v2"] == v2
 
+    def test_keeps_only_the_span(self, tmp_path):
+        path = tmp_path / "clips.records"
+        spans = make_clips(3)
+        write_records(path, [
+            {**c.to_record(), "embedding": [0.5 + i] * 512, "caption": f"caption {i}"}
+            for i, c in enumerate(spans)
+        ])
+        clips = load_clips(path)["v"]
+        assert clips == spans
+        assert all(c.embedding is None and c.caption is None for c in clips)
+
     @pytest.mark.parametrize(
         "rows,message",
         [
@@ -1097,6 +1208,7 @@ def test_null_backend_content_rejects_as_caption_failed(tmp_path):
     backend = HttpBackend("https://example.test", "m", "key", 60.0, post=lambda *a, **kw: _NullContent())
     gateway = Gateway(
         backends={"mllm": backend, "llm": backend},
+        max_in_flight=4,
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
         sleep=lambda s: None,
     )
