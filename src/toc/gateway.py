@@ -96,7 +96,7 @@ class MockBackend:
     """Replies scripted per request digest; unknown digests fail loudly."""
 
     def __init__(self, table: dict[str, str]) -> None:
-        self.table = dict(table)
+        self.table = table
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":

@@ -90,21 +90,18 @@ def synthesize_corpus(
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
     trial_temperature = 1.0
-    table: list[dict] = []
     clip_rows: list[dict] = []
     qa_rows: list[dict] = []
     expected_rejections: Counter[str] = Counter()
     expected_alphas: list[int] = []
 
-    scripted: dict[str, str] = {}
+    scripted: dict[str, dict] = {}  # mock table lines by digest, in table order
 
     def script(request: ChatRequest, reply: str, note: str) -> str:
         """Script reply unless the request's digest has one already; the reply it gets."""
         digest = request_digest(request)
-        if digest not in scripted:
-            scripted[digest] = reply
-            table.append({"digest": digest, "reply": reply, "note": note})
-        return scripted[digest]
+        line = scripted.setdefault(digest, {"digest": digest, "reply": reply, "note": note})
+        return line["reply"]
 
     for i in range(num_samples):
         video_id = f"v{i:02d}"
@@ -226,7 +223,7 @@ def synthesize_corpus(
 
     write_records(out / "clips.records", clip_rows)
     write_records(out / "qa.records", qa_rows)
-    write_records(out / "mock_table.records", table)
+    write_records(out / "mock_table.records", scripted.values())
     write_records(out / "shots.records", shot_rows)
     config = {
         "backends": {"mllm": {"kind": "mock"}, "llm": {"kind": "mock"}},

@@ -317,14 +317,19 @@ def caption_compilations(
     clips: Sequence[Clip],
     video_ref: str | None = None,
 ) -> list[Compilation]:
-    """Fill captions for every chain element; these are the ordered visual cues."""
+    """Fill captions for every chain element; these are the ordered visual cues.
+
+    A one-clip compilation takes the caption its clip carries, with no call;
+    one whose clip has no caption is described like any other.
+    """
     video_ref = _video_ref(video_ref, clips)
-    return [
-        replace(c, caption=_describe(
-            gateway, compilation_caption_request(video_ref, c, clips), f"compilation {c.clip_indices}"
-        ))
-        for c in compilations
-    ]
+
+    def caption(c: Compilation) -> str:
+        own = clips[c.clip_indices[0]].caption if len(c.clip_indices) == 1 else None
+        return own or _describe(gateway, compilation_caption_request(video_ref, c, clips),
+                                f"compilation {c.clip_indices}")
+
+    return [replace(c, caption=caption(c)) for c in compilations]
 
 
 def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> str:
@@ -401,23 +406,6 @@ _RETRIED_REASONS = frozenset(reasons[GatewayError] for reasons in REJECTION_REAS
 _CHECKPOINT_STAGES = ("captioned", "selected", "cue_captioned", "filtered")
 
 
-class _OncePerSample:
-    """A gateway for one sample: a request made before gets the reply it got.
-
-    A one-clip compilation is the same request as its clip's caption, so
-    its cue costs no call.
-    """
-
-    def __init__(self, gateway: Gateway) -> None:
-        self._gateway = gateway
-        self._replies: dict[ChatRequest, str] = {}
-
-    def complete(self, request: ChatRequest) -> str:
-        if request not in self._replies:
-            self._replies[request] = self._gateway.complete(request)
-        return self._replies[request]
-
-
 def process_sample(
     gateway: Gateway, task: QaTask, clips: Sequence[Clip] | None, *, lenient: bool
 ) -> tuple[str, dict]:
@@ -425,7 +413,6 @@ def process_sample(
     ("rejected", {"reason", "detail"}).  The journal is left to the caller."""
     if not clips:
         return "rejected", {"reason": "missing_clips", "detail": f"no clips for video {task.video_id}"}
-    gateway = _OncePerSample(gateway)
     step = "caption"  # the running step: the except clause below reads its row
     try:
         captioned = caption_clips(gateway, clips, task.video_ref)
@@ -434,7 +421,7 @@ def process_sample(
         selected = parse_index_array(reply, lenient=lenient)
         chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
         step = "caption_cues"
-        cues = [c.caption for c in caption_compilations(gateway, chain, clips, task.video_ref)]
+        cues = [c.caption for c in caption_compilations(gateway, chain, captioned, task.video_ref)]
         step = "filter"
         if not parse_yes_no(gateway.complete(filter_request(cues[-1], task.qa))):
             raise InsufficientCuesError("final cue judged insufficient")

@@ -130,6 +130,10 @@ class TestQaPair:
         with pytest.raises(TypeError, match="answer must be a string, got 7"):
             check_record({**rec, "answer": 7, "qa_type": "numerical"}, "qa")
 
+    def test_record_must_be_an_object(self):
+        with pytest.raises(TypeError, match=r"expected a JSON object, got \[1\]"):
+            check_record([1], "qa")
+
     @pytest.mark.parametrize("qa_type", ["open_ended", "numerical"])
     def test_only_multiple_choice_takes_options(self, qa_type):
         # else formatted_question would append them to every prompt
@@ -191,6 +195,16 @@ class TestSftSample:
     def test_record_round_trip(self):
         sample = self.build()
         assert SftSample.from_record(sample.to_record()) == sample
+
+    @pytest.mark.parametrize("target,message", [
+        ("<locate>r</locate><locate>x</locate>\n<answer>A</answer>", "exactly one locate block"),
+        ("<answer>A</answer>\n<locate>r</locate>", "locate block must precede answer block"),
+    ], ids=["two_locate_blocks", "answer_first"])
+    def test_rejects_malformed_target(self, target, message):
+        sample = SftSample(id="v#0", video_id="v", question="q", answer="A", rationale="r",
+                           target=target, prompt="p")
+        with pytest.raises(ValueError, match=message):
+            sample.validate()
 
 
 def difficulty(alpha: int, m: int) -> float:

@@ -432,3 +432,13 @@ class TestGrpoObjective:
         lp = PolicyLogProbs(current=((1000.0,),), old=((0.0,),), ref=((1000.0,),))
         with pytest.raises(NonFiniteError):
             grpo_objective([(lp, [1.0])], epsilon=0.2, beta=0.0)
+        # the log-ratio itself is inf, and exp(inf) returns inf without raising
+        lp = PolicyLogProbs(current=((1.7e308,),), old=((-1.7e308,),), ref=((1.7e308,),))
+        with pytest.raises(NonFiniteError, match="importance ratio overflowed"):
+            grpo_objective([(lp, [1.0])], epsilon=0.2, beta=0.0)
+
+    def test_objective_overflow(self):
+        # each term is finite, their sum is not
+        lp = identity_logprobs([[0.0], [0.0]])
+        with pytest.raises(NonFiniteError, match="objective overflowed"):
+            grpo_objective([(lp, [1e308, 1e308])], epsilon=0.2, beta=0.0)

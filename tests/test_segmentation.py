@@ -97,6 +97,8 @@ class TestShotBoundarySet:
                 video_id="v", boundaries_s=(0.0, 1.0, 2.0),
                 embeddings=((1.0, 0.0), (0.0, 1.0, 0.0)),
             )
+        with pytest.raises(DimensionMismatchError, match="at least 1 dimension"):
+            ShotBoundarySet("v", (0.0, 1.0), [[]])
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -492,6 +492,18 @@ class TestStageOps:
         assert [c.caption for c in out] == [f"cue {pos}" for pos in range(len(chain))]
         assert [c.clip_indices for c in out] == [c.clip_indices for c in chain]
 
+    def test_one_clip_compilation_takes_its_clips_caption(self):
+        clips = [replace(c, caption=f"caption {c.index}") for c in make_clips(4)]
+        chain = layer_compilations(backtrack(build_tree(4), [1]))
+        assert [c.clip_indices for c in chain] == [(0, 1, 2, 3), (0, 1), (1,)]
+        # only the multi-clip cues are scripted: a request for (1,) would fail
+        pairs = [
+            (compilation_caption_request("s3://b/v.mp4", comp, clips), f"cue {pos}")
+            for pos, comp in enumerate(chain[:2])
+        ]
+        out = caption_compilations(scripted_gateway(pairs), chain, clips, "s3://b/v.mp4")
+        assert [c.caption for c in out] == ["cue 0", "cue 1", "caption 1"]
+
     def rationale_gateway(self, cues, qa, reply):
         return scripted_gateway([(rationale_request(cues, qa), reply)])
 
