@@ -220,7 +220,7 @@ def cmd_estimate_demand(args: argparse.Namespace) -> list[dict]:
 def cmd_build_rl(args: argparse.Namespace) -> list[dict]:
     band_lo, band_hi = _parse_band(args.band)
     _check_at_least_one("--target", args.target)
-    samples = [sample for _, sample in parse_records(args.input, RlSample.from_record)]
+    samples = list(parse_unique(args.input, RlSample.from_record, "id", lambda sample: sample.id))
     selected, warnings = run_build_rl(samples, band_lo, band_hi, args.target, args.seed)
     write_records(args.out, (s.to_record() for s in selected))
     for message in warnings:

@@ -56,7 +56,15 @@ class Config:
     retry_base_delay_s: float = 0.5
 
 
-def _check_fields(obj: Config | BackendConfig, shape: str, where: str) -> None:
+def _read_object(cls: type, shape: str, raw: object, name: str, where: str) -> Config | BackendConfig:
+    """`raw` as a `cls`: a JSON object of SHAPES[shape] keys that check_record takes, each
+    wait at most MAX_WAIT_S.  A fault is a ConfigError, one in a key prefixed with `where`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    for key in raw:
+        if key not in SHAPES[shape]:
+            raise ConfigError(f"{where}unknown {shape} key {key!r}")
+    obj = cls(**raw)
     try:
         check_record(vars(obj), shape)
     except (TypeError, ValueError) as exc:
@@ -64,18 +72,13 @@ def _check_fields(obj: Config | BackendConfig, shape: str, where: str) -> None:
     for key in ("retry_base_delay_s", "timeout_s"):
         if getattr(obj, key, 0) > MAX_WAIT_S:
             raise ConfigError(f"{where}{key} must be <= 1e9 seconds, got {getattr(obj, key)!r}")
+    return obj
 
 
 def _backend_config(role: str, entry: object) -> BackendConfig:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"backend {role!r} must be a JSON object")
-    for key in entry:
-        if key not in SHAPES["backend"]:
-            raise ConfigError(f"unknown backend key {key!r} for role {role!r}")
     if role not in MODEL_ROLES:
         raise ConfigError(f"unknown backend role {role!r}")
-    backend = BackendConfig(**entry)
-    _check_fields(backend, "backend", f"backend {role!r}: ")
+    backend = _read_object(BackendConfig, "backend", entry, f"backend {role!r}", f"backend {role!r}: ")
     if backend.kind not in BACKEND_KINDS:
         raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
     if backend.kind == "http":
@@ -97,13 +100,8 @@ def load_config(path: str | Path) -> Config:
     # malformed JSON, bytes that are not UTF-8, a lone surrogate, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key in raw:
-        if key not in SHAPES["config"]:
-            raise ConfigError(f"unknown config key {key!r}")
-    config = Config(**raw)
-    _check_fields(config, "config", "")  # backends is an object before its entries are read
+    # backends is an object before its entries are read
+    config = _read_object(Config, "config", raw, "config root", "")
     backends = {role: _backend_config(role, entry) for role, entry in config.backends.items()}
     config = replace(config, backends=backends)
     mock_table = config.mock_table_path

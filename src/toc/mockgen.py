@@ -21,8 +21,7 @@ from .gateway import ChatRequest, request_digest
 from .records import Clip, QaPair, default_video_ref, write_records
 from .rl_pipeline import trial_request
 from .sft_pipeline import (
-    clip_caption_request,
-    compilation_caption_request,
+    caption_request,
     filter_request,
     rationale_request,
     selection_request,
@@ -132,7 +131,7 @@ def synthesize_corpus(
         # The SFT leg: captions, selection, cue captions, filter, rationale.
         captioned = [
             replace(clip, caption=script(
-                clip_caption_request(video_ref, clip),
+                caption_request(video_ref, [clip]),
                 _caption(rng, video_id, clip.index),
                 f"{video_id} clip {clip.index} caption",
             ))
@@ -159,7 +158,7 @@ def synthesize_corpus(
             # stays where it was.
             cues = [
                 script(
-                    compilation_caption_request(video_ref, compilation, clips),
+                    caption_request(video_ref, [clips[i] for i in compilation.clip_indices]),
                     _cue_caption(rng, video_id, compilation.clip_indices),
                     f"{video_id} compilation {compilation.clip_indices} caption",
                 )

@@ -89,8 +89,6 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
         mean, variance = moments(rewards)
     except OverflowError:
         raise NonFiniteError("reward statistics overflowed") from None
-    if variance == math.inf:  # a reward's distance from the mean overflowed
-        raise NonFiniteError("reward statistics overflowed")
     if variance < sys.float_info.min:
         # The squared deviations underflowed.  Bringing the largest magnitude
         # into [0.5, 1) by a power of two is exact.  A group whose variance

@@ -83,34 +83,18 @@ DESCRIBE_PROMPT = "Describe this video clip in detail."
 # --- request builders, shared with the mock-corpus generator ---
 
 
-def _media_fragment(video_ref: str, start_s: float, end_s: float) -> str:
-    """`video_ref` from start_s to end_s, as a W3C temporal media fragment."""
-    return f"{video_ref}#t={start_s!r},{end_s!r}"
-
-
-def _describe_request(media: tuple[str, ...]) -> ChatRequest:
-    return ChatRequest("mllm", DESCRIBE_PROMPT, media=media, max_tokens=CAPTION_MAX_TOKENS)
-
-
-def clip_caption_request(video_ref: str, clip: Clip) -> ChatRequest:
-    return _describe_request((_media_fragment(video_ref, clip.start_s, clip.end_s),))
-
-
-def compilation_caption_request(
-    video_ref: str, compilation: Compilation, clips: Sequence[Clip]
-) -> ChatRequest:
-    """One fragment per run of touching clips: each starts where the one before ends.
-
-    A one-clip compilation is thus the same request as its clip's caption.
-    """
+def caption_request(video_ref: str, clips: Sequence[Clip]) -> ChatRequest:
+    """Describe `clips`, in order: one W3C temporal media fragment,
+    `<video_ref>#t=<start_s>,<end_s>`, per run of touching clips (each
+    starts where the one before ends).  One clip is one fragment."""
     runs: list[list[float]] = []
-    for index in compilation.clip_indices:
-        clip = clips[index]
+    for clip in clips:
         if runs and runs[-1][1] == clip.start_s:
             runs[-1][1] = clip.end_s
         else:
             runs.append([clip.start_s, clip.end_s])
-    return _describe_request(tuple(_media_fragment(video_ref, *run) for run in runs))
+    media = tuple(f"{video_ref}#t={start_s!r},{end_s!r}" for start_s, end_s in runs)
+    return ChatRequest("mllm", DESCRIBE_PROMPT, media=media, max_tokens=CAPTION_MAX_TOKENS)
 
 
 def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
@@ -306,7 +290,7 @@ def caption_clips(
     """Fill every clip's caption via the mllm role; order preserved."""
     video_ref = _video_ref(video_ref, clips)
     return [
-        replace(c, caption=_describe(gateway, clip_caption_request(video_ref, c), f"clip {c.index}"))
+        replace(c, caption=_describe(gateway, caption_request(video_ref, [c]), f"clip {c.index}"))
         for c in clips
     ]
 
@@ -326,8 +310,10 @@ def caption_compilations(
 
     def caption(c: Compilation) -> str:
         own = clips[c.clip_indices[0]].caption if len(c.clip_indices) == 1 else None
-        return own or _describe(gateway, compilation_caption_request(video_ref, c, clips),
-                                f"compilation {c.clip_indices}")
+        return own or _describe(
+            gateway, caption_request(video_ref, [clips[i] for i in c.clip_indices]),
+            f"compilation {c.clip_indices}",
+        )
 
     return [replace(c, caption=caption(c)) for c in compilations]
 

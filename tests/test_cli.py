@@ -904,6 +904,21 @@ class TestBuildRl:
         assert entry["kind"] == "error" and entry["error"] == "RecordError"
         assert "truncated.records:3" in entry["message"]
 
+    def test_repeated_id_is_run_error(self, demand_file, tmp_path, capsys):
+        first, second = demand_file.read_text(encoding="utf-8").splitlines()[:2]
+        repeated = tmp_path / "repeated.records"
+        repeated.write_text("\n".join([first, second, first, first]) + "\n", encoding="utf-8")
+        out = tmp_path / "rl.records"
+        code, stdout, err = run_cli(
+            ["build-rl", "--in", str(repeated), "--target", "4", "-o", str(out)], capsys
+        )
+        sample_id = json.loads(first)["id"]
+        assert code == 1 and stdout == "" and "Traceback" not in err
+        assert f"repeated.records:3: id {sample_id!r} duplicates line 1" in err
+        (entry,) = read_lines(tmp_path / "rl.records.report")
+        assert entry["kind"] == "error" and entry["error"] == "RecordError"
+        assert not out.exists()
+
     def test_record_with_only_id_is_run_error(self, tmp_path, capsys):
         rl_in = tmp_path / "demand.records"
         write_records(rl_in, [{"id": "v#0"}])

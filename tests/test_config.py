@@ -135,6 +135,9 @@ def test_http_backend_needs_endpoint_and_model(tmp_path, missing):
         # a socket timeout this long is an OverflowError raised out of requests
         ({"mllm": {"kind": "http", "endpoint": "https://example.test", "model": "m",
                    "timeout_s": 1e10}}, r"backend 'mllm': timeout_s must be <= 1e9 seconds"),
+        # the role is read before its entry, and a fault in a key names the role first
+        ({"vision": "mock"}, "^unknown backend role 'vision'$"),
+        ({"llm": {"retries": 2}}, "^backend 'llm': unknown backend key 'retries'$"),
     ],
 )
 def test_bad_backend_entry_is_config_error(tmp_path, backends, message):
@@ -176,6 +179,17 @@ def test_unreadable_mock_table_is_config_error(tmp_path, table):
         build_gateway(config)
 
 
+@pytest.mark.parametrize(
+    "backends,role",
+    [({}, "mllm"), ({"mllm": {"kind": "http", "endpoint": "https://a.test/v1", "model": "m"}}, "llm")],
+)
+def test_mock_role_needs_a_mock_table(tmp_path, backends, role):
+    config = load_config(write_config(tmp_path, {"backends": backends}))
+    with pytest.raises(ConfigError, match=f"^backend '{role}' is mock but config has no key "
+                                          "'mock_table_path'$"):
+        build_gateway(config)
+
+
 def test_build_gateway_passes_each_config_value(tmp_path, monkeypatch):
     monkeypatch.setenv("TOC_API_KEY", "secret")
     config = load_config(write_config(tmp_path, {
@@ -208,7 +222,10 @@ def test_apply_overrides_replaces_given_fields(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", WRONG_VALUES + [{"band_lo": 0.9}, {"tau": 0.5, "seed": 3, "target_rl_size": 9}],
+    "bad",
+    # a null mock_table_path is taken by load_config and refused by build_gateway
+    WRONG_VALUES + [{"band_lo": 0.9}, {"tau": 0.5, "seed": 3, "target_rl_size": 9},
+                    {"mock_table_path": None}],
     ids=lambda bad: json.dumps(bad),
 )
 def test_bad_config_fails_estimate_demand_before_any_call(corpus, tmp_path, capsys, bad):

@@ -30,8 +30,7 @@ from toc.gateway import ChatRequest, MockBackend, request_digest
 from toc.mockgen import synthesize_corpus
 from toc.records import load_qa_tasks, write_records
 from toc.sft_pipeline import (
-    clip_caption_request,
-    compilation_caption_request,
+    caption_request,
     filter_request,
     load_clips,
     rationale_request,
@@ -316,9 +315,9 @@ def test_journal_cut_before_the_outcome_reruns_the_sample(tmp_path, monkeypatch,
         return sent[digest]
 
     for clip in captioned:
-        send(clip_caption_request(task.video_ref, clip), clip.caption)
+        send(caption_request(task.video_ref, [clip]), clip.caption)
     send(selection_request(captioned, task.qa))
-    cues = [send(compilation_caption_request(task.video_ref, compilation, clips), cue)
+    cues = [send(caption_request(task.video_ref, [clips[i] for i in compilation.clip_indices]), cue)
             for compilation, cue in zip(chain, sample["cue_captioned"]["cues"])]
     assert cues[-1] == captioned[4].caption
     send(filter_request(cues[-1], task.qa))

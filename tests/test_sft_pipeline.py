@@ -40,9 +40,8 @@ from toc.sft_pipeline import (
     PipelineState,
     caption_clips,
     caption_compilations,
-    clip_caption_request,
+    caption_request,
     clip_descriptions_json,
-    compilation_caption_request,
     filter_request,
     linearize_trajectory,
     load_clips,
@@ -114,10 +113,11 @@ def full_script(
         return reply
 
     for clip, caption in zip(clips, captions):
-        answer("caption", clip_caption_request(video_ref, clip), caption)
+        answer("caption", caption_request(video_ref, [clip]), caption)
     answer("selection", selection_request(captioned, qa), selection_reply)
-    cues = [answer("cue_caption", compilation_caption_request(video_ref, comp, clips), cap)
-            for comp, cap in zip(chain, cue_captions)]
+    shown = [[clips[i] for i in comp.clip_indices] for comp in chain]
+    cues = [answer("cue_caption", caption_request(video_ref, comp_clips), cap)
+            for comp_clips, cap in zip(shown, cue_captions)]
     answer("filter", filter_request(cues[-1], qa), filter_reply)
     answer("rationale", rationale_request(cues, qa), rationale_reply)
     return pairs
@@ -162,22 +162,15 @@ class TestRequestBuilders:
         )
 
     def test_media_refs(self):
-        # a temporal media fragment per span: a clip's, or a run of touching clips'
+        # a temporal media fragment per run of touching clips: one clip is exactly its own span
         clips = make_clips(3)
-        assert clip_caption_request("v/full", clips[2]).media == ("v/full#t=4.0,6.0",)
-        chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
-        req = compilation_caption_request("v/full", chain[0], clips)
-        assert req.media == ("v/full#t=0.0,6.0",)
-        req = compilation_caption_request("v/full", Compilation((0, 2)), clips)
+        assert caption_request("v/full", [clips[2]]).media == ("v/full#t=4.0,6.0",)
+        assert caption_request("v/full", clips).media == ("v/full#t=0.0,6.0",)
+        req = caption_request("v/full", [clips[0], clips[2]])
         assert req.media == ("v/full#t=0.0,2.0", "v/full#t=4.0,6.0")
         spaced = [Clip("v", 0, 0.5, 1.25), Clip("v", 1, 1.5, 3.0), Clip("v", 2, 3.0, 7.1)]
-        req = compilation_caption_request("s3://b/v.mp4", Compilation((0, 1, 2)), spaced)
+        req = caption_request("s3://b/v.mp4", spaced)
         assert req.media == ("s3://b/v.mp4#t=0.5,1.25", "s3://b/v.mp4#t=1.5,7.1")
-
-    def test_one_clip_compilation_is_its_clip_caption(self):
-        clips = make_clips(3)
-        assert (compilation_caption_request("v/full", Compilation((1,)), clips)
-                == clip_caption_request("v/full", clips[1]))
 
     def test_http_payload_names_each_fragment(self):
         posted = []
@@ -190,8 +183,8 @@ class TestRequestBuilders:
         backend = HttpBackend("https://example.test", "m", "key", 60.0, post=post)
         clips = [Clip("v", 0, 0.0, 2.5), Clip("v", 1, 2.5, 4.0), Clip("v", 2, 6.0, 7.5),
                  Clip("v", 3, 7.5, 9.0)]
-        backend.complete(clip_caption_request("s3://b/v.mp4", clips[1]))
-        backend.complete(compilation_caption_request("s3://b/v.mp4", Compilation((0, 1, 2, 3)), clips))
+        backend.complete(caption_request("s3://b/v.mp4", [clips[1]]))
+        backend.complete(caption_request("s3://b/v.mp4", clips))
         urls = [[part["video_url"]["url"] for part in payload["messages"][0]["content"]
                  if part["type"] == "video_url"] for payload in posted]
         assert urls == [["s3://b/v.mp4#t=2.5,4.0"],
@@ -202,8 +195,8 @@ class TestRequestBuilders:
         qa = tmp_path / "qa.records"
         write_records(qa, [{**make_qa().to_record(), "video_id": "v"}])
         (task,) = load_qa_tasks(qa)
-        pairs = [(clip_caption_request(task.video_ref, c), f"caption {c.index}") for c in clips]
-        pairs.append((compilation_caption_request(task.video_ref, Compilation((0, 1)), clips), "cue"))
+        pairs = [(caption_request(task.video_ref, [c]), f"caption {c.index}") for c in clips]
+        pairs.append((caption_request(task.video_ref, clips), "cue"))
         gateway = scripted_gateway(pairs)
         assert [c.caption for c in caption_clips(gateway, clips)] == ["caption 0", "caption 1"]
         assert caption_compilations(gateway, [Compilation((0, 1))], clips)[0].caption == "cue"
@@ -227,8 +220,8 @@ def stored_digests() -> dict[str, str]:
     qa = make_qa()
     chain = layer_compilations(backtrack(build_tree(3), [0, 1]))
     requests = {
-        "clip_caption": clip_caption_request("v/full", clips[2]),
-        "compilation_caption": compilation_caption_request("v/full", chain[0], clips),
+        "clip_caption": caption_request("v/full", [clips[2]]),
+        "compilation_caption": caption_request("v/full", [clips[i] for i in chain[0].clip_indices]),
         "selection": selection_request(clips, qa),
         "filter": filter_request("a cue", qa),
         "rationale": rationale_request(["wide view", "close view"], qa),
@@ -442,14 +435,14 @@ class TestJournal:
 class TestStageOps:
     def test_caption_clips_fills_in_order(self):
         clips = make_clips(3)
-        pairs = [(clip_caption_request("s3://b/v.mp4", c), f"caption {c.index}") for c in clips]
+        pairs = [(caption_request("s3://b/v.mp4", [c]), f"caption {c.index}") for c in clips]
         out = caption_clips(scripted_gateway(pairs), clips, "s3://b/v.mp4")
         assert [c.caption for c in out] == ["caption 0", "caption 1", "caption 2"]
         assert [c.index for c in out] == [0, 1, 2]
 
     def test_caption_clips_rejects_blank_reply(self):
         clips = make_clips(1)
-        pairs = [(clip_caption_request("v/full", clips[0]), "   ")]
+        pairs = [(caption_request("v/full", [clips[0]]), "   ")]
         with pytest.raises(EmptyCaptionError):
             caption_clips(scripted_gateway(pairs), clips)
 
@@ -485,7 +478,7 @@ class TestStageOps:
         clips = make_clips(4)
         chain = layer_compilations(backtrack(build_tree(4), [1]))
         pairs = [
-            (compilation_caption_request("s3://b/v.mp4", comp, clips), f"cue {pos}")
+            (caption_request("s3://b/v.mp4", [clips[i] for i in comp.clip_indices]), f"cue {pos}")
             for pos, comp in enumerate(chain)
         ]
         out = caption_compilations(scripted_gateway(pairs), chain, clips, "s3://b/v.mp4")
@@ -498,7 +491,7 @@ class TestStageOps:
         assert [c.clip_indices for c in chain] == [(0, 1, 2, 3), (0, 1), (1,)]
         # only the multi-clip cues are scripted: a request for (1,) would fail
         pairs = [
-            (compilation_caption_request("s3://b/v.mp4", comp, clips), f"cue {pos}")
+            (caption_request("s3://b/v.mp4", [clips[i] for i in comp.clip_indices]), f"cue {pos}")
             for pos, comp in enumerate(chain[:2])
         ]
         out = caption_compilations(scripted_gateway(pairs), chain, clips, "s3://b/v.mp4")
