@@ -172,6 +172,13 @@ class TestRequestBuilders:
         req = caption_request("s3://b/v.mp4", spaced)
         assert req.media == ("s3://b/v.mp4#t=0.5,1.25", "s3://b/v.mp4#t=1.5,7.1")
 
+    def test_one_clip_compilation_is_its_clip_caption(self):
+        # an uncaptioned one-clip compilation asks exactly its clip's request
+        clips = make_clips(3)
+        gateway = scripted_gateway([(caption_request("v/full", [clips[1]]), "clip one")])
+        (cue,) = caption_compilations(gateway, [Compilation((1,))], clips, "v/full")
+        assert cue.caption == "clip one"
+
     def test_http_payload_names_each_fragment(self):
         posted = []
 
