@@ -36,9 +36,26 @@ from .segmentation import DEFAULT_TAU, ShotBoundarySet, stitch
 from .sft_pipeline import JOURNAL_SUFFIX, REJECTED_SUFFIX, load_clips, run_sft_pipeline
 
 
+# Rewards and advantages take few distinct values (gamma is e^(-alpha/M)), so
+# sig12 remembers each rounding; the memo is emptied when it holds this many.
+# It caches a pure function of an immutable value, so callers sharing it, on
+# any thread, can miss a rounding but never read a wrong one.
+SIG12_MEMO_SIZE = 4096
+_sig12_memo: dict[float, float] = {}
+
+
 def sig12(x: float) -> float:
     """Round to 12 significant digits; the repr then prints exactly those."""
-    return float(f"{x:.12g}")
+    if not x:
+        # 0.0 and -0.0 are one dict key; float keeps the sign of each.
+        return float(x)
+    try:
+        return _sig12_memo[x]
+    except KeyError:
+        if len(_sig12_memo) >= SIG12_MEMO_SIZE:
+            _sig12_memo.clear()
+        rounded = _sig12_memo[x] = float(f"{x:.12g}")
+        return rounded
 
 
 def _report_path(args: argparse.Namespace) -> str | None:

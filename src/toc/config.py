@@ -80,7 +80,9 @@ def _backend_config(role: str, entry: object) -> BackendConfig:
         raise ConfigError(f"unknown backend role {role!r}")
     backend = _read_object(BackendConfig, "backend", entry, f"backend {role!r}", f"backend {role!r}: ")
     if backend.kind not in BACKEND_KINDS:
-        raise ConfigError(f"backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}")
+        raise ConfigError(
+            f"backend {role!r}: backend kind must be one of {BACKEND_KINDS}, got {backend.kind!r}"
+        )
     if backend.kind == "http":
         if not backend.endpoint:
             raise ConfigError(f"backend {role!r} needs key 'endpoint'")

@@ -128,7 +128,7 @@ def scale_advantages(advantages: Sequence[float], gamma: float) -> list[float]:
     return [a * gamma for a in advantages]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardGroup:
     """A full response group scored under one question's demand gamma."""
 
@@ -150,6 +150,8 @@ def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     Normalizing the rewards gamma · correct cancels gamma, so each flag's
     advantage is closed_form_advantages(size, x); the demand reaches the
     scaled advantages alone.  An all-equal group has all-zero advantages.
+    Each of the two advantages is scaled once, to the product
+    scale_advantages forms for it.
     """
     if not 0.0 < gamma <= 1.0:
         raise RangeError(f"gamma must be in (0, 1], got {gamma}")
@@ -160,14 +162,15 @@ def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     x = sum(correct)
     # At x = 0 or x = size the missing side is None, and no flag picks it.
     a_correct, a_wrong = closed_form_advantages(size, x)
-    advantages = [a_correct if c else a_wrong for c in correct]
+    s_correct = None if a_correct is None else a_correct * gamma
+    s_wrong = None if a_wrong is None else a_wrong * gamma
     return RewardGroup(
         gamma=gamma,
         correct=correct,
         x=x,
         rewards=[gamma if c else 0.0 for c in correct],
-        advantages=advantages,
-        scaled_advantages=scale_advantages(advantages, gamma),
+        advantages=[a_correct if c else a_wrong for c in correct],
+        scaled_advantages=[s_correct if c else s_wrong for c in correct],
     )
 
 

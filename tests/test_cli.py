@@ -8,8 +8,11 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from toc.cli import main, sig12
+from toc import cli
+from toc.cli import SIG12_MEMO_SIZE, main, sig12
 from toc.gateway import MockBackend
 from toc.records import read_records, write_records
 
@@ -30,13 +33,59 @@ def read_lines(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+def format_round_trip(x):
+    """sig12 as formatting and parsing each value."""
+    return float(f"{x:.12g}")
+
+
+def same_float(got, want):
+    """Equal reprs and signs: tells -0.0 from 0.0, and passes NaN for NaN."""
+    return repr(got) == repr(want) and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+# Zeros of both signs, the non-finite values, the float range's ends, and a
+# value whose rounding carries across a power of ten.
+SIG12_EDGES = [-0.0, 0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               1.7976931348623157e308, 9.9999999999996, -9.9999999999996, 0.8660254037844386]
+
+
 class TestSig12:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        cli._sig12_memo.clear()
+
     def test_rounds_to_twelve_significant_digits(self):
         assert sig12(0.8660254037844386) == 0.866025403784
         assert sig12(1234567.8912345678) == 1234567.89123
 
     def test_short_values_unchanged(self):
         assert sig12(0.5) == 0.5
+
+    @pytest.mark.parametrize("x", SIG12_EDGES, ids=repr)
+    def test_edges_match_the_format_round_trip_cold_and_warm(self, x):
+        for _ in range(2):
+            assert same_float(sig12(x), format_round_trip(x))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0), (-0.0, 0)])
+    def test_a_zero_keeps_its_sign_after_the_other_zero(self, first, second):
+        # 0.0 == -0.0, so a memo keyed by the value alone would answer one with the other
+        sig12(first)
+        assert same_float(sig12(second), format_round_trip(second))
+
+    def test_values_after_the_memo_is_overfilled(self):
+        warm = [sig12(x) for x in SIG12_EDGES]
+        assert 0.8660254037844386 in cli._sig12_memo
+        for i in range(1, SIG12_MEMO_SIZE + 1):
+            sig12(1.0 + i * 2.0**-30)
+        assert 0.8660254037844386 not in cli._sig12_memo
+        assert len(cli._sig12_memo) <= SIG12_MEMO_SIZE
+        for rows in (warm, [sig12(x) for x in SIG12_EDGES]):
+            assert all(map(same_float, rows, map(format_round_trip, SIG12_EDGES)))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats_match_the_format_round_trip(self, x):
+        for _ in range(2):
+            assert same_float(sig12(x), format_round_trip(x))
 
 
 class TestSegment:

@@ -128,7 +128,7 @@ def test_http_backend_needs_endpoint_and_model(tmp_path, missing):
         ({"mllm": "mock"}, "backend 'mllm' must be a JSON object"),
         ({"mllm": {"kind": "mock", "retries": 2}}, "unknown backend key 'retries'"),
         ({"vision": {"kind": "mock"}}, "unknown backend role 'vision'"),
-        ({"llm": {"kind": "grpc"}}, "backend kind must be one of"),
+        ({"llm": {"kind": "grpc"}}, "^backend 'llm': backend kind must be one of"),
         ({"llm": {"kind": 1}}, "backend 'llm': kind must be a string"),
         ({"llm": {"kind": "mock", "timeout_s": "60"}}, "backend 'llm': timeout_s must be a number"),
         ({"llm": {"kind": "mock", "timeout_s": 0}}, "backend 'llm': timeout_s must be finite"),

@@ -2,8 +2,9 @@
 formats example line through the reader of the command that takes it.  Each
 File formats bullet lists its shape's keys as records.SHAPES has them, the
 journal bullet's sub-list lists each stage's payload keys, and the rejected
-bullet lists every rejection reason.  The Quickstart runs as written, and the
-Layout block names every module of the package."""
+bullet lists every rejection reason.  The Quickstart runs as written, its
+output rows are what `reward` and `grpo-eval` print for the example lines,
+and the Layout block names every module of the package."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from toc.cli import _group, _logprob_group
+from toc.cli import _group, _logprob_group, main
 from toc.config import BackendConfig, load_config
 from toc.gateway import MockBackend
 from toc.records import (
@@ -205,6 +206,20 @@ def test_quickstart_runs_as_written(tmp_path):
     examples = format_examples()
     assert (tmp_path / "groups.records").read_text() == examples["reward group"] + "\n"
     assert (tmp_path / "logprobs.records").read_text() == examples["logprobs"] + "\n"
+
+
+def test_output_rows_are_what_reward_and_grpo_eval_print(tmp_path, capsys):
+    text = section("Quickstart (fully offline)")
+    (reward_row,) = re.findall(r"```json\n(.*?)\n```", text, re.S)
+    (objective_row,) = re.findall(r"`(\{\"objective\": .*?\})`", text)
+    path = tmp_path / "example.records"
+    for shape, args, row in (
+        ("reward group", ["reward", "--group"], reward_row),
+        ("logprobs", ["grpo-eval", "--epsilon", "0.2", "--beta", "0.04", "--logprobs"], objective_row),
+    ):
+        path.write_text(format_examples()[shape] + "\n", encoding="utf-8")
+        assert main([*args, str(path)]) == 0
+        assert capsys.readouterr().out == row + "\n"
 
 
 def test_layout_names_every_module():

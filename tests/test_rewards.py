@@ -274,6 +274,20 @@ class TestScoreGroup:
                     if x in (0, g):
                         assert group.advantages == [0.0] * g
 
+    @pytest.mark.parametrize("g", range(2, 17))
+    def test_scaled_advantages_are_scale_advantages_bit_for_bit(self, g):
+        rng = random.Random(g)
+        # every demand e^(-alpha/8) of M = 8 trials, and three more in (0, 1]
+        gammas = [math.exp(-k / 8) for k in range(9)] + [1.0 - rng.random() for _ in range(3)]
+        for x in range(g + 1):
+            flags = rng.sample([True] * x + [False] * (g - x), g)
+            for gamma in gammas:
+                group = score_flags(gamma, flags)
+                expect = scale_advantages(group.advantages, gamma)
+                assert [a.hex() for a in group.scaled_advantages] == [a.hex() for a in expect], (
+                    g, x, gamma)
+        assert not hasattr(group, "__dict__")
+
     @pytest.mark.parametrize("flags", [[], [True], [False]])
     def test_score_flags_small_group_keeps_its_message(self, flags):
         with pytest.raises(GroupTooSmallError, match=rf"^need at least 2 rewards, got {len(flags)}$"):
