@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import ConfigError
 from .gateway import (
@@ -86,6 +87,13 @@ def _backend_config(role: str, entry: object) -> BackendConfig:
     if backend.kind == "http":
         if not backend.endpoint:
             raise ConfigError(f"backend {role!r} needs key 'endpoint'")
+        try:
+            url = urlsplit(backend.endpoint)
+            url.port  # raises ValueError unless a port it gives is a number in 0..65535
+        except ValueError:  # that, or an unclosed IPv6 bracket as in "http://[::1"
+            url = urlsplit("")  # no scheme and no host: refused below
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"backend {role!r}: endpoint {backend.endpoint!r} is not an http(s) URL")
         if not backend.model:
             raise ConfigError(f"backend {role!r} needs key 'model'")
     return backend

@@ -176,8 +176,10 @@ class HttpBackend:
             )
         except self._requests.Timeout as exc:
             raise GatewayTimeoutError(f"no reply within {self.timeout_s}s") from exc
-        except self._requests.ConnectionError as exc:
-            raise BackendUnavailableError(f"cannot reach {self.endpoint}: {exc}") from exc
+        # refused or dropped, or a reply body that breaks off or cannot be decoded
+        except (self._requests.ConnectionError, self._requests.exceptions.ChunkedEncodingError,
+                self._requests.exceptions.ContentDecodingError) as exc:
+            raise BackendUnavailableError(f"connection to {self.endpoint} failed: {exc}") from exc
         status = response.status_code
         if status in (401, 403):
             raise AuthError(f"backend rejected credential (status {status})")
@@ -220,9 +222,7 @@ class Gateway:
         self._semaphore = threading.Semaphore(self.max_in_flight)
 
     def complete(self, request: ChatRequest) -> str:
-        backend = self.backends.get(request.model_role)
-        if backend is None:
-            raise BackendUnavailableError(f"no backend configured for role {request.model_role!r}")
+        backend = self.backends[request.model_role]
         with self._semaphore:
             for attempt in range(self.retry.max_attempts - 1):
                 try:

@@ -23,7 +23,7 @@ import os
 import threading
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -149,18 +149,6 @@ def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
 # --- per-sample outcomes and their journal ---
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineState:
-    """One sample's outcome: "emitted" with a rationale, or "rejected" with a
-    reason and detail.  digest fingerprints the sample's inputs; the outcome
-    is resumed only while they still hash to it."""
-
-    sample_id: str
-    stage: str
-    payload: dict
-    digest: str
-
-
 _sorted_json = json_encoder(sort_keys=True)  # json.dumps(obj, sort_keys=True)
 
 # Prompt text and request limits shared by every sample, hashed once;
@@ -191,7 +179,7 @@ def sample_digest(task: QaTask, clips: Sequence[Clip] | None, lenient: bool) -> 
 
 
 class Journal:
-    """Append-only JSONL log of sample outcomes, one PipelineState per line.
+    """Append-only JSONL log of sample outcomes, one line per finished sample.
 
     Read once, on construction: a torn last line (left by a crash) is
     truncated away, and the rest goes through the shared record reader.
@@ -204,8 +192,8 @@ class Journal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.invalidated: set[str] = set()
-        self._outcomes: dict[str, PipelineState] = {}
+        self.invalidated = 0  # resumes refused because the sample's inputs changed
+        self._outcomes: dict[str, tuple[str, str, dict]] = {}  # sample id -> (digest, stage, payload)
         self._lock = threading.Lock()
         self._file = None
         self._replay()
@@ -246,21 +234,20 @@ class Journal:
             raise ValueError(f"unknown stage {stage!r}")
         check_record(payload, f"{stage} payload")
         if payload.get("reason") not in _RETRIED_REASONS:
-            state = PipelineState(entry["sample_id"], stage, payload, entry["digest"])
-            self._outcomes[state.sample_id] = state
+            self._outcomes[entry["sample_id"]] = (entry["digest"], stage, payload)
 
-    def resume(self, sample_id: str, digest: str) -> PipelineState | None:
-        """The sample's journalled outcome; None if absent or from other inputs."""
+    def resume(self, sample_id: str, digest: str) -> tuple[str, dict] | None:
+        """The sample's journalled (stage, payload); None if absent or from other inputs."""
         known = self._outcomes.get(sample_id)
-        if known is None or known.digest == digest:
-            return known
-        self.invalidated.add(sample_id)
-        return None
+        if known is not None and known[0] != digest:
+            self.invalidated += 1
+            return None
+        return None if known is None else known[1:]
 
-    def append(self, state: PipelineState) -> None:
+    def append(self, sample_id: str, digest: str, stage: str, payload: dict) -> None:
         """Journal a sample's outcome; resume still answers from what was read."""
-        line = dump_record({"sample_id": state.sample_id, "digest": state.digest,
-                            "stage": state.stage, "payload": state.payload})
+        line = dump_record({"sample_id": sample_id, "digest": digest, "stage": stage,
+                            "payload": payload})
         with self._lock:
             if self._file is None:
                 self._file = open(self.path, "a", encoding="utf-8")
@@ -481,35 +468,33 @@ def run_sft_pipeline(
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
 
-    def run_one(pending: tuple[QaTask, str]) -> PipelineState:
+    def run_one(pending: tuple[QaTask, str]) -> tuple[str, dict]:
         """Run a sample and journal its outcome, unless it is a backend failure to retry."""
         task, digest = pending
         stage, payload = process_sample(gateway, task, clips_by_video.get(task.video_id),
                                         lenient=lenient)
-        state = PipelineState(task.sample_id, stage, payload, digest)
         if payload.get("reason") not in _RETRIED_REASONS:
-            journal.append(state)
-        return state
+            journal.append(task.sample_id, digest, stage, payload)
+        return stage, payload
 
     # A journalled outcome is read on this thread; only the other samples go to the pool.
     known, todo = [], []
     for task in tasks:
         digest = sample_digest(task, clips_by_video.get(task.video_id), lenient)
-        state = journal.resume(task.sample_id, digest)
-        known.append(state)
-        if state is None:
+        outcome = journal.resume(task.sample_id, digest)
+        known.append(outcome)
+        if outcome is None:
             todo.append((task, digest))
     fresh = ordered_map(run_one, todo, workers)
-    states = (next(fresh) if state is None else state for state in known)
+    outcomes = (next(fresh) if outcome is None else outcome for outcome in known)
     rejections = []
 
     def dataset():
         """The dataset lines in task order; the rejections are kept as they pass."""
-        for task, state in zip(tasks, states):
-            payload = state.payload
-            if state.stage != "emitted":
+        for task, (stage, payload) in zip(tasks, outcomes):
+            if stage != "emitted":
                 rejections.append(
-                    {"id": state.sample_id, "reason": payload["reason"], "detail": payload["detail"]}
+                    {"id": task.sample_id, "reason": payload["reason"], "detail": payload["detail"]}
                 )
                 continue
             try:
@@ -527,6 +512,6 @@ def run_sft_pipeline(
         "total": len(tasks),
         "emitted": emitted,
         "rejected": len(rejections),
-        "invalidated": len(journal.invalidated),
+        "invalidated": journal.invalidated,
         "rejection_reasons": dict(sorted(reasons.items())),
     }

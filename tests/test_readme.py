@@ -90,14 +90,12 @@ def sft_samples(path):
     return samples
 
 
-def journal_states(path):
+def journal_outcomes(path):
     entries = list(read_records(path))
     journal = Journal(path)
-    states = [journal.resume(entry["sample_id"], entry["digest"]) for entry in entries]
-    assert [(state.stage, state.payload) for state in states] == [
-        (entry["stage"], entry["payload"]) for entry in entries
-    ]
-    return states
+    outcomes = [journal.resume(entry["sample_id"], entry["digest"]) for entry in entries]
+    assert outcomes == [(entry["stage"], entry["payload"]) for entry in entries]
+    return outcomes
 
 
 # Every reason a .rejected line may give: a sample without clips, or a step's rejection.
@@ -126,7 +124,7 @@ READERS = {
     "reward group": parsed(_group),
     "logprobs": parsed(_logprob_group),
     "mock table": lambda path: list(MockBackend.from_file(path).table),
-    "journal": journal_states,
+    "journal": journal_outcomes,
 }
 
 

@@ -29,7 +29,7 @@ from toc.records import (
     write_records,
 )
 from toc.rewards import extract_answer
-from toc.sft_pipeline import PipelineState, load_clips
+from toc.sft_pipeline import load_clips
 
 
 # Records whose encoding json.dumps fixes: text that needs escapes, floats at
@@ -78,15 +78,14 @@ class TestClip:
 
 
 def test_per_record_types_keep_no_instance_dict():
-    # slotted: a build-sft run holds one Clip per clip, one QaTask per sample and one
-    # PipelineState per outcome, and an instance __dict__ would be most of each
+    # slotted: a build-sft run holds one Clip per clip and one QaTask per sample, and an
+    # instance __dict__ would be most of each
     qa = QaPair(question="q?", answer="B", qa_type="multiple_choice", options=("x", "y"))
     instances = [
         clip(0, 0.0, 1.0),
         qa,
         QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full"),
         RlSample.from_trial_count("v#0", "v", "q?", ("x", "y"), "B", 3, 8),
-        PipelineState("v#0", "emitted", {"rationale": "r"}, "d"),
     ]
     for instance in instances:
         assert not hasattr(instance, "__dict__"), type(instance).__name__

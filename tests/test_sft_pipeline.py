@@ -37,7 +37,6 @@ from toc.sft_pipeline import (
     JOURNAL_SUFFIX,
     REJECTED_SUFFIX,
     Journal,
-    PipelineState,
     caption_clips,
     caption_compilations,
     caption_request,
@@ -244,15 +243,26 @@ def test_stored_digests_are_pinned(name):
     assert stored_digests()[name] == PINNED_DIGESTS[name]
 
 
-def emitted(sample_id: str, digest: str = "d1", rationale: str = "r") -> PipelineState:
-    return PipelineState(sample_id, "emitted", {"rationale": rationale}, digest)
+def emitted(sample_id: str, digest: str = "d1", rationale: str = "r") -> tuple:
+    """Journal.append's arguments for an emitted sample."""
+    return sample_id, digest, "emitted", {"rationale": rationale}
 
 
-def append(path: Path, *states: PipelineState) -> None:
-    """Journal each state to path, closing the journal after."""
+def rejected(sample_id: str, reason: str, detail: str, digest: str = "d1") -> tuple:
+    """Journal.append's arguments for a rejected sample."""
+    return sample_id, digest, "rejected", {"reason": reason, "detail": detail}
+
+
+def outcome(entry: tuple) -> tuple[str, dict]:
+    """The (stage, payload) that Journal.resume gives back for an appended entry."""
+    return entry[2:]
+
+
+def append(path: Path, *entries: tuple) -> None:
+    """Journal each entry to path, closing the journal after."""
     with Journal(path) as journal:
-        for state in states:
-            journal.append(state)
+        for entry in entries:
+            journal.append(*entry)
 
 
 def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1") -> str:
@@ -262,19 +272,19 @@ def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1"
 class TestJournal:
     def test_advance_resume_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
-        state = emitted("v#0", rationale="café")
-        append(path, state)
-        assert Journal(path).resume("v#0", "d1") == state
+        entry = emitted("v#0", rationale="café")
+        append(path, entry)
+        assert Journal(path).resume("v#0", "d1") == ("emitted", {"rationale": "café"})
 
     def test_missing_sample_starts_fresh(self, tmp_path):
         journal = Journal(tmp_path / "run.journal")
         assert journal.resume("nope", "d1") is None
-        assert not journal.invalidated
+        assert journal.invalidated == 0
 
     def test_one_line_per_transition_in_one_file(self, tmp_path):
         path = tmp_path / "run.journal"
         append(path, emitted("v#0", rationale="x"),
-               PipelineState("v#1", "rejected", {"reason": "selection_empty", "detail": "why"}, "d1"))
+               rejected("v#1", "selection_empty", "why"))
         assert [p.name for p in tmp_path.iterdir()] == ["run.journal"]
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert lines == [
@@ -282,47 +292,48 @@ class TestJournal:
             {"sample_id": "v#1", "digest": "d1", "stage": "rejected",
              "payload": {"reason": "selection_empty", "detail": "why"}},
         ]
-        assert Journal(path).resume("v#1", "d1").payload == {"reason": "selection_empty", "detail": "why"}
+        assert Journal(path).resume("v#1", "d1") == (
+            "rejected", {"reason": "selection_empty", "detail": "why"})
 
     def test_ids_with_path_separators_round_trip(self, tmp_path):
         path = tmp_path / "run.journal"
         append(path, emitted("a/b#0"))
-        assert Journal(path).resume("a/b#0", "d1").stage == "emitted"
+        assert Journal(path).resume("a/b#0", "d1") == ("emitted", {"rationale": "r"})
 
     def test_changed_digest_restarts_and_counts_invalidated(self, tmp_path):
         path = tmp_path / "run.journal"
         append(path, emitted("v#0", "old", "x"))
-        state = emitted("v#0", "new", "y")
+        entry = emitted("v#0", "new", "y")
         with Journal(path) as journal:
             assert journal.resume("v#0", "new") is None
-            assert journal.invalidated == {"v#0"}
-            journal.append(state)
+            assert journal.invalidated == 1
+            journal.append(*entry)
         # the sample's last outcome line wins
         replayed = Journal(path)
-        assert replayed.resume("v#0", "new") == state
-        assert not replayed.invalidated
+        assert replayed.resume("v#0", "new") == outcome(entry)
+        assert replayed.invalidated == 0
 
     def test_torn_last_line_is_truncated_before_appending(self, tmp_path):
         path = tmp_path / "run.journal"
-        state = emitted("v#0")
-        append(path, state)
+        entry = emitted("v#0")
+        append(path, entry)
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"sample_id": "v#1", "digest": "d1", "sta')
         with Journal(path) as journal:
             assert path.read_bytes() == whole
-            assert journal.resume("v#0", "d1") == state
-            journal.append(emitted("v#1"))
-        assert Journal(path).resume("v#1", "d1").stage == "emitted"
+            assert journal.resume("v#0", "d1") == outcome(entry)
+            journal.append(*emitted("v#1"))
+        assert Journal(path).resume("v#1", "d1") == ("emitted", {"rationale": "r"})
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "run.journal"
-        state = emitted("v#0")
-        append(path, state)
+        entry = emitted("v#0")
+        append(path, entry)
         path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
         with Journal(path) as journal:
-            assert journal.resume("v#0", "d1") == state
-            journal.append(emitted("v#1"))
-        assert Journal(path).resume("v#1", "d1").stage == "emitted"
+            assert journal.resume("v#0", "d1") == outcome(entry)
+            journal.append(*emitted("v#1"))
+        assert Journal(path).resume("v#1", "d1") == ("emitted", {"rationale": "r"})
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "run.journal"
@@ -371,13 +382,13 @@ class TestJournal:
     )
     def test_checkpoint_line_is_skipped(self, tmp_path, stage, payload):
         path = tmp_path / "run.journal"
-        state = emitted("v#0")
-        append(path, state)
+        entry = emitted("v#0")
+        append(path, entry)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(journal_line("v#1", stage, payload) + "\n")
         journal = Journal(path)
         assert journal.resume("v#1", "d1") is None
-        assert journal.resume("v#0", "d1") == state
+        assert journal.resume("v#0", "d1") == outcome(entry)
 
     def test_backend_failure_line_is_skipped(self, tmp_path):
         # an earlier version journalled a rejection for a backend failure too
@@ -388,10 +399,10 @@ class TestJournal:
 
     def test_terminal_line_alone_replays(self, tmp_path):
         path = tmp_path / "run.journal"
-        append(path, emitted("v#0"), PipelineState("v#1", "rejected", {"reason": "x", "detail": "y"}, "d1"))
+        append(path, emitted("v#0"), rejected("v#1", "x", "y"))
         replayed = Journal(path)
-        assert replayed.resume("v#0", "d1").payload == {"rationale": "r"}
-        assert replayed.resume("v#1", "d1").stage == "rejected"
+        assert replayed.resume("v#0", "d1") == ("emitted", {"rationale": "r"})
+        assert replayed.resume("v#1", "d1") == ("rejected", {"reason": "x", "detail": "y"})
 
     def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
         path = tmp_path / "run.journal"
@@ -401,7 +412,7 @@ class TestJournal:
 
         def walk(journal, worker):
             for n in range(40):
-                journal.append(emitted(f"w{worker}#{n}", rationale=rationale(worker, n)))
+                journal.append(*emitted(f"w{worker}#{n}", rationale=rationale(worker, n)))
 
         with Journal(path) as journal:
             threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
@@ -413,8 +424,8 @@ class TestJournal:
         replayed = Journal(path)
         for worker in range(8):
             for n in range(40):
-                state = replayed.resume(f"w{worker}#{n}", "d1")
-                assert state.payload == {"rationale": rationale(worker, n)}
+                assert replayed.resume(f"w{worker}#{n}", "d1") == (
+                    "emitted", {"rationale": rationale(worker, n)})
 
     @pytest.mark.parametrize(
         "line",
