@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptySelectionError, InvalidSizeError, OutOfRangeError
+from .errors import EmptySelectionError, RangeError
 
 # A tree node: the inclusive clip index interval it covers.
 Interval = tuple[int, int]
@@ -24,7 +24,7 @@ LeafPath = tuple[Interval, ...]
 def build_tree(n_leaves: int) -> int:
     """The leaf count of the segment tree over clips 0..n_leaves-1, checked to be >= 1."""
     if n_leaves < 1:
-        raise InvalidSizeError(f"n_leaves must be >= 1, got {n_leaves}")
+        raise RangeError(f"n_leaves must be >= 1, got {n_leaves}")
     return n_leaves
 
 
@@ -41,7 +41,7 @@ def backtrack(n_leaves: int, selected: Iterable[int]) -> list[LeafPath]:
     paths = []
     for clip_index in chosen:
         if not 0 <= clip_index < n_leaves:
-            raise OutOfRangeError(f"clip index {clip_index} outside [0, {n_leaves - 1}]")
+            raise RangeError(f"clip index {clip_index} outside [0, {n_leaves - 1}]")
         lo, hi = 0, n_leaves - 1
         path = [(lo, hi)]
         while lo != hi:

@@ -4,8 +4,9 @@
 class TocError(Exception):
     """Base class for every error raised by this package.
 
-    The errors that also derive from ValueError reject a malformed input
-    value; raised while a record is read, they name the record's line.
+    A subclass exists only where a caller tells it apart: it maps to a
+    rejection reason, decides a retry, or is reported by name.  A malformed
+    record value is a ValueError, which the record reader names by line.
     """
 
 
@@ -20,34 +21,11 @@ class RecordError(TocError):
     """A record file line is malformed or conflicts with an earlier line."""
 
 
-# --- segmentation ---
-
-
-class EmptyInputError(TocError, ValueError):
-    """Shot input holds no shots."""
-
-
-class DimensionMismatchError(TocError, ValueError):
-    """Embedding vectors disagree in dimension or count."""
-
-
-class ZeroVectorError(TocError, ValueError):
-    """An embedding has a zero or overflowing norm, so it has no direction."""
-
-
 # --- cue tree ---
-
-
-class InvalidSizeError(TocError):
-    """Requested tree size is not a positive integer."""
 
 
 class EmptySelectionError(TocError):
     """No leaves were selected."""
-
-
-class OutOfRangeError(TocError):
-    """A leaf index falls outside 0..N-1."""
 
 
 # --- configuration ---
@@ -103,19 +81,11 @@ class ReservedTagError(TocError):
     """A rationale holds a tag that delimits the blocks of the training target."""
 
 
-# --- reward engine ---
+# --- numeric values ---
 
 
 class RangeError(TocError, ValueError):
-    """A numeric argument is outside its allowed range."""
-
-
-class GroupTooSmallError(TocError, ValueError):
-    """Advantage normalization needs at least two responses."""
-
-
-class MisalignedSequencesError(TocError, ValueError):
-    """Log-probability sequences do not line up."""
+    """A number or count is outside its allowed range."""
 
 
 class NonFiniteError(TocError, ValueError):

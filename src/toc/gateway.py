@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 from .errors import (
     AuthError,
     BackendUnavailableError,
+    GatewayError,
     GatewayTimeoutError,
     RecordError,
 )
@@ -205,10 +206,6 @@ class RetryPolicy:
         return math.ldexp(self.base_delay_s, attempt)  # a float 2**attempt overflows from 1024
 
 
-# Every backend failure retries but a missing or rejected credential.
-_RETRYABLE_ERRORS = (BackendUnavailableError, GatewayTimeoutError)
-
-
 @dataclass
 class Gateway:
     """Routes requests to per-role backends with retries and bounded concurrency."""
@@ -227,6 +224,6 @@ class Gateway:
             for attempt in range(self.retry.max_attempts - 1):
                 try:
                     return backend.complete(request)
-                except _RETRYABLE_ERRORS:
+                except GatewayError:  # every backend failure but a credential fault, an AuthError
                     self.sleep(self.retry.delay_s(attempt))
             return backend.complete(request)

@@ -16,12 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    GroupTooSmallError,
-    MisalignedSequencesError,
-    NonFiniteError,
-    RangeError,
-)
+from .errors import NonFiniteError, RangeError
 from .records import check_record, demand_from_alpha, float_array
 
 # What extract_answer returns when no answer block exists; never a valid answer.
@@ -74,7 +69,7 @@ def normalize_advantages(rewards: Sequence[float]) -> list[float]:
     """
     size = len(rewards)
     if size < 2:
-        raise GroupTooSmallError(f"need at least 2 rewards, got {size}")
+        raise RangeError(f"need at least 2 rewards, got {size}")
     if not all(map(math.isfinite, rewards)):
         raise NonFiniteError("rewards must be finite")
     first = rewards[0]
@@ -158,7 +153,7 @@ def score_flags(gamma: float, correct_flags: Sequence[bool]) -> RewardGroup:
     correct = [bool(c) for c in correct_flags]
     size = len(correct)
     if size < 2:
-        raise GroupTooSmallError(f"need at least 2 rewards, got {size}")
+        raise RangeError(f"need at least 2 rewards, got {size}")
     x = sum(correct)
     # At x = 0 or x = size the missing side is None, and no flag picks it.
     a_correct, a_wrong = closed_form_advantages(size, x)
@@ -191,12 +186,12 @@ class PolicyLogProbs:
             rows = tuple(float_array(row, 1, f"{name} log-probs") for row in getattr(self, name))
             object.__setattr__(self, name, rows)
         if not len(self.current) == len(self.old) == len(self.ref):
-            raise MisalignedSequencesError(
+            raise ValueError(
                 f"response counts differ: {len(self.current)}/{len(self.old)}/{len(self.ref)}"
             )
         for i, (cur, old, ref) in enumerate(zip(self.current, self.old, self.ref)):
             if not len(cur) == len(old) == len(ref):
-                raise MisalignedSequencesError(
+                raise ValueError(
                     f"response {i} token counts differ: {len(cur)}/{len(old)}/{len(ref)}"
                 )
 
@@ -216,9 +211,9 @@ class PolicyLogProbs:
 def _check_group(log_probs: PolicyLogProbs, advantages: int) -> None:
     """A group needs one or more responses and one scaled advantage per response."""
     if log_probs.num_responses == 0:
-        raise GroupTooSmallError("group has no responses")
+        raise RangeError("group has no responses")
     if advantages != log_probs.num_responses:
-        raise MisalignedSequencesError(f"{advantages} advantages for {log_probs.num_responses} responses")
+        raise ValueError(f"{advantages} advantages for {log_probs.num_responses} responses")
 
 
 def _kl_estimate(current: Sequence[float], ref: Sequence[float]) -> float:

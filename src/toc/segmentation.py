@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, ZeroVectorError
 from .records import Clip, check_record, float_array
 
 DEFAULT_TAU = 0.85
@@ -36,9 +35,7 @@ class ShotBoundarySet:
 
     def __post_init__(self) -> None:
         if len(self.boundaries_s) < 2:
-            raise EmptyInputError(
-                f"need at least 2 boundaries for one shot, got {len(self.boundaries_s)}"
-            )
+            raise ValueError(f"need at least 2 boundaries for one shot, got {len(self.boundaries_s)}")
         if self.boundaries_s[0] != 0.0:
             raise ValueError(f"boundaries must start at 0, got {self.boundaries_s[0]}")
         if any(b <= a for a, b in zip(self.boundaries_s, self.boundaries_s[1:])):
@@ -48,12 +45,10 @@ class ShotBoundarySet:
             raise ValueError(f"{len(self.boundaries_s) - 1} shots but {len(rows)} embeddings")
         dim = len(rows[0])
         if dim < 1:
-            raise DimensionMismatchError("embeddings must have at least 1 dimension")
+            raise ValueError("embeddings must have at least 1 dimension")
         for pos, emb in enumerate(rows):
             if len(emb) != dim:
-                raise DimensionMismatchError(
-                    f"shot {pos} embedding has {len(emb)} dims, expected {dim}"
-                )
+                raise ValueError(f"shot {pos} embedding has {len(emb)} dims, expected {dim}")
         embeddings = float_array(rows, 2, "embeddings")
         # One 1-D norm per row: norm(axis=1) can differ in the last bit.  A
         # sum of squares beyond the float range reads as an infinite norm.
@@ -62,9 +57,7 @@ class ShotBoundarySet:
         bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
         if bad.size:
             pos = int(bad[0])
-            raise ZeroVectorError(
-                f"shot {pos} embedding has no direction (norm {float(norms[pos])})"
-            )
+            raise ValueError(f"shot {pos} embedding has no direction (norm {float(norms[pos])})")
         norms.flags.writeable = False
         object.__setattr__(self, "embeddings", embeddings)
         object.__setattr__(self, "norms", norms)
@@ -94,7 +87,7 @@ def stitch(shots: ShotBoundarySet, tau: float = DEFAULT_TAU) -> list[Clip]:
     def direction(total: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(total))
         if not np.isfinite(norm) or norm == 0.0:
-            raise ZeroVectorError(f"pooled clip embedding has no direction (norm {norm})")
+            raise ValueError(f"pooled clip embedding has no direction (norm {norm})")
         return total / norm
 
     # Clip k spans shots starts[k] .. starts[k+1]-1; sums[k] is its weighted sum.

@@ -24,6 +24,7 @@ import threading
 from collections import Counter
 from contextlib import closing
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
@@ -34,8 +35,8 @@ from .errors import (
     EmptySelectionError,
     GatewayError,
     InsufficientCuesError,
-    OutOfRangeError,
     ParseError,
+    RangeError,
     RecordError,
     ReservedTagError,
     StepCountMismatchError,
@@ -83,17 +84,25 @@ DESCRIBE_PROMPT = "Describe this video clip in detail."
 # --- request builders, shared with the mock-corpus generator ---
 
 
+def _npt(seconds: float) -> str:
+    """`seconds` as a media fragment's npt-sec: repr's digits, but no exponent or signed zero."""
+    text = repr(seconds + 0.0)  # -0.0 + 0.0 is 0.0
+    if "e" in text:  # repr writes times below 1e-4, and from 1e16 on, with an exponent
+        text = f"{Decimal(text):f}"
+    return text if "." in text else f"{text}.0"
+
+
 def caption_request(video_ref: str, clips: Sequence[Clip]) -> ChatRequest:
     """Describe `clips`, in order: one W3C temporal media fragment,
-    `<video_ref>#t=<start_s>,<end_s>`, per run of touching clips (each
-    starts where the one before ends).  One clip is one fragment."""
+    `<video_ref>#t=<start_s>,<end_s>` in plain decimals, per run of touching
+    clips (each starts where the one before ends).  One clip is one fragment."""
     runs: list[list[float]] = []
     for clip in clips:
         if runs and runs[-1][1] == clip.start_s:
             runs[-1][1] = clip.end_s
         else:
             runs.append([clip.start_s, clip.end_s])
-    media = tuple(f"{video_ref}#t={start_s!r},{end_s!r}" for start_s, end_s in runs)
+    media = tuple(f"{video_ref}#t={_npt(start_s)},{_npt(end_s)}" for start_s, end_s in runs)
     return ChatRequest("mllm", DESCRIBE_PROMPT, media=media, max_tokens=CAPTION_MAX_TOKENS)
 
 
@@ -356,7 +365,7 @@ REJECTION_REASONS: dict[str, dict[type, str]] = {
     "caption": {EmptyCaptionError: "empty_caption", GatewayError: "caption_failed"},
     "select": {
         ParseError: "selection_unparseable",
-        OutOfRangeError: "selection_out_of_range",
+        RangeError: "selection_out_of_range",
         EmptySelectionError: "selection_empty",
         GatewayError: "selection_failed",
     },

@@ -1,13 +1,16 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names, within a time limit,
-after installing the dependencies that pyproject.toml lists, then the benchmark's own
-command on every workload; every BENCH_*.json claims a metric and workload that
-BENCHMARK.json declares."""
+after installing the dependencies that pyproject.toml lists and running the installed
+`toc` console script, then the benchmark's own command on every workload; every
+BENCH_*.json claims a metric and workload that BENCHMARK.json declares."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +37,30 @@ def test_install_step_names_no_package_itself():
     (command,) = re.findall(r"^        run: (python -m pip install .*)$", workflow, re.M)
     args = shlex.split(command)[4:]
     assert [arg for arg in args if not arg.startswith("-")] == [".[test]"]
+
+
+def test_workflow_runs_the_installed_console_script():
+    # every other test runs `toc` as `python -m toc.cli`; only this step runs the entry point
+    # that pyproject.toml installs, and a status of 2 shows main's return value is the exit code
+    assert '\n[project.scripts]\ntoc = "toc.cli:main"\n' in (ROOT / "pyproject.toml").read_text(
+        encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    names = re.findall(r"^      - name: (.*)$", workflow, re.M)
+    assert names.index("Installed console script") == names.index("Install dependencies") + 1
+    (step,) = re.findall(r"^      - name: Installed console script\n        run: \|\n((?:          .*\n)+)",
+                         workflow, re.M)
+    assert 'test "$(toc tree --n 4 --select 2 | tail -n 1)" = "compilation 2: 2"' in step
+    assert 'status=0; toc tree --n 0 --select 0 || status=$?; test "$status" -eq 2' in step
+    # what the step expects, through the wrapper a console script is: sys.exit(main())
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    for n, select, status, last in (("4", "2", 0, "compilation 2: 2"), ("0", "0", 2, "")):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from toc.cli import main; sys.exit(main())",
+             "tree", "--n", n, "--select", select],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == status
+        assert (done.stdout.splitlines() or [""])[-1] == last
 
 
 def test_workflow_runs_the_benchmark_command_on_every_workload():

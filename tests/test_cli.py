@@ -186,23 +186,32 @@ class TestSegment:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "embeddings,message",
+        "boundaries,embeddings,message",
         [
-            ([[math.nan, 0.0], [1.0, 0.0]], "embeddings must be finite"),
-            ([[1e308, 1e308], [1.0, 0.0]], "shot 0 embedding has no direction (norm inf)"),
-            ([[1.0, 0.0], [0.0, 0.0]], "shot 1 embedding has no direction (norm 0.0)"),
+            ([0.0, 1.0, 2.0], [[math.nan, 0.0], [1.0, 0.0]], "embeddings must be finite"),
+            ([0.0, 1.0, 2.0], [[1e308, 1e308], [1.0, 0.0]],
+             "shot 0 embedding has no direction (norm inf)"),
+            ([0.0, 1.0, 2.0], [[1.0, 0.0], [0.0, 0.0]],
+             "shot 1 embedding has no direction (norm 0.0)"),
+            # a shot set without the shape a direction needs fails the same way
+            ([0.0], [], "need at least 2 boundaries for one shot, got 1"),
+            ([0.0, 1.0, 2.0], [[], []], "embeddings must have at least 1 dimension"),
+            ([0.0, 1.0, 2.0], [[1.0, 0.0], [1.0]], "shot 1 embedding has 1 dims, expected 2"),
         ],
-        ids=["nan", "overflow", "zero"],
+        ids=["nan", "overflow", "zero", "one_boundary", "zero_dimensions", "ragged_dimensions"],
     )
-    def test_shot_without_direction_is_run_error(self, tmp_path, capsys, embeddings, message):
+    def test_shot_without_direction_is_run_error(self, tmp_path, capsys, boundaries, embeddings,
+                                                 message):
         shots = tmp_path / "shots.records"
         write_records(
-            shots, [{"video_id": "s", "boundaries_s": [0.0, 1.0, 2.0], "embeddings": embeddings}]
+            shots, [{"video_id": "s", "boundaries_s": boundaries, "embeddings": embeddings}]
         )
         out = tmp_path / "clips.records"
         code, _, err = run_cli(["segment", "--shots", str(shots), "-o", str(out)], capsys)
-        assert code == 1 and "Traceback" not in err and "RuntimeWarning" not in err
-        assert f"shots.records:1: invalid record: {message}" in err
+        assert code == 1 and "RuntimeWarning" not in err
+        assert err == f"error: {shots}:1: invalid record: {message}\n"
+        (entry,) = read_lines(tmp_path / "clips.records.report")
+        assert entry["error"] == "RecordError"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1358,8 +1367,13 @@ class TestGrpoEval:
               "scaled_advantages": [1.0]}, "1 advantages for 2 responses"),
             ({"current": [], "old": [], "ref": [], "scaled_advantages": []},
              "group has no responses"),
+            ({"current": [[-0.1], [-0.2]], "old": [[-1.0]], "ref": [[-0.1], [-0.2]],
+              "scaled_advantages": [1.0, 2.0]}, "response counts differ: 2/1/2"),
+            ({"current": [[-0.1], [-0.2, -0.3]], "old": [[-1.0], [-0.5]],
+              "ref": [[-0.1], [-0.2, -0.3]], "scaled_advantages": [1.0, 2.0]},
+             "response 1 token counts differ: 2/1/2"),
         ],
-        ids=["misaligned", "empty"],
+        ids=["misaligned", "empty", "response_counts", "token_counts"],
     )
     def test_group_counts_name_line(self, tmp_path, capsys, record, message):
         logprob_file = tmp_path / "lp.records"
@@ -1374,6 +1388,22 @@ class TestGrpoEval:
         assert err == f"error: {logprob_file}:1: invalid record: {message}\n"
         (entry,) = read_lines(report)
         assert entry["error"] == "RecordError"
+
+    def test_empty_input_is_run_error(self, tmp_path, capsys):
+        # a file of no groups is valid line by line; the objective names what is missing
+        logprob_file = tmp_path / "lp.records"
+        logprob_file.write_bytes(b"")
+        report = tmp_path / "grpo.report"
+        code, stdout, err = run_cli(
+            ["grpo-eval", "--logprobs", str(logprob_file), "--epsilon", "0.2", "--beta", "0.0",
+             "--report", str(report)],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err == "error: need at least one group\n"
+        assert read_lines(report) == [
+            {"kind": "error", "error": "RangeError", "message": "need at least one group"}
+        ]
 
     @pytest.mark.parametrize(
         "current",

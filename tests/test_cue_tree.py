@@ -19,7 +19,7 @@ from toc.cue_tree import (
     layer_compilations,
     trajectory_layers,
 )
-from toc.errors import EmptySelectionError, InvalidSizeError, OutOfRangeError
+from toc.errors import EmptySelectionError, RangeError
 
 
 def interval_path(n: int, idx: int) -> list[tuple[int, int]]:
@@ -88,7 +88,7 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_invalid_size(self, n):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(RangeError, match=rf"^n_leaves must be >= 1, got {n}$"):
             build_tree(n)
 
     @given(st.integers(1, 128))
@@ -125,7 +125,7 @@ class TestPathToLeaf:
 
     @pytest.mark.parametrize("idx", [-1, 4])
     def test_out_of_range(self, idx):
-        with pytest.raises(OutOfRangeError, match=rf"^clip index {idx} outside \[0, 3\]$"):
+        with pytest.raises(RangeError, match=rf"^clip index {idx} outside \[0, 3\]$"):
             backtrack(build_tree(4), [idx])
 
     @given(st.integers(1, 64), st.data())
@@ -145,7 +145,7 @@ class TestBacktrack:
             backtrack(build_tree(4), [])
 
     def test_out_of_range_selection(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(RangeError, match=r"^clip index 4 outside \[0, 3\]$"):
             backtrack(build_tree(4), [0, 4])
 
     def test_layers_group_nodes_by_exact_depth(self):

@@ -4,7 +4,8 @@ File formats bullet lists its shape's keys as records.SHAPES has them, the
 journal bullet's sub-list lists each stage's payload keys, and the rejected
 bullet lists every rejection reason.  The Quickstart runs as written, its
 output rows are what `reward` and `grpo-eval` print for the example lines,
-and the Layout block names every module of the package."""
+its report rows are the kinds `cli.py` writes, and the Layout block names
+every module of the package."""
 
 from __future__ import annotations
 
@@ -218,6 +219,14 @@ def test_output_rows_are_what_reward_and_grpo_eval_print(tmp_path, capsys):
         path.write_text(format_examples()[shape] + "\n", encoding="utf-8")
         assert main([*args, str(path)]) == 0
         assert capsys.readouterr().out == row + "\n"
+
+
+def test_report_rows_are_the_kinds_cli_writes():
+    (rows,) = re.findall(r"takes `--report PATH`.*?\n\n((?:- .*\n(?:  .*\n)*)+)",
+                         section("Quickstart (fully offline)"), re.S)
+    listed = re.findall(r"^- `(\w+)` \(", rows, re.M)
+    source = (README.parent / "src" / "toc" / "cli.py").read_text(encoding="utf-8")
+    assert sorted(listed) == sorted(set(re.findall(r'"kind": "(\w+)"', source)))
 
 
 def test_layout_names_every_module():

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toc.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    NonFiniteError,
-    ZeroVectorError,
-)
+from toc.errors import NonFiniteError
 from toc.segmentation import DEFAULT_TAU, ShotBoundarySet, stitch
 
 
@@ -73,7 +68,7 @@ def oracle_groups(shots: ShotBoundarySet, tau: float):
 
 class TestShotBoundarySet:
     def test_needs_two_boundaries(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match=r"^need at least 2 boundaries for one shot, got 1$"):
             ShotBoundarySet(video_id="v", boundaries_s=(0.0,), embeddings=())
 
     def test_must_start_at_zero(self):
@@ -92,12 +87,12 @@ class TestShotBoundarySet:
             ShotBoundarySet(video_id="v", boundaries_s=(0.0, 1.0, 2.0), embeddings=((1.0, 0.0),))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match=r"^shot 1 embedding has 3 dims, expected 2$"):
             ShotBoundarySet(
                 video_id="v", boundaries_s=(0.0, 1.0, 2.0),
                 embeddings=((1.0, 0.0), (0.0, 1.0, 0.0)),
             )
-        with pytest.raises(DimensionMismatchError, match="at least 1 dimension"):
+        with pytest.raises(ValueError, match=r"^embeddings must have at least 1 dimension$"):
             ShotBoundarySet("v", (0.0, 1.0), [[]])
 
     @settings(max_examples=200, deadline=None)
@@ -172,7 +167,7 @@ class TestStitch:
         assert math.hypot(*clip.embedding) == pytest.approx(1.0)
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVectorError, match="shot 1 embedding has no direction"):
+        with pytest.raises(ValueError, match=r"^shot 1 embedding has no direction \(norm 0\.0\)$"):
             shots_from([1.0, 1.0], [at_angle(0), (0.0, 0.0)])
 
     @pytest.mark.parametrize("tau", [0.0, -0.5, 1.0001])

@@ -170,6 +170,11 @@ class TestRequestBuilders:
         spaced = [Clip("v", 0, 0.5, 1.25), Clip("v", 1, 1.5, 3.0), Clip("v", 2, 3.0, 7.1)]
         req = caption_request("s3://b/v.mp4", spaced)
         assert req.media == ("s3://b/v.mp4#t=0.5,1.25", "s3://b/v.mp4#t=1.5,7.1")
+        # npt-sec is digits and a point: no exponent, no sign on zero
+        spans = [Clip("v", 0, -0.0, 1e-05), Clip("v", 1, 1e-05, 2.0), Clip("v", 2, 2.0, 2e16)]
+        assert [caption_request("a/full", [clip]).media for clip in spans] == [
+            ("a/full#t=0.0,0.00001",), ("a/full#t=0.00001,2.0",),
+            ("a/full#t=2.0,20000000000000000.0",)]
 
     def test_one_clip_compilation_is_its_clip_caption(self):
         # an uncaptioned one-clip compilation asks exactly its clip's request
