@@ -13,8 +13,12 @@ class TocError(Exception):
 # --- records ---
 
 
-class EmptyRationaleError(TocError):
+class EmptyRationaleError(TocError, ValueError):
     """A rationale was empty where a non-empty one is required."""
+
+
+class ReservedTagError(TocError, ValueError):
+    """A rationale holds a tag that delimits the blocks of the training target."""
 
 
 class RecordError(TocError):
@@ -75,10 +79,6 @@ class InsufficientCuesError(TocError):
 
 class StepCountMismatchError(TocError):
     """Rationale step markers do not match the number of localization steps."""
-
-
-class ReservedTagError(TocError):
-    """A rationale holds a tag that delimits the blocks of the training target."""
 
 
 # --- numeric values ---

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .errors import EmptyRationaleError, NonFiniteError, RangeError, RecordError
+from .errors import EmptyRationaleError, NonFiniteError, RangeError, RecordError, ReservedTagError
 from .templates import step_numbers
 
 QA_TYPES = ("multiple_choice", "open_ended", "numerical")
@@ -237,10 +237,19 @@ class QaPair:
         )
 
 
+def check_rationale(rationale: str) -> None:
+    """The rule for a rationale: non-blank, free of step markers and of target tags."""
+    if not rationale.strip():
+        raise EmptyRationaleError("rationale is empty once its step markers are stripped")
+    if step_numbers(rationale):
+        raise ValueError("rationale still contains a step marker")
+    tags = [tag for tag in TARGET_TAGS if tag in rationale]
+    if tags:
+        raise ReservedTagError(f"rationale holds target tags {tags}")
+
+
 def render_target(rationale: str, answer: str) -> str:
     """Render the two-block training target: locate block, newline, answer block."""
-    if not rationale.strip():
-        raise EmptyRationaleError("rationale must be non-empty")
     return f"<locate>{rationale}</locate>\n<answer>{answer}</answer>"
 
 
@@ -257,14 +266,12 @@ class SftSample:
     prompt: str
 
     def validate(self) -> None:
-        if step_numbers(self.rationale):
-            raise ValueError("rationale still contains a step marker")
-        if self.target.count("<locate>") != 1 or self.target.count("</locate>") != 1:
-            raise ValueError("target must contain exactly one locate block")
-        if self.target.count("<answer>") != 1 or self.target.count("</answer>") != 1:
-            raise ValueError("target must contain exactly one answer block")
-        if self.target.index("</locate>") > self.target.index("<answer>"):
-            raise ValueError("locate block must precede answer block")
+        """ValueError unless the rationale keeps its rule and the target is its rendering."""
+        check_rationale(self.rationale)
+        if any(tag in self.answer for tag in TARGET_TAGS):
+            raise ValueError(f"answer must not contain any of {TARGET_TAGS}")
+        if self.target != render_target(self.rationale, self.answer):
+            raise ValueError("target is not the rendering of its rationale and answer")
 
     def to_record(self) -> dict:
         return dict(vars(self))

@@ -43,11 +43,11 @@ from .errors import (
 )
 from .gateway import ChatRequest, Gateway, ordered_map
 from .records import (
-    TARGET_TAGS,
     Clip,
     QaPair,
     QaTask,
     SftSample,
+    check_rationale,
     check_record,
     default_video_ref,
     dump_record,
@@ -193,10 +193,11 @@ class Journal:
     Read once, on construction: a torn last line (left by a crash) is
     truncated away, and the rest goes through the shared record reader.
     Checkpoint lines of earlier versions are skipped, as are rejections for
-    a backend failure, which the next run retries; another stage is a
-    RecordError naming its line.  Appends are serialized and each line is
-    flushed, through one handle opened at the first append; close() or a
-    `with` block closes it.
+    a backend failure, which the next run retries.  Another stage, a
+    rationale breaking check_rationale's rule, or a reason not in REASONS
+    is a RecordError naming its line.  Appends are serialized and each
+    line is flushed, through one handle opened at the first append;
+    close() or a `with` block closes it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -242,6 +243,10 @@ class Journal:
         if stage not in ("emitted", "rejected"):
             raise ValueError(f"unknown stage {stage!r}")
         check_record(payload, f"{stage} payload")
+        if stage == "emitted":
+            check_rationale(payload["rationale"])
+        elif payload["reason"] not in REASONS:
+            raise ValueError(f"unknown rejection reason {payload['reason']!r}")
         if payload.get("reason") not in _RETRIED_REASONS:
             self._outcomes[entry["sample_id"]] = (entry["digest"], stage, payload)
 
@@ -318,8 +323,8 @@ def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> st
     """Summarize the trajectory; returns the rationale with its step markers stripped.
 
     The reply must carry exactly one step marker per cue, in ascending
-    order, before the markers are stripped; what is left must be non-empty
-    and hold none of the target's block tags.
+    order, before the markers are stripped; what is left must keep
+    check_rationale's rule.
     """
     reply = gateway.complete(rationale_request(cues, qa))
     if not reply.strip():
@@ -331,11 +336,7 @@ def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> st
             f"expected {len(cues)} ascending step markers, found {numbers}"
         )
     rationale = strip_step_markers(reply)
-    if not rationale.strip():
-        raise EmptyRationaleError("rationale is empty once its step markers are stripped")
-    tags = [tag for tag in TARGET_TAGS if tag in rationale]
-    if tags:
-        raise ReservedTagError(f"rationale holds target tags {tags}")
+    check_rationale(rationale)
     return rationale
 
 
@@ -345,7 +346,7 @@ def summarize_rationale(gateway: Gateway, cues: Sequence[str], qa: QaPair) -> st
 def sft_record(task: QaTask, rationale: str) -> dict:
     """The dataset line of an emitted sample."""
     question = task.qa.formatted_question()
-    sample = SftSample(
+    return SftSample(
         id=task.sample_id,
         video_id=task.video_id,
         question=question,
@@ -353,9 +354,7 @@ def sft_record(task: QaTask, rationale: str) -> dict:
         rationale=rationale,
         prompt=render_train_infer(question, task.qa.qa_type),
         target=render_target(rationale, task.qa.answer),
-    )
-    sample.validate()
-    return sample.to_record()
+    ).to_record()
 
 
 # Per step, in order, the rejection reason for each exception type the step
@@ -382,6 +381,8 @@ REJECTION_REASONS: dict[str, dict[type, str]] = {
         GatewayError: "rationale_failed",
     },
 }
+# Every reason a sample is rejected for: it has no clips, or a step rejects it.
+REASONS = frozenset({"missing_clips", *(r for row in REJECTION_REASONS.values() for r in row.values())})
 # The reasons for a backend failure: rejected in this run, retried by the next.
 _RETRIED_REASONS = frozenset(reasons[GatewayError] for reasons in REJECTION_REASONS.values())
 # The stages short of an outcome that journals of earlier versions also hold.
@@ -506,12 +507,7 @@ def run_sft_pipeline(
                     {"id": task.sample_id, "reason": payload["reason"], "detail": payload["detail"]}
                 )
                 continue
-            try:
-                record = sft_record(task, payload["rationale"])
-            except (ValueError, EmptyRationaleError) as exc:
-                # summarize_rationale only returns a rationale that renders
-                raise RecordError(f"{journal.path}: sample {task.sample_id}: {exc}") from None
-            yield record
+            yield sft_record(task, payload["rationale"])
 
     with journal, closing(fresh):  # the pool drains before the journal closes
         emitted = write_records(out, dataset())

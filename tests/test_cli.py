@@ -518,14 +518,20 @@ class TestCorruptJournal:
         assert not out.exists() and calls == []
         return err
 
-    def starts_over(self, corpus, tmp_path, capsys, monkeypatch, entries, sample_id):
-        """Resuming from `entries` makes the calls and writes the bytes that
-        resuming from the golden journal without `sample_id`'s lines does."""
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        """The requests MockBackend answers from now on."""
         calls = []
         complete = MockBackend.complete
         monkeypatch.setattr(
             MockBackend, "complete", lambda self, request: calls.append(request) or complete(self, request)
         )
+        return calls
+
+    def starts_over(self, corpus, tmp_path, capsys, monkeypatch, entries, sample_id):
+        """Resuming from `entries` makes the calls and writes the bytes that
+        resuming from the golden journal without `sample_id`'s lines does."""
+        calls = self.count_calls(monkeypatch)
         without = [e for e in self.golden() if e["sample_id"] != sample_id]
         runs = []
         for name, journal in (("without", without), ("edited", entries)):
@@ -557,14 +563,16 @@ class TestCorruptJournal:
             ("v00#0", "emitted", {}, ":5: invalid record: missing key 'rationale'"),
             ("v00#0", "emitted", {"rationale": 5}, ":5: invalid record: rationale must be a string, got 5"),
             ("v00#0", "emitted", {"rationale": "Step 1: hi <answer>"},
-             ": sample v00#0: rationale still contains a step marker"),
-            # the last emitted sample: every other dataset line is streamed before it fails
+             ":5: invalid record: rationale still contains a step marker"),
+            # the last emitted sample: refused as the journal is read, like the first
             ("v16#0", "emitted", {"rationale": "Step 1: hi <answer>"},
-             ": sample v16#0: rationale still contains a step marker"),
+             ":85: invalid record: rationale still contains a step marker"),
             ("v17#0", "rejected", {"reason": "x"}, ":87: invalid record: missing key 'detail'"),
+            ("v17#0", "rejected", {"reason": "made_up", "detail": "x"},
+             ":87: invalid record: unknown rejection reason 'made_up'"),
         ],
         ids=["rationale_missing", "rationale_number", "rationale_unrenderable",
-             "rationale_unrenderable_late", "detail_missing"],
+             "rationale_unrenderable_late", "detail_missing", "reason_unknown"],
     )
     def test_finished_sample(
         self, corpus, tmp_path, capsys, monkeypatch, sample_id, stage, payload, message
@@ -577,6 +585,21 @@ class TestCorruptJournal:
         assert err == f"error: {tmp_path / 'sft.records.journal'}{message}\n"
         assert not (tmp_path / "sft.records.rejected").exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_partly_journalled_run_stops_before_any_call(self, corpus, tmp_path, capsys, monkeypatch):
+        # v00#0 has no lines, so it would run first; v16#0's rationale breaks the rule
+        entries = [e for e in self.golden() if e["sample_id"] != "v00#0"]
+        for entry in entries:
+            if (entry["sample_id"], entry["stage"]) == ("v16#0", "emitted"):
+                entry["payload"] = {"rationale": "Step 1: hi"}
+        calls = self.count_calls(monkeypatch)
+        out = tmp_path / "sft.records"
+        journal = Path(f"{out}.journal")
+        code, _, err = self.run(corpus, out, entries, capsys)
+        assert code == 1 and calls == []
+        assert journal.read_text(encoding="utf-8") == "".join(json.dumps(e) + "\n" for e in entries)
+        assert err == f"error: {journal}:80: invalid record: rationale still contains a step marker\n"
+        assert not out.exists() and not list(tmp_path.glob("*.tmp"))
 
     def test_seven_stage_journal_is_refused(self, corpus, tmp_path, capsys, monkeypatch):
         # v00#0's first lines as a journal of the version before the five

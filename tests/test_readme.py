@@ -32,7 +32,7 @@ from toc.records import (
     render_target,
 )
 from toc.segmentation import ShotBoundarySet
-from toc.sft_pipeline import REJECTION_REASONS, Journal, load_clips
+from toc.sft_pipeline import REASONS, Journal, load_clips
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -97,10 +97,6 @@ def journal_outcomes(path):
     outcomes = [journal.resume(entry["sample_id"], entry["digest"]) for entry in entries]
     assert outcomes == [(entry["stage"], entry["payload"]) for entry in entries]
     return outcomes
-
-
-# Every reason a .rejected line may give: a sample without clips, or a step's rejection.
-REASONS = {"missing_clips"} | {reason for row in REJECTION_REASONS.values() for reason in row.values()}
 
 
 def rejections(path):

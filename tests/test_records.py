@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toc.errors import EmptyRationaleError, RangeError, RecordError
+from toc.errors import EmptyRationaleError, RangeError, RecordError, ReservedTagError
 from toc.records import (
     Clip,
     QaPair,
     QaTask,
     RlSample,
     SftSample,
+    check_rationale,
     check_record,
     demand_from_alpha,
     dump_record,
@@ -158,16 +159,26 @@ class TestRenderTarget:
             "<locate>I scan the video and find the key clip.</locate>\n<answer>B</answer>"
         )
 
-    def test_empty_rationale(self):
-        with pytest.raises(EmptyRationaleError):
-            render_target("", "B")
-
-    def test_blank_rationale(self):
-        with pytest.raises(EmptyRationaleError):
-            render_target("   ", "B")
-
     def test_round_trips_through_extract_answer(self):
         assert extract_answer(render_target("some locating text", "C")) == "C"
+
+
+class TestCheckRationale:
+    def test_empty_rationale(self):
+        with pytest.raises(EmptyRationaleError, match="rationale is empty once"):
+            check_rationale("")
+
+    def test_blank_rationale(self):
+        with pytest.raises(EmptyRationaleError, match="rationale is empty once"):
+            check_rationale("   ")
+
+    @pytest.mark.parametrize("rationale,error,message", [
+        ("I scan. Step 2: I focus.", ValueError, "rationale still contains a step marker"),
+        ("I scan <answer>B.", ReservedTagError, r"rationale holds target tags \['<answer>'\]"),
+    ], ids=["step_marker", "target_tag"])
+    def test_rejects(self, rationale, error, message):
+        with pytest.raises(error, match=message):
+            check_rationale(rationale)
 
 
 class TestSftSample:
@@ -195,13 +206,18 @@ class TestSftSample:
         sample = self.build()
         assert SftSample.from_record(sample.to_record()) == sample
 
-    @pytest.mark.parametrize("target,message", [
-        ("<locate>r</locate><locate>x</locate>\n<answer>A</answer>", "exactly one locate block"),
-        ("<answer>A</answer>\n<locate>r</locate>", "locate block must precede answer block"),
-    ], ids=["two_locate_blocks", "answer_first"])
-    def test_rejects_malformed_target(self, target, message):
-        sample = SftSample(id="v#0", video_id="v", question="q", answer="A", rationale="r",
-                           target=target, prompt="p")
+    @pytest.mark.parametrize("rationale,answer,target,message", [
+        ("r", "A", "<locate>r</locate><locate>x</locate>\n<answer>A</answer>", "not the rendering"),
+        ("r", "A", "<answer>A</answer>\n<locate>r</locate>", "not the rendering"),
+        ("r", "A", "<locate>s</locate>\n<answer>A</answer>", "not the rendering"),
+        (" ", "A", "<locate> </locate>\n<answer>A</answer>", "rationale is empty"),
+        ("r", "A</answer>", "<locate>r</locate>\n<answer>A</answer></answer>",
+         "answer must not contain"),
+    ], ids=["two_locate_blocks", "answer_first", "other_rationale", "blank_rationale",
+            "answer_tag"])
+    def test_rejects_malformed_target(self, rationale, answer, target, message):
+        sample = SftSample(id="v#0", video_id="v", question="q", answer=answer,
+                           rationale=rationale, target=target, prompt="p")
         with pytest.raises(ValueError, match=message):
             sample.validate()
 

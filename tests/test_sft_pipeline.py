@@ -404,10 +404,10 @@ class TestJournal:
 
     def test_terminal_line_alone_replays(self, tmp_path):
         path = tmp_path / "run.journal"
-        append(path, emitted("v#0"), rejected("v#1", "x", "y"))
+        append(path, emitted("v#0"), rejected("v#1", "insufficient_cues", "y"))
         replayed = Journal(path)
         assert replayed.resume("v#0", "d1") == ("emitted", {"rationale": "r"})
-        assert replayed.resume("v#1", "d1") == ("rejected", {"reason": "x", "detail": "y"})
+        assert replayed.resume("v#1", "d1") == ("rejected", {"reason": "insufficient_cues", "detail": "y"})
 
     def test_concurrent_appends_replay_whole(self, tmp_path, fast_thread_switching):
         path = tmp_path / "run.journal"
@@ -1013,15 +1013,22 @@ class TestRunSftPipeline:
         out = tmp_path / "sft.records"
         run_sft_pipeline(one_try_gateway(MockBackend.from_file(paths["mock_table"])),
                          tasks, clips_by_video, out)
-        # the second sample's journalled rationale no longer renders; every
-        # other sample is fresh, so the first runs before it is read and the
-        # ones after it are in flight when it is
+        # only the second sample stays journalled, and writing its line fails;
+        # every other sample is fresh, so the first runs before it is written
+        # and the ones after it are in flight when it is
         journal = Path(f"{out}{JOURNAL_SUFFIX}")
         entries = {rec["sample_id"]: rec for rec in read_records(journal)}
-        tampered = entries[tasks[1].sample_id]
-        assert tampered["stage"] == "emitted"
-        tampered["payload"]["rationale"] = "Step 1: a leftover marker."
-        journal.write_text(json.dumps(tampered) + "\n", encoding="utf-8")
+        kept = entries[tasks[1].sample_id]
+        assert kept["stage"] == "emitted"
+        journal.write_text(json.dumps(kept) + "\n", encoding="utf-8")
+        record = sft_pipeline.sft_record
+
+        def sft_record_failing(task, rationale):
+            if task.sample_id == tasks[1].sample_id:
+                raise OSError("disk full")
+            return record(task, rationale)
+
+        monkeypatch.setattr(sft_pipeline, "sft_record", sft_record_failing)
 
         lock, calls = threading.Lock(), {"running": 0}
 
@@ -1053,7 +1060,7 @@ class TestRunSftPipeline:
                             lambda journal: running_at_close.append(calls["running"]) or close(journal))
         backend = Slow(MockBackend.from_file(paths["mock_table"]))
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
-        with pytest.raises(RecordError, match=f"sample {tasks[1].sample_id}: "):
+        with pytest.raises(OSError, match="disk full"):
             run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
         assert running_at_close == [0]
         journalled = [rec["sample_id"] for rec in read_records(journal)]
