@@ -21,6 +21,7 @@ from .cue_tree import backtrack, build_tree, layer_compilations, trajectory_laye
 from .errors import TocError, UsageError
 from .gateway import Gateway
 from .records import (
+    STAGED_SUFFIX,
     QaTask,
     RlSample,
     check_record,
@@ -98,11 +99,11 @@ def _check_paths(args: argparse.Namespace) -> None:
     # write_records stages each file at <path>.tmp and renames it into place, which carries
     # off the journal or an output written before; one written after is only created then.
     for pos, path in enumerate(written):
-        staged = os.path.realpath(f"{path}.tmp")
+        staged = os.path.realpath(f"{path}{STAGED_SUFFIX}")
         if staged in resolved[:pos] + resolved[len(written):]:
             clobbered = paths[resolved.index(staged)]
             raise UsageError(f"output {clobbered} is the temporary file of another output")
-    touched = set(resolved) | {os.path.realpath(f"{path}.tmp") for path in written}
+    touched = set(resolved) | {os.path.realpath(f"{path}{STAGED_SUFFIX}") for path in written}
     for flag, path in inputs:
         if os.path.realpath(path) in touched:
             raise UsageError(f"input {flag} {path} is a file this command writes")

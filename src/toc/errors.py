@@ -58,10 +58,6 @@ class GatewayTimeoutError(GatewayError):
     """Every attempt timed out."""
 
 
-class UnboundPlaceholderError(TocError):
-    """A prompt template placeholder was left unbound."""
-
-
 class ParseError(TocError):
     """A backend reply did not match the strict format the prompt demands."""
 

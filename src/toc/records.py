@@ -460,13 +460,16 @@ def _decode_line(line: str) -> object:
     return json.loads(line)
 
 
+STAGED_SUFFIX = ".tmp"
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> int:
     """Write one JSON object per line; returns the number of lines written.
 
-    The lines go to `<path>.tmp`, which then replaces `path`, so the file
-    on disk is always either complete or as it was before the call.
+    The lines go to `<path>.tmp` (`STAGED_SUFFIX`), which then replaces `path`,
+    so the file on disk is always either complete or as it was before the call.
     """
-    tmp = Path(f"{path}.tmp")
+    tmp = Path(f"{path}{STAGED_SUFFIX}")
     count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from .errors import GatewayError
 from .gateway import ChatRequest, Gateway, ordered_map
 from .records import QaPair, QaTask, RlSample
 from .rewards import answers_match, extract_answer
-from .templates import render_direct_answer
+from .templates import DIRECT_ANSWER_BODY
 
 TRIAL_MAX_TOKENS = 32
 
@@ -27,35 +27,12 @@ def trial_request(qa: QaPair, video_ref: str, trial_index: int, temperature: flo
     """The no-think elicitation; the trial index doubles as the sampling seed."""
     return ChatRequest(
         "mllm",
-        render_direct_answer(qa.formatted_question()),
+        DIRECT_ANSWER_BODY.format_map({"Question": qa.formatted_question()}),
         media=(video_ref,),
         temperature=temperature,
         max_tokens=TRIAL_MAX_TOKENS,
         seed=trial_index,
     )
-
-
-def run_trials(
-    gateway: Gateway,
-    qa: QaPair,
-    video_ref: str,
-    m_trials: int,
-    *,
-    temperature: float,
-) -> list[bool]:
-    """Issue M trials of a multiple-choice question; return whether each answered correctly.
-
-    An unparseable reply counts incorrect.  A failed backend call raises its
-    GatewayError: it says nothing about the model's answer, so it must not
-    count either way.
-    """
-    return [
-        answers_match(
-            extract_answer(gateway.complete(trial_request(qa, video_ref, i, temperature))),
-            qa.answer,
-        )
-        for i in range(m_trials)
-    ]
 
 
 def filter_by_difficulty(samples: Sequence[RlSample], lo: float, hi: float) -> list[RlSample]:
@@ -101,18 +78,21 @@ def run_demand_pipeline(
 ) -> tuple[list[RlSample], Counter]:
     """Annotate every multiple-choice task with its demand; count skips by reason.
 
-    A question is skipped as `non_multiple_choice`, or as `trials_failed`
-    when any of its trials fails in the gateway.  Up to `workers` questions
-    are in flight at once; output keeps task order.
+    alpha counts the correct replies among a question's M trials; an
+    unparseable reply counts incorrect.  A failed call counts neither way: the
+    question is skipped as `trials_failed` (or, if not multiple-choice, as
+    `non_multiple_choice`).  Up to `workers` questions are in flight at once;
+    output keeps task order.
     """
 
     def annotate(task: QaTask) -> RlSample | str:
         if task.qa.qa_type != "multiple_choice":
             return "non_multiple_choice"
         try:
-            trials = run_trials(
-                gateway, task.qa, task.video_ref, m_trials, temperature=temperature
-            )
+            replies = [
+                gateway.complete(trial_request(task.qa, task.video_ref, i, temperature))
+                for i in range(m_trials)
+            ]
         except GatewayError:
             return "trials_failed"
         return RlSample.from_trial_count(
@@ -121,7 +101,7 @@ def run_demand_pipeline(
             question=task.qa.question,
             options=task.qa.options or (),
             answer=task.qa.answer,
-            alpha=sum(trials),
+            alpha=sum(answers_match(extract_answer(r), task.qa.answer) for r in replies),
             m_trials=m_trials,
         )
 

@@ -64,7 +64,6 @@ from .templates import (
     render_train_infer,
     step_numbers,
     strip_step_markers,
-    substitute,
 )
 
 CAPTION_MAX_TOKENS = 512
@@ -119,21 +118,19 @@ def clip_descriptions_json(clips: Sequence[Clip], qa: QaPair) -> str:
 
 
 def selection_request(clips: Sequence[Clip], qa: QaPair) -> ChatRequest:
-    prompt = substitute(
-        TEMPLATES["key_clip_selection"],
+    prompt = TEMPLATES["key_clip_selection"].format_map(
         {
             "Video Clip Descriptions": clip_descriptions_json(clips, qa),
             "Question": qa.formatted_question(),
             "Answer": qa.answer,
-        },
+        }
     )
     return ChatRequest("llm", prompt, max_tokens=SELECTION_MAX_TOKENS)
 
 
 def filter_request(final_cue: str, qa: QaPair) -> ChatRequest:
-    prompt = substitute(
-        TEMPLATES["low_quality_filter"],
-        {"Question": qa.formatted_question(), "Answer": qa.answer, "Cues": final_cue},
+    prompt = TEMPLATES["low_quality_filter"].format_map(
+        {"Question": qa.formatted_question(), "Answer": qa.answer, "Cues": final_cue}
     )
     return ChatRequest("llm", prompt, max_tokens=FILTER_MAX_TOKENS)
 
@@ -144,13 +141,12 @@ def linearize_trajectory(cues: Sequence[str]) -> str:
 
 
 def rationale_request(cues: Sequence[str], qa: QaPair) -> ChatRequest:
-    prompt = substitute(
-        TEMPLATES["rationale_generation"],
+    prompt = TEMPLATES["rationale_generation"].format_map(
         {
             "Question": qa.formatted_question(),
             "Answer": qa.answer,
             "Reasoning Trajectory": linearize_trajectory(cues),
-        },
+        }
     )
     return ChatRequest("llm", prompt, max_tokens=RATIONALE_MAX_TOKENS)
 

@@ -1,9 +1,10 @@
 """Prompt templates and the parsers for their expected reply shapes.
 
 Template bodies are frozen byte-for-byte; tests compare rendered output
-against golden files, so any edit here must be deliberate.  Placeholders are
-brace-wrapped names ({Question}); substitution is a single left-to-right
-pass, so braces inside bound values are never re-expanded.
+against golden files, so any edit here must be deliberate.  Each body is a
+`str.format` template whose fields are brace-wrapped names ({Question}), and
+no body holds a literal brace.  `format_map` never re-expands a bound value,
+so braces inside a question or a JSON binding pass through.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import re
 import string
 
-from .errors import ParseError, UnboundPlaceholderError
+from .errors import ParseError
 
 KEY_CLIP_SELECTION_BODY = """### Task:
 You are an excellent problem solver with a strong ability to comprehend and analyze long-form video content. There is a long video that has been split into multiple semantically coherent clips to help you understand. You are provided with the detailed description for each clip, and a question-answer pair based on this long video. Please carefully understand this long video based on the detailed descriptions for all clips, along with the question-answer pair. And reason how to solve this question using the information provided in the video to arrive at the correct answer. Based on your reasoning process, identify which clips are essential for answering the question.
@@ -59,31 +60,12 @@ TEMPLATES = {
     "train_infer": TRAIN_INFER_BODY,
 }
 
-_PLACEHOLDER = re.compile(r"\{([A-Za-z][A-Za-z ]*)\}")
-
-
-def substitute(body: str, bindings: dict[str, str]) -> str:
-    """Replace every placeholder in one pass; bound values pass through untouched."""
-
-    def _replace(match: re.Match[str]) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise UnboundPlaceholderError(f"no binding for placeholder {{{name}}}")
-        return bindings[name]
-
-    return _PLACEHOLDER.sub(_replace, body)
-
 
 def render_train_infer(question: str, qa_type: str) -> str:
     """Unified training/inference prompt: question plus type-specific instruction."""
-    return substitute(
-        TEMPLATES["train_infer"],
-        {"Question": question, "Task Instruction": TASK_INSTRUCTIONS[qa_type]},
+    return TEMPLATES["train_infer"].format_map(
+        {"Question": question, "Task Instruction": TASK_INSTRUCTIONS[qa_type]}
     )
-
-
-def render_direct_answer(question: str) -> str:
-    return substitute(DIRECT_ANSWER_BODY, {"Question": question})
 
 
 def parse_index_array(reply: str, lenient: bool = False) -> list[int]:

@@ -4,6 +4,9 @@ loopback chat-completions endpoint."""
 from __future__ import annotations
 
 import json
+import math
+import os
+import signal
 import socket
 import sys
 import threading
@@ -121,6 +124,9 @@ class LoopbackEndpoint:
     A digest added to `truncate` gets one reply whose body breaks off: the
     headers promise the whole body, 13 bytes of it are sent, and the
     connection closes.
+    `kill_at_call(pid, n)` sends SIGKILL to process `pid` when the n-th request
+    from then on arrives; that request and every later one go unanswered until
+    `kill` is set back to None.
     """
 
     MODELS = {role: f"{role}-model" for role in MODEL_ROLES}
@@ -130,8 +136,13 @@ class LoopbackEndpoint:
         self.table: dict[str, str] = {}
         self.log: list[tuple[str | None, str]] = []
         self.truncate: set[str] = set()
+        self.kill: tuple[int, int] | None = None  # (pid, length of `log` that kills it)
         self.connections = 0
         self.lock = threading.Lock()
+
+    def kill_at_call(self, pid: int, n: int) -> None:
+        with self.lock:
+            self.kill = (pid, len(self.log) + n)
 
     def backends(self) -> dict[str, dict]:
         """A config's `backends`: every role served over HTTP by this endpoint."""
@@ -167,6 +178,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
             endpoint.log.append((self.headers.get("Authorization"), digest))
             cut = digest in endpoint.truncate
             endpoint.truncate.discard(digest)
+            victim, kill_at = endpoint.kill or (0, math.inf)
+            if len(endpoint.log) == kill_at:
+                os.kill(victim, signal.SIGKILL)
+            unanswered = len(endpoint.log) >= kill_at
+        if unanswered:
+            self.close_connection = True
+            return
         if digest not in endpoint.table:
             self.reply(404, b"{}")
             return
@@ -187,13 +205,19 @@ class _ChatHandler(BaseHTTPRequestHandler):
         pass  # the endpoint's own log is enough
 
 
+class _LoopbackServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address) -> None:
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # a killed client's socket is gone
+            super().handle_error(request, client_address)
+
+
 @pytest.fixture
 def loopback_endpoint(monkeypatch):
     """An OpenAI-compatible chat-completions endpoint on 127.0.0.1; see LoopbackEndpoint."""
     for name in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.lower(), raising=False)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server = _LoopbackServer(("127.0.0.1", 0), _ChatHandler)
     host, port = server.server_address[:2]
     server.endpoint = LoopbackEndpoint(f"http://{host}:{port}/v1/chat/completions")
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})

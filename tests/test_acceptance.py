@@ -33,7 +33,7 @@ from toc.rewards import (
 )
 from toc.rl_pipeline import balance_tiers, filter_by_difficulty, run_build_rl, tier_histogram
 from toc.sft_pipeline import load_clips, run_sft_pipeline
-from toc.templates import TEMPLATES, render_train_infer, substitute
+from toc.templates import TEMPLATES, render_train_infer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -193,7 +193,7 @@ def test_07_prompt_fidelity():
         assert tuple(TEMPLATES) == TEMPLATE_GOLDENS
         for name, body in TEMPLATES.items():
             identity = {p: "{" + p + "}" for p in PLACEHOLDER.findall(body)}
-            rendered = substitute(body, identity)
+            rendered = body.format_map(identity)
             assert rendered.encode("utf-8") == golden_path(name).read_bytes(), name
         for qa_type in ("multiple_choice", "numerical"):
             rendered = render_train_infer("{Question}", qa_type)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import toc
 from toc import cli
 from toc.cli import SIG12_MEMO_SIZE, main, sig12
 from toc.gateway import MockBackend
@@ -910,6 +914,57 @@ class TestLoopbackHttp:
         assert over_http == mocked
         assert [digest for _, digest in loopback_endpoint.log].count(cut) == 2
         assert not loopback_endpoint.truncate
+
+
+class TestKilledProcess:
+    """`python -m toc.cli build-sft` killed with SIGKILL mid-run, over a loopback
+    endpoint, resumes to the bytes of an uninterrupted mock-backed run."""
+
+    OUTPUTS = ("sft.records", "sft.records.rejected", "sft.records.report")
+
+    @pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+    def test_kills_resume_to_clean_bytes(
+        self, corpus, tmp_path, capsys, loopback_endpoint, monkeypatch
+    ):
+        monkeypatch.setenv("TOC_API_KEY", "loopback-key")
+        paths = corpus.manifest["paths"]
+        loopback_endpoint.table = MockBackend.from_file(paths["mock_table"]).table
+        config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
+        del config["mock_table_path"]
+        http_config = tmp_path / "http_config.json"
+        http_config.write_text(json.dumps({**config, "backends": loopback_endpoint.backends()}),
+                               encoding="utf-8")
+        args = ["build-sft", "--videos", paths["clips"], "--qa", paths["qa"],
+                "-o", "sft.records", "--parallelism", "4"]
+        search = [str(Path(toc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search))}
+        killed = tmp_path / "killed"
+        killed.mkdir()
+        for kill_at in (5, 40, 101, None):
+            child = subprocess.Popen(
+                [sys.executable, "-m", "toc.cli", *args, "--config", str(http_config)],
+                cwd=killed, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            try:
+                if kill_at is not None:
+                    loopback_endpoint.kill_at_call(child.pid, kill_at)
+                returncode = child.wait(timeout=60)
+            finally:
+                child.kill()
+                child.wait()
+                loopback_endpoint.kill = None
+            assert returncode == (0 if kill_at is None else -9), kill_at
+            for name in self.OUTPUTS:
+                path = killed / name
+                assert not path.exists() or path.read_bytes().endswith(b"\n"), (kill_at, name)
+        mocked = tmp_path / "mock"
+        mocked.mkdir()
+        monkeypatch.chdir(mocked)
+        code, _, err = run_cli([*args, "--config", paths["config"]], capsys)
+        assert code == 0 and err == ""
+        for name in self.OUTPUTS:
+            assert (killed / name).read_bytes() == (mocked / name).read_bytes(), name
+        assert not list(killed.glob("*.tmp"))
 
 
 class TestEstimateDemand:

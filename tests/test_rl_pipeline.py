@@ -19,11 +19,9 @@ from toc.rl_pipeline import (
     filter_by_difficulty,
     run_build_rl,
     run_demand_pipeline,
-    run_trials,
     tier_histogram,
     trial_request,
 )
-from toc.templates import render_direct_answer
 
 # The sampling temperature of the scripted trials.
 TEMPERATURE = 1.0
@@ -64,7 +62,10 @@ class TestTrialRequest:
         req = trial_request(qa, "v00/full", 3, 0.7)
         assert req.model_role == "mllm"
         assert req.media == ("v00/full",)
-        assert req.text == render_direct_answer(qa.formatted_question())
+        assert req.text == (
+            "Which door opens?\nA. the left one\nB. the right one\nC. both\nD. neither\n"
+            "Answer with only the single option letter within the <answer> </answer> tags. Do not explain."
+        )
         assert req.seed == 3  # trial index doubles as the sampling seed
         assert req.temperature == 0.7
         assert req.max_tokens == TRIAL_MAX_TOKENS
@@ -83,7 +84,11 @@ class TestRunTrials:
             "I think it is B",  # no tag: incorrect
             "<answer>b</answer>",
         ]
-        assert run_trials(trial_gateway(qa, "v", replies), qa, "v", 4, temperature=TEMPERATURE) == [True, False, False, True]
+        task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v")
+        (sample,), _ = run_demand_pipeline(
+            trial_gateway(qa, "v", replies), [task], 4, temperature=TEMPERATURE
+        )
+        assert sample.alpha == 2
 
 
 class TestFilterByDifficulty:

@@ -43,7 +43,7 @@ def bound_by_imports(tree: ast.Module) -> dict[str, int]:
     return bound
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", [*MODULES, *sorted(SCRIPTS.glob("*.py"))], ids=lambda path: path.name)
 def test_every_import_is_used(path):
     tree = parse(path)
     unused = sorted(
@@ -144,7 +144,7 @@ def test_only_main_writes_a_report_and_no_command_builds_a_stage_row():
 
 @pytest.mark.parametrize(
     "path",
-    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py")]),
+    sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *BENCH.glob("*.py"), *SCRIPTS.glob("*.py")]),
     ids=lambda path: f"{path.parent.name}/{path.name}",
 )
 def test_parses_as_python_3_10(path):

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toc.errors import ParseError, UnboundPlaceholderError
+from toc.errors import ParseError
+from toc.records import Clip, QaPair
+from toc.rl_pipeline import trial_request
+from toc.sft_pipeline import clip_descriptions_json, selection_request
 from toc.templates import (
     TEMPLATES,
     parse_index_array,
     parse_yes_no,
-    render_direct_answer,
     render_train_infer,
     step_numbers,
     strip_step_markers,
-    substitute,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,7 +45,7 @@ class TestTemplateBodies:
     @pytest.mark.parametrize("name", TEMPLATES)
     def test_body_matches_golden(self, name):
         body = TEMPLATES[name]
-        rendered = substitute(body, identity_bindings(body))
+        rendered = body.format_map(identity_bindings(body))
         assert rendered == body  # identity bindings round-trip
         assert rendered == golden_text(name)
 
@@ -62,20 +63,19 @@ class TestTemplateBodies:
 
 
 class TestSubstitute:
-    def test_unbound_placeholder(self):
-        with pytest.raises(UnboundPlaceholderError):
-            substitute("{Question}; {Answer}", {"Question": "q"})
+    """Field substitution as the request builders do it, with `format_map`."""
 
     def test_single_pass_never_reexpands_bound_values(self):
-        out = substitute("{Question}; {Answer}", {"Question": "{Answer}", "Answer": "x"})
-        assert out == "{Answer}; x"
+        qa = QaPair(question="Why {Answer}?", answer="A", qa_type="multiple_choice", options=("x", "y"))
+        prompt = selection_request([], qa).text
+        assert prompt.endswith("; Why {Answer}?\nA. x\nB. y; A")
 
     def test_json_braces_in_value_pass_through(self):
-        out = substitute("{Question}", {"Question": '{"num_clips": 2}'})
-        assert out == '{"num_clips": 2}'
-
-    def test_extra_bindings_ignored(self):
-        assert substitute("plain", {"Question": "q"}) == "plain"
+        qa = QaPair(question="Which?", answer="B", qa_type="multiple_choice", options=("x", "y"))
+        clips = [Clip("v", 0, 0.0, 2.0, caption="a sign reads {Question}")]
+        descriptions = clip_descriptions_json(clips, qa)
+        assert descriptions.startswith('{"num_clips": 1')
+        assert f"\n{descriptions}; Which?" in selection_request(clips, qa).text
 
 
 class TestTrainInferRendering:
@@ -99,7 +99,10 @@ class TestTrainInferRendering:
             render_train_infer("{Question}", "essay")
 
     def test_direct_answer_prompt(self):
-        out = render_direct_answer("Which door opens?\nA. left\nB. right")
+        qa = QaPair(
+            question="Which door opens?", answer="A", qa_type="multiple_choice", options=("left", "right")
+        )
+        out = trial_request(qa, "v", 0, 1.0).text
         assert out == (
             "Which door opens?\nA. left\nB. right\n"
             "Answer with only the single option letter within the "
