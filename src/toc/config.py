@@ -20,7 +20,6 @@ from .gateway import (
     HttpBackend,
     MockBackend,
     MODEL_ROLES,
-    RetryPolicy,
 )
 from .records import SHAPES, check_record, dump_record
 
@@ -159,8 +158,6 @@ def build_gateway(config: Config) -> Gateway:
     return Gateway(
         backends=backends,
         max_in_flight=config.parallelism,
-        retry=RetryPolicy(
-            max_attempts=config.retry_max_attempts,
-            base_delay_s=config.retry_base_delay_s,
-        ),
+        retry_max_attempts=config.retry_max_attempts,
+        retry_base_delay_s=config.retry_base_delay_s,
     )

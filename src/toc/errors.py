@@ -43,19 +43,15 @@ class ConfigError(TocError):
 
 
 class GatewayError(TocError):
-    """Base class for chat-backend failures that fail one request, not the run."""
+    """A model call failed: a timeout, a refused or broken connection, a status
+    other than 200, 401 and 403, a malformed reply, or a mock-table miss.
+
+    It fails one request, not the run, and the gateway retries it.
+    """
 
 
 class AuthError(ConfigError):
     """Credential missing or rejected by the backend; it stops the run, never retried."""
-
-
-class BackendUnavailableError(GatewayError):
-    """Backend could not serve the request, including after retries."""
-
-
-class GatewayTimeoutError(GatewayError):
-    """Every attempt timed out."""
 
 
 class ParseError(TocError):

@@ -15,18 +15,12 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 
-from .errors import (
-    AuthError,
-    BackendUnavailableError,
-    GatewayError,
-    GatewayTimeoutError,
-    RecordError,
-)
+from .errors import AuthError, GatewayError, RecordError
 from .records import check_record, json_encoder, parse_records
 
 MODEL_ROLES = ("mllm", "llm")
@@ -117,7 +111,7 @@ class MockBackend:
         digest = request_digest(request)
         if digest not in self.table:
             preview = request.text[:80].replace("\n", " ")
-            raise BackendUnavailableError(
+            raise GatewayError(
                 f"mock table has no reply for digest {digest} (prompt starts {preview!r})"
             )
         return self.table[digest]
@@ -176,34 +170,23 @@ class HttpBackend:
                 timeout=self.timeout_s,
             )
         except self._requests.Timeout as exc:
-            raise GatewayTimeoutError(f"no reply within {self.timeout_s}s") from exc
+            raise GatewayError(f"no reply within {self.timeout_s}s") from exc
         # refused or dropped, or a reply body that breaks off or cannot be decoded
         except (self._requests.ConnectionError, self._requests.exceptions.ChunkedEncodingError,
                 self._requests.exceptions.ContentDecodingError) as exc:
-            raise BackendUnavailableError(f"connection to {self.endpoint} failed: {exc}") from exc
+            raise GatewayError(f"connection to {self.endpoint} failed: {exc}") from exc
         status = response.status_code
         if status in (401, 403):
             raise AuthError(f"backend rejected credential (status {status})")
         if status != 200:
-            raise BackendUnavailableError(f"backend error (status {status})")
+            raise GatewayError(f"backend error (status {status})")
         try:
             content = response.json()["choices"][0]["message"]["content"]
             str.encode(content, "utf-8")  # TypeError unless text, ValueError on a lone surrogate
         # RecursionError: a body nested deeper than the JSON decoder goes
         except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
-            raise BackendUnavailableError(f"malformed backend response: {exc}") from exc
+            raise GatewayError(f"malformed backend response: {exc}") from exc
         return content
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff: each delay doubles the last, and attempts are capped."""
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.5
-
-    def delay_s(self, attempt: int) -> float:
-        return math.ldexp(self.base_delay_s, attempt)  # a float 2**attempt overflows from 1024
 
 
 @dataclass
@@ -212,7 +195,8 @@ class Gateway:
 
     backends: dict[str, Backend]
     max_in_flight: int
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retry_max_attempts: int = 1
+    retry_base_delay_s: float = 0.0
     sleep: Callable[[float], None] = time.sleep
 
     def __post_init__(self) -> None:
@@ -221,9 +205,10 @@ class Gateway:
     def complete(self, request: ChatRequest) -> str:
         backend = self.backends[request.model_role]
         with self._semaphore:
-            for attempt in range(self.retry.max_attempts - 1):
+            for attempt in range(self.retry_max_attempts - 1):
                 try:
                     return backend.complete(request)
                 except GatewayError:  # every backend failure but a credential fault, an AuthError
-                    self.sleep(self.retry.delay_s(attempt))
+                    # each wait doubles the last; a float 2**attempt overflows from 1024
+                    self.sleep(math.ldexp(self.retry_base_delay_s, attempt))
             return backend.complete(request)

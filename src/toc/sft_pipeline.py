@@ -188,12 +188,12 @@ class Journal:
 
     Read once, on construction: a torn last line (left by a crash) is
     truncated away, and the rest goes through the shared record reader.
-    Checkpoint lines of earlier versions are skipped, as are rejections for
-    a backend failure, which the next run retries.  Another stage, a
-    rationale breaking check_rationale's rule, or a reason not in REASONS
-    is a RecordError naming its line.  Appends are serialized and each
-    line is flushed, through one handle opened at the first append;
-    close() or a `with` block closes it.
+    Checkpoint lines of earlier versions are skipped.  A rejection for a
+    backend failure is neither appended nor read: the next run retries
+    it.  Another stage, a rationale breaking check_rationale's rule, or a
+    reason not in REASONS is a RecordError naming its line.  Appends are
+    serialized and each line is flushed, through one handle opened at the
+    first append; close() or a `with` block closes it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -256,6 +256,8 @@ class Journal:
 
     def append(self, sample_id: str, digest: str, stage: str, payload: dict) -> None:
         """Journal a sample's outcome; resume still answers from what was read."""
+        if payload.get("reason") in _RETRIED_REASONS:
+            return
         line = dump_record({"sample_id": sample_id, "digest": digest, "stage": stage,
                             "payload": payload})
         with self._lock:
@@ -475,12 +477,11 @@ def run_sft_pipeline(
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
 
     def run_one(pending: tuple[QaTask, str]) -> tuple[str, dict]:
-        """Run a sample and journal its outcome, unless it is a backend failure to retry."""
+        """Run a sample and journal its outcome."""
         task, digest = pending
         stage, payload = process_sample(gateway, task, clips_by_video.get(task.video_id),
                                         lenient=lenient)
-        if payload.get("reason") not in _RETRIED_REASONS:
-            journal.append(task.sample_id, digest, stage, payload)
+        journal.append(task.sample_id, digest, stage, payload)
         return stage, payload
 
     # A journalled outcome is read on this thread; only the other samples go to the pool.

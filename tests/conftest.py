@@ -16,8 +16,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from toc.errors import BackendUnavailableError
-from toc.gateway import MODEL_ROLES, ChatRequest, Gateway, MockBackend, RetryPolicy, request_digest
+from toc.errors import GatewayError
+from toc.gateway import MODEL_ROLES, ChatRequest, Gateway, MockBackend, request_digest
 from toc.mockgen import synthesize_corpus
 
 
@@ -68,7 +68,7 @@ class FailingBackend:
 
 
 class OutageBackend:
-    """Wraps a backend; calls numbered `start` to `stop - 1` (from 0) raise BackendUnavailableError.
+    """Wraps a backend; calls numbered `start` to `stop - 1` (from 0) raise GatewayError.
 
     Thread-safe call numbering; `requests` holds every request the wrapped
     backend answered.
@@ -86,7 +86,7 @@ class OutageBackend:
             number = self.calls
             self.calls += 1
         if self.start <= number < self.stop:
-            raise BackendUnavailableError(f"simulated outage (call {number})")
+            raise GatewayError(f"simulated outage (call {number})")
         with self._lock:
             self.requests.append(request)
         return self.inner.complete(request)
@@ -99,7 +99,7 @@ def scripted_gateway(pairs, **overrides) -> Gateway:
     kwargs = dict(
         backends={"mllm": backend, "llm": backend},
         max_in_flight=4,
-        retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
+        retry_max_attempts=1, retry_base_delay_s=0.0,
         sleep=lambda s: None,
     )
     kwargs.update(overrides)
@@ -120,7 +120,9 @@ class LoopbackEndpoint:
     `table` maps request digests to replies, as a mock table does; each role's
     backend names the model `MODELS` gives it.  `log` holds one
     (Authorization header, request digest) pair per request, in arrival order,
-    and `connections` counts the connections accepted.
+    and `connections` counts the connections accepted.  `errors` holds every
+    exception a request handler raised, other than a lost connection; the
+    fixture fails the test unless it is empty.
     A digest added to `truncate` gets one reply whose body breaks off: the
     headers promise the whole body, 13 bytes of it are sent, and the
     connection closes.
@@ -138,6 +140,7 @@ class LoopbackEndpoint:
         self.truncate: set[str] = set()
         self.kill: tuple[int, int] | None = None  # (pid, length of `log` that kills it)
         self.connections = 0
+        self.errors: list[Exception] = []
         self.lock = threading.Lock()
 
     def kill_at_call(self, pid: int, n: int) -> None:
@@ -164,7 +167,12 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         endpoint: LoopbackEndpoint = self.server.endpoint
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        length = int(self.headers.get("Content-Length", -1))
+        data = self.rfile.read(max(length, 0))
+        if length < 0 or len(data) < length:  # the client was killed while it sent the request
+            self.close_connection = True
+            return
+        body = json.loads(data)
         content = body["messages"][0]["content"]
         if isinstance(content, str):
             text, media = content, ()
@@ -207,8 +215,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
 
 class _LoopbackServer(ThreadingHTTPServer):
     def handle_error(self, request, client_address) -> None:
-        if not isinstance(sys.exc_info()[1], ConnectionError):  # a killed client's socket is gone
-            super().handle_error(request, client_address)
+        error = sys.exc_info()[1]
+        if not isinstance(error, ConnectionError):  # a killed client's socket is gone
+            with self.endpoint.lock:
+                self.endpoint.errors.append(error)
 
 
 @pytest.fixture
@@ -229,6 +239,7 @@ def loopback_endpoint(monkeypatch):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+        assert server.endpoint.errors == []
 
 
 @pytest.fixture

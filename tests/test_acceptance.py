@@ -21,7 +21,7 @@ from conftest import CrashingBackend
 
 from toc.cli import main
 from toc.cue_tree import backtrack, build_tree, layer_compilations
-from toc.gateway import Gateway, MockBackend, RetryPolicy
+from toc.gateway import Gateway, MockBackend
 from toc.records import RlSample, load_qa_tasks
 from toc.rewards import (
     PolicyLogProbs,
@@ -287,7 +287,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
         crash_gateway = Gateway(
             backends={"mllm": crashed, "llm": crashed},
             max_in_flight=4,
-            retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
+            retry_max_attempts=1, retry_base_delay_s=0.0,
             sleep=lambda s: None,
         )
         out = tmp_path / "resumed" / "sft.records"
@@ -298,7 +298,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
         clean_gateway = Gateway(
             backends={"mllm": clean_backend, "llm": clean_backend},
             max_in_flight=4,
-            retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
+            retry_max_attempts=1, retry_base_delay_s=0.0,
             sleep=lambda s: None,
         )
         run_sft_pipeline(clean_gateway, tasks, clips_by_video, out)

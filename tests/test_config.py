@@ -18,7 +18,7 @@ from toc.config import (
     load_config,
 )
 from toc.errors import ConfigError
-from toc.gateway import HttpBackend, RetryPolicy
+from toc.gateway import HttpBackend
 from toc.records import SHAPES
 
 RETIRED_KEYS = ("tau", "band_lo", "band_hi", "target_rl_size", "seed")
@@ -247,7 +247,7 @@ def test_build_gateway_passes_each_config_value(tmp_path, monkeypatch):
         "mllm": (HttpBackend, "https://a.test/v1", "vision", "secret", 60.0),
         "llm": (HttpBackend, "https://b.test/v1", "text", "secret", 5.5),
     }
-    assert gateway.retry == RetryPolicy(max_attempts=5, base_delay_s=0.25)
+    assert (gateway.retry_max_attempts, gateway.retry_base_delay_s) == (5, 0.25)
     assert gateway.max_in_flight == 3
 
 

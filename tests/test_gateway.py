@@ -13,13 +13,12 @@ from pathlib import Path
 import pytest
 import requests
 
-from toc.errors import AuthError, BackendUnavailableError, GatewayTimeoutError, RecordError
+from toc.errors import AuthError, GatewayError, RecordError
 from toc.gateway import (
     ChatRequest,
     Gateway,
     HttpBackend,
     MockBackend,
-    RetryPolicy,
     canonical_request,
     ordered_map,
     request_digest,
@@ -82,7 +81,7 @@ class TestMockBackend:
 
     def test_missing_digest_fails_loudly(self):
         backend = MockBackend({})
-        with pytest.raises(BackendUnavailableError, match="mock table has no reply"):
+        with pytest.raises(GatewayError, match="mock table has no reply"):
             backend.complete(ChatRequest("llm", "hi"))
 
     def test_from_file(self, tmp_path):
@@ -179,12 +178,13 @@ class TestHttpBackend:
 
     def test_timeout(self):
         post = FakePost([requests.Timeout("slow")])
-        with pytest.raises(GatewayTimeoutError):
+        with pytest.raises(GatewayError, match=r"^no reply within 9\.0s$"):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_connection_refused(self):
         post = FakePost([requests.ConnectionError("refused")])
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(GatewayError,
+                           match="^connection to https://example.test/v1/chat/completions failed: refused$"):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     # the body breaks off (a Content-Length it never reaches) or cannot be decoded
@@ -192,11 +192,12 @@ class TestHttpBackend:
                                        requests.exceptions.ContentDecodingError])
     def test_broken_reply_body_is_retried(self, error):
         post = FakePost([error("IncompleteRead(13 bytes read, 87 more expected)")])
-        with pytest.raises(BackendUnavailableError,
+        with pytest.raises(GatewayError,
                            match="^connection to https://example.test/v1/chat/completions failed: "):
             http_backend(post).complete(ChatRequest("llm", "hi"))
         post = FakePost([error("cut"), FakeResponse()])
-        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=1, sleep=lambda s: None)
+        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=1, retry_max_attempts=2,
+                          sleep=lambda s: None)
         assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
         assert len(post.calls) == 2
 
@@ -209,12 +210,12 @@ class TestHttpBackend:
     @pytest.mark.parametrize("status", [408, 429, 500, 502, 503, 504, 418])
     def test_non_auth_failures_are_transient(self, status):
         post = FakePost([FakeResponse(status_code=status)])
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(GatewayError, match=rf"^backend error \(status {status}\)$"):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_malformed_body(self):
         post = FakePost([FakeResponse(bad_json=True)])
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(GatewayError, match="^malformed backend response: "):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_body_nested_too_deep(self):
@@ -222,19 +223,20 @@ class TestHttpBackend:
         response.status_code, response.encoding = 200, "utf-8"
         response._content = b'{"choices": ' + b"[" * 100_000
         post = FakePost([response])
-        with pytest.raises(BackendUnavailableError, match="^malformed backend response: "):
+        with pytest.raises(GatewayError, match="^malformed backend response: "):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     @pytest.mark.parametrize("content", [None, 5, "a\ud800b"], ids=["null", "number", "lone_surrogate"])
     def test_content_must_be_encodable_text(self, content):
         post = FakePost([FakeResponse(body={"choices": [{"message": {"content": content}}]})])
-        with pytest.raises(BackendUnavailableError, match="^malformed backend response: "):
+        with pytest.raises(GatewayError, match="^malformed backend response: "):
             http_backend(post).complete(ChatRequest("llm", "hi"))
 
     def test_malformed_content_is_retried(self):
         null = FakeResponse(body={"choices": [{"message": {"content": None}}]})
         post = FakePost([null, FakeResponse()])
-        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=4, sleep=lambda s: None)
+        gateway = Gateway(backends={"llm": http_backend(post)}, max_in_flight=4, retry_max_attempts=2,
+                          sleep=lambda s: None)
         assert gateway.complete(ChatRequest("llm", "hi")) == "reply text"
         assert len(post.calls) == 2
 
@@ -277,7 +279,7 @@ def test_requests_is_loaded_only_by_an_http_backend(corpus, tmp_path):
 
 
 class FlakyBackend:
-    def __init__(self, failures, error=BackendUnavailableError, reply="ok"):
+    def __init__(self, failures, error=GatewayError, reply="ok"):
         self.failures = failures
         self.error = error
         self.reply = reply
@@ -290,23 +292,13 @@ class FlakyBackend:
         return self.reply
 
 
-class TestRetryPolicy:
-    def test_geometric_delays(self):
-        policy = RetryPolicy(max_attempts=4, base_delay_s=0.5)
-        assert [policy.delay_s(a) for a in range(3)] == [0.5, 1.0, 2.0]
-
-    def test_delays_past_the_float_range_of_two_powers(self):
-        # 2.0**1024 overflows a float, but a zero delay doubles to zero and a tiny one stays finite
-        assert RetryPolicy(max_attempts=1100, base_delay_s=0.0).delay_s(1099) == 0.0
-        assert RetryPolicy(base_delay_s=2.0**-1074).delay_s(1100) == 2.0**26
-
-
 class TestGateway:
-    def gateway(self, backend, max_attempts=3, max_in_flight=4):
+    def gateway(self, backend, max_attempts=3, base_delay_s=0.5, max_in_flight=4):
         delays = []
         gw = Gateway(
             backends={"llm": backend},
-            retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.5),
+            retry_max_attempts=max_attempts,
+            retry_base_delay_s=base_delay_s,
             max_in_flight=max_in_flight,
             sleep=delays.append,
         )
@@ -328,15 +320,28 @@ class TestGateway:
     def test_gives_up_after_max_attempts(self):
         backend = FlakyBackend(failures=99)
         gw, delays = self.gateway(backend)
-        with pytest.raises(BackendUnavailableError):
+        with pytest.raises(GatewayError):
             gw.complete(ChatRequest("llm", "hi"))
         assert backend.calls == 3 and len(delays) == 2
 
+    def test_geometric_delays(self):
+        gw, delays = self.gateway(FlakyBackend(failures=99), max_attempts=4)
+        with pytest.raises(GatewayError):
+            gw.complete(ChatRequest("llm", "hi"))
+        assert delays == [0.5, 1.0, 2.0]
+
+    def test_delays_past_the_float_range_of_two_powers(self):
+        # 2.0**1024 overflows a float, but a zero delay doubles to zero and a tiny one stays finite
+        for base_delay_s, attempt, delay in ((0.0, 1099, 0.0), (2.0**-1074, 1100, 2.0**26)):
+            gw, delays = self.gateway(FlakyBackend(failures=attempt + 1), attempt + 2, base_delay_s)
+            assert gw.complete(ChatRequest("llm", "hi")) == "ok"
+            assert delays[attempt] == delay
+
     def test_timeouts_also_retry(self):
-        backend = FlakyBackend(failures=1, error=GatewayTimeoutError)
-        gw, _ = self.gateway(backend)
-        assert gw.complete(ChatRequest("llm", "hi")) == "ok"
-        assert backend.calls == 2
+        post = FakePost([requests.Timeout("slow"), FakeResponse()])
+        gw, _ = self.gateway(http_backend(post))
+        assert gw.complete(ChatRequest("llm", "hi")) == "reply text"
+        assert len(post.calls) == 2
 
     def test_auth_errors_never_retry(self):
         backend = FlakyBackend(failures=99, error=AuthError)
@@ -371,7 +376,6 @@ class TestGateway:
 
         gw = Gateway(
             backends={"llm": SlowBackend()},
-            retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
             max_in_flight=2,
             sleep=lambda s: None,
         )

@@ -8,10 +8,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import FailingBackend, scripted_gateway
+from conftest import FailingBackend, OutageBackend, scripted_gateway
 
 from toc.config import apply_overrides, build_gateway, load_config
-from toc.gateway import Gateway
+from toc.gateway import Gateway, MockBackend
 from toc.records import QaPair, QaTask, RlSample, dump_record, load_qa_tasks
 from toc.rl_pipeline import (
     TRIAL_MAX_TOKENS,
@@ -266,6 +266,29 @@ class TestRunDemandPipeline:
             run_demand_pipeline(gateway, tasks, 8, temperature=TEMPERATURE, workers=4)
         # each question fails on its first trial, so calls count the questions started
         assert backend.calls < len(tasks)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(start=st.integers(0, 170), length=st.integers(0, 60),
+           max_attempts=st.integers(1, 3), workers=st.sampled_from([1, 2, 4]))
+    def test_no_outage_changes_an_annotation(self, corpus, start, length, max_attempts, workers):
+        paths = corpus.manifest["paths"]
+        tasks, config = load_qa_tasks(paths["qa"]), load_config(paths["config"])
+        table = MockBackend.from_file(paths["mock_table"]).table
+
+        def run(backend, max_attempts=1):
+            gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=workers,
+                              retry_max_attempts=max_attempts, sleep=lambda s: None)
+            return run_demand_pipeline(gateway, tasks, config.m_trials,
+                                       temperature=config.trial_temperature, workers=workers)
+
+        clean, clean_skipped = run(MockBackend(table))
+        annotated, skipped = run(OutageBackend(MockBackend(table), start, start + length),
+                                 max_attempts)
+        by_id = {s.id: s for s in clean}
+        assert all(s == by_id[s.id] for s in annotated)
+        ids = {s.id for s in annotated}
+        assert [s.id for s in annotated] == [t.sample_id for t in tasks if t.sample_id in ids]
+        assert skipped == clean_skipped + Counter({"trials_failed": len(clean) - len(annotated)})
 
 
 class TestRunBuildRl:

@@ -30,7 +30,7 @@ from toc.errors import (
     RecordError,
     StepCountMismatchError,
 )
-from toc.gateway import Gateway, HttpBackend, MockBackend, RetryPolicy, request_digest
+from toc.gateway import Gateway, HttpBackend, MockBackend, request_digest
 from toc.records import Clip, QaPair, QaTask, load_qa_tasks, read_records, write_records
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
@@ -125,7 +125,7 @@ def full_script(
 def one_try_gateway(backend) -> Gateway:
     """A gateway serving both roles from backend, with no retry."""
     return Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4,
-                   retry=RetryPolicy(max_attempts=1, base_delay_s=0.0), sleep=lambda s: None)
+                   retry_max_attempts=1, retry_base_delay_s=0.0, sleep=lambda s: None)
 
 
 def counting_gateway(pairs):
@@ -732,7 +732,7 @@ class TestProcessSample:
         gateway = Gateway(
             backends={"mllm": captions, "llm": denied},
             max_in_flight=4,
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            retry_max_attempts=3, retry_base_delay_s=0.0,
             sleep=lambda s: None,
         )
         out = tmp_path / "sft.records"
@@ -1244,7 +1244,7 @@ def test_null_backend_content_rejects_as_caption_failed(tmp_path):
     gateway = Gateway(
         backends={"mllm": backend, "llm": backend},
         max_in_flight=4,
-        retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
+        retry_max_attempts=2, retry_base_delay_s=0.0,
         sleep=lambda s: None,
     )
     summary = run_sft_pipeline(gateway, [make_task()], {"v": make_clips(3)}, tmp_path / "sft.records")
