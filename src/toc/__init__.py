@@ -1,6 +1,6 @@
 """Tree-of-cue dataset construction toolchain and exact reward engine."""
 
-from .cue_tree import backtrack, build_tree, layer_compilations
+from .cue_tree import backtrack, layer_compilations
 from .records import Clip, QaPair, RlSample, SftSample
 from .rewards import (
     closed_form_advantages,
@@ -22,7 +22,6 @@ __all__ = [
     "SftSample",
     "ShotBoundarySet",
     "backtrack",
-    "build_tree",
     "closed_form_advantages",
     "extract_answer",
     "grpo_objective",

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .config import Config, apply_overrides, build_gateway, load_config
-from .cue_tree import backtrack, build_tree, layer_compilations, trajectory_layers
+from .cue_tree import backtrack, layer_compilations, trajectory_layers
 from .errors import TocError, UsageError
 from .gateway import Gateway
 from .records import (
@@ -187,7 +187,7 @@ def cmd_tree(args: argparse.Namespace) -> list[dict]:
     selected = _parse_indices(args.select)
     if any(not 0 <= index < args.n for index in selected):
         raise UsageError(f"--select indices must be in [0, {args.n - 1}], got {args.select}")
-    paths = backtrack(build_tree(args.n), selected)
+    paths = backtrack(args.n, selected)
     layers = trajectory_layers(paths)
     for depth, nodes in enumerate(layers):
         intervals = " ".join(f"[{lo},{hi}]" for lo, hi in nodes)

@@ -65,10 +65,6 @@ class EmptyCaptionError(TocError):
     """A captioning call returned empty text."""
 
 
-class InsufficientCuesError(TocError):
-    """The final cue was judged insufficient to answer the question."""
-
-
 class StepCountMismatchError(TocError):
     """Rationale step markers do not match the number of localization steps."""
 

@@ -162,6 +162,9 @@ class HttpBackend:
     def complete(self, request: ChatRequest) -> str:
         if not self.api_key:
             raise AuthError("no API key set (export TOC_API_KEY)")
+        # a bearer token is one or more of ! to ~, and no message repeats the key
+        if not (self.api_key.isascii() and self.api_key.isprintable() and " " not in self.api_key):
+            raise AuthError("TOC_API_KEY must hold only visible ASCII characters (! to ~)")
         try:
             response = self.post(
                 self.endpoint,

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from .cue_tree import backtrack, build_tree, layer_compilations
+from .cue_tree import backtrack, layer_compilations
 from .gateway import ChatRequest, request_digest
 from .records import Clip, QaPair, default_video_ref, write_records
 from .rl_pipeline import trial_request
@@ -152,7 +152,7 @@ def synthesize_corpus(
                 json.dumps(selected),
                 f"{video_id} selection",
             )
-            chain = layer_compilations(backtrack(build_tree(n_clips), selected))
+            chain = layer_compilations(backtrack(n_clips, selected))
             # A one-clip compilation is its clip's caption request and keeps
             # that reply; its cue is still drawn, so that every later draw
             # stays where it was.

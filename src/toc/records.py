@@ -156,11 +156,6 @@ def _set_fields(record: object) -> dict:
     }
 
 
-def option_label(position: int) -> str:
-    """Label for the option at a 0-based position: 0 -> "A", 1 -> "B", ..."""
-    return _OPTION_LABELS[position]
-
-
 @dataclass(frozen=True, slots=True)
 class Clip:
     """A temporally contiguous segment of one video."""
@@ -207,20 +202,16 @@ class QaPair:
         if self.qa_type == "multiple_choice":
             if not self.options:
                 raise ValueError("multiple_choice requires a non-empty options list")
-            if self.answer not in self.labels():
-                raise ValueError(
-                    f"answer {self.answer!r} is not one of the option labels {self.labels()}"
-                )
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(option_label(i) for i in range(len(self.options or ())))
+            labels = tuple(_OPTION_LABELS[:len(self.options)])  # a tuple: "AB" in "ABCD" is true
+            if self.answer not in labels:
+                raise ValueError(f"answer {self.answer!r} is not one of the option labels {labels}")
 
     def formatted_question(self) -> str:
         """Question text with labeled options appended, one per line."""
         if not self.options:
             return self.question
         lines = [self.question]
-        lines += [f"{option_label(i)}. {text}" for i, text in enumerate(self.options)]
+        lines += [f"{label}. {text}" for label, text in zip(_OPTION_LABELS, self.options)]
         return "\n".join(lines)
 
     def to_record(self) -> dict:
@@ -281,19 +272,15 @@ class SftSample:
         return cls(**{k: rec[k] for k in ("id", "video_id", "question", "answer", "rationale", "target", "prompt")})
 
 
-def _check_alpha(alpha: int, m_trials: int) -> None:
-    if m_trials < 1:
-        raise RangeError(f"m_trials must be >= 1, got {m_trials}")
-    if not 0 <= alpha <= m_trials:
-        raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
-
-
 _TOL = 1e-12  # how far a stored demand or difficulty may sit from its recomputed value
 
 
 def _demand_and_difficulty(alpha: int, m_trials: int) -> tuple[float, float]:
     """Both scores of alpha correct answers in M trials, after one range check."""
-    _check_alpha(alpha, m_trials)
+    if m_trials < 1:
+        raise RangeError(f"m_trials must be >= 1, got {m_trials}")
+    if not 0 <= alpha <= m_trials:
+        raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
     ratio = alpha / m_trials
     return math.exp(-ratio), 1.0 - ratio
 
@@ -401,12 +388,12 @@ def load_qa_tasks(path: str | Path) -> list[QaTask]:
         if qa_index is None:
             qa_index = counters.get(video_id, 0)
         counters[video_id] = qa_index + 1
-        return QaTask(
-            video_id=video_id,
-            qa_index=qa_index,
-            qa=QaPair.from_record(rec),
-            video_ref=default_video_ref(video_id) if video_ref is None else video_ref,
-        )
+        video_ref = default_video_ref(video_id) if video_ref is None else video_ref
+        if "#" in video_ref:
+            raise ValueError(f"video_ref {reprlib.repr(video_ref)} holds '#': caption requests "
+                             "append their own '#t=' fragment; write a literal '#' as '%23'")
+        return QaTask(video_id=video_id, qa_index=qa_index, qa=QaPair.from_record(rec),
+                      video_ref=video_ref)
 
     return list(parse_unique(path, parse, "sample_id", lambda task: task.sample_id))
 

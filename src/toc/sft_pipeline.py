@@ -28,13 +28,12 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Sequence
 
-from .cue_tree import Compilation, backtrack, build_tree, layer_compilations
+from .cue_tree import Compilation, backtrack, layer_compilations
 from .errors import (
     EmptyCaptionError,
     EmptyRationaleError,
     EmptySelectionError,
     GatewayError,
-    InsufficientCuesError,
     ParseError,
     RangeError,
     RecordError,
@@ -367,11 +366,7 @@ REJECTION_REASONS: dict[str, dict[type, str]] = {
         GatewayError: "selection_failed",
     },
     "caption_cues": {EmptyCaptionError: "empty_caption", GatewayError: "cue_caption_failed"},
-    "filter": {
-        ParseError: "filter_unparseable",
-        GatewayError: "filter_failed",
-        InsufficientCuesError: "insufficient_cues",
-    },
+    "filter": {ParseError: "filter_unparseable", GatewayError: "filter_failed"},
     "summarize": {
         StepCountMismatchError: "step_count_mismatch",
         EmptyRationaleError: "empty_rationale",
@@ -379,8 +374,11 @@ REJECTION_REASONS: dict[str, dict[type, str]] = {
         GatewayError: "rationale_failed",
     },
 }
-# Every reason a sample is rejected for: it has no clips, or a step rejects it.
-REASONS = frozenset({"missing_clips", *(r for row in REJECTION_REASONS.values() for r in row.values())})
+# Every reason a sample is rejected for: it has no clips, its final cue is
+# judged insufficient, or a step rejects it.
+REASONS = frozenset(
+    {"missing_clips", "insufficient_cues", *(r for row in REJECTION_REASONS.values() for r in row.values())}
+)
 # The reasons for a backend failure: rejected in this run, retried by the next.
 _RETRIED_REASONS = frozenset(reasons[GatewayError] for reasons in REJECTION_REASONS.values())
 # The stages short of an outcome that journals of earlier versions also hold.
@@ -400,12 +398,12 @@ def process_sample(
         step = "select"
         reply = gateway.complete(selection_request(captioned, task.qa))
         selected = parse_index_array(reply, lenient=lenient)
-        chain = layer_compilations(backtrack(build_tree(len(clips)), selected))
+        chain = layer_compilations(backtrack(len(clips), selected))
         step = "caption_cues"
         cues = [c.caption for c in caption_compilations(gateway, chain, captioned, task.video_ref)]
         step = "filter"
         if not parse_yes_no(gateway.complete(filter_request(cues[-1], task.qa))):
-            raise InsufficientCuesError("final cue judged insufficient")
+            return "rejected", {"reason": "insufficient_cues", "detail": "final cue judged insufficient"}
         step = "summarize"
         rationale = summarize_rationale(gateway, cues, task.qa)
     except tuple(REJECTION_REASONS[step]) as exc:

@@ -858,6 +858,47 @@ def test_missing_api_key_stops_the_run(corpus, tmp_path, capsys, monkeypatch, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.records.report"]
 
 
+@pytest.mark.parametrize("key", ["ключ", "abc\ndef"], ids=["non_ascii", "newline"])
+def test_api_key_a_header_cannot_carry_stops_the_run(
+    corpus, tmp_path, capsys, monkeypatch, loopback_endpoint, key
+):
+    monkeypatch.setenv("TOC_API_KEY", key)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backends": loopback_endpoint.backends()}), encoding="utf-8")
+    out = tmp_path / "out.records"
+    code, _, err = run_cli(["estimate-demand", "--qa", corpus.manifest["paths"]["qa"],
+                            "--config", str(config), "-o", str(out)], capsys)
+    assert code == 1 and err == "error: TOC_API_KEY must hold only visible ASCII characters (! to ~)\n"
+    (entry,) = read_lines(tmp_path / "out.records.report")
+    assert entry["kind"] == "error" and entry["error"] == "AuthError"
+    # the report holds the key neither as it is nor escaped as a JSON string
+    report = (tmp_path / "out.records.report").read_text(encoding="utf-8")
+    escaped = (json.dumps(key)[1:-1], json.dumps(key, ensure_ascii=False)[1:-1])
+    assert not any(text in report for text in (key, *escaped))
+    assert loopback_endpoint.connections == 0
+
+
+@pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+def test_video_ref_holding_a_fragment_mark_is_run_error(
+    corpus, tmp_path, capsys, monkeypatch, command
+):
+    paths = corpus.manifest["paths"]
+    rows = list(read_records(paths["qa"]))
+    qa = tmp_path / "qa.records"
+    write_records(qa, [{**rows[0], "video_ref": "v00/full#x"}, *rows[1:]])
+    calls = TestCorruptJournal.count_calls(monkeypatch)
+    videos = ["--videos", paths["clips"]] if command == "build-sft" else []
+    code, _, err = run_cli([command, *videos, "--qa", str(qa), "--config", paths["config"],
+                            "-o", str(tmp_path / "out.records")], capsys)
+    assert code == 1 and err == (
+        f"error: {qa}:1: invalid record: video_ref 'v00/full#x' holds '#': caption requests "
+        "append their own '#t=' fragment; write a literal '#' as '%23'\n"
+    )
+    (entry,) = read_lines(tmp_path / "out.records.report")
+    assert entry["kind"] == "error" and entry["error"] == "RecordError"
+    assert calls == []
+
+
 class TestLoopbackHttp:
     """build-sft and estimate-demand with both roles `http`, sending every call
     through requests to a loopback endpoint that serves the corpus's mock table,

@@ -176,6 +176,20 @@ class TestHttpBackend:
             http_backend(post, api_key=None).complete(ChatRequest("llm", "hi"))
         assert post.calls == []
 
+    @pytest.mark.parametrize("key", ["ключ", "abc\ndef", " abc", "a b"],
+                             ids=["non_ascii", "newline", "leading_space", "inner_space"])
+    def test_key_a_header_cannot_carry_fails_before_any_network_call(self, key):
+        post = FakePost([])
+        with pytest.raises(AuthError) as info:
+            http_backend(post, api_key=key).complete(ChatRequest("llm", "hi"))
+        assert str(info.value) == "TOC_API_KEY must hold only visible ASCII characters (! to ~)"
+        assert post.calls == []
+
+    def test_key_of_the_outermost_visible_characters_is_sent(self):
+        post = FakePost([FakeResponse()])
+        http_backend(post, api_key="!k~").complete(ChatRequest("llm", "hi"))
+        assert post.calls[0]["headers"] == {"Authorization": "Bearer !k~"}
+
     def test_timeout(self):
         post = FakePost([requests.Timeout("slow")])
         with pytest.raises(GatewayError, match=r"^no reply within 9\.0s$"):

@@ -24,7 +24,6 @@ from toc.records import (
     dump_record,
     json_encoder,
     load_qa_tasks,
-    option_label,
     read_records,
     render_target,
     write_records,
@@ -98,7 +97,8 @@ class TestQaPair:
             QaPair(question="q", answer="A", qa_type="multiple_choice")
 
     def test_answer_must_be_a_label(self):
-        with pytest.raises(ValueError):
+        message = r"^answer 'E' is not one of the option labels \('A', 'B'\)$"
+        with pytest.raises(ValueError, match=message):
             QaPair(question="q", answer="E", qa_type="multiple_choice", options=("x", "y"))
 
     def test_unknown_type(self):
@@ -115,9 +115,6 @@ class TestQaPair:
     def test_open_ended_passes_question_through(self):
         qa = QaPair(question="Describe the scene.", answer="rainy", qa_type="open_ended")
         assert qa.formatted_question() == "Describe the scene."
-
-    def test_option_labels(self):
-        assert option_label(0) == "A" and option_label(3) == "D"
 
     def test_record_round_trip(self):
         qa = QaPair(question="q", answer="A", qa_type="multiple_choice", options=("x", "y"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -12,6 +13,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     CountingBackend,
     CrashingBackend,
@@ -31,7 +34,15 @@ from toc.errors import (
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, HttpBackend, MockBackend, request_digest
-from toc.records import Clip, QaPair, QaTask, load_qa_tasks, read_records, write_records
+from toc.records import (
+    STAGED_SUFFIX,
+    Clip,
+    QaPair,
+    QaTask,
+    load_qa_tasks,
+    read_records,
+    write_records,
+)
 from toc.rl_pipeline import trial_request
 from toc.sft_pipeline import (
     JOURNAL_SUFFIX,
@@ -1082,88 +1093,104 @@ class TestRunSftPipeline:
         assert backend.calls < len(tasks)
 
 
+def resume_run(inputs, out: Path, backend, workers: int = 1, attempts: int = 1) -> dict:
+    """build-sft's report on the corpus `inputs`, every call answered by `backend`."""
+    gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4,
+                      retry_max_attempts=attempts, sleep=lambda s: None)
+    return run_sft_pipeline(gateway, inputs.tasks, inputs.clips_by_video, out, workers=workers)
+
+
+def run_outputs(out: Path) -> tuple[bytes, bytes, list[bytes]]:
+    """The dataset, the rejections and the sorted journal lines of a run."""
+    journal = sorted(Path(f"{out}{JOURNAL_SUFFIX}").read_bytes().splitlines())
+    return out.read_bytes(), Path(f"{out}{REJECTED_SUFFIX}").read_bytes(), journal
+
+
+class CleanRun(SimpleNamespace):
+    def __repr__(self) -> str:  # hypothesis prints it with every falsifying example
+        return "CleanRun(<20-sample corpus>)"
+
+
+@pytest.fixture(scope="module")
+def clean_sft(corpus) -> CleanRun:
+    """The corpus's tasks, clips and mock table, each sample's distinct request
+    digests in a run of it alone, and the report and outputs of a clean run.
+
+    A sample makes a request it repeats (a one-clip compilation is its
+    clip's caption) once, and in this corpus no two samples share a video,
+    so no two share a request.
+    """
+    paths = corpus.manifest["paths"]
+    clean = CleanRun(tasks=load_qa_tasks(paths["qa"]), clips_by_video=load_clips(paths["clips"]),
+                     table=MockBackend.from_file(paths["mock_table"]).table, calls={})
+    for task in clean.tasks:
+        backend = OutageBackend(MockBackend(clean.table), 0, 0)
+        process_sample(one_try_gateway(backend), task, clean.clips_by_video.get(task.video_id),
+                       lenient=False)
+        clean.calls[task.sample_id] = Counter(set(map(request_digest, backend.requests)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sft.records"
+        clean.report = resume_run(clean, out, MockBackend(clean.table))
+        clean.outputs = run_outputs(out)
+    return clean
+
+
+# One fault in a run of the 20-sample corpus, which makes 179 calls: a crash
+# once k calls are answered, or `length` calls from call `start` on failing,
+# each tried up to `attempts` times.
+CRASH = st.tuples(st.just("crash"), st.integers(0, 178))
+OUTAGE = st.tuples(st.just("outage"), st.integers(0, 178), st.integers(1, 90), st.sampled_from([1, 2]))
+
+
 class TestResumeAfterFailure:
     """A rerun makes exactly the calls of the samples the failed run left without an outcome."""
 
-    @pytest.fixture
-    def inputs(self, corpus):
-        paths = corpus.manifest["paths"]
-        return load_qa_tasks(paths["qa"]), load_clips(paths["clips"]), paths["mock_table"]
+    def rerun_after(self, clean_sft, workers: int, fault: tuple) -> list[str]:
+        """Run the corpus into `fault`, then once more on a healthy backend, and
+        check the rerun; return the samples the failed run left unfinished."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "sft.records"
+            rejected, journal = Path(f"{out}{REJECTED_SUFFIX}"), Path(f"{out}{JOURNAL_SUFFIX}")
+            if fault[0] == "crash":
+                crashing = CrashingBackend(MockBackend(clean_sft.table), fault[1])
+                with pytest.raises(RuntimeError, match="simulated crash"):
+                    resume_run(clean_sft, out, crashing, workers)
+                assert not out.exists() and not rejected.exists()
+                assert list(Path(tmp).glob(f"*{STAGED_SUFFIX}")) == []
+            else:
+                _, start, length, attempts = fault
+                outage = OutageBackend(MockBackend(clean_sft.table), start, start + length)
+                report = resume_run(clean_sft, out, outage, workers, attempts)
+                failed = {r["id"] for r in read_records(rejected) if r["reason"].endswith("_failed")}
+                assert sum(n for reason, n in report["rejection_reasons"].items()
+                           if reason.endswith("_failed")) == len(failed)
+            finished = {rec["sample_id"] for rec in read_records(journal)} if journal.exists() else set()
+            unfinished = [t.sample_id for t in clean_sft.tasks if t.sample_id not in finished]
+            if fault[0] == "outage":
+                assert failed == set(unfinished)
 
-    def clean_calls(self, inputs, tmp_path) -> dict[str, Counter]:
-        """Each sample's distinct request digests in a clean run of it alone.
+            healthy = OutageBackend(MockBackend(clean_sft.table), 0, 0)
+            report = resume_run(clean_sft, out, healthy, workers)
+            assert Counter(map(request_digest, healthy.requests)) == sum(
+                (clean_sft.calls[sample_id] for sample_id in unfinished), Counter()
+            )
+            assert report == clean_sft.report
+            assert run_outputs(out) == clean_sft.outputs
+        return unfinished
 
-        A sample makes a request it repeats (a one-clip compilation is
-        its clip's caption) once, and in this corpus no two samples share a
-        video, so no two share a request.
-        """
-        tasks, clips_by_video, table = inputs
-        calls = {}
-        for task in tasks:
-            backend = OutageBackend(MockBackend.from_file(table), 0, 0)
-            process_sample(one_try_gateway(backend), task, clips_by_video.get(task.video_id),
-                           lenient=False)
-            calls[task.sample_id] = Counter(set(map(request_digest, backend.requests)))
-        return calls
-
-    def outputs(self, out: Path) -> tuple[bytes, bytes, list[bytes]]:
-        journal = sorted(Path(f"{out}{JOURNAL_SUFFIX}").read_bytes().splitlines())
-        return out.read_bytes(), Path(f"{out}{REJECTED_SUFFIX}").read_bytes(), journal
-
-    def rerun(self, inputs, out: Path, workers: int = 1) -> tuple[dict, Counter]:
-        tasks, clips_by_video, table = inputs
-        backend = OutageBackend(MockBackend.from_file(table), 0, 0)
-        report = run_sft_pipeline(one_try_gateway(backend), tasks, clips_by_video, out, workers=workers)
-        return report, Counter(map(request_digest, backend.requests))
-
-    def journalled(self, out: Path) -> set[str]:
-        return {rec["sample_id"] for rec in read_records(f"{out}{JOURNAL_SUFFIX}")}
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(workers=st.sampled_from([1, 2, 4]), fault=st.one_of(CRASH, OUTAGE))
+    def test_rerun_calls_only_unfinished_samples(self, clean_sft, workers, fault):
+        self.rerun_after(clean_sft, workers, fault)
 
     @pytest.mark.parametrize("workers,crash_after", [(1, 40), (1, 101), (4, 40), (4, 101)])
-    def test_crash_then_resume_calls_only_unfinished_samples(self, inputs, tmp_path, workers,
-                                                              crash_after):
-        tasks, clips_by_video, table = inputs
-        clean_calls = self.clean_calls(inputs, tmp_path)
-        clean = tmp_path / "clean" / "sft.records"
-        clean.parent.mkdir()
-        self.rerun(inputs, clean)
-
-        out = tmp_path / "crashed" / "sft.records"
-        out.parent.mkdir()
-        crashing = CrashingBackend(MockBackend.from_file(table), crash_after)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            run_sft_pipeline(one_try_gateway(crashing), tasks, clips_by_video, out, workers=workers)
-        finished = self.journalled(out)
-        assert 0 < len(finished) < len(tasks)
-
-        _, calls = self.rerun(inputs, out, workers)
-        assert calls == sum((clean_calls[t.sample_id] for t in tasks if t.sample_id not in finished),
-                            Counter())
-        assert self.outputs(out) == self.outputs(clean)
+    def test_crash_then_resume_calls_only_unfinished_samples(self, clean_sft, workers, crash_after):
+        unfinished = self.rerun_after(clean_sft, workers, ("crash", crash_after))
+        assert 0 < len(unfinished) < len(clean_sft.tasks)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_backend_outage_is_retried_by_the_next_run(self, inputs, tmp_path, workers):
-        tasks, clips_by_video, table = inputs
-        clean_calls = self.clean_calls(inputs, tmp_path)
-        clean = tmp_path / "clean" / "sft.records"
-        clean.parent.mkdir()
-        clean_report, _ = self.rerun(inputs, clean)
-
-        out = tmp_path / "outage" / "sft.records"
-        out.parent.mkdir()
-        outage = OutageBackend(MockBackend.from_file(table), 30, 90)
-        report = run_sft_pipeline(one_try_gateway(outage), tasks, clips_by_video, out, workers=workers)
-        failed = {r["id"] for r in read_records(f"{out}{REJECTED_SUFFIX}")
-                  if r["reason"].endswith("_failed")}
-        assert failed
-        assert sum(n for reason, n in report["rejection_reasons"].items()
-                   if reason.endswith("_failed")) == len(failed)
-        assert self.journalled(out) == {t.sample_id for t in tasks} - failed
-
-        report, calls = self.rerun(inputs, out, workers)
-        assert report == clean_report
-        assert calls == sum((clean_calls[sample_id] for sample_id in failed), Counter())
-        assert self.outputs(out) == self.outputs(clean)
+    def test_backend_outage_is_retried_by_the_next_run(self, clean_sft, workers):
+        assert self.rerun_after(clean_sft, workers, ("outage", 30, 90, 1))
 
 
 class TestOncePerSample:
