@@ -20,7 +20,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 
-from .errors import AuthError, GatewayError, RecordError
+from .errors import AuthError, ConfigError, GatewayError, RecordError
 from .records import check_record, json_encoder, parse_records
 
 MODEL_ROLES = ("mllm", "llm")
@@ -33,15 +33,24 @@ def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     is pulled only as a result is taken.  The pool starts when the first
     result is asked for, so a caller that takes none builds none.  On an
     error, or when the caller closes the generator, the items still queued
-    are cancelled and the running ones finish before it returns.
+    are cancelled and the running ones finish before it returns.  Each of
+    the `workers` is a thread; one the system refuses to start is a
+    ConfigError naming their number.
     """
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=workers)
+
+    def submit(item):
+        try:
+            return pool.submit(fn, item)
+        except RuntimeError as exc:  # only a thread the system refused; fn raises in its future
+            raise ConfigError(f"parallelism {workers}: cannot start a worker thread: {exc}") from exc
+
     try:
-        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
+        pending = deque(submit(item) for item in islice(items, 2 * workers))
         while pending:
             yield pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            pending.extend(submit(item) for item in islice(items, 1))
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -191,8 +191,8 @@ class Journal:
     backend failure is neither appended nor read: the next run retries
     it.  Another stage, a rationale breaking check_rationale's rule, or a
     reason not in REASONS is a RecordError naming its line.  Appends are
-    serialized and each line is flushed, through one handle opened at the
-    first append; close() or a `with` block closes it.
+    serialized, and each opens the file, writes its whole line and closes
+    it; the first creates the file.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -200,20 +200,7 @@ class Journal:
         self.invalidated = 0  # resumes refused because the sample's inputs changed
         self._outcomes: dict[str, tuple[str, str, dict]] = {}  # sample id -> (digest, stage, payload)
         self._lock = threading.Lock()
-        self._file = None
         self._replay()
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
 
     def _replay(self) -> None:
         try:
@@ -259,11 +246,8 @@ class Journal:
             return
         line = dump_record({"sample_id": sample_id, "digest": digest, "stage": stage,
                             "payload": payload})
-        with self._lock:
-            if self._file is None:
-                self._file = open(self.path, "a", encoding="utf-8")
-            self._file.write(line + "\n")
-            self._file.flush()
+        with self._lock, open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
 
 # --- stage operations ---
@@ -461,15 +445,16 @@ def run_sft_pipeline(
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 
-    Up to `workers` samples are in flight at once.  Outcomes go to
-    `<out>.journal`; the dataset and sidecar are rendered from the outcomes
-    on every run, so a resumed run produces the same bytes as a clean one.
-    Each dataset line is written as its sample finishes, in task order, and
-    the rejections after the last of them; each file still appears only
-    once complete.  However the write ends, the samples running finish and
-    are journalled, and the queued ones are cancelled, before the journal
-    closes.  A sample whose inputs changed since it was journalled restarts
-    and is counted as invalidated.
+    Up to `workers` samples are in flight at once.  Each outcome is
+    appended to `<out>.journal` as its sample finishes; the dataset and
+    sidecar are rendered from the outcomes on every run, so a resumed run
+    produces the same bytes as a clean one.  Each dataset line is written
+    as its sample finishes, in task order, and the rejections after the
+    last of them; each file still appears only once complete.  However the
+    write ends, the samples running finish and are journalled, and the
+    queued ones are cancelled, before the run returns.  A sample whose
+    inputs changed since it was journalled restarts and is counted as
+    invalidated.
     """
     out = Path(out_path)
     journal = Journal(f"{out}{JOURNAL_SUFFIX}")
@@ -504,7 +489,7 @@ def run_sft_pipeline(
                 continue
             yield sft_record(task, payload["rationale"])
 
-    with journal, closing(fresh):  # the pool drains before the journal closes
+    with closing(fresh):  # the running samples finish and are journalled before the run returns
         emitted = write_records(out, dataset())
     write_records(f"{out}{REJECTED_SUFFIX}", rejections)
     reasons = Counter(r["reason"] for r in rejections)

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -856,6 +857,34 @@ def test_missing_api_key_stops_the_run(corpus, tmp_path, capsys, monkeypatch, co
     assert entry["kind"] == "error" and entry["error"] == "AuthError"
     # nothing is written or rejected, so a rerun with the key starts clean
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out.records.report"]
+
+
+@pytest.mark.parametrize("command", ["build-sft", "estimate-demand"])
+def test_refused_worker_thread_is_run_error(corpus, tmp_path, capsys, monkeypatch, command):
+    paths = corpus.manifest["paths"]
+    videos = ["--videos", paths["clips"]] if command == "build-sft" else []
+    out = tmp_path / "out.records"
+    start, started = threading.Thread.start, []
+
+    def start_first_only(thread):
+        """Thread.start, failing for every thread after the first as on a system out of threads."""
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_first_only)
+    code, _, err = run_cli([command, *videos, "--qa", paths["qa"], "--config", paths["config"],
+                            "-o", str(out), "--parallelism", "4"], capsys)
+    assert code == 1 and err == (
+        "error: parallelism 4: cannot start a worker thread: can't start new thread\n")
+    (entry,) = read_lines(tmp_path / "out.records.report")
+    assert entry["kind"] == "error" and entry["error"] == "ConfigError"
+    assert len(started) == 1 and not started[0].is_alive()
+    assert not out.exists()
+    if command == "build-sft":
+        # the samples the one thread ran finished and were journalled
+        assert read_lines(tmp_path / "out.records.journal")
 
 
 @pytest.mark.parametrize("key", ["ключ", "abc\ndef"], ids=["non_ascii", "newline"])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import tempfile
 import threading
 import time
@@ -275,10 +277,10 @@ def outcome(entry: tuple) -> tuple[str, dict]:
 
 
 def append(path: Path, *entries: tuple) -> None:
-    """Journal each entry to path, closing the journal after."""
-    with Journal(path) as journal:
-        for entry in entries:
-            journal.append(*entry)
+    """Journal each entry to path."""
+    journal = Journal(path)
+    for entry in entries:
+        journal.append(*entry)
 
 
 def journal_line(sample_id: str, stage: str, payload: object, digest: str = "d1") -> str:
@@ -320,10 +322,10 @@ class TestJournal:
         path = tmp_path / "run.journal"
         append(path, emitted("v#0", "old", "x"))
         entry = emitted("v#0", "new", "y")
-        with Journal(path) as journal:
-            assert journal.resume("v#0", "new") is None
-            assert journal.invalidated == 1
-            journal.append(*entry)
+        journal = Journal(path)
+        assert journal.resume("v#0", "new") is None
+        assert journal.invalidated == 1
+        journal.append(*entry)
         # the sample's last outcome line wins
         replayed = Journal(path)
         assert replayed.resume("v#0", "new") == outcome(entry)
@@ -335,10 +337,10 @@ class TestJournal:
         append(path, entry)
         whole = path.read_bytes()
         path.write_bytes(whole + b'{"sample_id": "v#1", "digest": "d1", "sta')
-        with Journal(path) as journal:
-            assert path.read_bytes() == whole
-            assert journal.resume("v#0", "d1") == outcome(entry)
-            journal.append(*emitted("v#1"))
+        journal = Journal(path)
+        assert path.read_bytes() == whole
+        assert journal.resume("v#0", "d1") == outcome(entry)
+        journal.append(*emitted("v#1"))
         assert Journal(path).resume("v#1", "d1") == ("emitted", {"rationale": "r"})
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -346,9 +348,9 @@ class TestJournal:
         entry = emitted("v#0")
         append(path, entry)
         path.write_bytes(b"\n" + path.read_bytes() + b"  \n")
-        with Journal(path) as journal:
-            assert journal.resume("v#0", "d1") == outcome(entry)
-            journal.append(*emitted("v#1"))
+        journal = Journal(path)
+        assert journal.resume("v#0", "d1") == outcome(entry)
+        journal.append(*emitted("v#1"))
         assert Journal(path).resume("v#1", "d1") == ("emitted", {"rationale": "r"})
 
     def test_non_utf8_line_names_path_and_line(self, tmp_path):
@@ -424,24 +426,35 @@ class TestJournal:
         path = tmp_path / "run.journal"
 
         def rationale(worker, n):
-            return f"worker {worker} sample {n} " * 40
+            """Odd-numbered lines are longer than a write buffer holds."""
+            line = f"worker {worker} sample {n} " * 40
+            return line.ljust(io.DEFAULT_BUFFER_SIZE + 1, "x") if n % 2 else line
 
         def walk(journal, worker):
             for n in range(40):
                 journal.append(*emitted(f"w{worker}#{n}", rationale=rationale(worker, n)))
 
-        with Journal(path) as journal:
-            threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+        journal = Journal(path)
+        threads = [threading.Thread(target=walk, args=(journal, w)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         replayed = Journal(path)
         for worker in range(8):
             for n in range(40):
                 assert replayed.resume(f"w{worker}#{n}", "d1") == (
                     "emitted", {"rationale": rationale(worker, n)})
+
+    def test_append_after_the_file_moved_writes_to_the_path(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        journal.append(*emitted("v#0", rationale="first"))
+        os.replace(path, f"{path}.old")
+        journal.append(*emitted("v#1", rationale="second"))
+        assert [rec["sample_id"] for rec in read_records(path)] == ["v#1"]
+        assert [rec["sample_id"] for rec in read_records(f"{path}.old")] == ["v#0"]
 
     @pytest.mark.parametrize(
         "line",
@@ -1018,7 +1031,7 @@ class TestRunSftPipeline:
         assert seen == [earlier]
         assert out.read_bytes() == clean.read_bytes()
 
-    def test_pool_drains_before_the_journal_closes(self, corpus, tmp_path, monkeypatch):
+    def test_pool_drains_before_the_run_returns(self, corpus, tmp_path, monkeypatch):
         paths = corpus.manifest["paths"]
         tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
         out = tmp_path / "sft.records"
@@ -1057,7 +1070,7 @@ class TestRunSftPipeline:
                     with lock:
                         calls["running"] -= 1
 
-        finished, running_at_close = [], []
+        finished = []
         run_sample = sft_pipeline.process_sample
 
         def process_sample_noted(gateway, task, *args, **kwargs):
@@ -1066,14 +1079,12 @@ class TestRunSftPipeline:
             return outcome
 
         monkeypatch.setattr(sft_pipeline, "process_sample", process_sample_noted)
-        close = Journal.close
-        monkeypatch.setattr(Journal, "close",
-                            lambda journal: running_at_close.append(calls["running"]) or close(journal))
         backend = Slow(MockBackend.from_file(paths["mock_table"]))
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
         with pytest.raises(OSError, match="disk full"):
             run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
-        assert running_at_close == [0]
+        # no model call is still running when the run raises
+        assert calls["running"] == 0
         journalled = [rec["sample_id"] for rec in read_records(journal)]
         assert journalled[0] == tasks[1].sample_id
         assert sorted(journalled[1:]) == sorted(finished)
