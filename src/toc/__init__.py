@@ -9,7 +9,6 @@ from .rewards import (
     normalize_advantages,
     rd_reward,
     scale_advantages,
-    vanilla_reward,
 )
 from .segmentation import ShotBoundarySet, stitch
 
@@ -30,5 +29,4 @@ __all__ = [
     "rd_reward",
     "scale_advantages",
     "stitch",
-    "vanilla_reward",
 ]

@@ -44,6 +44,10 @@ from .sft_pipeline import JOURNAL_SUFFIX, REJECTED_SUFFIX, load_clips, run_sft_p
 SIG12_MEMO_SIZE = 4096
 _sig12_memo: dict[float, float] = {}
 
+# More clips than any video is cut into: `tree` refuses a larger --n, whose
+# root compilation alone would list every clip.
+TREE_MAX_CLIPS = 2**20
+
 
 def sig12(x: float) -> float:
     """Round to 12 significant digits; the repr then prints exactly those."""
@@ -184,6 +188,8 @@ def cmd_segment(args: argparse.Namespace) -> list[dict]:
 
 def cmd_tree(args: argparse.Namespace) -> list[dict]:
     _check_at_least_one("--n", args.n)
+    if args.n > TREE_MAX_CLIPS:
+        raise UsageError(f"--n must be <= {TREE_MAX_CLIPS}, got {args.n}")
     selected = _parse_indices(args.select)
     if any(not 0 <= index < args.n for index in selected):
         raise UsageError(f"--select indices must be in [0, {args.n - 1}], got {args.select}")

@@ -80,9 +80,9 @@ def _rationale(steps: int) -> str:
 
 def synthesize_corpus(
     out_dir: str | Path,
-    num_samples: int = 20,
-    seed: int = 7,
-    m_trials: int = 8,
+    num_samples: int,
+    seed: int,
+    m_trials: int,
 ) -> dict:
     """Write clips, QA, shots, mock table, and config files; return a manifest."""
     out = Path(out_dir)

@@ -275,19 +275,14 @@ class SftSample:
 _TOL = 1e-12  # how far a stored demand or difficulty may sit from its recomputed value
 
 
-def _demand_and_difficulty(alpha: int, m_trials: int) -> tuple[float, float]:
-    """Both scores of alpha correct answers in M trials, after one range check."""
+def demand_and_difficulty(alpha: int, m_trials: int) -> tuple[float, float]:
+    """Demand e^(-alpha/M) and difficulty 1 - alpha/M of alpha correct answers in M trials."""
     if m_trials < 1:
         raise RangeError(f"m_trials must be >= 1, got {m_trials}")
     if not 0 <= alpha <= m_trials:
         raise RangeError(f"alpha must be in [0, {m_trials}], got {alpha}")
     ratio = alpha / m_trials
     return math.exp(-ratio), 1.0 - ratio
-
-
-def demand_from_alpha(alpha: int, m_trials: int) -> float:
-    """Reasoning demand e^(-alpha/M) for alpha correct no-think answers in M trials."""
-    return _demand_and_difficulty(alpha, m_trials)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,12 +314,12 @@ class RlSample:
         alpha: int,
         m_trials: int,
     ) -> "RlSample":
-        demand, difficulty = _demand_and_difficulty(alpha, m_trials)
+        demand, difficulty = demand_and_difficulty(alpha, m_trials)
         return cls(id, video_id, question, tuple(options), answer, alpha, m_trials, demand, difficulty)
 
     def recompute_consistent(self) -> bool:
         """True when the stored demand and difficulty agree with alpha/m_trials."""
-        demand, difficulty = _demand_and_difficulty(self.alpha, self.m_trials)
+        demand, difficulty = demand_and_difficulty(self.alpha, self.m_trials)
         return abs(self.reasoning_demand - demand) <= _TOL and abs(self.difficulty - difficulty) <= _TOL
 
     def to_record(self) -> dict:

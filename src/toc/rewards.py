@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonFiniteError, RangeError
-from .records import check_record, demand_from_alpha, float_array
+from .records import check_record, demand_and_difficulty, float_array
 
 # What extract_answer returns when no answer block exists; never a valid answer.
 EMPTY_ANSWER = ""
@@ -45,14 +45,9 @@ def answers_match(extracted: str, gold: str) -> bool:
     return extracted.strip().upper() == gold.strip().upper()
 
 
-def vanilla_reward(correct: bool) -> float:
-    """Plain binary success reward."""
-    return 1.0 if correct else 0.0
-
-
 def rd_reward(correct: bool, alpha: int, m: int) -> float:
     """Demand-weighted success reward: e^(-alpha/m) when correct, else 0."""
-    gamma = demand_from_alpha(alpha, m)
+    gamma, _ = demand_and_difficulty(alpha, m)
     return gamma if correct else 0.0
 
 

@@ -74,7 +74,7 @@ def run_demand_pipeline(
     m_trials: int,
     *,
     temperature: float,
-    workers: int = 1,
+    workers: int,
 ) -> tuple[list[RlSample], Counter]:
     """Annotate every multiple-choice task with its demand; count skips by reason.
 

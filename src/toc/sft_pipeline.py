@@ -440,8 +440,8 @@ def run_sft_pipeline(
     clips_by_video: dict[str, list[Clip]],
     out_path: str | Path,
     *,
-    lenient: bool = False,
-    workers: int = 1,
+    lenient: bool,
+    workers: int,
 ) -> dict:
     """Process every task; write the dataset, the rejection sidecar, and a report.
 

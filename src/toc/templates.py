@@ -68,10 +68,10 @@ def render_train_infer(question: str, qa_type: str) -> str:
     )
 
 
-def parse_index_array(reply: str, lenient: bool = False) -> list[int]:
+def parse_index_array(reply: str, lenient: bool) -> list[int]:
     """Parse a reply that must be exactly a JSON array of integers.
 
-    Returns sorted, de-duplicated indices.  With lenient=True, a reply that
+    Returns sorted, de-duplicated indices.  When lenient, a reply that
     fails the strict parse falls back to the first bracketed array found
     anywhere in the text.
     """

@@ -34,17 +34,22 @@ class CountingBackend:
 
 
 class CrashingBackend:
-    """Raises after a fixed number of completions to simulate a mid-run crash."""
+    """Raises after a fixed number of completions to simulate a mid-run crash.
+
+    Thread-safe call counting: exactly `crash_after` calls reach the inner backend.
+    """
 
     def __init__(self, inner, crash_after: int) -> None:
         self.inner = inner
         self.crash_after = crash_after
         self.calls = 0
+        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
-        if self.calls >= self.crash_after:
-            raise RuntimeError("simulated crash")
-        self.calls += 1
+        with self._lock:
+            if self.calls >= self.crash_after:
+                raise RuntimeError("simulated crash")
+            self.calls += 1
         return self.inner.complete(request)
 
 
@@ -68,15 +73,15 @@ class FailingBackend:
 
 
 class OutageBackend:
-    """Wraps a backend; calls numbered `start` to `stop - 1` (from 0) raise GatewayError.
+    """Wraps a backend; a call numbered (from 0) inside any window [start, stop) raises GatewayError.
 
     Thread-safe call numbering; `requests` holds every request the wrapped
     backend answered.
     """
 
-    def __init__(self, inner, start: int, stop: int) -> None:
+    def __init__(self, inner, *windows: tuple[int, int]) -> None:
         self.inner = inner
-        self.start, self.stop = start, stop
+        self.windows = windows
         self.calls = 0
         self.requests: list[ChatRequest] = []
         self._lock = threading.Lock()
@@ -85,7 +90,7 @@ class OutageBackend:
         with self._lock:
             number = self.calls
             self.calls += 1
-        if self.start <= number < self.stop:
+        if any(start <= number < stop for start, stop in self.windows):
             raise GatewayError(f"simulated outage (call {number})")
         with self._lock:
             self.requests.append(request)

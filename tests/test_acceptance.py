@@ -293,7 +293,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
         out = tmp_path / "resumed" / "sft.records"
         out.parent.mkdir()
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_sft_pipeline(crash_gateway, tasks, clips_by_video, out)
+            run_sft_pipeline(crash_gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         clean_backend = MockBackend.from_file(paths["mock_table"])
         clean_gateway = Gateway(
             backends={"mllm": clean_backend, "llm": clean_backend},
@@ -301,7 +301,7 @@ def test_09_end_to_end_offline_build(corpus, tmp_path, capsys, monkeypatch):
             retry_max_attempts=1, retry_base_delay_s=0.0,
             sleep=lambda s: None,
         )
-        run_sft_pipeline(clean_gateway, tasks, clips_by_video, out)
+        run_sft_pipeline(clean_gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         assert out.read_bytes() == first[0]
 
         assert time.perf_counter() - start < 60.0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import toc
 from toc import cli
-from toc.cli import SIG12_MEMO_SIZE, main, sig12
+from toc.cli import SIG12_MEMO_SIZE, TREE_MAX_CLIPS, main, sig12
 from toc.gateway import MockBackend
 from toc.records import read_records, write_records
 
@@ -1618,10 +1618,13 @@ class TestTopLevel:
             (["build-rl", "--in", "{demand}", "--band", "0.5:0.5"],
              "--band must satisfy lo < hi, got '0.5:0.5'"),
             (["tree", "--n", "0", "--select", "0"], "--n must be >= 1, got 0"),
+            # refused before any clip list is built, so it allocates nothing
+            (["tree", "--n", str(TREE_MAX_CLIPS + 1), "--select", "0"],
+             f"--n must be <= {TREE_MAX_CLIPS}, got {TREE_MAX_CLIPS + 1}"),
             (["tree", "--n", "4", "--select", "7"], "--select indices must be in [0, 3], got 7"),
         ],
         ids=["build_sft_parallelism", "demand_parallelism", "demand_m", "build_rl_band",
-             "build_rl_empty_band", "tree_n", "tree_select"],
+             "build_rl_empty_band", "tree_n", "tree_n_bound", "tree_select"],
     )
     def test_out_of_range_flag_is_usage_error(
         self, corpus, demand_file, tmp_path, capsys, args, message

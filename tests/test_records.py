@@ -20,7 +20,6 @@ from toc.records import (
     SftSample,
     check_rationale,
     check_record,
-    demand_from_alpha,
     dump_record,
     json_encoder,
     load_qa_tasks,
@@ -28,7 +27,7 @@ from toc.records import (
     render_target,
     write_records,
 )
-from toc.rewards import extract_answer
+from toc.rewards import extract_answer, rd_reward
 from toc.sft_pipeline import load_clips
 
 
@@ -219,6 +218,14 @@ class TestSftSample:
             sample.validate()
 
 
+def demand(alpha: int, m: int) -> float:
+    """The reasoning demand of alpha correct trials out of m: the reward of a correct
+    answer, checked to equal the demand RlSample stores."""
+    stored = RlSample.from_trial_count("v#0", "v", "q", ("a",), "A", alpha, m).reasoning_demand
+    assert rd_reward(True, alpha, m) == stored
+    return stored
+
+
 def difficulty(alpha: int, m: int) -> float:
     """The difficulty score of alpha correct trials out of m, as RlSample derives it."""
     return RlSample.from_trial_count("v#0", "v", "q", ("a",), "A", alpha, m).difficulty
@@ -226,26 +233,26 @@ def difficulty(alpha: int, m: int) -> float:
 
 class TestDemandAndDifficulty:
     def test_endpoints(self):
-        assert demand_from_alpha(0, 8) == 1.0
-        assert abs(demand_from_alpha(8, 8) - math.exp(-1)) < 1e-15
+        assert demand(0, 8) == 1.0
+        assert abs(demand(8, 8) - math.exp(-1)) < 1e-15
         assert difficulty(0, 8) == 1.0
         assert difficulty(8, 8) == 0.0
 
     def test_midpoint(self):
-        assert abs(demand_from_alpha(4, 8) - math.exp(-0.5)) < 1e-15
+        assert abs(demand(4, 8) - math.exp(-0.5)) < 1e-15
         assert difficulty(4, 8) == 0.5
 
     @pytest.mark.parametrize("alpha,m", [(-1, 8), (9, 8), (0, 0)])
     def test_range_errors(self, alpha, m):
         with pytest.raises(RangeError):
-            demand_from_alpha(alpha, m)
+            rd_reward(True, alpha, m)
         with pytest.raises(RangeError):
             difficulty(alpha, m)
 
     @given(st.integers(1, 64), st.data())
     def test_strictly_decreasing_in_alpha(self, m, data):
         alpha = data.draw(st.integers(0, m - 1))
-        assert demand_from_alpha(alpha, m) > demand_from_alpha(alpha + 1, m)
+        assert demand(alpha, m) > demand(alpha + 1, m)
         assert difficulty(alpha, m) > difficulty(alpha + 1, m)
 
 

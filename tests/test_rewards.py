@@ -26,7 +26,6 @@ from toc.rewards import (
     rd_reward,
     scale_advantages,
     score_flags,
-    vanilla_reward,
 )
 
 
@@ -66,10 +65,6 @@ class TestAnswersMatch:
 
 
 class TestRewards:
-    def test_vanilla(self):
-        assert vanilla_reward(True) == 1.0
-        assert vanilla_reward(False) == 0.0
-
     def test_rd_zero_alpha_is_exact_one(self):
         assert rd_reward(True, 0, 8) == 1.0
 

@@ -86,7 +86,7 @@ class TestRunTrials:
         ]
         task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v")
         (sample,), _ = run_demand_pipeline(
-            trial_gateway(qa, "v", replies), [task], 4, temperature=TEMPERATURE
+            trial_gateway(qa, "v", replies), [task], 4, temperature=TEMPERATURE, workers=1
         )
         assert sample.alpha == 2
 
@@ -210,7 +210,7 @@ class TestRunDemandPipeline:
         ]
         replies = ["<answer>B</answer>", "<answer>B</answer>", "<answer>C</answer>"]
         gateway = trial_gateway(qa, "v0/full", replies)
-        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE)
+        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE, workers=1)
         assert skipped == Counter({"non_multiple_choice": 1})
         (sample,) = annotated
         assert sample.id == "v0#0" and sample.alpha == 2
@@ -225,12 +225,13 @@ class TestRunDemandPipeline:
         ]
         # v's 3 trials are scripted; w's fail inside the gateway
         gateway = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 3)
-        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE)
+        annotated, skipped = run_demand_pipeline(gateway, tasks, 3, temperature=TEMPERATURE, workers=1)
         assert [s.id for s in annotated] == ["v#0"] and annotated[0].alpha == 3
         assert skipped == Counter({"trials_failed": 1})
         # only 2 of 3 trials scripted: one failure skips the question outright
         partial = trial_gateway(qa, "v/full", ["<answer>B</answer>"] * 2)
-        annotated, skipped = run_demand_pipeline(partial, tasks[:1], 3, temperature=TEMPERATURE)
+        annotated, skipped = run_demand_pipeline(partial, tasks[:1], 3, temperature=TEMPERATURE,
+                                                workers=1)
         assert annotated == [] and skipped == Counter({"trials_failed": 1})
 
     def test_alpha_counts_correct_trials(self):
@@ -238,7 +239,7 @@ class TestRunDemandPipeline:
         task = QaTask(video_id="v", qa_index=0, qa=qa, video_ref="v/full")
         replies = ["<answer>B</answer>"] * 3 + ["<answer>A</answer>"] * 5
         (sample,), _ = run_demand_pipeline(trial_gateway(qa, "v/full", replies), [task], 8,
-                                            temperature=TEMPERATURE)
+                                            temperature=TEMPERATURE, workers=1)
         assert sample.alpha == 3
         assert sample.reasoning_demand == pytest.approx(math.exp(-3 / 8), abs=1e-15)
         assert sample.difficulty == pytest.approx(1 - 3 / 8, abs=1e-15)
@@ -282,7 +283,7 @@ class TestRunDemandPipeline:
                                        temperature=config.trial_temperature, workers=workers)
 
         clean, clean_skipped = run(MockBackend(table))
-        annotated, skipped = run(OutageBackend(MockBackend(table), start, start + length),
+        annotated, skipped = run(OutageBackend(MockBackend(table), (start, start + length)),
                                  max_attempts)
         by_id = {s.id: s for s in clean}
         assert all(s == by_id[s.id] for s in annotated)

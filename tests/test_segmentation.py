@@ -125,7 +125,7 @@ class TestShotBoundarySet:
 class TestStitch:
     def test_single_shot(self):
         shots = shots_from([3.0], [at_angle(17)])
-        (clip,) = stitch(shots)
+        (clip,) = stitch(shots, tau=DEFAULT_TAU)
         assert (clip.start_s, clip.end_s, clip.index) == (0.0, 3.0, 0)
 
     def test_similar_shots_merge(self):
@@ -153,8 +153,8 @@ class TestStitch:
     def test_magnitude_is_ignored(self):
         big = shots_from([1.0, 1.0], [at_angle(0, 100.0), at_angle(5, 0.01)])
         small = shots_from([1.0, 1.0], [at_angle(0), at_angle(5)])
-        assert [c.embedding for c in stitch(big)] == pytest.approx(
-            [c.embedding for c in stitch(small)]
+        assert [c.embedding for c in stitch(big, tau=DEFAULT_TAU)] == pytest.approx(
+            [c.embedding for c in stitch(small, tau=DEFAULT_TAU)]
         )
 
     def test_pooled_embedding_is_unit_weighted_mean(self):

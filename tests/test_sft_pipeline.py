@@ -36,6 +36,7 @@ from toc.errors import (
     StepCountMismatchError,
 )
 from toc.gateway import Gateway, HttpBackend, MockBackend, request_digest
+from toc.mockgen import synthesize_corpus
 from toc.records import (
     STAGED_SUFFIX,
     Clip,
@@ -447,6 +448,51 @@ class TestJournal:
                 assert replayed.resume(f"w{worker}#{n}", "d1") == (
                     "emitted", {"rationale": rationale(worker, n)})
 
+    def test_appends_forced_to_interleave_replay_whole(self, tmp_path, monkeypatch):
+        """Each line is written in two halves with a barrier between them, so two appends
+        that are not serialized interleave their halves; a serialized append meets no
+        partner there and goes on when the barrier times out."""
+        barrier = threading.Barrier(2, timeout=0.5)
+
+        class SplitWrites:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                half = len(text) // 2
+                self.fh.write(text[:half])
+                self.fh.flush()
+                try:
+                    barrier.wait()
+                except threading.BrokenBarrierError:
+                    pass
+                return self.fh.write(text[half:])
+
+        def split_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return SplitWrites(fh) if "a" in mode else fh
+
+        monkeypatch.setattr(sft_pipeline, "open", split_open, raising=False)
+        path = tmp_path / "run.journal"
+        journal = Journal(path)
+        threads = [threading.Thread(target=journal.append, args=emitted(f"v#{n}", rationale=f"r{n}"))
+                   for n in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(path.read_bytes().splitlines()) == 2
+        replayed = Journal(path)
+        for n in range(2):
+            assert replayed.resume(f"v#{n}", "d1") == ("emitted", {"rationale": f"r{n}"})
+
     def test_append_after_the_file_moved_writes_to_the_path(self, tmp_path):
         path = tmp_path / "run.journal"
         journal = Journal(path)
@@ -603,7 +649,8 @@ def five_stage_lines(clips, clean_journal: Path) -> list[bytes]:
 def run_alone(pairs, task, clips, out: Path) -> tuple[dict, int]:
     """build-sft's report on the one task, and the model calls it made."""
     gateway, backend = counting_gateway(pairs)
-    return run_sft_pipeline(gateway, [task], {task.video_id: clips}, out), backend.calls
+    return run_sft_pipeline(gateway, [task], {task.video_id: clips}, out,
+                            lenient=False, workers=1), backend.calls
 
 
 def written(out: Path) -> tuple[bytes, bytes]:
@@ -761,7 +808,7 @@ class TestProcessSample:
         )
         out = tmp_path / "sft.records"
         with pytest.raises(AuthError, match="status 401"):
-            run_sft_pipeline(gateway, [task], {"v": clips}, out)
+            run_sft_pipeline(gateway, [task], {"v": clips}, out, lenient=False, workers=1)
         assert not Path(f"{out}{JOURNAL_SUFFIX}").exists()
         # the sample starts over: 4 captions, the selection, 2 cue captions, filter, rationale
         report, calls = run_alone(pairs, task, clips, out)
@@ -779,7 +826,7 @@ class TestProcessSample:
         out = tmp_path / "resumed.records"
         crash_gw, _ = crashing_gateway(pairs, crash_after)
         with pytest.raises(RuntimeError, match="simulated crash"):
-            run_sft_pipeline(crash_gw, [task], {"v": clips}, out)
+            run_sft_pipeline(crash_gw, [task], {"v": clips}, out, lenient=False, workers=1)
         assert not Path(f"{out}{JOURNAL_SUFFIX}").exists()
 
         assert run_alone(pairs, task, clips, out) == (clean_report, resume_calls)
@@ -856,7 +903,7 @@ class TestRunSftPipeline:
     def test_writes_dataset_and_sidecar(self, tmp_path):
         pairs, tasks, clips_by_video, out = self.two_sample_setup(tmp_path)
         gateway, _ = counting_gateway(pairs)
-        summary = run_sft_pipeline(gateway, tasks, clips_by_video, out)
+        summary = run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         assert summary == {
             "total": 2,
             "emitted": 1,
@@ -881,13 +928,13 @@ class TestRunSftPipeline:
     def test_rerun_rewrites_identical_bytes_without_calls(self, tmp_path):
         pairs, tasks, clips_by_video, out = self.two_sample_setup(tmp_path)
         gateway, _ = counting_gateway(pairs)
-        run_sft_pipeline(gateway, tasks, clips_by_video, out)
+        run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         first = out.read_bytes()
         first_sidecar = (tmp_path / "sft.records.rejected").read_bytes()
 
         out.unlink()  # states survive; outputs are rebuilt from them
         gateway2, backend2 = counting_gateway(pairs)
-        summary = run_sft_pipeline(gateway2, tasks, clips_by_video, out)
+        summary = run_sft_pipeline(gateway2, tasks, clips_by_video, out, lenient=False, workers=1)
         assert backend2.calls == 0
         assert summary["emitted"] == 1
         assert out.read_bytes() == first
@@ -896,14 +943,15 @@ class TestRunSftPipeline:
     def test_edited_answer_restarts_only_that_sample(self, tmp_path):
         pairs, tasks, clips_by_video, out = self.two_sample_setup(tmp_path)
         gateway, _ = counting_gateway(pairs)
-        run_sft_pipeline(gateway, tasks, clips_by_video, out)
+        run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         sidecar = (tmp_path / "sft.records.rejected").read_bytes()
 
         edited_qa = make_qa("C")
         edited_tasks = [replace(tasks[0], qa=edited_qa), tasks[1]]
         # the backend answers only the edited sample's requests
         gateway2, backend2 = counting_gateway(full_script(clips_by_video["va"], edited_qa))
-        summary = run_sft_pipeline(gateway2, edited_tasks, clips_by_video, out)
+        summary = run_sft_pipeline(gateway2, edited_tasks, clips_by_video, out,
+                                   lenient=False, workers=1)
         assert summary["invalidated"] == 1 and summary["emitted"] == 1
         assert backend2.calls == 9
         (record,) = [json.loads(line) for line in out.read_text().splitlines()]
@@ -919,7 +967,7 @@ class TestRunSftPipeline:
         def run(out):
             backend = CountingBackend(MockBackend.from_file(paths["mock_table"]))
             gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
-            run_sft_pipeline(gateway, tasks, clips_by_video, out)
+            run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=1)
             return backend.calls
 
         clean = tmp_path / "clean" / "sft.records"
@@ -943,7 +991,7 @@ class TestRunSftPipeline:
         task = make_task("ghost")
         gateway, _ = counting_gateway([])
         out = tmp_path / "sft.records"
-        summary = run_sft_pipeline(gateway, [task], {}, out)
+        summary = run_sft_pipeline(gateway, [task], {}, out, lenient=False, workers=1)
         assert summary["rejection_reasons"] == {"missing_clips": 1}
 
     def test_workers_give_identical_bytes(self, corpus, tmp_path, fast_thread_switching):
@@ -956,7 +1004,7 @@ class TestRunSftPipeline:
             out = tmp_path / f"workers{workers}" / "sft.records"
             out.parent.mkdir()
             summary = run_sft_pipeline(
-                build_gateway(config), tasks, clips_by_video, out, workers=workers
+                build_gateway(config), tasks, clips_by_video, out, lenient=False, workers=workers
             )
             assert summary["emitted"] == corpus.manifest["expected_emitted"]
             outputs.append((out.read_bytes(), Path(f"{out}.rejected").read_bytes()))
@@ -968,7 +1016,7 @@ class TestRunSftPipeline:
         nested = "[" * depth + "]" * depth
         pairs = full_script(clips_by_video["va"], tasks[0].qa, selection_reply=nested)
         gateway, _ = counting_gateway(pairs)
-        summary = run_sft_pipeline(gateway, tasks[:1], clips_by_video, out, workers=2)
+        summary = run_sft_pipeline(gateway, tasks[:1], clips_by_video, out, lenient=False, workers=2)
         assert summary["rejection_reasons"] == {"selection_unparseable": 1}
 
     def test_finished_run_resumes_without_the_pool(self, corpus, tmp_path, monkeypatch):
@@ -980,11 +1028,11 @@ class TestRunSftPipeline:
         submit = ThreadPoolExecutor.submit
         monkeypatch.setattr(ThreadPoolExecutor, "submit",
                             lambda pool, *args: submitted.append(args) or submit(pool, *args))
-        cold = run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
+        cold = run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=4)
         assert len(submitted) == len(tasks)
         dataset, sidecar = out.read_bytes(), Path(f"{out}.rejected").read_bytes()
         submitted.clear()
-        assert run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4) == cold
+        assert run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=4) == cold
         assert submitted == []
         assert (out.read_bytes(), Path(f"{out}.rejected").read_bytes()) == (dataset, sidecar)
 
@@ -993,7 +1041,7 @@ class TestRunSftPipeline:
         tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
         clean = tmp_path / "clean.records"
         run_sft_pipeline(one_try_gateway(MockBackend.from_file(paths["mock_table"])),
-                         tasks, clips_by_video, clean)
+                         tasks, clips_by_video, clean, lenient=False, workers=1)
         last = tasks[-1]
         earlier = b"".join(line for line in clean.read_bytes().splitlines(keepends=True)
                            if json.loads(line)["id"] != last.sample_id)
@@ -1027,7 +1075,7 @@ class TestRunSftPipeline:
 
         backend = LastSampleWaits(MockBackend.from_file(paths["mock_table"]))
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=1)
-        run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=1)
+        run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=1)
         assert seen == [earlier]
         assert out.read_bytes() == clean.read_bytes()
 
@@ -1036,7 +1084,7 @@ class TestRunSftPipeline:
         tasks, clips_by_video = load_qa_tasks(paths["qa"]), load_clips(paths["clips"])
         out = tmp_path / "sft.records"
         run_sft_pipeline(one_try_gateway(MockBackend.from_file(paths["mock_table"])),
-                         tasks, clips_by_video, out)
+                         tasks, clips_by_video, out, lenient=False, workers=1)
         # only the second sample stays journalled, and writing its line fails;
         # every other sample is fresh, so the first runs before it is written
         # and the ones after it are in flight when it is
@@ -1082,7 +1130,7 @@ class TestRunSftPipeline:
         backend = Slow(MockBackend.from_file(paths["mock_table"]))
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
         with pytest.raises(OSError, match="disk full"):
-            run_sft_pipeline(gateway, tasks, clips_by_video, out, workers=4)
+            run_sft_pipeline(gateway, tasks, clips_by_video, out, lenient=False, workers=4)
         # no model call is still running when the run raises
         assert calls["running"] == 0
         journalled = [rec["sample_id"] for rec in read_records(journal)]
@@ -1098,7 +1146,8 @@ class TestRunSftPipeline:
         gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4)
         with pytest.raises(RuntimeError, match="backend crashed"):
             run_sft_pipeline(
-                gateway, tasks, load_clips(paths["clips"]), tmp_path / "sft.records", workers=4
+                gateway, tasks, load_clips(paths["clips"]), tmp_path / "sft.records",
+                lenient=False, workers=4,
             )
         # each sample fails on its first call, so calls count the samples started
         assert backend.calls < len(tasks)
@@ -1108,7 +1157,8 @@ def resume_run(inputs, out: Path, backend, workers: int = 1, attempts: int = 1) 
     """build-sft's report on the corpus `inputs`, every call answered by `backend`."""
     gateway = Gateway(backends={"mllm": backend, "llm": backend}, max_in_flight=4,
                       retry_max_attempts=attempts, sleep=lambda s: None)
-    return run_sft_pipeline(gateway, inputs.tasks, inputs.clips_by_video, out, workers=workers)
+    return run_sft_pipeline(gateway, inputs.tasks, inputs.clips_by_video, out,
+                            lenient=False, workers=workers)
 
 
 def run_outputs(out: Path) -> tuple[bytes, bytes, list[bytes]]:
@@ -1119,26 +1169,26 @@ def run_outputs(out: Path) -> tuple[bytes, bytes, list[bytes]]:
 
 class CleanRun(SimpleNamespace):
     def __repr__(self) -> str:  # hypothesis prints it with every falsifying example
-        return "CleanRun(<20-sample corpus>)"
+        return f"CleanRun(<{len(self.tasks)}-sample corpus>)"
 
 
-@pytest.fixture(scope="module")
-def clean_sft(corpus) -> CleanRun:
+def clean_run(paths: dict) -> CleanRun:
     """The corpus's tasks, clips and mock table, each sample's distinct request
     digests in a run of it alone, and the report and outputs of a clean run.
 
     A sample makes a request it repeats (a one-clip compilation is its
-    clip's caption) once, and in this corpus no two samples share a video,
-    so no two share a request.
+    clip's caption) once, and in a mock corpus no two samples share a
+    video, so no two share a request.
     """
-    paths = corpus.manifest["paths"]
     clean = CleanRun(tasks=load_qa_tasks(paths["qa"]), clips_by_video=load_clips(paths["clips"]),
                      table=MockBackend.from_file(paths["mock_table"]).table, calls={})
     for task in clean.tasks:
-        backend = OutageBackend(MockBackend(clean.table), 0, 0)
+        backend = OutageBackend(MockBackend(clean.table))
         process_sample(one_try_gateway(backend), task, clean.clips_by_video.get(task.video_id),
                        lenient=False)
         clean.calls[task.sample_id] = Counter(set(map(request_digest, backend.requests)))
+    clean.owner = {digest: sample_id for sample_id, calls in clean.calls.items() for digest in calls}
+    assert len(clean.owner) == sum(map(len, clean.calls.values()))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sft.records"
         clean.report = resume_run(clean, out, MockBackend(clean.table))
@@ -1146,62 +1196,106 @@ def clean_sft(corpus) -> CleanRun:
     return clean
 
 
-# One fault in a run of the 20-sample corpus, which makes 179 calls: a crash
-# once k calls are answered, or `length` calls from call `start` on failing,
-# each tried up to `attempts` times.
-CRASH = st.tuples(st.just("crash"), st.integers(0, 178))
-OUTAGE = st.tuples(st.just("outage"), st.integers(0, 178), st.integers(1, 90), st.sampled_from([1, 2]))
+@pytest.fixture(scope="module")
+def clean_runs(tmp_path_factory):
+    """clean_runs(size, seed): the CleanRun of the mock corpus of that size and seed, built once."""
+    built = {}
+
+    def get(size: int, seed: int) -> CleanRun:
+        if (size, seed) not in built:
+            corpus = synthesize_corpus(tmp_path_factory.mktemp("corpus"), size, seed, 8)
+            built[size, seed] = clean_run(corpus["paths"])
+        return built[size, seed]
+
+    return get
+
+
+def outputs_on_disk(*paths: Path) -> list[bytes | None]:
+    return [path.read_bytes() if path.exists() else None for path in paths]
+
+
+def unjournalled(clean: CleanRun, journal: Path) -> set[str]:
+    """The samples of `clean` without a line in `journal`."""
+    journalled = {rec["sample_id"] for rec in read_records(journal)} if journal.exists() else set()
+    return {task.sample_id for task in clean.tasks} - journalled
+
+
+# Faults for the runs before a healthy one: a crash once k calls are answered (k is
+# taken modulo the calls the run has to make), or calls failing in 1 to 3 windows
+# [start, stop) of the run's call numbers, each call tried up to `attempts` times.
+def crash(calls: int):
+    return st.tuples(st.just("crash"), st.integers(0, calls - 1))
+
+
+def outage(calls: int):
+    window = st.integers(0, calls - 1).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(start + 1, start + calls // 2)))
+    return st.tuples(st.just("outage"), st.lists(window, min_size=1, max_size=3),
+                     st.sampled_from([1, 2]))
 
 
 class TestResumeAfterFailure:
-    """A rerun makes exactly the calls of the samples the failed run left without an outcome."""
+    """A rerun makes exactly the calls of the samples the failed runs left without an outcome."""
 
-    def rerun_after(self, clean_sft, workers: int, fault: tuple) -> list[str]:
-        """Run the corpus into `fault`, then once more on a healthy backend, and
-        check the rerun; return the samples the failed run left unfinished."""
+    def run_through(self, clean: CleanRun, workers: int, faults: list[tuple]) -> list[set[str]]:
+        """Run the corpus into each fault in turn, then once on a healthy backend, and
+        check every run; return the samples each run found without an outcome."""
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "sft.records"
             rejected, journal = Path(f"{out}{REJECTED_SUFFIX}"), Path(f"{out}{JOURNAL_SUFFIX}")
-            if fault[0] == "crash":
-                crashing = CrashingBackend(MockBackend(clean_sft.table), fault[1])
-                with pytest.raises(RuntimeError, match="simulated crash"):
-                    resume_run(clean_sft, out, crashing, workers)
-                assert not out.exists() and not rejected.exists()
-                assert list(Path(tmp).glob(f"*{STAGED_SUFFIX}")) == []
-            else:
-                _, start, length, attempts = fault
-                outage = OutageBackend(MockBackend(clean_sft.table), start, start + length)
-                report = resume_run(clean_sft, out, outage, workers, attempts)
-                failed = {r["id"] for r in read_records(rejected) if r["reason"].endswith("_failed")}
-                assert sum(n for reason, n in report["rejection_reasons"].items()
-                           if reason.endswith("_failed")) == len(failed)
-            finished = {rec["sample_id"] for rec in read_records(journal)} if journal.exists() else set()
-            unfinished = [t.sample_id for t in clean_sft.tasks if t.sample_id not in finished]
-            if fault[0] == "outage":
-                assert failed == set(unfinished)
+            unfinished_by_run = []
+            for fault in [*faults, ("healthy",)]:
+                unfinished = unjournalled(clean, journal)
+                needed = sum((clean.calls[sample_id] for sample_id in unfinished), Counter())
+                if fault[0] == "crash" and not needed:
+                    continue  # a run with no call to make cannot crash
+                unfinished_by_run.append(unfinished)
+                windows, attempts = fault[1:] if fault[0] == "outage" else ((), 1)
+                answered = OutageBackend(MockBackend(clean.table), *windows)
+                if fault[0] == "crash":
+                    before = outputs_on_disk(out, rejected)
+                    crashing = CrashingBackend(answered, fault[1] % needed.total())
+                    with pytest.raises(RuntimeError, match="simulated crash"):
+                        resume_run(clean, out, crashing, workers)
+                    # each output is absent or the whole file a finished run wrote
+                    assert outputs_on_disk(out, rejected) == before
+                    assert list(Path(tmp).glob(f"*{STAGED_SUFFIX}")) == []
+                    assert not journal.exists() or journal.read_bytes().endswith(b"\n")
+                else:
+                    report = resume_run(clean, out, answered, workers, attempts)
+                # a journalled sample makes no call
+                assert {clean.owner[request_digest(r)] for r in answered.requests} <= unfinished
+                if fault[0] == "outage":
+                    # the samples left to rerun are the ones rejected as *_failed
+                    failed = {r["id"] for r in read_records(rejected) if r["reason"].endswith("_failed")}
+                    assert sum(n for reason, n in report["rejection_reasons"].items()
+                               if reason.endswith("_failed")) == len(failed)
+                    assert failed == unjournalled(clean, journal)
+            assert Counter(map(request_digest, answered.requests)) == needed
+            assert report == clean.report
+            assert run_outputs(out) == clean.outputs
+        return unfinished_by_run
 
-            healthy = OutageBackend(MockBackend(clean_sft.table), 0, 0)
-            report = resume_run(clean_sft, out, healthy, workers)
-            assert Counter(map(request_digest, healthy.requests)) == sum(
-                (clean_sft.calls[sample_id] for sample_id in unfinished), Counter()
-            )
-            assert report == clean_sft.report
-            assert run_outputs(out) == clean_sft.outputs
-        return unfinished
-
-    @settings(derandomize=True, max_examples=25, deadline=None)
-    @given(workers=st.sampled_from([1, 2, 4]), fault=st.one_of(CRASH, OUTAGE))
-    def test_rerun_calls_only_unfinished_samples(self, clean_sft, workers, fault):
-        self.rerun_after(clean_sft, workers, fault)
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(size=st.integers(3, 20), seed=st.integers(0, 9), workers=st.sampled_from([1, 2, 4]),
+           data=st.data())
+    def test_rerun_calls_only_unfinished_samples(self, clean_runs, size, seed, workers, data):
+        clean = clean_runs(size, seed)
+        calls = sum(sum(c.values()) for c in clean.calls.values())
+        first = data.draw(st.one_of(crash(calls), outage(calls)), label="first run")
+        resume = data.draw(crash(calls), label="resume")
+        self.run_through(clean, workers, [first, resume])
 
     @pytest.mark.parametrize("workers,crash_after", [(1, 40), (1, 101), (4, 40), (4, 101)])
-    def test_crash_then_resume_calls_only_unfinished_samples(self, clean_sft, workers, crash_after):
-        unfinished = self.rerun_after(clean_sft, workers, ("crash", crash_after))
-        assert 0 < len(unfinished) < len(clean_sft.tasks)
+    def test_crash_then_resume_calls_only_unfinished_samples(self, clean_runs, workers, crash_after):
+        clean = clean_runs(20, 7)
+        _, unfinished = self.run_through(clean, workers, [("crash", crash_after)])
+        assert 0 < len(unfinished) < len(clean.tasks)
 
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_backend_outage_is_retried_by_the_next_run(self, clean_sft, workers):
-        assert self.rerun_after(clean_sft, workers, ("outage", 30, 90, 1))
+    def test_backend_outage_is_retried_by_the_next_run(self, clean_runs, workers):
+        _, unfinished = self.run_through(clean_runs(20, 7), workers, [("outage", [(30, 120)], 1)])
+        assert unfinished
 
 
 class TestOncePerSample:
@@ -1285,5 +1379,6 @@ def test_null_backend_content_rejects_as_caption_failed(tmp_path):
         retry_max_attempts=2, retry_base_delay_s=0.0,
         sleep=lambda s: None,
     )
-    summary = run_sft_pipeline(gateway, [make_task()], {"v": make_clips(3)}, tmp_path / "sft.records")
+    summary = run_sft_pipeline(gateway, [make_task()], {"v": make_clips(3)}, tmp_path / "sft.records",
+                               lenient=False, workers=1)
     assert summary["rejection_reasons"] == {"caption_failed": 1}

@@ -109,6 +109,14 @@ def reads(tree: ast.AST) -> Counter:
     )
 
 
+def test_every_exported_name_is_read_outside_the_tests():
+    # The acceptance gates count: they use rd_reward and the advantage functions as references.
+    readers = [*MODULES, *sorted(SCRIPTS.glob("*.py")), TESTS / "test_acceptance.py",
+               *(path for path in sorted(BENCH.glob("*.py")) if not path.name.startswith("test_"))]
+    read = set().union(*(reads(parse(path)) for path in readers))
+    assert sorted(exported() - read) == [], "exported but read only by tests"
+
+
 def test_no_method_or_property_is_read_only_by_tests():
     outside = [*MODULES, *sorted(SCRIPTS.glob("*.py")),
                *(path for path in sorted(BENCH.glob("*.py")) if not path.name.startswith("test_"))]

@@ -112,13 +112,13 @@ class TestTrainInferRendering:
 
 class TestParseIndexArray:
     def test_plain_array(self):
-        assert parse_index_array("[2, 5]") == [2, 5]
+        assert parse_index_array("[2, 5]", lenient=False) == [2, 5]
 
     def test_sorts_and_dedups(self):
-        assert parse_index_array("[5, 2, 2]") == [2, 5]
+        assert parse_index_array("[5, 2, 2]", lenient=False) == [2, 5]
 
     def test_empty_array(self):
-        assert parse_index_array("[]") == []
+        assert parse_index_array("[]", lenient=False) == []
 
     @pytest.mark.parametrize(
         "reply",
@@ -126,7 +126,7 @@ class TestParseIndexArray:
     )
     def test_strict_rejects(self, reply):
         with pytest.raises(ParseError):
-            parse_index_array(reply)
+            parse_index_array(reply, lenient=False)
 
     def test_lenient_recovers_fenced_array(self):
         assert parse_index_array("```json\n[2]\n```", lenient=True) == [2]
@@ -145,7 +145,7 @@ class TestParseIndexArray:
     @pytest.mark.parametrize("depth", [3000, 100_000])
     def test_nesting_too_deep_is_unparseable(self, depth):
         with pytest.raises(ParseError, match="not a bare JSON integer array"):
-            parse_index_array("[" * depth + "]" * depth)
+            parse_index_array("[" * depth + "]" * depth, lenient=False)
 
     @pytest.mark.parametrize("lenient", [False, True])
     def test_integer_of_too_many_digits_is_unparseable(self, lenient):
