@@ -79,39 +79,36 @@ _INPUT_FLAGS = {"shots": "--shots", "videos": "--videos", "qa": "--qa", "config"
                 "input": "--in", "group": "--group", "logprobs": "--logprobs"}
 
 
-def _check_paths(args: argparse.Namespace) -> None:
-    """Fail before any input is read or model called if a path is empty, if an input is a
-    file the command writes, if two outputs are one file, if an output is where a later one
-    is staged, or if an output is or lacks a directory."""
+def _check_paths(args: argparse.Namespace, named: Sequence[tuple[str, str | None]] = ()) -> None:
+    """Fail before any input is read (but the config that names the `named` ones) or model
+    called if a path is empty, if an input is a file the command writes, if an output is
+    another output or where one is staged, or if an output is or lacks a directory."""
     out = getattr(args, "out", None)
-    inputs = [(flag, path) for dest, flag in _INPUT_FLAGS.items()
-              if (path := getattr(args, dest, None)) is not None]
+    flags = [(flag, getattr(args, dest, None)) for dest, flag in _INPUT_FLAGS.items()]
+    inputs = [(flag, path) for flag, path in flags + list(named) if path is not None]
     for flag, path in inputs + [("-o", out), ("--report", args.report)]:
         if path == "":
             raise UsageError(f"{flag} must name a file, got an empty path")
-    # What write_records writes, in order: the dataset, build-sft's sidecar, the report.
-    written = [path for path in (out, _report_path(args)) if path is not None]
-    journal = []  # appended to before any of them is written
+    # write_records stages each output at <path>.tmp; the journal is appended to instead.
+    staged = [path for path in (out, _report_path(args)) if path is not None]
+    journal = []
     if args.command == "build-sft":
-        written.insert(1, f"{out}{REJECTED_SUFFIX}")
-        journal = [f"{out}{JOURNAL_SUFFIX}"]
-    paths = written + journal
-    resolved = [os.path.realpath(path) for path in paths]
-    for pos, real in enumerate(resolved):
-        if real in resolved[:pos]:
-            raise UsageError(f"two outputs are one file: {paths[pos]}")
-    # write_records stages each file at <path>.tmp and renames it into place, which carries
-    # off the journal or an output written before; one written after is only created then.
-    for pos, path in enumerate(written):
-        staged = os.path.realpath(f"{path}{STAGED_SUFFIX}")
-        if staged in resolved[:pos] + resolved[len(written):]:
-            clobbered = paths[resolved.index(staged)]
-            raise UsageError(f"output {clobbered} is the temporary file of another output")
-    touched = set(resolved) | {os.path.realpath(f"{path}{STAGED_SUFFIX}") for path in written}
+        staged.append(f"{out}{REJECTED_SUFFIX}")
+        journal.append(f"{out}{JOURNAL_SUFFIX}")
+    outputs = staged + journal
+    temporary = {os.path.realpath(f"{path}{STAGED_SUFFIX}") for path in staged}
+    written: set[str] = set()
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in written:
+            raise UsageError(f"two outputs are one file: {path}")
+        if real in temporary:
+            raise UsageError(f"output {path} is the temporary file of another output")
+        written.add(real)
     for flag, path in inputs:
-        if os.path.realpath(path) in touched:
+        if os.path.realpath(path) in written | temporary:
             raise UsageError(f"input {flag} {path} is a file this command writes")
-    for path in paths:
+    for path in outputs:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
@@ -158,6 +155,7 @@ def _model_run(args: argparse.Namespace, **overrides) -> tuple[Config, Gateway, 
     """The config with its flag overrides, its gateway and the QA tasks of a model-calling run."""
     _check_at_least_one("--parallelism", args.parallelism)
     config = apply_overrides(load_config(args.config), parallelism=args.parallelism, **overrides)
+    _check_paths(args, [("mock_table_path", config.mock_table_path)])
     return config, build_gateway(config), load_qa_tasks(args.qa)
 
 

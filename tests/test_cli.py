@@ -726,16 +726,6 @@ class TestPaths:
         assert calls == [] and not out.is_file() and list((tmp_path / directory).iterdir()) == []
         assert not (tmp_path / "out.journal").is_file()
 
-    def test_report_on_the_temporary_file_of_the_dataset(self, demand_file, tmp_path, capsys,
-                                                          monkeypatch):
-        # the dataset is renamed off rl.tmp before the report is written there
-        monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(["build-rl", "--in", str(demand_file), "--target", "3",
-                                "-o", "rl", "--report", "rl.tmp"], capsys)
-        assert code == 0 and err == ""
-        assert len(read_lines(tmp_path / "rl")) == 3
-        assert read_lines(tmp_path / "rl.tmp")[0] == {"kind": "stage", "stage": "input", "count": 20}
-
     @pytest.mark.parametrize(
         "args,message",
         [
@@ -749,12 +739,18 @@ class TestPaths:
             (["estimate-demand", "--qa", "{qa}", "--config", "{config}",
               "-o", "d.records", "--report", "./d.records"],
              "two outputs are one file: ./d.records"),
-            # the report is written through rl.tmp, which would replace the dataset
+            # an output staged at <path>.tmp replaces what is there, whichever is written first
             (["build-rl", "--in", "{demand}", "-o", "rl.tmp", "--report", "rl"],
              "output rl.tmp is the temporary file of another output"),
+            (["build-rl", "--in", "{demand}", "-o", "rl", "--report", "rl.tmp"],
+             "output rl.tmp is the temporary file of another output"),
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "{config}",
+              "-o", "s.records", "--report", "s.records.rejected.tmp"],
+             "output s.records.rejected.tmp is the temporary file of another output"),
         ],
         ids=["rl_report_is_out", "rl_report_is_dot_out", "sft_report_is_journal",
-             "demand_report_is_dot_out", "rl_out_is_report_tmp"],
+             "demand_report_is_dot_out", "rl_out_is_report_tmp", "rl_report_is_out_tmp",
+             "sft_report_is_rejected_tmp"],
     )
     def test_two_outputs_on_one_file_is_usage_error(
         self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, message
@@ -799,6 +795,76 @@ class TestPaths:
         (tmp_path / "g").write_text('{"gamma": 0.5, "correct": [true, false]}\n', encoding="utf-8")
         message = f"input {flag} {path} is a file this command writes"
         self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
+
+    # The config's mock table is an input too: it is checked once the config is read, before
+    # the table is, so a report that names it is not written either.
+    @pytest.mark.parametrize(
+        "args,table",
+        [
+            (["estimate-demand", "--qa", "{qa}", "--config", "config.json", "-o", "t.records"],
+             "t.records"),
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "config.json",
+              "-o", "s", "--report", "t.records"], "t.records"),
+            (["build-sft", "--videos", "{clips}", "--qa", "{qa}", "--config", "config.json",
+              "-o", "s"], "s.journal"),
+        ],
+        ids=["demand_out_is_table", "sft_report_is_table", "sft_journal_is_table"],
+    )
+    def test_mock_table_that_the_command_writes_is_usage_error(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, args, table
+    ):
+        paths = corpus.manifest["paths"]
+        config = json.loads(Path(paths["config"]).read_text(encoding="utf-8"))
+        (tmp_path / "config.json").write_text(json.dumps({**config, "mock_table_path": table}),
+                                              encoding="utf-8")
+        shutil.copy(paths["mock_table"], tmp_path / table)
+        message = f"input mock_table_path {table} is a file this command writes"
+        self.usage_error(corpus, demand_file, tmp_path, capsys, monkeypatch, args, message)
+
+    # Each command that writes files, with its flags other than the inputs, and its inputs.
+    WRITERS = {
+        "segment": (["-o", "out"], {"--shots": "{shots}"}),
+        "build-sft": (["-o", "out"], {"--videos": "{clips}", "--qa": "{qa}", "--config": "{config}"}),
+        "estimate-demand": (["-o", "out"], {"--qa": "{qa}", "--config": "{config}"}),
+        "build-rl": (["--target", "3", "-o", "out"], {"--in": "{demand}"}),
+        "reward": (["--report", "out"], {"--group": "{group}"}),
+        "grpo-eval": (["--epsilon", "0.2", "--beta", "0", "--report", "out"],
+                      {"--logprobs": "{logprobs}"}),
+    }
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_no_file_a_run_leaves_can_be_its_input(
+        self, corpus, demand_file, tmp_path, capsys, monkeypatch, command
+    ):
+        """Every file a run leaves, whichever output it is, is refused as an input to a rerun."""
+        options, inputs = self.WRITERS[command]
+        (tmp_path / "group").write_text('{"gamma": 0.5, "correct": [true, false]}\n',
+                                        encoding="utf-8")
+        write_records(tmp_path / "logprobs", [{"current": [[-0.5]], "old": [[-0.5]],
+                                               "ref": [[-0.5]], "scaled_advantages": [0.9]}])
+        files = {**corpus.manifest["paths"], "demand": demand_file, "group": tmp_path / "group",
+                 "logprobs": tmp_path / "logprobs"}
+        inputs = {flag: path.format(**files) for flag, path in inputs.items()}
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+
+        def rerun(flags: dict) -> tuple[int, str, str]:
+            return run_cli([command, *options, *(arg for pair in flags.items() for arg in pair)],
+                           capsys)
+
+        assert rerun(inputs)[0] == 0
+        left = sorted(path.name for path in run.iterdir())
+        assert "out" in left
+        before = {name: (run / name).read_bytes() for name in left}
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", lambda self, request: calls.append(request))
+        for pos, name in enumerate(left):
+            flag = list(inputs)[pos % len(inputs)]
+            code, stdout, err = rerun({**inputs, flag: name})
+            assert code == 2 and stdout == ""
+            assert err == f"usage error: input {flag} {name} is a file this command writes\n"
+        assert calls == [] and {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
     @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -1220,52 +1222,79 @@ def unjournalled(clean: CleanRun, journal: Path) -> set[str]:
     return {task.sample_id for task in clean.tasks} - journalled
 
 
-# Faults for the runs before a healthy one: a crash once k calls are answered (k is
-# taken modulo the calls the run has to make), or calls failing in 1 to 3 windows
-# [start, stop) of the run's call numbers, each call tried up to `attempts` times.
+class Fault(NamedTuple):
+    """The faults of a run before a healthy one: calls failing in the windows [start, stop)
+    of the run's call numbers, each call tried up to `attempts` times, and a crash once
+    `crash_after` calls are made (taken modulo the calls the run is sure to make), or none."""
+
+    windows: tuple[tuple[int, int], ...] = ()
+    attempts: int = 1
+    crash_after: int | None = None
+
+
 def crash(calls: int):
-    return st.tuples(st.just("crash"), st.integers(0, calls - 1))
+    return st.integers(0, calls - 1).map(lambda k: Fault(crash_after=k))
+
+
+def windows(stop: int, longest: int):
+    """1 to 3 windows that start before `stop`, each at most `longest` calls long."""
+    window = st.integers(0, stop - 1).flatmap(
+        lambda start: st.tuples(st.just(start), st.integers(start + 1, start + longest)))
+    return st.lists(window, min_size=1, max_size=3).map(tuple)
 
 
 def outage(calls: int):
-    window = st.integers(0, calls - 1).flatmap(
-        lambda start: st.tuples(st.just(start), st.integers(start + 1, start + calls // 2)))
-    return st.tuples(st.just("outage"), st.lists(window, min_size=1, max_size=3),
-                     st.sampled_from([1, 2]))
+    return st.tuples(windows(calls, calls // 2), st.sampled_from([1, 2])).map(lambda t: Fault(*t))
+
+
+def outage_then_crash(calls: int):
+    """Windows that start before the crash; they are short, which leaves the run many calls
+    it is sure to make, so the crash most often comes after them."""
+    return st.integers(1, calls - 1).flatmap(lambda k: st.tuples(
+        windows(k, 2), st.sampled_from([1, 2]), st.just(k)).map(lambda t: Fault(*t)))
+
+
+def sure_calls(clean: CleanRun, unfinished: set[str], fault: Fault) -> int:
+    """Calls that a run of the unfinished samples makes under the fault's outage, whatever
+    the order of its calls: each sample makes its first call, and only a call that fails
+    every attempt, each on a call number in a window, stops a sample before its last call."""
+    needed = [n for sample_id in unfinished if (n := clean.calls[sample_id].total())]
+    ended = sum(stop - start for start, stop in fault.windows) // fault.attempts
+    return sum(needed) - sum(heapq.nlargest(ended, (n - 1 for n in needed)))
 
 
 class TestResumeAfterFailure:
     """A rerun makes exactly the calls of the samples the failed runs left without an outcome."""
 
-    def run_through(self, clean: CleanRun, workers: int, faults: list[tuple]) -> list[set[str]]:
+    def run_through(self, clean: CleanRun, workers: int, faults: list[Fault]) -> list[set[str]]:
         """Run the corpus into each fault in turn, then once on a healthy backend, and
         check every run; return the samples each run found without an outcome."""
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "sft.records"
             rejected, journal = Path(f"{out}{REJECTED_SUFFIX}"), Path(f"{out}{JOURNAL_SUFFIX}")
             unfinished_by_run = []
-            for fault in [*faults, ("healthy",)]:
+            for fault in [*faults, Fault()]:
                 unfinished = unjournalled(clean, journal)
                 needed = sum((clean.calls[sample_id] for sample_id in unfinished), Counter())
-                if fault[0] == "crash" and not needed:
+                if fault.crash_after is not None and not needed:
                     continue  # a run with no call to make cannot crash
                 unfinished_by_run.append(unfinished)
-                windows, attempts = fault[1:] if fault[0] == "outage" else ((), 1)
-                answered = OutageBackend(MockBackend(clean.table), *windows)
-                if fault[0] == "crash":
+                answered = OutageBackend(MockBackend(clean.table), *fault.windows)
+                if fault.crash_after is not None:
                     before = outputs_on_disk(out, rejected)
-                    crashing = CrashingBackend(answered, fault[1] % needed.total())
+                    crash_after = fault.crash_after % sure_calls(clean, unfinished, fault)
                     with pytest.raises(RuntimeError, match="simulated crash"):
-                        resume_run(clean, out, crashing, workers)
+                        resume_run(clean, out, CrashingBackend(answered, crash_after), workers,
+                                   fault.attempts)
                     # each output is absent or the whole file a finished run wrote
                     assert outputs_on_disk(out, rejected) == before
                     assert list(Path(tmp).glob(f"*{STAGED_SUFFIX}")) == []
                     assert not journal.exists() or journal.read_bytes().endswith(b"\n")
                 else:
-                    report = resume_run(clean, out, answered, workers, attempts)
+                    report = resume_run(clean, out, answered, workers, fault.attempts)
                 # a journalled sample makes no call
                 assert {clean.owner[request_digest(r)] for r in answered.requests} <= unfinished
-                if fault[0] == "outage":
+                if fault.windows and fault.crash_after is None:
                     # the samples left to rerun are the ones rejected as *_failed
                     failed = {r["id"] for r in read_records(rejected) if r["reason"].endswith("_failed")}
                     assert sum(n for reason, n in report["rejection_reasons"].items()
@@ -1282,19 +1311,20 @@ class TestResumeAfterFailure:
     def test_rerun_calls_only_unfinished_samples(self, clean_runs, size, seed, workers, data):
         clean = clean_runs(size, seed)
         calls = sum(sum(c.values()) for c in clean.calls.values())
-        first = data.draw(st.one_of(crash(calls), outage(calls)), label="first run")
+        kind = data.draw(st.sampled_from([crash, outage, outage_then_crash]), label="first run")
+        first = data.draw(kind(calls), label="its fault")
         resume = data.draw(crash(calls), label="resume")
         self.run_through(clean, workers, [first, resume])
 
     @pytest.mark.parametrize("workers,crash_after", [(1, 40), (1, 101), (4, 40), (4, 101)])
     def test_crash_then_resume_calls_only_unfinished_samples(self, clean_runs, workers, crash_after):
         clean = clean_runs(20, 7)
-        _, unfinished = self.run_through(clean, workers, [("crash", crash_after)])
+        _, unfinished = self.run_through(clean, workers, [Fault(crash_after=crash_after)])
         assert 0 < len(unfinished) < len(clean.tasks)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_backend_outage_is_retried_by_the_next_run(self, clean_runs, workers):
-        _, unfinished = self.run_through(clean_runs(20, 7), workers, [("outage", [(30, 120)], 1)])
+        _, unfinished = self.run_through(clean_runs(20, 7), workers, [Fault(((30, 120),))])
         assert unfinished
 
 
